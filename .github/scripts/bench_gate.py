@@ -14,8 +14,9 @@ degrading to the serial path — trips the gate, not CI-runner noise.
 Keys absent from a report fail its gate too (a silently dropped column is
 itself a regression).
 
-One floor is host-conditional: `arch_speedup` (hand-written AVX2 kernels vs
-the portable lane programs) is only gated when the report itself records
+One floor is host-conditional: `arch_speedup` (the best of the f32/f64
+AVX2 plan-evaluator splits vs the portable lane programs; i32 kernels have
+no AVX2 path) is only gated when the report itself records
 `avx2_detected = 1` — on hosts without AVX2 the arch section is legitimately
 empty and the column reads 0.0.
 

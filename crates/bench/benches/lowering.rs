@@ -534,8 +534,10 @@ fn write_report(reps: usize, width: usize, height: usize) {
     );
     // The explicit AVX2 core::arch kernels vs the portable lane loops, on
     // the same fused shapes (oracle-verified + counter-guarded inside the
-    // split). `arch_speedup` is the best demonstrated arch win; 0.0 with
-    // `avx2_detected: 0` means the host has no AVX2 and the column is moot.
+    // split). Only the f32/f64 plan evaluators are split: i32 kernels run
+    // the portable lanes on every target. `arch_speedup` is the best
+    // demonstrated arch win; 0.0 with `avx2_detected: 0` means the host has
+    // no AVX2 and the column is moot.
     let avx2_detected = Target::detect().has(Feature::Avx2);
     // Dedicated grid for the arch splits, even in smoke mode: the smoke grid
     // is small enough that fixed per-run overhead hides the kernel delta the
@@ -563,18 +565,7 @@ fn write_report(reps: usize, width: usize, height: usize) {
             reps.max(30),
         )
     };
-    let arch_i32 = {
-        let (chain_p, chain_in) = pointwise_chain_pipeline(hw, hh, 4, 0xC4A1);
-        arch_split(
-            "chain_i32_arch",
-            &chain_p,
-            "in",
-            &chain_in,
-            &[hw, hh],
-            reps.max(30),
-        )
-    };
-    let arch_speedup = [arch_f32, arch_f64, arch_i32]
+    let arch_speedup = [arch_f32, arch_f64]
         .iter()
         .flatten()
         .map(|(_, _, sp)| *sp)
@@ -650,23 +641,19 @@ fn write_report(reps: usize, width: usize, height: usize) {
         d_scalar.as_nanos(),
         d_simd.as_nanos(),
     );
-    let arch_entries = [
-        ("smooth_f32_arch", arch_f32),
-        ("smooth_f64_arch", arch_f64),
-        ("chain_i32_arch", arch_i32),
-    ]
-    .iter()
-    .filter_map(|(n, v)| {
-        v.map(|(p, a, _)| {
-            format!(
-                "    {{\"pipeline\": \"{n}\", \"portable_ns\": {}, \"arch_ns\": {}}}",
-                p.as_nanos(),
-                a.as_nanos()
-            )
+    let arch_entries = [("smooth_f32_arch", arch_f32), ("smooth_f64_arch", arch_f64)]
+        .iter()
+        .filter_map(|(n, v)| {
+            v.map(|(p, a, _)| {
+                format!(
+                    "    {{\"pipeline\": \"{n}\", \"portable_ns\": {}, \"arch_ns\": {}}}",
+                    p.as_nanos(),
+                    a.as_nanos()
+                )
+            })
         })
-    })
-    .collect::<Vec<_>>()
-    .join(",\n");
+        .collect::<Vec<_>>()
+        .join(",\n");
 
     let json = format!(
         "{{\n  \"benchmark\": \"fig7_interpret_vs_lowered\",\n  \"schedule\": \"stencil_default\",\n  \"image\": [{width}, {height}],\n  \"reps\": {reps},\n  \"results\": [\n{entries}\n  ],\n  \"lane_families\": [\n{lane_families}\n  ],\n  \"reductions\": [\n{reductions}\n  ],\n  \"locality\": [\n{locality}\n  ],\n  \"arch\": [\n{arch_entries}\n  ],\n  \"avx2_detected\": {},\n  \"f32_simd_speedup\": {f32_speedup:.3},\n  \"i64_simd_speedup\": {i64_speedup:.3},\n  \"f64_simd_speedup\": {f64_speedup:.3},\n  \"arch_speedup\": {arch_speedup:.3},\n  \"reduction_speedup\": {reduction_speedup:.3},\n  \"window_speedup\": {window_speedup:.3},\n  \"multi_output_speedup\": {multi_output_speedup:.3}\n}}\n",

@@ -4,14 +4,15 @@
 //! For each lifted PhotoFlow filter the harness times the same lifted pipeline
 //! under a ladder of schedules: fully naive, tiled only, parallel only,
 //! vectorized only, the default stencil schedule (all three), and a short
-//! autotuning run (the reproduction-scale analogue of the paper's six-hour
-//! OpenTuner search).
+//! `helium_tune::guided_search` run (the reproduction-scale analogue of the
+//! paper's six-hour OpenTuner search).
 
 use helium_apps::photoflow::PhotoFilter;
 use helium_bench::{
     buffer_from_layout, lift_photoflow, ms, time_lifted, BENCH_HEIGHT, BENCH_WIDTH,
 };
-use helium_halide::{autotune, RealizeInputs, Schedule, TuneConfig};
+use helium_halide::{RealizeInputs, Schedule};
+use helium_tune::{guided_search, SearchConfig};
 use std::time::Duration;
 
 fn main() {
@@ -39,7 +40,7 @@ fn main() {
         let vector = time_lifted(&app, &lifted, Schedule::naive().with_vector_width(8), reps);
         let default = time_lifted(&app, &lifted, Schedule::stencil_default(), reps);
 
-        // Autotune on the primary kernel (same inputs the timing helper uses).
+        // Tune the primary kernel (same inputs the timing helper uses).
         let kernel = lifted.primary();
         let out_layout = lifted.buffer(&kernel.output).expect("output layout");
         let extents: Vec<usize> = out_layout.extents.iter().map(|&e| e as usize).collect();
@@ -56,14 +57,13 @@ fn main() {
         for (name, value) in &kernel.parameter_values {
             inputs = inputs.with_param(name, *value);
         }
-        let config = TuneConfig {
+        let config = SearchConfig {
             max_candidates: 12,
             budget: Duration::from_secs(8),
-            repetitions: 2,
-            seed: 0x7E57,
+            ..SearchConfig::default()
         };
-        let report = autotune(&kernel.pipeline, &extents, &inputs, &config)
-            .expect("autotuning the lifted kernel succeeds");
+        let report = guided_search(&kernel.pipeline, &extents, &inputs, &config)
+            .expect("tuning the lifted kernel succeeds");
         let tuned = time_lifted(&app, &lifted, report.best.clone(), reps);
 
         println!(
@@ -82,5 +82,5 @@ fn main() {
         "\n(all times in milliseconds, one output plane, {}x{} image;",
         BENCH_WIDTH, BENCH_HEIGHT
     );
-    println!(" `tuned` re-times the autotuner's best schedule with the same repetitions)");
+    println!(" `tuned` re-times the guided search's best schedule with the same repetitions)");
 }

@@ -112,21 +112,33 @@
 //! ±Inf and subnormal float inputs) and extents.
 //!
 //! Backend selection is a [`Target`]: an execution [`Tier`] (pin the fused
-//! tier on or off, or let the runner choose) plus the ISA [`Feature`]s the
-//! fused kernels may exploit. The `arch` module hand-writes AVX2
-//! `core::arch` chunk evaluators for the hottest shapes — Axpy tap
-//! accumulation, shift/mul-by-constant, clamp/min/max, and the tree-reduce —
-//! dispatched when the resolved target carries [`Feature::Avx2`] *and*
+//! tier on or off, or let the runner choose) plus the ISA
+//! [`Feature`](crate::target::Feature)s the fused kernels may exploit. A
+//! target is resolved once at compile time
+//! ([`crate::compile::CompileOptions::target`], defaulting to
+//! [`Target::current`] — env pins live in [`Target::from_env`]); its ISA is
+//! [`Isa::Avx2`] only when it carries
+//! [`Feature::Avx2`](crate::target::Feature::Avx2) *and*
 //! `is_x86_feature_detected!("avx2")` confirms it at run time
-//! ([`Target::effective_isa`]); the portable constant-trip lane loops remain
-//! both the fallback and the bit-exactness oracle. Integer arch kernels are
-//! exact by construction (wrapping semantics); float arch kernels cover only
-//! IEEE-exact single-rounding ops (`Add`/`Sub`/`Mul`/`Div`/`Sqrt`), leaving
-//! `Min`/`Max`/`Cmp` on the scalar reference path because `_mm256_min_ps`
-//! NaN/±0 semantics differ from Rust's. A target is resolved once at
-//! compile time ([`crate::compile::CompileOptions::target`], defaulting to
-//! [`Target::current`] — env pins live in [`Target::from_env`]) and every
-//! dispatch site reads that one value.
+//! ([`Target::effective_isa`]). One per-family rule, `kernel_isa`, then
+//! decides whether a kernel's chunks run a hand-written AVX2 evaluator from
+//! the `arch` module: i64 kernels and f32/f64 kernels of at most 16 taps do;
+//! i32 kernels and wider float kernels run the portable lanes. The rule
+//! follows measurements on a 2-core AVX2 Xeon (medians of 15, AVX2-pinned vs
+//! portable-pinned targets, identical bytes): the f32/f64 plan evaluators
+//! ran 1.07–2.10× on a 7-tap stencil, but an i32 AVX2 evaluator ran only
+//! 0.76–1.02× on a u8 7-tap stencil and full-chunk f32/f64 AVX2 evaluators
+//! 0.55–0.98× on a 25-tap stencil; the i64 evaluator awaits a re-measurement.
+//! The fused and reduce dispatchers, the [`arch_rows_executed`] counter and
+//! [`StoreProfile::selected_isa`] all read that one rule. The portable
+//! constant-trip lane loops — one generic tap loader, chunk store and float
+//! evaluator over the lane type (`LaneConst`), plus the integer evaluator —
+//! remain both the fallback and the bit-exactness oracle. Integer arch
+//! kernels are exact by construction (wrapping semantics); float arch
+//! kernels vectorize only IEEE-exact single-rounding ops
+//! (`Add`/`Sub`/`Mul`/`Div`/`Sqrt`), leaving `Min`/`Max`/`Cmp` on the scalar
+//! reference path because `_mm256_min_ps` NaN/±0 semantics differ from
+//! Rust's.
 //!
 //! Since the compile/run split, store compilation happens once in [`prepare`]
 //! (producing an [`ExecPlan`] that the program cache retains — including the
@@ -156,9 +168,10 @@ use crate::realize::RealizeError;
 use crate::stmt::{
     access_contiguous_in, access_invariant_in, value_reads_buffer, AffineIndex, LoopKind, Stmt,
 };
-use crate::target::{set_target_override, Isa, Target, Tier};
+use crate::target::{Isa, Target, Tier};
 use crate::types::{ScalarType, Value};
 use std::collections::BTreeMap;
+use std::ops::{AddAssign, DivAssign, MulAssign, SubAssign};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of lanes evaluated per dispatch of the per-op typed tier, and the
@@ -182,24 +195,8 @@ const V_STACK: usize = 8;
 const MERGE_MAX_CELLS: usize = 4 << 20;
 
 // ---------------------------------------------------------------------------
-// Execution-tier selection
+// Execution counters
 // ---------------------------------------------------------------------------
-
-/// Legacy tier knob, superseded by [`Target`] / [`Tier`]. Retained as a shim
-/// so existing callers keep compiling; [`set_simd_mode`] maps it onto a
-/// process-wide [`Target`] override.
-#[deprecated(note = "use `Target` / `Tier` (see `helium_halide::target`)")]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdMode {
-    /// Fused kernels run under vectorized loops; everything else uses the
-    /// per-op tier.
-    Auto,
-    /// Never use fused kernels (the per-op lane tier handles every store).
-    ForceScalar,
-    /// Use fused kernels wherever one was compiled, even under serial
-    /// innermost loops (which then run [`MAX_LANES`]-wide chunks).
-    ForceSimd,
-}
 
 /// Rows (innermost-loop executions) that ran the fused-kernel interior path,
 /// for observability and tests.
@@ -231,38 +228,9 @@ static MULTI_OUTPUT_NESTS: AtomicU64 = AtomicU64::new(0);
 /// Fused interior rows and reduce loops whose chunks executed on a
 /// hand-written `core::arch` ISA path (currently AVX2) instead of the
 /// portable lane loops, for observability and tests — the proof that
-/// [`Target::effective_isa`] dispatch actually fires. Counted per
-/// loop/row, not per chunk, to keep the atomic off the chunk hot path.
+/// `kernel_isa` dispatch actually fires. Counted per loop/row, not per
+/// chunk, to keep the atomic off the chunk hot path.
 static ARCH_ROWS: AtomicU64 = AtomicU64::new(0);
-
-/// The execution tier of the current process-wide [`Target`]
-/// ([`Target::current`]), expressed as the legacy [`SimdMode`].
-#[deprecated(note = "use `Target::current().tier()`")]
-#[allow(deprecated)]
-pub fn simd_mode() -> SimdMode {
-    match Target::current().tier() {
-        Tier::Auto => SimdMode::Auto,
-        Tier::Scalar => SimdMode::ForceScalar,
-        Tier::Simd => SimdMode::ForceSimd,
-    }
-}
-
-/// Override (or with `None`, un-override) the process-wide execution tier.
-/// Shimmed onto [`crate::target::set_target_override`]: the override target
-/// keeps the environment-resolved ISA features and pins only the tier.
-/// Per-pipeline control is available via
-/// [`crate::compile::CompileOptions::target`].
-#[deprecated(note = "use `target::set_target_override`")]
-#[allow(deprecated)]
-pub fn set_simd_mode(mode: Option<SimdMode>) {
-    set_target_override(mode.map(|m| {
-        Target::from_env().with_tier(match m {
-            SimdMode::Auto => Tier::Auto,
-            SimdMode::ForceScalar => Tier::Scalar,
-            SimdMode::ForceSimd => Tier::Simd,
-        })
-    }));
-}
 
 /// Number of innermost-loop rows executed through the fused-kernel interior
 /// path since process start (monotonic; for tests and observability).
@@ -894,8 +862,10 @@ pub struct StoreProfile {
     /// under a [`crate::stmt::LoopKind::ParallelReduce`] nest.
     pub parallel_reduce: bool,
     /// The instruction-set family the store's fused/reduce chunks will
-    /// execute on under the profiled [`Target`] ([`Isa::Portable`] for
-    /// unfused stores — the per-op and fallback tiers have no arch paths).
+    /// execute on under the profiled [`Target`]: [`Isa::Avx2`] only for i64
+    /// kernels and f32/f64 kernels of at most 16 taps on a target that
+    /// resolves AVX2, else [`Isa::Portable`] (always for unfused stores — the
+    /// per-op and fallback tiers have no arch paths).
     pub selected_isa: Isa,
 }
 
@@ -2241,32 +2211,81 @@ fn emitted_tap(taps: &[TapAccess], tap: &TapAccess) -> Option<usize> {
     taps.iter().position(|t| t == tap)
 }
 
-/// Constant carrier of an integer lane family: `i32` for the narrow family,
-/// `i64` for the wide one. Gives the generic [`peephole`] the wrapping
-/// negation it needs to sign-adjust folded coefficients.
-trait LaneConst: Copy + PartialEq {
+/// Scalar carrier of a lane family — `i32`, `i64`, `f32` or `f64`: the
+/// constant type of its ops and the element type of its chunks. Gives the
+/// generic [`peephole`] the wrapping negation it needs to sign-adjust folded
+/// coefficients, and the generic tap loader, chunk store and float evaluator
+/// the conversions each family's exactness argument admits.
+trait LaneConst: Copy + Default + PartialEq + PartialOrd {
     /// Wrapping negation (two's complement).
     fn wneg(self) -> Self;
     /// The multiplicative identity (the implicit coefficient of a bare tap).
     fn one() -> Self;
+    /// An integer tap element or loop variable, already extended to `i64`
+    /// the way the per-op tier extends it: truncated to the lane width on
+    /// integer lanes, promoted on float lanes (exactly — fusion admits only
+    /// values the float type represents).
+    fn from_i64(v: i64) -> Self;
+    /// A `Float32` tap element: bit-exact on f32 lanes, widened on f64 lanes.
+    fn from_f32(v: f32) -> Self;
+    /// A `Float64` value (only f64 lanes load them; f32 Min/Max results
+    /// round back through it).
+    fn from_f64(v: f64) -> Self;
+    /// The lane widened to `f64`, where float Min/Max are evaluated.
+    fn to_f64(self) -> f64;
+    /// The lane's bits, extended to 64; a chunk store keeps the low bytes of
+    /// the output type.
+    fn to_bits(self) -> u64;
+    /// Square root, rounded once in the lane type (float lanes only).
+    fn sqrt(self) -> Self;
 }
 
-impl LaneConst for i32 {
-    fn wneg(self) -> Self {
-        self.wrapping_neg()
-    }
-    fn one() -> Self {
-        1
-    }
+// The conversions are always inlined so that unoptimized builds, which run
+// the test suite, keep the generic lane loops close to hand-written speed.
+macro_rules! lane_const {
+    ($($t:ty: $wneg:expr, $to_bits:expr, $sqrt:expr;)*) => {$(
+        impl LaneConst for $t {
+            #[inline(always)]
+            fn wneg(self) -> Self {
+                $wneg(self)
+            }
+            #[inline(always)]
+            fn one() -> Self {
+                1 as $t
+            }
+            #[inline(always)]
+            fn from_i64(v: i64) -> Self {
+                v as $t
+            }
+            #[inline(always)]
+            fn from_f32(v: f32) -> Self {
+                v as $t
+            }
+            #[inline(always)]
+            fn from_f64(v: f64) -> Self {
+                v as $t
+            }
+            #[inline(always)]
+            fn to_f64(self) -> f64 {
+                self as f64
+            }
+            #[inline(always)]
+            fn to_bits(self) -> u64 {
+                $to_bits(self)
+            }
+            #[inline(always)]
+            fn sqrt(self) -> Self {
+                $sqrt(self)
+            }
+        }
+    )*};
 }
 
-impl LaneConst for i64 {
-    fn wneg(self) -> Self {
-        self.wrapping_neg()
-    }
-    fn one() -> Self {
-        1
-    }
+lane_const! {
+    i32: i32::wrapping_neg, |v: i32| v as u64, |_| unreachable!("no integer sqrt");
+    i64: i64::wrapping_neg, |v: i64| v as u64, |_| unreachable!("no integer sqrt");
+    f32: |v: f32| -v, |v: f32| u64::from(v.to_bits()), f32::sqrt;
+    f64: |v: f64| -v, f64::to_bits, f64::sqrt;
 }
 
 /// Collapse the dominant stencil pattern — load, scale, accumulate — into
@@ -2730,9 +2749,10 @@ struct Runner<'a> {
     params: &'a BTreeMap<String, Value>,
     /// The execution tier of the resolved [`Target`].
     tier: Tier,
-    /// The chunk ISA resolved once per run via [`Target::effective_isa`]:
+    /// The target ISA resolved once per run via [`Target::effective_isa`]:
     /// [`Isa::Avx2`] only when the target carries the feature *and* the
     /// running CPU reports it, which is what makes the `arch` dispatch sound.
+    /// Each kernel narrows it through [`kernel_isa`].
     isa: Isa,
 }
 
@@ -3146,6 +3166,7 @@ impl Runner<'_> {
         }
 
         let w = fused.chunk_width(width);
+        let isa = kernel_isa(fused.family(), fused.taps.len(), self.isa);
         // Pre-peel (clamped border), full-width interior chunks, the fused
         // tail chunk, then the post-peel.
         self.general_range(
@@ -3163,7 +3184,7 @@ impl Runner<'_> {
                 lane_depth,
                 binds,
                 vars,
-                self.isa,
+                isa,
             );
             x += w as i64;
         }
@@ -3186,7 +3207,7 @@ impl Runner<'_> {
                     lane_depth,
                     binds,
                     vars,
-                    self.isa,
+                    isa,
                 );
             } else {
                 // Masked final chunk: load and store only the `rem` provably
@@ -3203,7 +3224,7 @@ impl Runner<'_> {
                     lane_depth,
                     binds,
                     vars,
-                    self.isa,
+                    isa,
                 );
             }
             x = hi + 1;
@@ -3214,7 +3235,7 @@ impl Runner<'_> {
         )?;
         if x > lo {
             FUSED_ROWS.fetch_add(1, Ordering::Relaxed);
-            if self.isa == Isa::Avx2 {
+            if isa == Isa::Avx2 {
                 ARCH_ROWS.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -3291,6 +3312,7 @@ impl Runner<'_> {
         let mut acc =
             crate::buffer::read_scalar(rk.out_ty, &out_bind.data()[byte_off..byte_off + eb])
                 .as_i64();
+        let isa = kernel_isa(rk.family(), rk.taps.len(), self.isa);
         let mut x = lo;
         while x <= hi {
             let n = (w as i64).min(hi + 1 - x) as usize;
@@ -3302,12 +3324,12 @@ impl Runner<'_> {
                 lane_depth,
                 binds,
                 vars,
-                self.isa,
+                isa,
             ));
             x += n as i64;
             REDUCE_CHUNKS.fetch_add(1, Ordering::Relaxed);
         }
-        if self.isa == Isa::Avx2 {
+        if isa == Isa::Avx2 {
             ARCH_ROWS.fetch_add(1, Ordering::Relaxed);
         }
         // Replay the update's cast chain (innermost first) and store through
@@ -3665,6 +3687,7 @@ impl Runner<'_> {
                 self.accumulate_elements(
                     t, merge, lane_depth, min, lo, buf_idx, side, binds, vars, scratch,
                 );
+                let isa = kernel_isa(rk.family(), rk.taps.len(), self.isa);
                 let mut acc = 0i64;
                 let mut x = lo;
                 while x <= hi {
@@ -3677,12 +3700,12 @@ impl Runner<'_> {
                         lane_depth,
                         binds,
                         vars,
-                        self.isa,
+                        isa,
                     ));
                     x += n as i64;
                     REDUCE_CHUNKS.fetch_add(1, Ordering::Relaxed);
                 }
-                if self.isa == Isa::Avx2 {
+                if isa == Isa::Avx2 {
                     ARCH_ROWS.fetch_add(1, Ordering::Relaxed);
                 }
                 side[buf_idx][out_off] = side[buf_idx][out_off].wrapping_add(acc);
@@ -4433,248 +4456,175 @@ fn run_program(
 // Fused-kernel execution
 // ---------------------------------------------------------------------------
 
-/// Read one element of an integer tap as the lane-typed value the per-op
-/// tier would produce (zero-extension for unsigned types, sign-extension for
-/// `Int32`, bit-reinterpretation for `UInt64`), truncated to the lane width.
-macro_rules! read_int_elem {
-    ($lane:ty, $ty:expr, $data:expr, $off:expr) => {{
-        let (ty, data, off): (ScalarType, &[u8], usize) = ($ty, $data, $off);
-        match ty {
-            ScalarType::UInt8 => data[off] as $lane,
-            ScalarType::UInt16 => u16::from_le_bytes([data[off * 2], data[off * 2 + 1]]) as $lane,
+/// Load one tap's lanes for the chunk at lane-variable value `x`, each
+/// element converted to the lane type as [`LaneConst`] describes. `n` is the
+/// number of in-range lanes (in bounds by the interior derivation in
+/// `run_fused_loop`): full chunks (`n == W`) use constant-trip slice loops
+/// LLVM turns into vector loads; masked tails (`n < W`) read only the
+/// in-range prefix and zero-fill the rest (the lanes are discarded at the
+/// store).
+#[inline]
+fn load_tap<L: LaneConst, const W: usize>(
+    tap: &TapAccess,
+    base: i64,
+    x: i64,
+    n: usize,
+    binds: &BindTable,
+) -> [L; W] {
+    let data = binds.0[tap.slot].as_ref().expect("tap source bound").data();
+    let mut out = [L::default(); W];
+    let off = (base + x) as usize;
+    match tap.lane {
+        TapLane::Broadcast => out = [read_elem(tap.ty, data, base as usize); W],
+        // Each arm slices with its constant element size, so LLVM sees the
+        // slice length and drops the per-lane bounds checks.
+        TapLane::Contiguous if n >= W => match tap.ty {
+            ScalarType::UInt8 => {
+                let src = &data[off..off + W];
+                for l in 0..W {
+                    out[l] = L::from_i64(src[l] as i64);
+                }
+            }
+            ScalarType::UInt16 => {
+                let src = &data[off * 2..off * 2 + W * 2];
+                for l in 0..W {
+                    out[l] = L::from_i64(u16::from_le_bytes([src[2 * l], src[2 * l + 1]]) as i64);
+                }
+            }
             ScalarType::UInt32 => {
-                u32::from_le_bytes(data[off * 4..off * 4 + 4].try_into().expect("4 bytes")) as $lane
+                let src = &data[off * 4..off * 4 + W * 4];
+                for l in 0..W {
+                    let b = src[4 * l..4 * l + 4].try_into().expect("4 bytes");
+                    out[l] = L::from_i64(u32::from_le_bytes(b) as i64);
+                }
             }
             ScalarType::Int32 => {
-                i32::from_le_bytes(data[off * 4..off * 4 + 4].try_into().expect("4 bytes")) as $lane
+                let src = &data[off * 4..off * 4 + W * 4];
+                for l in 0..W {
+                    let b = src[4 * l..4 * l + 4].try_into().expect("4 bytes");
+                    out[l] = L::from_i64(i32::from_le_bytes(b) as i64);
+                }
             }
             ScalarType::UInt64 => {
-                u64::from_le_bytes(data[off * 8..off * 8 + 8].try_into().expect("8 bytes")) as $lane
-            }
-            _ => unreachable!("integer fused taps are integer-typed"),
-        }
-    }};
-}
-
-/// Generate the tap loader of one integer lane family. `n` is the number of
-/// in-range lanes: full chunks (`n == W`) use constant-trip slice loops LLVM
-/// turns into vector loads; masked tails (`n < W`) read only the in-range
-/// prefix and zero-fill the rest (the lanes are discarded at the store).
-macro_rules! int_tap_loader {
-    ($name:ident, $lane:ty) => {
-        /// Load one tap's lanes for the chunk at lane-variable value `x`.
-        /// In-bounds (for the first `n` lanes) by the interior derivation in
-        /// `run_fused_loop`.
-        #[inline]
-        fn $name<const W: usize>(
-            tap: &TapAccess,
-            base: i64,
-            x: i64,
-            n: usize,
-            binds: &BindTable,
-        ) -> [$lane; W] {
-            let bind = binds.0[tap.slot].as_ref().expect("tap source bound");
-            let data = bind.data();
-            let mut out = [0 as $lane; W];
-            match tap.lane {
-                TapLane::Contiguous => {
-                    let off = (base + x) as usize;
-                    if n >= W {
-                        match tap.ty {
-                            ScalarType::UInt8 => {
-                                let src = &data[off..off + W];
-                                for l in 0..W {
-                                    out[l] = src[l] as $lane;
-                                }
-                            }
-                            ScalarType::UInt16 => {
-                                let src = &data[off * 2..off * 2 + W * 2];
-                                for l in 0..W {
-                                    out[l] =
-                                        u16::from_le_bytes([src[2 * l], src[2 * l + 1]]) as $lane;
-                                }
-                            }
-                            ScalarType::UInt32 => {
-                                let src = &data[off * 4..off * 4 + W * 4];
-                                for l in 0..W {
-                                    out[l] = u32::from_le_bytes(
-                                        src[4 * l..4 * l + 4].try_into().expect("4 bytes"),
-                                    ) as $lane;
-                                }
-                            }
-                            ScalarType::Int32 => {
-                                let src = &data[off * 4..off * 4 + W * 4];
-                                for l in 0..W {
-                                    out[l] = i32::from_le_bytes(
-                                        src[4 * l..4 * l + 4].try_into().expect("4 bytes"),
-                                    ) as $lane;
-                                }
-                            }
-                            ScalarType::UInt64 => {
-                                let src = &data[off * 8..off * 8 + W * 8];
-                                for l in 0..W {
-                                    out[l] = u64::from_le_bytes(
-                                        src[8 * l..8 * l + 8].try_into().expect("8 bytes"),
-                                    ) as $lane;
-                                }
-                            }
-                            _ => unreachable!("integer fused taps are integer-typed"),
-                        }
-                    } else {
-                        for (l, lane) in out.iter_mut().enumerate().take(n) {
-                            *lane = read_int_elem!($lane, tap.ty, data, off + l);
-                        }
-                    }
-                }
-                TapLane::Broadcast => {
-                    let off = base as usize;
-                    out = [read_int_elem!($lane, tap.ty, data, off); W];
+                let src = &data[off * 8..off * 8 + W * 8];
+                for l in 0..W {
+                    let b = src[8 * l..8 * l + 8].try_into().expect("8 bytes");
+                    out[l] = L::from_i64(u64::from_le_bytes(b) as i64);
                 }
             }
-            out
-        }
-    };
-}
-
-int_tap_loader!(load_tap_i32, i32);
-int_tap_loader!(load_tap_i64, i64);
-
-/// Load one `[f32; W]` tap's lanes: `Float32` loads are bit-exact, narrow
-/// integer loads (u8/u16, proven f32-exact at compile time) convert without
-/// loss. Masked tails (`n < W`) read only the in-range prefix.
-#[inline]
-fn load_tap_f32<const W: usize>(
-    tap: &TapAccess,
-    base: i64,
-    x: i64,
-    n: usize,
-    binds: &BindTable,
-) -> [f32; W] {
-    let bind = binds.0[tap.slot].as_ref().expect("tap source bound");
-    let data = bind.data();
-    let read = |off: usize| -> f32 {
-        match tap.ty {
             ScalarType::Float32 => {
-                f32::from_le_bytes(data[off * 4..off * 4 + 4].try_into().expect("4 bytes"))
-            }
-            ScalarType::UInt8 => data[off] as f32,
-            ScalarType::UInt16 => u16::from_le_bytes([data[off * 2], data[off * 2 + 1]]) as f32,
-            _ => unreachable!("f32 fused taps are Float32 or narrow integers"),
-        }
-    };
-    let mut out = [0.0f32; W];
-    match tap.lane {
-        TapLane::Contiguous => {
-            let off = (base + x) as usize;
-            if n >= W {
-                match tap.ty {
-                    ScalarType::Float32 => {
-                        let src = &data[off * 4..off * 4 + W * 4];
-                        for l in 0..W {
-                            out[l] = f32::from_le_bytes(
-                                src[4 * l..4 * l + 4].try_into().expect("4 bytes"),
-                            );
-                        }
-                    }
-                    ScalarType::UInt8 => {
-                        let src = &data[off..off + W];
-                        for l in 0..W {
-                            out[l] = src[l] as f32;
-                        }
-                    }
-                    ScalarType::UInt16 => {
-                        let src = &data[off * 2..off * 2 + W * 2];
-                        for l in 0..W {
-                            out[l] = u16::from_le_bytes([src[2 * l], src[2 * l + 1]]) as f32;
-                        }
-                    }
-                    _ => unreachable!("f32 fused taps are Float32 or narrow integers"),
-                }
-            } else {
-                for (l, lane) in out.iter_mut().enumerate().take(n) {
-                    *lane = read(off + l);
+                let src = &data[off * 4..off * 4 + W * 4];
+                for l in 0..W {
+                    let b = src[4 * l..4 * l + 4].try_into().expect("4 bytes");
+                    out[l] = L::from_f32(f32::from_le_bytes(b));
                 }
             }
-        }
-        TapLane::Broadcast => {
-            out = [read(base as usize); W];
-        }
-    }
-    out
-}
-
-/// Load one `[f64; W/2]` tap's lanes: `Float64` loads are the reference
-/// values themselves, `Float32` loads widen exactly, and integer loads
-/// (proven within ±2^53 at compile time) promote exactly. Masked tails
-/// (`n < W`) read only the in-range prefix.
-#[inline]
-fn load_tap_f64<const W: usize>(
-    tap: &TapAccess,
-    base: i64,
-    x: i64,
-    n: usize,
-    binds: &BindTable,
-) -> [f64; W] {
-    let bind = binds.0[tap.slot].as_ref().expect("tap source bound");
-    let data = bind.data();
-    let read = |off: usize| -> f64 {
-        match tap.ty {
             ScalarType::Float64 => {
-                f64::from_le_bytes(data[off * 8..off * 8 + 8].try_into().expect("8 bytes"))
+                let src = &data[off * 8..off * 8 + W * 8];
+                for l in 0..W {
+                    let b = src[8 * l..8 * l + 8].try_into().expect("8 bytes");
+                    out[l] = L::from_f64(f64::from_le_bytes(b));
+                }
             }
-            ScalarType::Float32 => {
-                f32::from_le_bytes(data[off * 4..off * 4 + 4].try_into().expect("4 bytes")) as f64
-            }
-            ScalarType::UInt8 => data[off] as f64,
-            ScalarType::UInt16 => u16::from_le_bytes([data[off * 2], data[off * 2 + 1]]) as f64,
-            ScalarType::UInt32 => {
-                u32::from_le_bytes(data[off * 4..off * 4 + 4].try_into().expect("4 bytes")) as f64
-            }
-            ScalarType::Int32 => {
-                i32::from_le_bytes(data[off * 4..off * 4 + 4].try_into().expect("4 bytes")) as f64
-            }
-            _ => unreachable!("f64 fused taps exclude UInt64"),
-        }
-    };
-    let mut out = [0.0f64; W];
-    match tap.lane {
+        },
         TapLane::Contiguous => {
-            let off = (base + x) as usize;
-            if n >= W {
-                match tap.ty {
-                    ScalarType::Float64 => {
-                        let src = &data[off * 8..off * 8 + W * 8];
-                        for l in 0..W {
-                            out[l] = f64::from_le_bytes(
-                                src[8 * l..8 * l + 8].try_into().expect("8 bytes"),
-                            );
-                        }
-                    }
-                    _ => {
-                        for (l, lane) in out.iter_mut().enumerate() {
-                            *lane = read(off + l);
-                        }
-                    }
-                }
-            } else {
-                for (l, lane) in out.iter_mut().enumerate().take(n) {
-                    *lane = read(off + l);
-                }
+            for (l, lane) in out.iter_mut().enumerate().take(n) {
+                *lane = read_elem(tap.ty, data, off + l);
             }
-        }
-        TapLane::Broadcast => {
-            out = [read(base as usize); W];
         }
     }
     out
 }
 
-/// Route one chunk to the monomorphized runner of the kernel's lane family
-/// and chunk width. `w` is the chunk width (`fused.chunk_width`); `n ≤ w` is
-/// the number of lanes to load and store (`n < w` only for masked tails).
-/// `isa` selects the chunk evaluator body: [`Isa::Avx2`] routes the op
-/// shapes with hand-written `core::arch` paths through the `arch` module
-/// (bit-identical to the portable evaluators; see the module docs).
+/// Element `i` of a `ty` buffer as a lane value (see [`load_tap`]).
+#[inline]
+fn read_elem<L: LaneConst>(ty: ScalarType, data: &[u8], i: usize) -> L {
+    let eb = ty.bytes();
+    let b = &data[i * eb..(i + 1) * eb];
+    match ty {
+        ScalarType::UInt8 => L::from_i64(b[0] as i64),
+        ScalarType::UInt16 => L::from_i64(u16::from_le_bytes([b[0], b[1]]) as i64),
+        ScalarType::UInt32 => {
+            L::from_i64(u32::from_le_bytes(b.try_into().expect("4 bytes")) as i64)
+        }
+        ScalarType::Int32 => L::from_i64(i32::from_le_bytes(b.try_into().expect("4 bytes")) as i64),
+        ScalarType::UInt64 => {
+            L::from_i64(u64::from_le_bytes(b.try_into().expect("8 bytes")) as i64)
+        }
+        ScalarType::Float32 => L::from_f32(f32::from_le_bytes(b.try_into().expect("4 bytes"))),
+        ScalarType::Float64 => L::from_f64(f64::from_le_bytes(b.try_into().expect("8 bytes"))),
+    }
+}
+
+/// Store the first `n` lanes of a chunk contiguously: each lane keeps the
+/// low bytes of its [`LaneConst::to_bits`], which truncates integer lanes
+/// to the output type (wrapping, like the per-op tier) and writes float
+/// lanes bit-exactly.
+#[inline]
+fn store_chunk<L: LaneConst, const W: usize>(
+    fused: &FusedKernel,
+    out_base: i64,
+    x: i64,
+    n: usize,
+    vals: &[L; W],
+    binds: &BindTable,
+) {
+    let bind = binds.0[fused.out_slot]
+        .as_ref()
+        .expect("store target bound");
+    let eb = fused.out_ty.bytes();
+    let n = n.min(W);
+    let mut tmp = [0u8; MAX_CHUNK * 8];
+    match eb {
+        1 => {
+            for l in 0..n {
+                tmp[l] = vals[l].to_bits() as u8;
+            }
+        }
+        2 => {
+            for l in 0..n {
+                tmp[2 * l..2 * l + 2].copy_from_slice(&(vals[l].to_bits() as u16).to_le_bytes());
+            }
+        }
+        4 => {
+            for l in 0..n {
+                tmp[4 * l..4 * l + 4].copy_from_slice(&(vals[l].to_bits() as u32).to_le_bytes());
+            }
+        }
+        _ => {
+            for l in 0..n {
+                tmp[8 * l..8 * l + 8].copy_from_slice(&vals[l].to_bits().to_le_bytes());
+            }
+        }
+    }
+    bind.write((out_base + x) as usize * eb, &tmp[..n * eb]);
+}
+
+/// Most taps the AVX2 plan evaluators stage per chunk (the length of their
+/// per-tap pointer and array tables).
+const A_TAPS: usize = 16;
+
+/// The ISA one kernel's chunks execute on, given the run's
+/// [`Target::effective_isa`] — the per-family rule of the module docs: AVX2
+/// only for i64 kernels and for f32/f64 kernels of at most [`A_TAPS`] taps,
+/// the families whose hand-written evaluators measured faster than the
+/// portable lanes. This is the one decision point: the fused and reduce
+/// dispatchers, the [`arch_rows_executed`] counter and
+/// [`StoreProfile::selected_isa`] all read it, so they cannot disagree.
+fn kernel_isa(family: LaneFamily, taps: usize, target_isa: Isa) -> Isa {
+    match family {
+        LaneFamily::I64 => target_isa,
+        LaneFamily::F32 | LaneFamily::F64 if taps <= A_TAPS => target_isa,
+        _ => Isa::Portable,
+    }
+}
+
+/// Route one chunk to the monomorphized evaluator of the kernel's lane
+/// family and chunk width, then store it. `w` is the chunk width
+/// (`fused.chunk_width`); `n ≤ w` is the number of lanes to load and store
+/// (`n < w` only for masked tails). `isa` is the kernel's [`kernel_isa`]:
+/// [`Isa::Avx2`] routes the chunk through the `arch` module (bit-identical
+/// to the portable evaluators; see the module docs).
 #[allow(clippy::too_many_arguments)]
 fn dispatch_fused_chunk(
     fused: &FusedKernel,
@@ -4691,7 +4641,8 @@ fn dispatch_fused_chunk(
     #[cfg(target_arch = "x86_64")]
     if isa == Isa::Avx2 {
         // SAFETY: `Isa::Avx2` is only produced by `Target::effective_isa`
-        // after `is_x86_feature_detected!("avx2")` succeeded on this CPU.
+        // after `is_x86_feature_detected!("avx2")` succeeded on this CPU,
+        // and `kernel_isa` passes it on only for the families `arch` serves.
         unsafe {
             return arch::dispatch_fused_chunk_avx2(
                 fused, x, w, n, tap_bases, out_base, lane_depth, binds, vars,
@@ -4700,43 +4651,25 @@ fn dispatch_fused_chunk(
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = isa;
+    macro_rules! run {
+        ($eval:expr, $ops:expr) => {{
+            let lanes = $eval($ops, &fused.taps, x, n, tap_bases, lane_depth, binds, vars);
+            store_chunk(fused, out_base, x, n, &lanes, binds);
+        }};
+    }
     match (&fused.prog, w) {
-        (LaneProgram::I32(ops), 32) => run_chunk_i32::<32>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::I32(ops), 16) => run_chunk_i32::<16>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::I32(ops), _) => run_chunk_i32::<8>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::I64(ops), 16) => run_chunk_i64::<16>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::I64(ops), 8) => run_chunk_i64::<8>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::I64(ops), _) => run_chunk_i64::<4>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::F32(ops), 32) => run_chunk_f32::<32>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::F32(ops), 16) => run_chunk_f32::<16>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::F32(ops), _) => run_chunk_f32::<8>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::F64(ops), 16) => run_chunk_f64::<16>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::F64(ops), 8) => run_chunk_f64::<8>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
-        (LaneProgram::F64(ops), _) => run_chunk_f64::<4>(
-            ops, fused, x, n, tap_bases, out_base, lane_depth, binds, vars,
-        ),
+        (LaneProgram::I32(ops), 32) => run!(eval_chunk_i32::<32>, ops),
+        (LaneProgram::I32(ops), 16) => run!(eval_chunk_i32::<16>, ops),
+        (LaneProgram::I32(ops), _) => run!(eval_chunk_i32::<8>, ops),
+        (LaneProgram::I64(ops), 16) => run!(eval_chunk_i64::<16>, ops),
+        (LaneProgram::I64(ops), 8) => run!(eval_chunk_i64::<8>, ops),
+        (LaneProgram::I64(ops), _) => run!(eval_chunk_i64::<4>, ops),
+        (LaneProgram::F32(ops), 32) => run!(eval_chunk_float::<f32, 32>, ops),
+        (LaneProgram::F32(ops), 16) => run!(eval_chunk_float::<f32, 16>, ops),
+        (LaneProgram::F32(ops), _) => run!(eval_chunk_float::<f32, 8>, ops),
+        (LaneProgram::F64(ops), 16) => run!(eval_chunk_float::<f64, 16>, ops),
+        (LaneProgram::F64(ops), 8) => run!(eval_chunk_float::<f64, 8>, ops),
+        (LaneProgram::F64(ops), _) => run!(eval_chunk_float::<f64, 4>, ops),
     }
 }
 
@@ -4747,7 +4680,7 @@ fn dispatch_fused_chunk(
 /// must be masked by the consumer — the fused store writes only `n` lanes,
 /// the reduction epilogue zeroes them before summing).
 macro_rules! int_chunk_eval {
-    ($name:ident, $lane:ty, $ulane:ty, $load:ident) => {
+    ($name:ident, $lane:ty, $ulane:ty) => {
         #[allow(clippy::too_many_arguments)]
         fn $name<const W: usize>(
             ops: &[VOp<$lane>],
@@ -4779,11 +4712,11 @@ macro_rules! int_chunk_eval {
                         sp += 1;
                     }
                     VOp::Load(t) => {
-                        st[sp] = $load::<W>(&taps[*t], tap_bases[*t], x, n, binds);
+                        st[sp] = load_tap::<$lane, W>(&taps[*t], tap_bases[*t], x, n, binds);
                         sp += 1;
                     }
                     VOp::Axpy { tap, coeff } => {
-                        let v = $load::<W>(&taps[*tap], tap_bases[*tap], x, n, binds);
+                        let v = load_tap::<$lane, W>(&taps[*tap], tap_bases[*tap], x, n, binds);
                         let dst = &mut st[sp - 1];
                         for l in 0..W {
                             dst[l] = dst[l].wrapping_add(coeff.wrapping_mul(v[l]));
@@ -4940,40 +4873,8 @@ macro_rules! int_chunk_eval {
     };
 }
 
-int_chunk_eval!(eval_chunk_i32, i32, u32, load_tap_i32);
-int_chunk_eval!(eval_chunk_i64, i64, u64, load_tap_i64);
-
-#[allow(clippy::too_many_arguments)]
-fn run_chunk_i32<const W: usize>(
-    ops: &[VOp<i32>],
-    fused: &FusedKernel,
-    x: i64,
-    n: usize,
-    tap_bases: &[i64],
-    out_base: i64,
-    lane_depth: usize,
-    binds: &BindTable,
-    vars: &[i64],
-) {
-    let lanes = eval_chunk_i32::<W>(ops, &fused.taps, x, n, tap_bases, lane_depth, binds, vars);
-    store_chunk_i32::<W>(fused, out_base, x, n, &lanes, binds);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_chunk_i64<const W: usize>(
-    ops: &[VOp<i64>],
-    fused: &FusedKernel,
-    x: i64,
-    n: usize,
-    tap_bases: &[i64],
-    out_base: i64,
-    lane_depth: usize,
-    binds: &BindTable,
-    vars: &[i64],
-) {
-    let lanes = eval_chunk_i64::<W>(ops, &fused.taps, x, n, tap_bases, lane_depth, binds, vars);
-    store_chunk_i64::<W>(fused, out_base, x, n, &lanes, binds);
-}
+int_chunk_eval!(eval_chunk_i32, i32, u32);
+int_chunk_eval!(eval_chunk_i64, i64, u64);
 
 /// Wrapping in-lane tree reduce of the first `n` lanes of a chunk. Exact for
 /// any summation order because wrapping integer addition is commutative and
@@ -5003,6 +4904,7 @@ tree_sum!(tree_sum_i64, i64);
 /// Evaluate one chunk of a reduction kernel's `g` and tree-reduce its first
 /// `n` lanes, returning the partial sum as an `i64` (for the i32 family the
 /// value is the sum mod `2^32`, which is all its ≤ 32-bit accumulator needs).
+/// `isa` is the kernel's [`kernel_isa`].
 #[allow(clippy::too_many_arguments)]
 fn dispatch_reduce_chunk(
     rk: &ReduceKernel,
@@ -5017,7 +4919,8 @@ fn dispatch_reduce_chunk(
     #[cfg(target_arch = "x86_64")]
     if isa == Isa::Avx2 {
         // SAFETY: `Isa::Avx2` is only produced by `Target::effective_isa`
-        // after `is_x86_feature_detected!("avx2")` succeeded on this CPU.
+        // after `is_x86_feature_detected!("avx2")` succeeded on this CPU,
+        // and `kernel_isa` passes it on only for i64 reductions.
         unsafe {
             return arch::dispatch_reduce_chunk_avx2(rk, x, n, tap_bases, lane_depth, binds, vars);
         }
@@ -5043,214 +4946,15 @@ fn dispatch_reduce_chunk(
     }
 }
 
-/// Run one `[f32; W]` fused kernel chunk. Arithmetic ops round once in f32
-/// (emitted only at reference rounding points); min/max evaluate through f64
-/// per lane to replicate [`eval_binop`]'s float branch bit-for-bit.
+/// Evaluate one float kernel chunk on `[f32; W]` or `[f64; W/2]` lanes.
+/// Arithmetic ops round once in the lane type (on f32 lanes they are only
+/// emitted at reference rounding points; on f64 lanes they are the reference
+/// ops), and Min/Max evaluate through f64 per lane to replicate
+/// [`eval_binop`]'s float branch bit-for-bit (a no-op widening on f64
+/// lanes). Lanes beyond `n` are unspecified, as for the integer families.
 #[allow(clippy::too_many_arguments)]
-fn run_chunk_f32<const W: usize>(
-    ops: &[FOp<f32>],
-    fused: &FusedKernel,
-    x: i64,
-    n: usize,
-    tap_bases: &[i64],
-    out_base: i64,
-    lane_depth: usize,
-    binds: &BindTable,
-    vars: &[i64],
-) {
-    let mut st = [[0.0f32; W]; V_STACK];
-    let mut sp = 0usize;
-    for op in ops {
-        match op {
-            FOp::Const(v) => {
-                st[sp] = [*v; W];
-                sp += 1;
-            }
-            FOp::Var(depth) => {
-                if *depth == lane_depth {
-                    for (l, lane) in st[sp].iter_mut().enumerate() {
-                        // Exact: the variable's interval was proven within
-                        // the f32-exact integer range.
-                        *lane = (x + l as i64) as f32;
-                    }
-                } else {
-                    st[sp] = [vars[*depth] as f32; W];
-                }
-                sp += 1;
-            }
-            FOp::Load(t) => {
-                st[sp] = load_tap_f32::<W>(&fused.taps[*t], tap_bases[*t], x, n, binds);
-                sp += 1;
-            }
-            FOp::Sqrt => {
-                for l in &mut st[sp - 1] {
-                    *l = l.sqrt();
-                }
-            }
-            FOp::Add | FOp::Sub | FOp::Mul | FOp::Div | FOp::Min | FOp::Max | FOp::Cmp(_) => {
-                let (head, tail) = st.split_at_mut(sp - 1);
-                let a = &mut head[sp - 2];
-                let b = &tail[0];
-                match op {
-                    FOp::Add => {
-                        for l in 0..W {
-                            a[l] += b[l];
-                        }
-                    }
-                    FOp::Sub => {
-                        for l in 0..W {
-                            a[l] -= b[l];
-                        }
-                    }
-                    FOp::Mul => {
-                        for l in 0..W {
-                            a[l] *= b[l];
-                        }
-                    }
-                    FOp::Div => {
-                        for l in 0..W {
-                            a[l] /= b[l];
-                        }
-                    }
-                    FOp::Min => {
-                        for l in 0..W {
-                            a[l] = (a[l] as f64).min(b[l] as f64) as f32;
-                        }
-                    }
-                    FOp::Max => {
-                        for l in 0..W {
-                            a[l] = (a[l] as f64).max(b[l] as f64) as f32;
-                        }
-                    }
-                    FOp::Cmp(cmp) => {
-                        for l in 0..W {
-                            let (x, y) = (a[l], b[l]);
-                            a[l] = cmp_lanes(*cmp, x, y) as f32;
-                        }
-                    }
-                    _ => unreachable!("binary group"),
-                }
-                sp -= 1;
-            }
-            FOp::Sel => {
-                let (head, tail) = st.split_at_mut(sp - 2);
-                let c = &mut head[sp - 3];
-                let (t, f) = (&tail[0], &tail[1]);
-                for l in 0..W {
-                    c[l] = if c[l] != 0.0 { t[l] } else { f[l] };
-                }
-                sp -= 2;
-            }
-        }
-    }
-    debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
-    store_chunk_f32::<W>(fused, out_base, x, n, &st[0], binds);
-}
-
-/// Generate the contiguous chunk store of one integer lane family: truncate
-/// the lanes to the output type and write the first `n` lanes.
-macro_rules! int_chunk_store {
-    ($name:ident, $lane:ty) => {
-        #[inline]
-        fn $name<const W: usize>(
-            fused: &FusedKernel,
-            out_base: i64,
-            x: i64,
-            n: usize,
-            vals: &[$lane; W],
-            binds: &BindTable,
-        ) {
-            let bind = binds.0[fused.out_slot]
-                .as_ref()
-                .expect("store target bound");
-            let off = (out_base + x) as usize;
-            let n = n.min(W);
-            let mut tmp = [0u8; MAX_CHUNK * 8];
-            match fused.out_ty {
-                ScalarType::UInt8 => {
-                    for l in 0..n {
-                        tmp[l] = vals[l] as u8;
-                    }
-                    bind.write(off, &tmp[..n]);
-                }
-                ScalarType::UInt16 => {
-                    for l in 0..n {
-                        tmp[2 * l..2 * l + 2].copy_from_slice(&(vals[l] as u16).to_le_bytes());
-                    }
-                    bind.write(off * 2, &tmp[..n * 2]);
-                }
-                ScalarType::UInt32 => {
-                    for l in 0..n {
-                        tmp[4 * l..4 * l + 4].copy_from_slice(&(vals[l] as u32).to_le_bytes());
-                    }
-                    bind.write(off * 4, &tmp[..n * 4]);
-                }
-                ScalarType::Int32 => {
-                    for l in 0..n {
-                        tmp[4 * l..4 * l + 4].copy_from_slice(&(vals[l] as i32).to_le_bytes());
-                    }
-                    bind.write(off * 4, &tmp[..n * 4]);
-                }
-                ScalarType::UInt64 => {
-                    for l in 0..n {
-                        tmp[8 * l..8 * l + 8].copy_from_slice(&(vals[l] as u64).to_le_bytes());
-                    }
-                    bind.write(off * 8, &tmp[..n * 8]);
-                }
-                _ => unreachable!("integer fused outputs are integer-typed"),
-            }
-        }
-    };
-}
-
-int_chunk_store!(store_chunk_i32, i32);
-int_chunk_store!(store_chunk_i64, i64);
-
-/// Contiguous `[f32; W]` chunk store: write the first `n` lanes bit-exactly.
-#[inline]
-fn store_chunk_f32<const W: usize>(
-    fused: &FusedKernel,
-    out_base: i64,
-    x: i64,
-    n: usize,
-    vals: &[f32; W],
-    binds: &BindTable,
-) {
-    debug_assert_eq!(fused.out_ty, ScalarType::Float32);
-    let bind = binds.0[fused.out_slot]
-        .as_ref()
-        .expect("store target bound");
-    let off = (out_base + x) as usize;
-    let n = n.min(W);
-    let mut tmp = [0u8; MAX_CHUNK * 4];
-    for l in 0..n {
-        tmp[4 * l..4 * l + 4].copy_from_slice(&vals[l].to_le_bytes());
-    }
-    bind.write(off * 4, &tmp[..n * 4]);
-}
-
-/// Run one `[f64; W/2]` fused kernel chunk. Every op mirrors the reference
-/// evaluator's f64 op directly — the lanes hold the reference values, so no
-/// rounding-point bookkeeping exists on this family.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk_f64<const W: usize>(
-    ops: &[FOp<f64>],
-    fused: &FusedKernel,
-    x: i64,
-    n: usize,
-    tap_bases: &[i64],
-    out_base: i64,
-    lane_depth: usize,
-    binds: &BindTable,
-    vars: &[i64],
-) {
-    let lanes = eval_chunk_f64::<W>(ops, &fused.taps, x, n, tap_bases, lane_depth, binds, vars);
-    store_chunk_f64::<W>(fused, out_base, x, n, &lanes, binds);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn eval_chunk_f64<const W: usize>(
-    ops: &[FOp<f64>],
+fn eval_chunk_float<L, const W: usize>(
+    ops: &[FOp<L>],
     taps: &[TapAccess],
     x: i64,
     n: usize,
@@ -5258,8 +4962,11 @@ fn eval_chunk_f64<const W: usize>(
     lane_depth: usize,
     binds: &BindTable,
     vars: &[i64],
-) -> [f64; W] {
-    let mut st = [[0.0f64; W]; V_STACK];
+) -> [L; W]
+where
+    L: LaneConst + AddAssign + SubAssign + MulAssign + DivAssign,
+{
+    let mut st = [[L::default(); W]; V_STACK];
     let mut sp = 0usize;
     for op in ops {
         match op {
@@ -5271,16 +4978,16 @@ fn eval_chunk_f64<const W: usize>(
                 if *depth == lane_depth {
                     for (l, lane) in st[sp].iter_mut().enumerate() {
                         // Exact: the variable's interval was proven within
-                        // the f64-exact integer range.
-                        *lane = (x + l as i64) as f64;
+                        // the lane type's exact integer range.
+                        *lane = L::from_i64(x + l as i64);
                     }
                 } else {
-                    st[sp] = [vars[*depth] as f64; W];
+                    st[sp] = [L::from_i64(vars[*depth]); W];
                 }
                 sp += 1;
             }
             FOp::Load(t) => {
-                st[sp] = load_tap_f64::<W>(&taps[*t], tap_bases[*t], x, n, binds);
+                st[sp] = load_tap::<L, W>(&taps[*t], tap_bases[*t], x, n, binds);
                 sp += 1;
             }
             FOp::Sqrt => {
@@ -5314,20 +5021,18 @@ fn eval_chunk_f64<const W: usize>(
                         }
                     }
                     FOp::Min => {
-                        // f64::min IS eval_binop's float branch here.
                         for l in 0..W {
-                            a[l] = a[l].min(b[l]);
+                            a[l] = L::from_f64(a[l].to_f64().min(b[l].to_f64()));
                         }
                     }
                     FOp::Max => {
                         for l in 0..W {
-                            a[l] = a[l].max(b[l]);
+                            a[l] = L::from_f64(a[l].to_f64().max(b[l].to_f64()));
                         }
                     }
                     FOp::Cmp(cmp) => {
                         for l in 0..W {
-                            let (x, y) = (a[l], b[l]);
-                            a[l] = cmp_lanes(*cmp, x, y) as f64;
+                            a[l] = L::from_i64(cmp_lanes(*cmp, a[l], b[l]) as i64);
                         }
                     }
                     _ => unreachable!("binary group"),
@@ -5339,7 +5044,7 @@ fn eval_chunk_f64<const W: usize>(
                 let c = &mut head[sp - 3];
                 let (t, f) = (&tail[0], &tail[1]);
                 for l in 0..W {
-                    c[l] = if c[l] != 0.0 { t[l] } else { f[l] };
+                    c[l] = if c[l] != L::default() { t[l] } else { f[l] };
                 }
                 sp -= 2;
             }
@@ -5347,29 +5052,6 @@ fn eval_chunk_f64<const W: usize>(
     }
     debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
     st[0]
-}
-
-/// Contiguous `[f64; W/2]` chunk store: write the first `n` lanes bit-exactly.
-#[inline]
-fn store_chunk_f64<const W: usize>(
-    fused: &FusedKernel,
-    out_base: i64,
-    x: i64,
-    n: usize,
-    vals: &[f64; W],
-    binds: &BindTable,
-) {
-    debug_assert_eq!(fused.out_ty, ScalarType::Float64);
-    let bind = binds.0[fused.out_slot]
-        .as_ref()
-        .expect("store target bound");
-    let off = (out_base + x) as usize;
-    let n = n.min(W);
-    let mut tmp = [0u8; MAX_CHUNK * 8];
-    for l in 0..n {
-        tmp[8 * l..8 * l + 8].copy_from_slice(&vals[l].to_le_bytes());
-    }
-    bind.write(off * 8, &tmp[..n * 8]);
 }
 
 #[inline]
@@ -5388,33 +5070,37 @@ fn cmp_lanes<T: PartialOrd>(op: CmpOp, x: T, y: T) -> i32 {
 // Hand-written AVX2 chunk evaluators (`core::arch::x86_64`)
 // ---------------------------------------------------------------------------
 
-/// Explicit AVX2 implementations of the fused chunk evaluators, dispatched
-/// by [`dispatch_fused_chunk`] / [`dispatch_reduce_chunk`] when the resolved
-/// [`Target`] carries [`crate::target::Feature::Avx2`] and the running CPU
-/// confirms it (see [`Target::effective_isa`]). The portable constant-trip
-/// lane loops above remain the oracle; everything here must be — and per
+/// Explicit AVX2 chunk evaluators for the lane families that measured faster
+/// than the portable lanes: the `[i64; W/2]` evaluator and tree-reduce, and
+/// the f32/f64 plan evaluators for kernels of at most [`A_TAPS`] taps.
+/// [`dispatch_fused_chunk`] / [`dispatch_reduce_chunk`] route a kernel here
+/// when [`kernel_isa`] selects [`Isa::Avx2`] for it. On a 2-core AVX2 Xeon
+/// (medians of 15, AVX2-pinned vs portable-pinned targets) the plan
+/// evaluators ran 1.07–2.10× on a 7-tap stencil; i32 kernels and wider float
+/// kernels run the portable lanes, which AVX2 evaluators for them did not
+/// beat (0.76–1.02× on a u8 7-tap stencil, 0.55–0.98× on a 25-tap one); the
+/// i64 evaluator awaits a re-measurement. The portable lane loops above
+/// remain the oracle; everything here must be — and per
 /// `tests/prop_simd.rs` is — **bit-identical** to them:
 ///
-/// - Integer ops are wrapping two's-complement on both paths, so every
-///   `VOp` has an exact vector form: `Axpy`/`MulC`/`Mul` via
-///   `_mm256_mullo_epi32` (i32) or the `mul_epu32` cross-term emulation
-///   (i64 — AVX2 has no 64-bit mullo), shifts via `_mm256_srl/sll` with the
-///   count register, clamp via `min/max_epi32`/`min/max_epu32` (i32) or
-///   `cmpgt_epi64` + `blendv` (i64). Ops with no profitable AVX2 form
-///   (comparisons-to-0/1, selects, the rare i64 unsigned min/max and
-///   `Sext32`) run the same scalar lane loops as the portable evaluator —
-///   trivially identical, and still compiled with AVX2 enabled.
-/// - Float arch coverage is exactly the IEEE-exact single-rounding ops
-///   (`Add`/`Sub`/`Mul`/`Div`/`Sqrt` — one rounding per op on both paths,
-///   so `_mm256_*_ps/pd` are bit-identical by IEEE 754). `Min`/`Max`/`Cmp`
-///   keep the portable scalar bodies: `_mm256_min_ps` resolves NaN and ±0
-///   operands differently from the reference's `f64::min`, and the
-///   differential matrix includes NaN inputs.
-/// - The tree-reduce epilogue halves with `_mm256_add_epi32/epi64` — the
-///   same reduction shape, wrapping addition, any order exact.
+/// - i64 ops wrap in two's complement on both paths, so every `VOp` has an
+///   exact vector form: `Axpy`/`MulC`/`Mul` via the `mul_epu32` cross-term
+///   emulation (AVX2 has no 64-bit mullo), shifts via `_mm256_srl/sll_epi64`
+///   with the count register, signed clamp via `cmpgt_epi64` + `blendv`.
+///   Ops with no profitable AVX2 form (comparisons-to-0/1, selects, unsigned
+///   min/max and `Sext32`) run the same scalar lane loops as the portable
+///   evaluator — trivially identical, and still compiled with AVX2 enabled.
+/// - The float plan evaluators vectorize exactly the IEEE-exact
+///   single-rounding ops (`Add`/`Sub`/`Mul`/`Div`/`Sqrt` — one rounding per
+///   op on both paths, so `_mm256_*_ps/pd` are bit-identical by IEEE 754).
+///   `Min`/`Max`/`Cmp`/`Sel` keep the portable scalar bodies:
+///   `_mm256_min_ps` resolves NaN and ±0 operands differently from the
+///   reference's `f64::min`, and the differential matrix includes NaN inputs.
+/// - The i64 tree-reduce epilogue halves with `_mm256_add_epi64` — the same
+///   reduction shape, wrapping addition, any order exact.
 ///
-/// Tap loading and chunk stores reuse the portable helpers (`load_tap_*`,
-/// `store_chunk_*`): they fill stack arrays, which keeps masked tails from
+/// Tap loading and chunk stores reuse the portable [`load_tap`] and
+/// [`store_chunk`]: they fill stack arrays, which keeps masked tails from
 /// ever issuing an out-of-bounds vector load, and the vector ops read the
 /// arrays with unaligned loads.
 ///
@@ -5426,108 +5112,9 @@ mod arch {
     use super::*;
     use std::arch::x86_64::*;
 
-    // -- 256-bit block helpers over `[T; W]` stack arrays -------------------
-    // W is a multiple of 8 for i32/f32 chunks and of 4 for i64/f64 chunks,
-    // so the block loops cover the arrays exactly.
-
-    /// `a[l] = a[l] OP b[l]` for a two-operand `si256` op.
-    macro_rules! avx2_bin_i32 {
-        ($name:ident, $intr:ident) => {
-            #[target_feature(enable = "avx2")]
-            unsafe fn $name<const W: usize>(a: &mut [i32; W], b: &[i32; W]) {
-                let mut i = 0;
-                while i + 8 <= W {
-                    let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-                    let vb = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-                    _mm256_storeu_si256(a.as_mut_ptr().add(i) as *mut __m256i, $intr(va, vb));
-                    i += 8;
-                }
-            }
-        };
-    }
-
-    avx2_bin_i32!(add_i32, _mm256_add_epi32);
-    avx2_bin_i32!(sub_i32, _mm256_sub_epi32);
-    avx2_bin_i32!(mul_i32, _mm256_mullo_epi32);
-    avx2_bin_i32!(and_i32, _mm256_and_si256);
-    avx2_bin_i32!(or_i32, _mm256_or_si256);
-    avx2_bin_i32!(xor_i32, _mm256_xor_si256);
-    avx2_bin_i32!(mins_i32, _mm256_min_epi32);
-    avx2_bin_i32!(maxs_i32, _mm256_max_epi32);
-    avx2_bin_i32!(minu_i32, _mm256_min_epu32);
-    avx2_bin_i32!(maxu_i32, _mm256_max_epu32);
-
-    /// `a[l] = a[l] OP c` for a broadcast constant.
-    macro_rules! avx2_binc_i32 {
-        ($name:ident, $intr:ident) => {
-            #[target_feature(enable = "avx2")]
-            unsafe fn $name<const W: usize>(a: &mut [i32; W], c: i32) {
-                let vc = _mm256_set1_epi32(c);
-                let mut i = 0;
-                while i + 8 <= W {
-                    let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-                    _mm256_storeu_si256(a.as_mut_ptr().add(i) as *mut __m256i, $intr(va, vc));
-                    i += 8;
-                }
-            }
-        };
-    }
-
-    avx2_binc_i32!(addc_i32, _mm256_add_epi32);
-    avx2_binc_i32!(mulc_i32, _mm256_mullo_epi32);
-    avx2_binc_i32!(andc_i32, _mm256_and_si256);
-    avx2_binc_i32!(orc_i32, _mm256_or_si256);
-    avx2_binc_i32!(xorc_i32, _mm256_xor_si256);
-
-    /// `a[l] += coeff * v[l]` (wrapping) — the Axpy tap-accumulation spine
-    /// of stencil kernels.
-    #[target_feature(enable = "avx2")]
-    unsafe fn axpy_i32<const W: usize>(a: &mut [i32; W], v: &[i32; W], coeff: i32) {
-        let vc = _mm256_set1_epi32(coeff);
-        let mut i = 0;
-        while i + 8 <= W {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let vv = _mm256_loadu_si256(v.as_ptr().add(i) as *const __m256i);
-            let prod = _mm256_mullo_epi32(vv, vc);
-            _mm256_storeu_si256(
-                a.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_add_epi32(va, prod),
-            );
-            i += 8;
-        }
-    }
-
-    /// Logical shift right; counts ≥ 32 yield 0, matching the portable
-    /// `(l as u32) >> s` domain (compile guarantees `s < 32`).
-    #[target_feature(enable = "avx2")]
-    unsafe fn shru_i32<const W: usize>(a: &mut [i32; W], s: u32) {
-        let count = _mm_cvtsi32_si128(s as i32);
-        let mut i = 0;
-        while i + 8 <= W {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                a.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_srl_epi32(va, count),
-            );
-            i += 8;
-        }
-    }
-
-    /// Wrapping shift left: the count is masked mod 32 exactly like
-    /// `i32::wrapping_shl`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn shl_i32<const W: usize>(a: &mut [i32; W], s: u32) {
-        let count = _mm_cvtsi32_si128((s & 31) as i32);
-        let mut i = 0;
-        while i + 8 <= W {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                a.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_sll_epi32(va, count),
-            );
-            i += 8;
-        }
-    }
+    // -- 256-bit block helpers over `[i64; W]` stack arrays -----------------
+    // W is a multiple of 4 for i64 chunks, so the block loops cover the
+    // arrays exactly.
 
     macro_rules! avx2_bin_i64 {
         ($name:ident, $intr:ident) => {
@@ -5675,185 +5262,7 @@ mod arch {
         }
     }
 
-    /// `a[l] = a[l] OP b[l]` on float lanes: IEEE-exact single-rounding ops
-    /// only (each vector op rounds once, exactly like the portable scalar).
-    macro_rules! avx2_bin_f32 {
-        ($name:ident, $intr:ident) => {
-            #[target_feature(enable = "avx2")]
-            unsafe fn $name<const W: usize>(a: &mut [f32; W], b: &[f32; W]) {
-                let mut i = 0;
-                while i + 8 <= W {
-                    let va = _mm256_loadu_ps(a.as_ptr().add(i));
-                    let vb = _mm256_loadu_ps(b.as_ptr().add(i));
-                    _mm256_storeu_ps(a.as_mut_ptr().add(i), $intr(va, vb));
-                    i += 8;
-                }
-            }
-        };
-    }
-
-    avx2_bin_f32!(add_f32, _mm256_add_ps);
-    avx2_bin_f32!(sub_f32, _mm256_sub_ps);
-    avx2_bin_f32!(mul_f32, _mm256_mul_ps);
-    avx2_bin_f32!(div_f32, _mm256_div_ps);
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn sqrt_f32<const W: usize>(a: &mut [f32; W]) {
-        let mut i = 0;
-        while i + 8 <= W {
-            let va = _mm256_loadu_ps(a.as_ptr().add(i));
-            _mm256_storeu_ps(a.as_mut_ptr().add(i), _mm256_sqrt_ps(va));
-            i += 8;
-        }
-    }
-
-    macro_rules! avx2_bin_f64 {
-        ($name:ident, $intr:ident) => {
-            #[target_feature(enable = "avx2")]
-            unsafe fn $name<const W: usize>(a: &mut [f64; W], b: &[f64; W]) {
-                let mut i = 0;
-                while i + 4 <= W {
-                    let va = _mm256_loadu_pd(a.as_ptr().add(i));
-                    let vb = _mm256_loadu_pd(b.as_ptr().add(i));
-                    _mm256_storeu_pd(a.as_mut_ptr().add(i), $intr(va, vb));
-                    i += 4;
-                }
-            }
-        };
-    }
-
-    avx2_bin_f64!(add_f64, _mm256_add_pd);
-    avx2_bin_f64!(sub_f64, _mm256_sub_pd);
-    avx2_bin_f64!(mul_f64, _mm256_mul_pd);
-    avx2_bin_f64!(div_f64, _mm256_div_pd);
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn sqrt_f64<const W: usize>(a: &mut [f64; W]) {
-        let mut i = 0;
-        while i + 4 <= W {
-            let va = _mm256_loadu_pd(a.as_ptr().add(i));
-            _mm256_storeu_pd(a.as_mut_ptr().add(i), _mm256_sqrt_pd(va));
-            i += 4;
-        }
-    }
-
     // -- Chunk evaluators ---------------------------------------------------
-
-    /// AVX2 `[i32; W]` chunk evaluator: the portable stack machine with the
-    /// hot op bodies replaced by the block helpers above. Comparisons and
-    /// selects keep the scalar lane loops (no profitable 0/1-mask form).
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn eval_chunk_i32_avx2<const W: usize>(
-        ops: &[VOp<i32>],
-        taps: &[TapAccess],
-        x: i64,
-        n: usize,
-        tap_bases: &[i64],
-        lane_depth: usize,
-        binds: &BindTable,
-        vars: &[i64],
-    ) -> [i32; W] {
-        let mut st = [[0i32; W]; V_STACK];
-        let mut sp = 0usize;
-        for op in ops {
-            match op {
-                VOp::Const(v) => {
-                    st[sp] = [*v; W];
-                    sp += 1;
-                }
-                VOp::Var(depth) => {
-                    if *depth == lane_depth {
-                        let base = x as i32;
-                        for (l, lane) in st[sp].iter_mut().enumerate() {
-                            *lane = base + l as i32;
-                        }
-                    } else {
-                        st[sp] = [vars[*depth] as i32; W];
-                    }
-                    sp += 1;
-                }
-                VOp::Load(t) => {
-                    st[sp] = load_tap_i32::<W>(&taps[*t], tap_bases[*t], x, n, binds);
-                    sp += 1;
-                }
-                VOp::Axpy { tap, coeff } => {
-                    let v = load_tap_i32::<W>(&taps[*tap], tap_bases[*tap], x, n, binds);
-                    axpy_i32(&mut st[sp - 1], &v, *coeff);
-                }
-                VOp::AddC(c) => addc_i32(&mut st[sp - 1], *c),
-                VOp::MulC(c) => mulc_i32(&mut st[sp - 1], *c),
-                VOp::AndC(c) => andc_i32(&mut st[sp - 1], *c),
-                VOp::OrC(c) => orc_i32(&mut st[sp - 1], *c),
-                VOp::XorC(c) => xorc_i32(&mut st[sp - 1], *c),
-                VOp::Mask(m) => andc_i32(&mut st[sp - 1], *m),
-                VOp::ShrU(s) => shru_i32(&mut st[sp - 1], *s),
-                VOp::Shl(s) => shl_i32(&mut st[sp - 1], *s),
-                VOp::Sext32 => {
-                    // Identity on i32 lanes (never emitted here; kept total).
-                }
-                VOp::Add
-                | VOp::Sub
-                | VOp::Mul
-                | VOp::And
-                | VOp::Or
-                | VOp::Xor
-                | VOp::MinS
-                | VOp::MaxS
-                | VOp::MinU
-                | VOp::MaxU => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    match op {
-                        VOp::Add => add_i32(a, b),
-                        VOp::Sub => sub_i32(a, b),
-                        VOp::Mul => mul_i32(a, b),
-                        VOp::And => and_i32(a, b),
-                        VOp::Or => or_i32(a, b),
-                        VOp::Xor => xor_i32(a, b),
-                        VOp::MinS => mins_i32(a, b),
-                        VOp::MaxS => maxs_i32(a, b),
-                        VOp::MinU => minu_i32(a, b),
-                        VOp::MaxU => maxu_i32(a, b),
-                        _ => unreachable!("binary group"),
-                    }
-                    sp -= 1;
-                }
-                VOp::CmpS(cmp) => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    for l in 0..W {
-                        let (x, y) = (a[l], b[l]);
-                        a[l] = cmp_lanes(*cmp, x, y);
-                    }
-                    sp -= 1;
-                }
-                VOp::CmpU(cmp) => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    for l in 0..W {
-                        let (x, y) = (a[l] as u32, b[l] as u32);
-                        a[l] = cmp_lanes(*cmp, x, y);
-                    }
-                    sp -= 1;
-                }
-                VOp::Sel => {
-                    let (head, tail) = st.split_at_mut(sp - 2);
-                    let c = &mut head[sp - 3];
-                    let (t, f) = (&tail[0], &tail[1]);
-                    for l in 0..W {
-                        c[l] = if c[l] != 0 { t[l] } else { f[l] };
-                    }
-                    sp -= 2;
-                }
-            }
-        }
-        debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
-        st[0]
-    }
 
     /// AVX2 `[i64; W/2]` chunk evaluator. Multiplies use the `mullo64`
     /// emulation; `MinU`/`MaxU`, comparisons, selects and `Sext32` keep the
@@ -5889,11 +5298,11 @@ mod arch {
                     sp += 1;
                 }
                 VOp::Load(t) => {
-                    st[sp] = load_tap_i64::<W>(&taps[*t], tap_bases[*t], x, n, binds);
+                    st[sp] = load_tap::<i64, W>(&taps[*t], tap_bases[*t], x, n, binds);
                     sp += 1;
                 }
                 VOp::Axpy { tap, coeff } => {
-                    let v = load_tap_i64::<W>(&taps[*tap], tap_bases[*tap], x, n, binds);
+                    let v = load_tap::<i64, W>(&taps[*tap], tap_bases[*tap], x, n, binds);
                     axpy_i64(&mut st[sp - 1], &v, *coeff);
                 }
                 VOp::AddC(c) => addc_i64(&mut st[sp - 1], *c),
@@ -5982,191 +5391,6 @@ mod arch {
         st[0]
     }
 
-    /// AVX2 `[f32; W]` chunk evaluator: vector bodies for the IEEE-exact
-    /// single-rounding ops only; `Min`/`Max`/`Cmp`/`Sel` keep the portable
-    /// scalar bodies (NaN/±0 semantics; see the module docs).
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn eval_chunk_f32_avx2<const W: usize>(
-        ops: &[FOp<f32>],
-        taps: &[TapAccess],
-        x: i64,
-        n: usize,
-        tap_bases: &[i64],
-        lane_depth: usize,
-        binds: &BindTable,
-        vars: &[i64],
-    ) -> [f32; W] {
-        let mut st = [[0.0f32; W]; V_STACK];
-        let mut sp = 0usize;
-        for op in ops {
-            match op {
-                FOp::Const(v) => {
-                    st[sp] = [*v; W];
-                    sp += 1;
-                }
-                FOp::Var(depth) => {
-                    if *depth == lane_depth {
-                        for (l, lane) in st[sp].iter_mut().enumerate() {
-                            *lane = (x + l as i64) as f32;
-                        }
-                    } else {
-                        st[sp] = [vars[*depth] as f32; W];
-                    }
-                    sp += 1;
-                }
-                FOp::Load(t) => {
-                    st[sp] = load_tap_f32::<W>(&taps[*t], tap_bases[*t], x, n, binds);
-                    sp += 1;
-                }
-                FOp::Sqrt => sqrt_f32(&mut st[sp - 1]),
-                FOp::Add | FOp::Sub | FOp::Mul | FOp::Div => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    match op {
-                        FOp::Add => add_f32(a, b),
-                        FOp::Sub => sub_f32(a, b),
-                        FOp::Mul => mul_f32(a, b),
-                        FOp::Div => div_f32(a, b),
-                        _ => unreachable!("binary group"),
-                    }
-                    sp -= 1;
-                }
-                FOp::Min | FOp::Max | FOp::Cmp(_) => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    match op {
-                        FOp::Min => {
-                            for l in 0..W {
-                                a[l] = (a[l] as f64).min(b[l] as f64) as f32;
-                            }
-                        }
-                        FOp::Max => {
-                            for l in 0..W {
-                                a[l] = (a[l] as f64).max(b[l] as f64) as f32;
-                            }
-                        }
-                        FOp::Cmp(cmp) => {
-                            for l in 0..W {
-                                let (x, y) = (a[l], b[l]);
-                                a[l] = cmp_lanes(*cmp, x, y) as f32;
-                            }
-                        }
-                        _ => unreachable!("binary group"),
-                    }
-                    sp -= 1;
-                }
-                FOp::Sel => {
-                    let (head, tail) = st.split_at_mut(sp - 2);
-                    let c = &mut head[sp - 3];
-                    let (t, f) = (&tail[0], &tail[1]);
-                    for l in 0..W {
-                        c[l] = if c[l] != 0.0 { t[l] } else { f[l] };
-                    }
-                    sp -= 2;
-                }
-            }
-        }
-        debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
-        st[0]
-    }
-
-    /// AVX2 `[f64; W/2]` chunk evaluator (same coverage split as f32).
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn eval_chunk_f64_avx2<const W: usize>(
-        ops: &[FOp<f64>],
-        taps: &[TapAccess],
-        x: i64,
-        n: usize,
-        tap_bases: &[i64],
-        lane_depth: usize,
-        binds: &BindTable,
-        vars: &[i64],
-    ) -> [f64; W] {
-        let mut st = [[0.0f64; W]; V_STACK];
-        let mut sp = 0usize;
-        for op in ops {
-            match op {
-                FOp::Const(v) => {
-                    st[sp] = [*v; W];
-                    sp += 1;
-                }
-                FOp::Var(depth) => {
-                    if *depth == lane_depth {
-                        for (l, lane) in st[sp].iter_mut().enumerate() {
-                            *lane = (x + l as i64) as f64;
-                        }
-                    } else {
-                        st[sp] = [vars[*depth] as f64; W];
-                    }
-                    sp += 1;
-                }
-                FOp::Load(t) => {
-                    st[sp] = load_tap_f64::<W>(&taps[*t], tap_bases[*t], x, n, binds);
-                    sp += 1;
-                }
-                FOp::Sqrt => sqrt_f64(&mut st[sp - 1]),
-                FOp::Add | FOp::Sub | FOp::Mul | FOp::Div => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    match op {
-                        FOp::Add => add_f64(a, b),
-                        FOp::Sub => sub_f64(a, b),
-                        FOp::Mul => mul_f64(a, b),
-                        FOp::Div => div_f64(a, b),
-                        _ => unreachable!("binary group"),
-                    }
-                    sp -= 1;
-                }
-                FOp::Min | FOp::Max | FOp::Cmp(_) => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    match op {
-                        FOp::Min => {
-                            for l in 0..W {
-                                a[l] = a[l].min(b[l]);
-                            }
-                        }
-                        FOp::Max => {
-                            for l in 0..W {
-                                a[l] = a[l].max(b[l]);
-                            }
-                        }
-                        FOp::Cmp(cmp) => {
-                            for l in 0..W {
-                                let (x, y) = (a[l], b[l]);
-                                a[l] = cmp_lanes(*cmp, x, y) as f64;
-                            }
-                        }
-                        _ => unreachable!("binary group"),
-                    }
-                    sp -= 1;
-                }
-                FOp::Sel => {
-                    let (head, tail) = st.split_at_mut(sp - 2);
-                    let c = &mut head[sp - 3];
-                    let (t, f) = (&tail[0], &tail[1]);
-                    for l in 0..W {
-                        c[l] = if c[l] != 0.0 { t[l] } else { f[l] };
-                    }
-                    sp -= 2;
-                }
-            }
-        }
-        debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
-        st[0]
-    }
-
-    /// Maximum tap count the plan evaluators stage per chunk. Kernels with
-    /// more taps fall back to the full-chunk stack evaluators above (still
-    /// AVX2, just without the register-resident plan).
-    pub(super) const A_TAPS: usize = 16;
-
     /// One register-width tap load for the plan evaluators: streamed straight
     /// from the buffer when the chunk staging proved the direct pointer, else
     /// from the materialized array (written by the staging loop exactly when
@@ -6218,7 +5442,7 @@ mod arch {
         ($name:ident, $elem:ty, $vec:ty, $vw:literal, $set1:ident, $loadu:ident,
          $storeu:ident, $zero:ident, $add:ident, $sub:ident, $mul:ident,
          $div:ident, $sqrt:ident, $direct_ty:pat, $esize:literal,
-         $minmax:expr, $load_tap:ident, $tap_vec:ident) => {
+         $minmax:expr, $tap_vec:ident) => {
             #[target_feature(enable = "avx2")]
             #[allow(clippy::too_many_arguments)]
             unsafe fn $name<const W: usize>(
@@ -6259,7 +5483,7 @@ mod arch {
                     match direct {
                         Some(p) => ptrs[t] = p,
                         None => {
-                            arrs[t].write($load_tap::<W>(tap, tap_bases[t], x, n, binds));
+                            arrs[t].write(load_tap::<$elem, W>(tap, tap_bases[t], x, n, binds));
                         }
                     }
                 }
@@ -6559,7 +5783,6 @@ mod arch {
                 };
             }
         },
-        load_tap_f32,
         tap_vec_f32
     );
 
@@ -6588,40 +5811,8 @@ mod arch {
                 };
             }
         },
-        load_tap_f64,
         tap_vec_f64
     );
-
-    /// AVX2 wrapping tree-sum of the first `n` i32 lanes: vector halving
-    /// adds down to one 256-bit register, then a scalar finish. Any order
-    /// is exact for wrapping addition.
-    #[target_feature(enable = "avx2")]
-    unsafe fn tree_sum_i32_avx2<const W: usize>(mut lanes: [i32; W], n: usize) -> i32 {
-        for lane in lanes.iter_mut().skip(n) {
-            *lane = 0;
-        }
-        let mut width = W;
-        while width > 8 {
-            width /= 2;
-            let mut i = 0;
-            while i + 8 <= width {
-                let lo = _mm256_loadu_si256(lanes.as_ptr().add(i) as *const __m256i);
-                let hi = _mm256_loadu_si256(lanes.as_ptr().add(i + width) as *const __m256i);
-                _mm256_storeu_si256(
-                    lanes.as_mut_ptr().add(i) as *mut __m256i,
-                    _mm256_add_epi32(lo, hi),
-                );
-                i += 8;
-            }
-        }
-        while width > 1 {
-            width /= 2;
-            for l in 0..width {
-                lanes[l] = lanes[l].wrapping_add(lanes[l + width]);
-            }
-        }
-        lanes[0]
-    }
 
     #[target_feature(enable = "avx2")]
     unsafe fn tree_sum_i64_avx2<const W: usize>(mut lanes: [i64; W], n: usize) -> i64 {
@@ -6654,6 +5845,8 @@ mod arch {
     // -- Dispatch (the `arch` twins of the portable dispatchers) ------------
 
     /// SAFETY: caller must have verified AVX2 support (the `Isa::Avx2` gate).
+    /// Only kernels [`kernel_isa`] selects AVX2 for reach here: i64 programs
+    /// and float programs whose plan stages at most [`A_TAPS`] taps.
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn dispatch_fused_chunk_avx2(
         fused: &FusedKernel,
@@ -6667,54 +5860,28 @@ mod arch {
         vars: &[i64],
     ) {
         macro_rules! run {
-            ($eval:ident, $store:ident, $ops:expr, $w:literal) => {{
+            ($eval:ident, $ops:expr, $w:literal) => {{
                 let lanes =
                     $eval::<$w>($ops, &fused.taps, x, n, tap_bases, lane_depth, binds, vars);
-                $store::<$w>(fused, out_base, x, n, &lanes, binds);
+                store_chunk(fused, out_base, x, n, &lanes, binds);
             }};
         }
-        match (&fused.prog, w) {
-            (LaneProgram::I32(ops), 32) => run!(eval_chunk_i32_avx2, store_chunk_i32, ops, 32),
-            (LaneProgram::I32(ops), 16) => run!(eval_chunk_i32_avx2, store_chunk_i32, ops, 16),
-            (LaneProgram::I32(ops), _) => run!(eval_chunk_i32_avx2, store_chunk_i32, ops, 8),
-            (LaneProgram::I64(ops), 16) => run!(eval_chunk_i64_avx2, store_chunk_i64, ops, 16),
-            (LaneProgram::I64(ops), 8) => run!(eval_chunk_i64_avx2, store_chunk_i64, ops, 8),
-            (LaneProgram::I64(ops), _) => run!(eval_chunk_i64_avx2, store_chunk_i64, ops, 4),
-            // Float kernels prefer the register-resident plan evaluators
-            // (bit-identical; see `AOp`); kernels staging more taps than the
-            // plan path supports keep the full-chunk stack evaluators.
-            (LaneProgram::F32(ops), _) => match (&fused.arch_plan, w) {
-                (ArchPlan::F32(plan), 32) if fused.taps.len() <= A_TAPS => {
-                    run!(eval_plan_f32_avx2, store_chunk_f32, plan, 32)
-                }
-                (ArchPlan::F32(plan), 16) if fused.taps.len() <= A_TAPS => {
-                    run!(eval_plan_f32_avx2, store_chunk_f32, plan, 16)
-                }
-                (ArchPlan::F32(plan), 8) if fused.taps.len() <= A_TAPS => {
-                    run!(eval_plan_f32_avx2, store_chunk_f32, plan, 8)
-                }
-                (_, 32) => run!(eval_chunk_f32_avx2, store_chunk_f32, ops, 32),
-                (_, 16) => run!(eval_chunk_f32_avx2, store_chunk_f32, ops, 16),
-                _ => run!(eval_chunk_f32_avx2, store_chunk_f32, ops, 8),
-            },
-            (LaneProgram::F64(ops), _) => match (&fused.arch_plan, w) {
-                (ArchPlan::F64(plan), 16) if fused.taps.len() <= A_TAPS => {
-                    run!(eval_plan_f64_avx2, store_chunk_f64, plan, 16)
-                }
-                (ArchPlan::F64(plan), 8) if fused.taps.len() <= A_TAPS => {
-                    run!(eval_plan_f64_avx2, store_chunk_f64, plan, 8)
-                }
-                (ArchPlan::F64(plan), 4) if fused.taps.len() <= A_TAPS => {
-                    run!(eval_plan_f64_avx2, store_chunk_f64, plan, 4)
-                }
-                (_, 16) => run!(eval_chunk_f64_avx2, store_chunk_f64, ops, 16),
-                (_, 8) => run!(eval_chunk_f64_avx2, store_chunk_f64, ops, 8),
-                _ => run!(eval_chunk_f64_avx2, store_chunk_f64, ops, 4),
-            },
+        match (&fused.prog, &fused.arch_plan, w) {
+            (LaneProgram::I64(ops), _, 16) => run!(eval_chunk_i64_avx2, ops, 16),
+            (LaneProgram::I64(ops), _, 8) => run!(eval_chunk_i64_avx2, ops, 8),
+            (LaneProgram::I64(ops), _, _) => run!(eval_chunk_i64_avx2, ops, 4),
+            (_, ArchPlan::F32(plan), 32) => run!(eval_plan_f32_avx2, plan, 32),
+            (_, ArchPlan::F32(plan), 16) => run!(eval_plan_f32_avx2, plan, 16),
+            (_, ArchPlan::F32(plan), _) => run!(eval_plan_f32_avx2, plan, 8),
+            (_, ArchPlan::F64(plan), 16) => run!(eval_plan_f64_avx2, plan, 16),
+            (_, ArchPlan::F64(plan), 8) => run!(eval_plan_f64_avx2, plan, 8),
+            (_, ArchPlan::F64(plan), _) => run!(eval_plan_f64_avx2, plan, 4),
+            (_, ArchPlan::Int, _) => unreachable!("i32 kernels run the portable lanes"),
         }
     }
 
     /// SAFETY: caller must have verified AVX2 support (the `Isa::Avx2` gate).
+    /// Only i64 reductions reach here (see [`kernel_isa`]).
     pub(super) unsafe fn dispatch_reduce_chunk_avx2(
         rk: &ReduceKernel,
         x: i64,
@@ -6724,23 +5891,13 @@ mod arch {
         binds: &BindTable,
         vars: &[i64],
     ) -> i64 {
-        match &rk.prog {
-            LaneProgram::I32(ops) => {
-                let lanes = eval_chunk_i32_avx2::<MAX_CHUNK>(
-                    ops, &rk.taps, x, n, tap_bases, lane_depth, binds, vars,
-                );
-                tree_sum_i32_avx2(lanes, n) as i64
-            }
-            LaneProgram::I64(ops) => {
-                let lanes = eval_chunk_i64_avx2::<{ MAX_CHUNK / 2 }>(
-                    ops, &rk.taps, x, n, tap_bases, lane_depth, binds, vars,
-                );
-                tree_sum_i64_avx2(lanes, n)
-            }
-            LaneProgram::F32(_) | LaneProgram::F64(_) => {
-                unreachable!("reduce kernels are integer-only")
-            }
-        }
+        let LaneProgram::I64(ops) = &rk.prog else {
+            unreachable!("only i64 reductions run on AVX2")
+        };
+        let lanes = eval_chunk_i64_avx2::<{ MAX_CHUNK / 2 }>(
+            ops, &rk.taps, x, n, tap_bases, lane_depth, binds, vars,
+        );
+        tree_sum_i64_avx2(lanes, n)
     }
 }
 
@@ -6850,8 +6007,9 @@ impl ExecPlan {
     ///
     /// `target` is the resolved [`Target`] the plan will execute under; each
     /// store with a fused or reduce kernel reports the lane ISA
-    /// ([`StoreProfile::selected_isa`]) that target resolves to on this host,
-    /// so a dry run predicts exactly what the executing path will count.
+    /// ([`StoreProfile::selected_isa`]) its kernel resolves to under that
+    /// target on this host — the same per-family rule the executing path
+    /// dispatches and counts by, so a dry run predicts exactly what it runs.
     pub fn store_profiles(&self, target: Target) -> Vec<StoreProfile> {
         let isa = target.effective_isa();
         self.prepared
@@ -6871,7 +6029,11 @@ impl ExecPlan {
                     ),
                     None => (0, 0),
                 };
-                let has_lanes = store.fused.is_some() || store.reduce.is_some();
+                let selected_isa = match (&store.fused, &store.reduce) {
+                    (Some(f), _) => kernel_isa(f.family(), f.taps.len(), isa),
+                    (None, Some(r)) => kernel_isa(r.family(), r.taps.len(), isa),
+                    (None, None) => Isa::Portable,
+                };
                 StoreProfile {
                     fused: store.fused.as_ref().map(|f| f.family()),
                     taps,
@@ -6879,7 +6041,7 @@ impl ExecPlan {
                     guarded: store.clamp,
                     reduce: store.reduce.as_ref().map(|r| r.family()),
                     parallel_reduce: store.merge.is_some(),
-                    selected_isa: if has_lanes { isa } else { Isa::Portable },
+                    selected_isa,
                 }
             })
             .collect()
@@ -7812,9 +6974,23 @@ mod tests {
         );
     }
 
-    /// The arch (AVX2) dispatch is bit-identical to the portable lanes and
-    /// observable via the [`arch_rows_executed`] counter; a portable target
-    /// never touches it. Skipped with a notice on hosts without AVX2.
+    /// Whether `run` can execute without advancing [`arch_rows_executed`].
+    /// The counter is process-wide and other tests run concurrently, so one
+    /// quiet run out of several suffices: a kernel whose chunks run on AVX2
+    /// advances it on every run.
+    fn runs_portable(mut run: impl FnMut()) -> bool {
+        (0..32).any(|_| {
+            let before = arch_rows_executed();
+            run();
+            arch_rows_executed() == before
+        })
+    }
+
+    /// [`kernel_isa`]'s rule, executed: under an AVX2 target an f64 kernel
+    /// runs the arch plan evaluator (the [`arch_rows_executed`] counter
+    /// advances) while an i32 kernel stays on the portable lanes, both
+    /// bit-identical to a portable target, which never touches the arch
+    /// path. Skipped with a notice on hosts without AVX2.
     #[test]
     fn arch_dispatch_agrees_with_portable_and_counts_rows() {
         use crate::target::Feature;
@@ -7822,8 +6998,6 @@ mod tests {
             eprintln!("skipping arch_dispatch test: host has no AVX2");
             return;
         }
-        // One integer and one float shape, covering fused rows and the
-        // reduce-free fused path under both ISAs.
         let int_value = Expr::cast(
             ScalarType::UInt8,
             Expr::bin(
@@ -7841,37 +7015,34 @@ mod tests {
         );
         let arch = Target::with_features(&[Feature::Avx2]).with_tier(Tier::Simd);
         let portable = Target::portable().with_tier(Tier::Simd);
-        let params = BTreeMap::new();
+        let run = |plan: &ExecPlan, img: &Buffer, target: Target| {
+            let images: BTreeMap<String, &Buffer> = [("in".to_string(), img)].into_iter().collect();
+            let mut out = Buffer::new(plan.output_tys[0], &[37, 9]);
+            run_with_target(
+                plan,
+                &mut out,
+                &images,
+                &BTreeMap::new(),
+                &BTreeMap::new(),
+                target,
+            )
+            .expect("run");
+            out
+        };
 
         let int_plan = plan_for(nest(37, 9, 16, int_value), ScalarType::UInt8);
-        assert_eq!(int_plan.fused_store_count(), 1);
+        assert_eq!(int_plan.fused_store_counts().lanes_i32, 1);
         let img = input(39, 11, 3);
-        let images: BTreeMap<String, &Buffer> = [("in".to_string(), &img)].into_iter().collect();
-        let mut a = Buffer::new(ScalarType::UInt8, &[37, 9]);
-        let mut p = Buffer::new(ScalarType::UInt8, &[37, 9]);
-        let before = arch_rows_executed();
-        run_with_target(&int_plan, &mut a, &images, &BTreeMap::new(), &params, arch)
-            .expect("arch run");
+        let expect = run(&int_plan, &img, portable);
+        let before = fused_rows_executed();
         assert!(
-            arch_rows_executed() > before,
-            "AVX2 target must execute arch rows"
+            runs_portable(|| assert_eq!(run(&int_plan, &img, arch), expect, "i32 lanes diverged")),
+            "an AVX2 target must run i32 kernels on the portable lanes"
         );
-        let before = arch_rows_executed();
-        run_with_target(
-            &int_plan,
-            &mut p,
-            &images,
-            &BTreeMap::new(),
-            &params,
-            portable,
-        )
-        .expect("portable run");
-        assert_eq!(
-            arch_rows_executed(),
-            before,
-            "portable target must not touch the arch path"
+        assert!(
+            fused_rows_executed() > before,
+            "the i32 kernel must run fused"
         );
-        assert_eq!(a, p, "i32 arch lanes diverged from portable");
 
         let f64_plan = plan_with_input(
             nest(37, 9, 16, f64_value),
@@ -7880,39 +7051,59 @@ mod tests {
         );
         assert_eq!(f64_plan.fused_store_counts().lanes_f64, 1);
         let img = dinput(39, 11, 7);
-        let images: BTreeMap<String, &Buffer> = [("in".to_string(), &img)].into_iter().collect();
-        let mut a = Buffer::new(ScalarType::Float64, &[37, 9]);
-        let mut p = Buffer::new(ScalarType::Float64, &[37, 9]);
-        run_with_target(&f64_plan, &mut a, &images, &BTreeMap::new(), &params, arch)
-            .expect("arch run");
-        run_with_target(
-            &f64_plan,
-            &mut p,
-            &images,
-            &BTreeMap::new(),
-            &params,
-            portable,
-        )
-        .expect("portable run");
-        assert_eq!(a, p, "f64 arch lanes diverged from portable");
+        let expect = run(&f64_plan, &img, portable);
+        assert!(
+            runs_portable(|| {
+                run(&f64_plan, &img, portable);
+            }),
+            "portable target must not touch the arch path"
+        );
+        let before = arch_rows_executed();
+        assert_eq!(
+            run(&f64_plan, &img, arch),
+            expect,
+            "f64 arch lanes diverged from portable"
+        );
+        assert!(
+            arch_rows_executed() > before,
+            "AVX2 target must execute arch rows for f64 kernels"
+        );
     }
 
-    /// [`ExecPlan::store_profiles`] reports the lane ISA the given target
-    /// resolves to on this host — portable targets always report portable,
-    /// and stores without lane kernels report portable regardless.
+    /// [`ExecPlan::store_profiles`] reports [`kernel_isa`]'s choice under the
+    /// given target on this host: portable targets always report portable,
+    /// and an AVX2 target reports AVX2 for an f64 kernel (on AVX2 hosts) but
+    /// portable for an i32 one.
     #[test]
     fn store_profiles_report_selected_isa() {
         use crate::target::Feature;
-        let plan = plan_for(nest(16, 4, 8, tap(0, 0)), ScalarType::UInt8);
-        assert_eq!(plan.fused_store_count(), 1);
-        for p in plan.store_profiles(Target::portable()) {
-            assert_eq!(p.selected_isa, Isa::Portable);
-        }
+        let int_plan = plan_for(nest(16, 4, 8, tap(0, 0)), ScalarType::UInt8);
+        assert_eq!(int_plan.fused_store_counts().lanes_i32, 1);
+        let f64_plan = plan_with_input(
+            nest(16, 4, 8, Expr::add(ftap(0, 0), ftap(1, 0))),
+            ScalarType::Float64,
+            ScalarType::Float64,
+        );
+        assert_eq!(f64_plan.fused_store_counts().lanes_f64, 1);
         let avx2 = Target::with_features(&[Feature::Avx2]);
-        let expect = avx2.effective_isa(); // Avx2 on AVX2 hosts, else Portable
-        for p in plan.store_profiles(avx2) {
-            assert_eq!(p.selected_isa, expect, "fused store must report the ISA");
+        // Avx2 on AVX2 hosts, else Portable.
+        for (plan, expect) in [
+            (&int_plan, Isa::Portable),
+            (&f64_plan, avx2.effective_isa()),
+        ] {
+            for p in plan.store_profiles(Target::portable()) {
+                assert_eq!(p.selected_isa, Isa::Portable);
+            }
+            for p in plan.store_profiles(avx2) {
+                assert_eq!(p.selected_isa, expect, "store must report the kernel's ISA");
+            }
         }
+        // The float tap cap is the plan evaluators' table length.
+        assert_eq!(kernel_isa(LaneFamily::F32, A_TAPS, Isa::Avx2), Isa::Avx2);
+        assert_eq!(
+            kernel_isa(LaneFamily::F64, A_TAPS + 1, Isa::Avx2),
+            Isa::Portable
+        );
     }
 
     /// Sub-width interior tails run as fused chunks (masked below one chunk,

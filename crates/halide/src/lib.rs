@@ -27,7 +27,9 @@
 //!   docs. On AVX2 hosts the fused chunks additionally dispatch to
 //!   hand-written `core::arch` evaluators (bit-identical to the portable
 //!   lanes) when the resolved [`target::Target`] carries
-//!   [`target::Feature::Avx2`]; Update (reduction) definitions lower too:
+//!   [`target::Feature::Avx2`] and the kernel's lane family has an AVX2
+//!   evaluator that pays (see the `exec` module docs). Update (reduction)
+//!   definitions lower too:
 //!   guarded [`stmt::Stmt::ReduceStore`] nests with a privatized-vs-sequential
 //!   accumulation strategy and a fused integer tree-reduce for
 //!   loop-invariant accumulators, so histograms, scans and residual norms
@@ -49,8 +51,6 @@
 //!   [`realize::ExecBackend::Interpret`] keeps the original per-element
 //!   interpreter as the differential-testing oracle — both produce
 //!   bit-identical buffers);
-//! * [`autotune`] — random-search schedule tuning with wall-clock feedback,
-//!   timing cached (steady-state) runs per candidate;
 //! * [`codegen`] — emission of genuine Halide C++ source text, the paper's
 //!   published artifact.
 //!
@@ -110,7 +110,6 @@
 
 #![warn(missing_docs)]
 
-pub mod autotune;
 pub mod bounds;
 pub mod buffer;
 pub mod cache;
@@ -128,7 +127,6 @@ pub mod stmt;
 pub mod target;
 pub mod types;
 
-pub use autotune::{autotune, autotune_best, TuneConfig, TuneReport};
 pub use buffer::Buffer;
 pub use cache::{CacheKey, CacheStats, ProgramCache, ShardedCache};
 pub use codegen::{generate_halide_source, CodegenOptions};
@@ -139,8 +137,6 @@ pub use exec::{
     parallel_reduce_merges_executed, reduce_chunks_executed, CounterSnapshot, FusedStoreCounts,
     LaneFamily, StoreProfile,
 };
-#[allow(deprecated)]
-pub use exec::{set_simd_mode, simd_mode, SimdMode};
 pub use expr::{BinOp, CmpOp, Expr, ExternCall};
 pub use func::{Func, ImageParam, Pipeline, RDom, UpdateDef};
 pub use realize::{ExecBackend, RealizeError, RealizeInputs, Realizer};
@@ -152,7 +148,6 @@ pub use types::{ScalarType, Value};
 
 /// Convenient glob-import of the commonly used types.
 pub mod prelude {
-    pub use crate::autotune::{autotune, TuneConfig};
     pub use crate::buffer::Buffer;
     pub use crate::cache::CacheStats;
     pub use crate::codegen::{generate_halide_source, CodegenOptions};

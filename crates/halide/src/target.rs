@@ -6,9 +6,8 @@
 //! A [`Target`] is resolved **once at compile time** — [`Pipeline::compile`]
 //! stores the resolved value on the [`CompiledPipeline`] — and every dispatch
 //! site (tier selection, fused builders, reduce kernels, the `arch` module's
-//! AVX2 chunk evaluators) reads that one value. This replaces the previous
-//! tangle of `SimdMode` + `HELIUM_FORCE_SCALAR` / `HELIUM_FORCE_SIMD` env
-//! reads + `CompileOptions::simd`, each consulted in a different place.
+//! AVX2 chunk evaluators, which the executor's per-family rule narrows
+//! further) reads that one value.
 //!
 //! [`Pipeline::compile`]: crate::func::Pipeline::compile
 //! [`CompiledPipeline`]: crate::compile::CompiledPipeline
@@ -63,9 +62,10 @@ pub enum Feature {
 
 const FEATURE_AVX2: u8 = 1 << 0;
 
-/// The instruction-set family a fused chunk actually executes on, resolved
-/// from a [`Target`] by [`Target::effective_isa`] at run time. Reported per
-/// store by `StoreProfile::selected_isa` so the tuner can score it.
+/// The instruction-set family a fused chunk actually executes on: resolved
+/// from a [`Target`] by [`Target::effective_isa`] at run time, then narrowed
+/// per lane family by the executor. Reported per store by
+/// `StoreProfile::selected_isa` so the tuner can score it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Isa {
     /// Portable constant-trip lane loops (LLVM auto-vectorized).
@@ -183,10 +183,11 @@ impl Target {
         parts.join("+")
     }
 
-    /// The ISA the fused chunk evaluators will actually execute on: a
-    /// carried feature only counts when the running CPU also reports it,
-    /// which makes dispatching into `#[target_feature]` code sound and gives
-    /// automatic portable fallback on older hosts.
+    /// The ISA the fused chunk evaluators may execute on: a carried feature
+    /// only counts when the running CPU also reports it, which makes
+    /// dispatching into `#[target_feature]` code sound and gives automatic
+    /// portable fallback on older hosts. The executor narrows it per lane
+    /// family (see `StoreProfile::selected_isa`).
     pub fn effective_isa(self) -> Isa {
         #[cfg(target_arch = "x86_64")]
         {

@@ -1,10 +1,10 @@
 //! `helium-tune`: cost-model-guided schedule search with a persistent
 //! schedule cache.
 //!
-//! The paper spends six hours of OpenTuner search per lifted filter; the
-//! halide crate's `autotune` module shrinks that to a random sample — but a
-//! blind one. This crate replaces it with a search that exploits everything
-//! the compiled engine already knows about itself:
+//! The paper spends six hours of OpenTuner search per lifted filter. This
+//! crate is the workspace's only schedule tuner: instead of sampling blindly,
+//! its search exploits everything the compiled engine already knows about
+//! itself:
 //!
 //! * **Cost model** ([`model`]): scores a candidate [`Schedule`] from a
 //!   dry-run compile ([`CompiledPipeline::dry_run`]) — per-store fused lane

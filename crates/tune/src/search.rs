@@ -3,12 +3,11 @@
 //! top-K with a successive-halving bandit over real cached steady-state
 //! timings.
 //!
-//! Compared to the baseline random sampler in `helium_halide::autotune`, the
-//! budget-bearing resource here is *timed trials*: the model ranks the whole
+//! The budget-bearing resource is *timed trials*: the model ranks the whole
 //! candidate space for the price of a few dry-run compiles, and only the
 //! handful of schedules that can plausibly win are ever timed. The
-//! `BENCH_autotune.json` report gates the resulting
-//! `guided_vs_random_speedup` in CI.
+//! `BENCH_autotune.json` report compares this against a random walk over the
+//! same candidates and gates the resulting `guided_vs_random_speedup` in CI.
 
 use crate::cache::{CachedSchedule, ScheduleCache, ScheduleKey};
 use crate::model::{score, ScheduleFeatures};

@@ -10,7 +10,7 @@
 //! * [`machine`] — the x86-like virtual machine substrate,
 //! * [`dbi`] — the dynamic binary instrumentation substrate,
 //! * [`apps`] — the legacy applications whose kernels are lifted,
-//! * [`halide`] — the miniature Halide DSL, scheduler and autotuner,
+//! * [`halide`] — the miniature Halide DSL, scheduler and compiled engine,
 //! * [`core`] — the Helium pipeline itself (code localization + expression
 //!   extraction + code generation).
 //!
