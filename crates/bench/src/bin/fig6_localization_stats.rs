@@ -47,7 +47,7 @@ fn main() {
                 );
             }
             Err(_) => {
-                println!("{:<14} (not lifted: see EXPERIMENTS.md)", filter.name());
+                println!("{:<14} (not lifted)", filter.name());
             }
         }
     }

@@ -57,5 +57,5 @@ fn main() {
             native.as_secs_f64() / lifted_time.as_secs_f64().max(1e-9),
         );
     }
-    println!("\n(all times in milliseconds; interleaved RGB image {w}x{h}; see EXPERIMENTS.md)");
+    println!("\n(all times in milliseconds; interleaved RGB image {w}x{h})");
 }

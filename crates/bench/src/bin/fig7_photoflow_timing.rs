@@ -1,10 +1,10 @@
 //! Regenerates the top half of the paper's Fig. 7: timing comparison between
 //! the legacy PhotoFlow filters and the lifted Halide implementations.
 //!
-//! Two baselines are reported (see DESIGN.md §2): the legacy binary running
-//! in the VM (the literal analogue of the shipped executable) and a native
-//! scalar port of the same algorithm (a conservative upper bound on the
-//! original's performance).
+//! Two baselines are reported: the legacy binary running in the VM (the
+//! literal analogue of the shipped executable) and a native scalar port of
+//! the same algorithm (a conservative upper bound on the original's
+//! performance).
 
 use helium_apps::photoflow::PhotoFilter;
 use helium_bench::{
@@ -49,5 +49,5 @@ fn main() {
         );
     }
     println!("\n(all times in milliseconds; one plane timed for the lifted kernels,");
-    println!(" three planes for the legacy baselines — see EXPERIMENTS.md)");
+    println!(" three planes for the legacy baselines)");
 }

@@ -1,5 +1,5 @@
 //! Shared helpers for the benchmark harnesses that regenerate the paper's
-//! tables and figures (see EXPERIMENTS.md for the experiment index).
+//! tables and figures (README's "Experiments" section indexes the binaries).
 
 #![warn(missing_docs)]
 

@@ -6,7 +6,7 @@
 //! 1. **Fused SIMD lane kernels.** At [`prepare`] time each store under a
 //!    vectorized innermost loop is additionally compiled — when its loads
 //!    are affine in the loop variables and contiguous (or invariant) along
-//!    the lane dimension — into a single fused kernel over one of three
+//!    the lane dimension — into a single fused kernel over one of four
 //!    *lane families*, each with its own bit-exactness invariant:
 //!
 //!    | family      | lanes per chunk  | outputs            | exactness invariant |
@@ -14,10 +14,23 @@
 //!    | `[i32; W]`  | `W` ∈ {8,16,32}  | ≤ 32-bit integers  | lanes hold the low 32 bits of the reference `i64` value; wrapping/bitwise ops are low-bit homomorphic, value-sensitive ops (shifts, min/max, compares, selects) only emitted when interval analysis proves the 32-bit result exact |
 //!    | `[i64; W/2]`| `W/2` ∈ {4,8,16} | any integer (incl. `UInt64`) | lanes *are* the reference `i64` value — every emitted op replicates [`eval_binop`] integer semantics verbatim, so no wrap proofs are needed (they would be vacuous) |
 //!    | `[f32; W]`  | `W` ∈ {8,16,32}  | `Float32`          | lanes hold values bit-exactly representable in `f32`; arithmetic is only emitted at *rounding points* (an enclosing `cast<float>` or the store's own narrowing), where a single `f32` rounding of exact-`f32` operands equals the reference's compute-in-`f64`-then-round (innocuous double rounding: 53 ≥ 2·24 + 2 significant bits, for +, −, ×, ÷ and sqrt) |
+//!    | `[f64; W/2]`| `W/2` ∈ {4,8,16} | `Float64`          | lanes *are* the reference `f64` value — every emitted op mirrors the reference op, so every position is a rounding point; only integer leaves need a proof (within ±2^53 their promotion is exact), and `cast<float>` is rejected |
 //!
 //!    Integer stores try the `[i32; W]` family first and fall back to
 //!    `[i64; W/2]` when the 32-bit proofs fail, so wide-valued idioms (64-bit
 //!    histogram bins, unprovable shifts) still fuse at half throughput.
+//!
+//!    Two compiler walks build the four families' lane programs, each
+//!    generic over the lane carrier (`LaneConst`): `FusedBuilder::fuse_int`
+//!    for the integer lanes and `FusedBuilder::fuse_float`, which carries a
+//!    rounding-context flag, for the float lanes. Where two families'
+//!    exactness arguments differ, the lane type decides. `LaneConst::EXACT`
+//!    separates the exact-value families (`i64`, `f64`) from the proven ones:
+//!    `i32` gates value-sensitive ops on intervals and reads 32-bit casts as
+//!    reinterpretations, while `i64` replays casts as `Mask` / `Sext32` and
+//!    compares signed; `f32` emits arithmetic only at rounding points. The
+//!    lane type's exact integer range, constant round trip and width decide
+//!    which constants, loop variables and loads a family admits.
 //!    The kernels evaluate fixed-width chunks with constant trip counts that
 //!    LLVM reliably turns into SIMD, loading taps as straight slices with
 //!    *no per-lane clamping* and storing whole chunks contiguously. Narrow
@@ -102,10 +115,10 @@
 //! its own proof obligation (see the table above): the `[i32; W]` family's
 //! interval proofs are what make lifted u32 wrap-around idioms like
 //! PhotoFlow's `4294967295 * x` negative taps fusable; the `[i64; W/2]`
-//! family needs no proofs because its lanes are the reference values; the
-//! `[f32; W]` family's rounding-point discipline makes lifted
-//! single-precision SSE code (every instruction rounds at `f32`) fuse while
-//! expressions that genuinely accumulate in `f64` fall back a tier.
+//! and `[f64; W/2]` families need no proofs because their lanes are the
+//! reference values; the `[f32; W]` family's rounding-point discipline makes
+//! lifted single-precision SSE code (every instruction rounds at `f32`) fuse
+//! while expressions that genuinely accumulate in `f64` fall back a tier.
 //! Anything unprovable falls back a tier. The differential property suites
 //! in `tests/prop_halide.rs` and `tests/prop_simd.rs` enforce equality
 //! against the interpreter across all tiers, element types (including NaN,
@@ -120,25 +133,26 @@
 //! [`Isa::Avx2`] only when it carries
 //! [`Feature::Avx2`](crate::target::Feature::Avx2) *and*
 //! `is_x86_feature_detected!("avx2")` confirms it at run time
-//! ([`Target::effective_isa`]). One per-family rule, `kernel_isa`, then
-//! decides whether a kernel's chunks run a hand-written AVX2 evaluator from
-//! the `arch` module: i64 kernels and f32/f64 kernels of at most 16 taps do;
-//! i32 kernels and wider float kernels run the portable lanes. The rule
-//! follows measurements on a 2-core AVX2 Xeon (medians of 15, AVX2-pinned vs
-//! portable-pinned targets, identical bytes): the f32/f64 plan evaluators
-//! ran 1.07–2.10× on a 7-tap stencil, but an i32 AVX2 evaluator ran only
-//! 0.76–1.02× on a u8 7-tap stencil and full-chunk f32/f64 AVX2 evaluators
-//! 0.55–0.98× on a 25-tap stencil; the i64 evaluator awaits a re-measurement.
-//! The fused and reduce dispatchers, the [`arch_rows_executed`] counter and
-//! [`StoreProfile::selected_isa`] all read that one rule. The portable
-//! constant-trip lane loops — one generic tap loader, chunk store and float
-//! evaluator over the lane type (`LaneConst`), plus the integer evaluator —
-//! remain both the fallback and the bit-exactness oracle. Integer arch
-//! kernels are exact by construction (wrapping semantics); float arch
-//! kernels vectorize only IEEE-exact single-rounding ops
-//! (`Add`/`Sub`/`Mul`/`Div`/`Sqrt`), leaving `Min`/`Max`/`Cmp` on the scalar
-//! reference path because `_mm256_min_ps` NaN/±0 semantics differ from
-//! Rust's.
+//! ([`Target::effective_isa`]). One rule, `kernel_isa`, then decides
+//! whether a kernel's chunks run a hand-written AVX2 evaluator from the
+//! `arch` module: f32/f64 kernels of at most 16 taps do; integer kernels
+//! (fused and reduce) and wider float kernels run the portable lanes. The
+//! rule follows measurements on a 2-core AVX2 Xeon (AVX2-pinned vs
+//! portable-pinned targets, identical bytes; ratio = portable ÷ AVX2 time):
+//! the f32/f64 plan evaluators ran 1.07–2.10× on a 7-tap stencil and
+//! 1.01–1.47× on the `smooth_f32` / `smooth_f64` kernels, but an i32 AVX2
+//! evaluator ran only 0.76–1.02× on a u8 7-tap stencil, the i64 evaluator
+//! 0.59–1.00× on the `hist64` and `norm` kernels, and full-chunk f32/f64
+//! evaluators 0.55–0.98× on a 25-tap stencil, so those are gone (the `arch`
+//! module docs carry the i64 table). The fused dispatcher, the
+//! [`arch_rows_executed`] counter and [`StoreProfile::selected_isa`] all
+//! read that one rule. The portable constant-trip lane loops — one generic
+//! tap loader, chunk store and float evaluator over the lane type
+//! (`LaneConst`), plus the integer evaluator — remain both the fallback and
+//! the bit-exactness oracle. The float arch kernels vectorize only
+//! IEEE-exact single-rounding ops (`Add`/`Sub`/`Mul`/`Div`/`Sqrt`), leaving
+//! `Min`/`Max`/`Cmp` on the scalar reference path because `_mm256_min_ps`
+//! NaN/±0 semantics differ from Rust's.
 //!
 //! Since the compile/run split, store compilation happens once in [`prepare`]
 //! (producing an [`ExecPlan`] that the program cache retains — including the
@@ -160,7 +174,7 @@
 //! completes before the corresponding write within a dispatch, and a
 //! vectorized (privatized) lane batch touches pairwise-disjoint cells.
 
-use crate::bounds::{combine, expr_interval, f64_is_f32_exact, Interval};
+use crate::bounds::{combine, expr_interval, Interval};
 use crate::buffer::Buffer;
 use crate::eval::{eval_expr, EvalSources};
 use crate::expr::{eval_binop, eval_cmp, BinOp, CmpOp, Expr, ExternCall};
@@ -225,11 +239,11 @@ static WINDOW_ROWS_REUSED: AtomicU64 = AtomicU64::new(0);
 /// observability and tests.
 static MULTI_OUTPUT_NESTS: AtomicU64 = AtomicU64::new(0);
 
-/// Fused interior rows and reduce loops whose chunks executed on a
-/// hand-written `core::arch` ISA path (currently AVX2) instead of the
-/// portable lane loops, for observability and tests — the proof that
-/// `kernel_isa` dispatch actually fires. Counted per loop/row, not per
-/// chunk, to keep the atomic off the chunk hot path.
+/// Fused interior rows whose chunks executed on a hand-written `core::arch`
+/// ISA path (currently AVX2) instead of the portable lane loops, for
+/// observability and tests — the proof that `kernel_isa` dispatch actually
+/// fires. Counted per row, not per chunk, to keep the atomic off the chunk
+/// hot path.
 static ARCH_ROWS: AtomicU64 = AtomicU64::new(0);
 
 /// Number of innermost-loop rows executed through the fused-kernel interior
@@ -272,9 +286,8 @@ pub fn multi_output_nests_executed() -> u64 {
     MULTI_OUTPUT_NESTS.load(Ordering::Relaxed)
 }
 
-/// Number of fused rows / reduce loops whose chunks ran on a hand-written
-/// `core::arch` ISA path since process start (monotonic; for tests and
-/// observability).
+/// Number of fused rows whose chunks ran on a hand-written `core::arch` ISA
+/// path since process start (monotonic; for tests and observability).
 pub fn arch_rows_executed() -> u64 {
     ARCH_ROWS.load(Ordering::Relaxed)
 }
@@ -861,11 +874,11 @@ pub struct StoreProfile {
     /// Whether the store admits privatize-then-merge deferred accumulation
     /// under a [`crate::stmt::LoopKind::ParallelReduce`] nest.
     pub parallel_reduce: bool,
-    /// The instruction-set family the store's fused/reduce chunks will
-    /// execute on under the profiled [`Target`]: [`Isa::Avx2`] only for i64
-    /// kernels and f32/f64 kernels of at most 16 taps on a target that
-    /// resolves AVX2, else [`Isa::Portable`] (always for unfused stores — the
-    /// per-op and fallback tiers have no arch paths).
+    /// The instruction-set family the store's fused chunks will execute on
+    /// under the profiled [`Target`]: [`Isa::Avx2`] only for f32/f64 kernels
+    /// of at most 16 taps on a target that resolves AVX2, else
+    /// [`Isa::Portable`] (always for integer, reduce and unfused stores —
+    /// their tiers have no arch paths).
     pub selected_isa: Isa,
 }
 
@@ -1311,15 +1324,15 @@ impl FusedBuilder<'_> {
             return None;
         }
         let built = match out_ty {
-            ScalarType::UInt8 | ScalarType::UInt16 | ScalarType::UInt32 | ScalarType::Int32 => {
-                self.build_i32(value).or_else(|| self.build_i64(value))
-            }
-            ScalarType::UInt64 => self.build_i64(value),
-            ScalarType::Float32 => self.build_f32(value),
+            ScalarType::UInt8 | ScalarType::UInt16 | ScalarType::UInt32 | ScalarType::Int32 => self
+                .build_lanes::<i32>(value)
+                .or_else(|| self.build_lanes::<i64>(value)),
+            ScalarType::UInt64 => self.build_lanes::<i64>(value),
+            ScalarType::Float32 => self.build_lanes::<f32>(value),
             // Float64 values are the reference representation itself, so the
             // `[f64; W/2]` family is exact by construction (no rounding
             // discipline needed — every FOp mirrors the reference op).
-            ScalarType::Float64 => self.build_f64(value),
+            ScalarType::Float64 => self.build_lanes::<f64>(value),
         };
         let (prog, taps) = built?;
         // A tap aliasing the output would read lanes the kernel just wrote
@@ -1381,10 +1394,10 @@ impl FusedBuilder<'_> {
         // exact i64 lanes, floats never fuse (f32 addition is not
         // associative, so a tree-reduce would not be bit-exact).
         let built = match out_ty {
-            ScalarType::UInt8 | ScalarType::UInt16 | ScalarType::UInt32 | ScalarType::Int32 => {
-                self.build_i32(g).or_else(|| self.build_i64(g))
-            }
-            ScalarType::UInt64 => self.build_i64(g),
+            ScalarType::UInt8 | ScalarType::UInt16 | ScalarType::UInt32 | ScalarType::Int32 => self
+                .build_lanes::<i32>(g)
+                .or_else(|| self.build_lanes::<i64>(g)),
+            ScalarType::UInt64 => self.build_lanes::<i64>(g),
             ScalarType::Float32 | ScalarType::Float64 => None,
         };
         let (prog, taps) = built?;
@@ -1404,44 +1417,12 @@ impl FusedBuilder<'_> {
         })
     }
 
-    fn build_i32(&self, value: &Expr) -> Option<(LaneProgram, Vec<TapAccess>)> {
+    /// Compile `value` onto the lanes of family `L` with its walk
+    /// ([`LaneConst::fuse`]), within the kernels' stack-depth cap.
+    fn build_lanes<L: LaneConst>(&self, value: &Expr) -> Option<(LaneProgram, Vec<TapAccess>)> {
         let mut emit = VEmit::new();
-        self.fuse(value, &mut emit)?;
-        if emit.max > V_STACK {
-            return None;
-        }
-        peephole(&mut emit.ops);
-        Some((LaneProgram::I32(emit.ops), emit.taps))
-    }
-
-    fn build_i64(&self, value: &Expr) -> Option<(LaneProgram, Vec<TapAccess>)> {
-        let mut emit = VEmit::new();
-        self.fuse64(value, &mut emit)?;
-        if emit.max > V_STACK {
-            return None;
-        }
-        peephole(&mut emit.ops);
-        Some((LaneProgram::I64(emit.ops), emit.taps))
-    }
-
-    fn build_f32(&self, value: &Expr) -> Option<(LaneProgram, Vec<TapAccess>)> {
-        let mut emit = VEmit::new();
-        // The `Float32` store narrows the value exactly like a `cast<float>`,
-        // so the top level is itself a rounding point.
-        self.fuse_f32_rounding(value, &mut emit)?;
-        if emit.max > V_STACK {
-            return None;
-        }
-        Some((LaneProgram::F32(emit.ops), emit.taps))
-    }
-
-    fn build_f64(&self, value: &Expr) -> Option<(LaneProgram, Vec<TapAccess>)> {
-        let mut emit = VEmit::new();
-        self.fuse_f64(value, &mut emit)?;
-        if emit.max > V_STACK {
-            return None;
-        }
-        Some((LaneProgram::F64(emit.ops), emit.taps))
+        L::fuse(self, value, &mut emit)?;
+        (emit.max <= V_STACK).then(|| (L::program(emit.ops), emit.taps))
     }
 
     /// Decompose an access's index expressions into per-dimension affine
@@ -1485,18 +1466,57 @@ impl FusedBuilder<'_> {
         lane.map(|lane| (dims, lane))
     }
 
-    /// Compile `e`, pushing ops that leave its lanes on the stack, and return
-    /// a sound interval of the reference `i64` value. `None` aborts fusion.
-    fn fuse(&self, e: &Expr, out: &mut VEmit<VOp<i32>>) -> Option<Interval> {
+    /// Register the load `name(args)` as a tap of `out` (deduplicated),
+    /// returning the tap index and the buffer's element type.
+    fn tap<Op>(
+        &self,
+        name: &str,
+        args: &[Expr],
+        out: &mut VEmit<Op>,
+    ) -> Option<(usize, ScalarType)> {
+        let slot = *self.slot_ids.get(name)?;
+        let ty = self.decls[slot].ty;
+        let (dims, lane) = self.tap_dims(args)?;
+        Some((
+            out.tap(TapAccess {
+                slot,
+                ty,
+                dims,
+                lane,
+            }),
+            ty,
+        ))
+    }
+
+    // -- The integer walk: `[i32; W]` and `[i64; W/2]` lanes ----------------
+
+    /// Compile `e` onto integer lanes `C`, pushing ops that leave its lanes
+    /// on the stack, and return a sound interval of the reference `i64`
+    /// value. `None` aborts fusion.
+    ///
+    /// Wrapping and bitwise ops are homomorphic in the low bits, so both
+    /// families emit them unconditionally. The families part at
+    /// value-sensitive ops, by [`LaneConst::EXACT`]. `i64` lanes *are* the
+    /// reference value: every op replicates [`eval_binop`] / [`eval_cmp`] /
+    /// [`Value::cast`] verbatim (casts replay as `Mask` / `Sext32`, min/max
+    /// and comparisons are signed), so nothing needs a proof. `i32` lanes
+    /// hold its low 32 bits: shifts, min/max, comparisons and selects are
+    /// emitted only where the intervals prove the 32-bit result exact, and
+    /// 32-bit casts are reinterpretations that only narrow the interval.
+    fn fuse_int<C: LaneConst>(&self, e: &Expr, out: &mut VEmit<VOp<C>>) -> Option<Interval> {
+        // Whether a value-sensitive op is exact on these lanes: always on
+        // exact lanes, else when every operand lies within `range`.
+        let exact_in =
+            |range: Interval, ivs: &[Interval]| C::EXACT || ivs.iter().all(|iv| iv.within(range));
         match e {
             Expr::ConstInt(v, ty) if !ty.is_float() => {
-                out.push(VOp::Const(*v as i32), 1);
+                out.push(VOp::Const(C::from_i64(*v)), 1);
                 Some(Interval::point(*v))
             }
             Expr::ConstInt(..) | Expr::ConstFloat(..) | Expr::Call(..) => None,
             Expr::Param(name, _) => match self.params.get(name) {
                 Some(Value::Int(v)) => {
-                    out.push(VOp::Const(*v as i32), 1);
+                    out.push(VOp::Const(C::from_i64(*v)), 1);
                     Some(Interval::point(*v))
                 }
                 _ => None,
@@ -1504,148 +1524,77 @@ impl FusedBuilder<'_> {
             Expr::Var(name) | Expr::RVar(name) => {
                 let depth = *self.var_depths.get(name)?;
                 let iv = *self.var_bounds.get(name)?;
-                // Lane ramps compute `x + l` in i32.
-                if !iv.within(Interval::i32_range()) {
+                // Lane ramps compute `x + l` in the lane type.
+                if !iv.within(C::exact_ints()) {
                     return None;
                 }
                 out.push(VOp::Var(depth), 1);
                 Some(iv)
             }
             Expr::Cast(ty, inner) => {
-                let iv = self.fuse(inner, out)?;
-                match ty {
-                    // Identity on the i64 value.
-                    ScalarType::UInt64 => Some(iv),
-                    // Reinterpretations of the low 32 bits: no lane op, only
-                    // the interval changes.
-                    ScalarType::UInt32 => Some(if iv.within(Interval::u32_range()) {
-                        iv
-                    } else {
-                        Interval::u32_range()
-                    }),
-                    ScalarType::Int32 => Some(if iv.within(Interval::i32_range()) {
-                        iv
-                    } else {
-                        Interval::i32_range()
-                    }),
-                    ScalarType::UInt16 | ScalarType::UInt8 => {
-                        let mask = if *ty == ScalarType::UInt8 {
-                            0xff
-                        } else {
-                            0xffff
-                        };
-                        if iv.within(Interval { min: 0, max: mask }) {
-                            Some(iv)
-                        } else {
-                            out.push(VOp::Mask(mask as i32), 0);
-                            Some(Interval { min: 0, max: mask })
-                        }
-                    }
-                    ScalarType::Float32 | ScalarType::Float64 => None,
-                }
-            }
-            Expr::Binary(op, a, b) => self.fuse_binary(*op, a, b, out),
-            Expr::Cmp(op, a, b) => {
-                let ia = self.fuse(a, out)?;
-                let ib = self.fuse(b, out)?;
-                if ia.within(Interval::i32_range()) && ib.within(Interval::i32_range()) {
-                    out.push(VOp::CmpS(*op), -1);
-                } else if ia.within(Interval::u32_range()) && ib.within(Interval::u32_range()) {
-                    out.push(VOp::CmpU(*op), -1);
-                } else {
+                let iv = self.fuse_int(inner, out)?;
+                if ty.is_float() {
                     return None;
                 }
-                Some(Interval { min: 0, max: 1 })
-            }
-            Expr::Select(c, t, f) => {
-                let ic = self.fuse(c, out)?;
-                // The truth test is on lanes; sound iff zero-faithful, i.e.
-                // the value is within [i32::MIN, u32::MAX] so value == 0
-                // exactly when its low 32 bits are 0.
-                if !ic.within(Interval {
-                    min: i32::MIN as i64,
-                    max: u32::MAX as i64,
-                }) {
-                    return None;
-                }
-                let it = self.fuse(t, out)?;
-                let if_ = self.fuse(f, out)?;
-                out.push(VOp::Sel, -2);
-                Some(it.union(if_))
-            }
-            Expr::Image(name, args) | Expr::FuncRef(name, args) => {
-                let slot = *self.slot_ids.get(name)?;
-                let ty = self.decls[slot].ty;
-                let iv = Interval::of_type(ty)?;
-                let (dims, lane) = self.tap_dims(args)?;
-                let tap = TapAccess {
-                    slot,
-                    ty,
-                    dims,
-                    lane,
+                // `UInt64` keeps the i64 value.
+                let Some(range) = Interval::of_type(*ty) else {
+                    return Some(iv);
                 };
-                let idx = out.tap(tap);
-                out.push(VOp::Load(idx), 1);
-                Some(iv)
+                let within = iv.within(range);
+                if C::EXACT && *ty == ScalarType::Int32 {
+                    out.push(VOp::Sext32, 0);
+                } else if (C::EXACT || !within) && (ty.bytes() as u32) * 8 < C::BITS {
+                    // Unsigned types narrower than the lanes mask; on i32
+                    // lanes an in-range value needs no mask.
+                    out.push(VOp::Mask(C::from_i64(range.max)), 0);
+                }
+                Some(if within { iv } else { range })
             }
-        }
-    }
-
-    fn fuse_binary(
-        &self,
-        op: BinOp,
-        a: &Expr,
-        b: &Expr,
-        out: &mut VEmit<VOp<i32>>,
-    ) -> Option<Interval> {
-        match op {
-            // Quotient/remainder lanes would need exact i64 semantics
-            // (including divide-by-zero and i32::MIN edge cases) — rare in
+            // Quotient/remainder lanes would have to replicate the
+            // divide-by-zero and i64::MIN / -1 edge cases per lane — rare in
             // stencils; keep them on the per-op tier.
-            BinOp::Div | BinOp::Mod => None,
-            BinOp::Shr => {
-                let s_raw = const_int_of(b, self.params)?;
-                let s = (s_raw as u64 & 63) as u32;
-                let ia = self.fuse(a, out)?;
-                // The i64 shift is logical; it agrees with a 32-bit unsigned
+            Expr::Binary(BinOp::Div | BinOp::Mod, ..) => None,
+            Expr::Binary(BinOp::Shr, a, b) => {
+                // eval_binop: `(x as u64) >> (y as u64 & 63)`, a logical
+                // shift; on i32 lanes it agrees with the 32-bit unsigned
                 // shift only for operands within [0, 2^32).
-                if !ia.within(Interval::u32_range()) {
+                let s = (const_int_of(b, self.params)? as u64 & 63) as u32;
+                let ia = self.fuse_int(a, out)?;
+                if !exact_in(Interval::u32_range(), &[ia]) {
                     return None;
                 }
-                if s == 0 {
-                    Some(ia)
-                } else if s >= 32 {
-                    out.push(VOp::Mask(0), 0);
-                    Some(Interval::point(0))
-                } else {
+                if s >= C::BITS {
+                    out.push(VOp::Mask(C::default()), 0);
+                } else if s > 0 {
                     out.push(VOp::ShrU(s), 0);
-                    Some(Interval {
+                }
+                Some(if ia.min >= 0 {
+                    Interval {
                         min: ia.min >> s,
                         max: ia.max >> s,
-                    })
-                }
-            }
-            BinOp::Shl => {
-                let s_raw = const_int_of(b, self.params)?;
-                // eval_binop: `wrapping_shl(y as u32)`, which masks by 63.
-                let s = (s_raw as u32) & 63;
-                let ia = self.fuse(a, out)?;
-                let iv = combine(BinOp::Shl, ia, Interval::point(s_raw));
-                if s < 32 {
-                    if s > 0 {
-                        out.push(VOp::Shl(s), 0);
                     }
                 } else {
-                    // The low 32 bits of `v << s` are zero for s >= 32.
-                    out.push(VOp::Mask(0), 0);
-                }
-                Some(iv)
+                    Interval::everything()
+                })
             }
-            BinOp::Min | BinOp::Max => {
-                let ia = self.fuse(a, out)?;
-                let ib = self.fuse(b, out)?;
-                let signed = ia.within(Interval::i32_range()) && ib.within(Interval::i32_range());
-                let unsigned = ia.within(Interval::u32_range()) && ib.within(Interval::u32_range());
+            Expr::Binary(BinOp::Shl, a, b) => {
+                // eval_binop: `wrapping_shl(y as u32)`, which masks by 63.
+                let s_raw = const_int_of(b, self.params)?;
+                let s = (s_raw as u32) & 63;
+                let ia = self.fuse_int(a, out)?;
+                if s >= C::BITS {
+                    // The low lane bits of `v << s` are all zero.
+                    out.push(VOp::Mask(C::default()), 0);
+                } else if s > 0 {
+                    out.push(VOp::Shl(s), 0);
+                }
+                Some(combine(BinOp::Shl, ia, Interval::point(s_raw)))
+            }
+            Expr::Binary(op @ (BinOp::Min | BinOp::Max), a, b) => {
+                let ia = self.fuse_int(a, out)?;
+                let ib = self.fuse_int(b, out)?;
+                let signed = exact_in(Interval::i32_range(), &[ia, ib]);
+                let unsigned = exact_in(Interval::u32_range(), &[ia, ib]);
                 let vop = match (op, signed, unsigned) {
                     (BinOp::Min, true, _) => VOp::MinS,
                     (BinOp::Max, true, _) => VOp::MaxS,
@@ -1654,44 +1603,12 @@ impl FusedBuilder<'_> {
                     _ => return None,
                 };
                 out.push(vop, -1);
-                Some(combine(op, ia, ib))
+                Some(combine(*op, ia, ib))
             }
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor => {
-                // Wrapping/bitwise ops are homomorphic in the low 32 bits, so
-                // they are emitted unconditionally; the interval (saturating
-                // to "everything" on potential i64 wrap) is what downstream
+            Expr::Binary(op, a, b) => {
+                // Add/Sub/Mul/And/Or/Xor. The interval (saturating to
+                // "everything" on potential i64 wrap) is what downstream
                 // value-sensitive ops validate against.
-                let ka = const_int_of(a, self.params);
-                let kb = const_int_of(b, self.params);
-                let commutes = matches!(
-                    op,
-                    BinOp::Add | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor
-                );
-                let fold = |k: i64, o: &mut VEmit<VOp<i32>>| match op {
-                    BinOp::Add => o.push(VOp::AddC(k as i32), 0),
-                    BinOp::Sub => o.push(VOp::AddC((k.wrapping_neg()) as i32), 0),
-                    BinOp::Mul => o.push(VOp::MulC(k as i32), 0),
-                    BinOp::And => o.push(VOp::AndC(k as i32), 0),
-                    BinOp::Or => o.push(VOp::OrC(k as i32), 0),
-                    BinOp::Xor => o.push(VOp::XorC(k as i32), 0),
-                    _ => unreachable!("folded ops are wrapping/bitwise"),
-                };
-                if let Some(k) = kb {
-                    let ia = self.fuse(a, out)?;
-                    if !(k == 0 && matches!(op, BinOp::Add | BinOp::Sub)) {
-                        fold(k, out);
-                    }
-                    return Some(combine(op, ia, Interval::point(k)));
-                }
-                if let (Some(k), true) = (ka, commutes) {
-                    let ib = self.fuse(b, out)?;
-                    if !(k == 0 && op == BinOp::Add) {
-                        fold(k, out);
-                    }
-                    return Some(combine(op, Interval::point(k), ib));
-                }
-                let ia = self.fuse(a, out)?;
-                let ib = self.fuse(b, out)?;
                 let vop = match op {
                     BinOp::Add => VOp::Add,
                     BinOp::Sub => VOp::Sub,
@@ -1701,231 +1618,126 @@ impl FusedBuilder<'_> {
                     BinOp::Xor => VOp::Xor,
                     _ => unreachable!("matched above"),
                 };
+                // The op with a constant operand folded in.
+                let fold = |k: i64| {
+                    let k = C::from_i64(k);
+                    match vop {
+                        VOp::Add => VOp::AddC(k),
+                        VOp::Sub => VOp::AddC(k.wneg()),
+                        VOp::Mul => VOp::MulC(k),
+                        VOp::And => VOp::AndC(k),
+                        VOp::Or => VOp::OrC(k),
+                        _ => VOp::XorC(k),
+                    }
+                };
+                if let Some(k) = const_int_of(b, self.params) {
+                    let ia = self.fuse_int(a, out)?;
+                    if !(k == 0 && matches!(op, BinOp::Add | BinOp::Sub)) {
+                        out.push(fold(k), 0);
+                    }
+                    return Some(combine(*op, ia, Interval::point(k)));
+                }
+                if let (Some(k), true) = (const_int_of(a, self.params), *op != BinOp::Sub) {
+                    let ib = self.fuse_int(b, out)?;
+                    if !(k == 0 && *op == BinOp::Add) {
+                        out.push(fold(k), 0);
+                    }
+                    return Some(combine(*op, Interval::point(k), ib));
+                }
+                let ia = self.fuse_int(a, out)?;
+                let ib = self.fuse_int(b, out)?;
                 out.push(vop, -1);
-                Some(combine(op, ia, ib))
+                Some(combine(*op, ia, ib))
             }
-        }
-    }
-
-    // -- The `[i64; W/2]` family: lanes are the reference `i64` value -------
-
-    /// Compile `e` onto i64 lanes. Unlike [`Self::fuse`] there is no interval
-    /// bookkeeping: every emitted op replicates the [`eval_binop`] /
-    /// [`eval_cmp`] / [`Value::cast`] integer semantics verbatim on the full
-    /// 64-bit value, so exactness holds by construction and `None` only means
-    /// "shape not expressible" (float operands, non-constant shift counts,
-    /// division), never "unprovable".
-    fn fuse64(&self, e: &Expr, out: &mut VEmit<VOp<i64>>) -> Option<()> {
-        match e {
-            Expr::ConstInt(v, ty) if !ty.is_float() => {
-                out.push(VOp::Const(*v), 1);
-                Some(())
-            }
-            Expr::ConstInt(..) | Expr::ConstFloat(..) | Expr::Call(..) => None,
-            Expr::Param(name, _) => match self.params.get(name) {
-                Some(Value::Int(v)) => {
-                    out.push(VOp::Const(*v), 1);
-                    Some(())
-                }
-                _ => None,
-            },
-            Expr::Var(name) | Expr::RVar(name) => {
-                let depth = *self.var_depths.get(name)?;
-                out.push(VOp::Var(depth), 1);
-                Some(())
-            }
-            Expr::Cast(ty, inner) => {
-                self.fuse64(inner, out)?;
-                match ty {
-                    // Value::cast keeps the i64 bits for UInt64.
-                    ScalarType::UInt64 => {}
-                    ScalarType::UInt8 => out.push(VOp::Mask(0xff), 0),
-                    ScalarType::UInt16 => out.push(VOp::Mask(0xffff), 0),
-                    ScalarType::UInt32 => out.push(VOp::Mask(0xffff_ffff), 0),
-                    ScalarType::Int32 => out.push(VOp::Sext32, 0),
-                    ScalarType::Float32 | ScalarType::Float64 => return None,
-                }
-                Some(())
-            }
-            Expr::Binary(op, a, b) => self.fuse64_binary(*op, a, b, out),
             Expr::Cmp(op, a, b) => {
-                // eval_cmp's integer branch compares signed i64 regardless of
-                // the operands' nominal unsigned types.
-                self.fuse64(a, out)?;
-                self.fuse64(b, out)?;
-                out.push(VOp::CmpS(*op), -1);
-                Some(())
+                // eval_cmp's integer branch compares signed i64 regardless
+                // of the operands' nominal unsigned types.
+                let ia = self.fuse_int(a, out)?;
+                let ib = self.fuse_int(b, out)?;
+                let vop = if exact_in(Interval::i32_range(), &[ia, ib]) {
+                    VOp::CmpS(*op)
+                } else if exact_in(Interval::u32_range(), &[ia, ib]) {
+                    VOp::CmpU(*op)
+                } else {
+                    return None;
+                };
+                out.push(vop, -1);
+                Some(Interval { min: 0, max: 1 })
             }
             Expr::Select(c, t, f) => {
-                // Lanes hold the exact value, so `lane != 0` is Value::is_true
-                // with no zero-faithfulness caveat.
-                self.fuse64(c, out)?;
-                self.fuse64(t, out)?;
-                self.fuse64(f, out)?;
+                let ic = self.fuse_int(c, out)?;
+                // The truth test is on lanes. On i32 lanes it is sound iff
+                // zero-faithful: within [i32::MIN, u32::MAX] the value is 0
+                // exactly when its low 32 bits are.
+                let faithful = Interval {
+                    min: i32::MIN as i64,
+                    max: u32::MAX as i64,
+                };
+                if !exact_in(faithful, &[ic]) {
+                    return None;
+                }
+                let it = self.fuse_int(t, out)?;
+                let if_ = self.fuse_int(f, out)?;
                 out.push(VOp::Sel, -2);
-                Some(())
+                Some(it.union(if_))
             }
             Expr::Image(name, args) | Expr::FuncRef(name, args) => {
-                let slot = *self.slot_ids.get(name)?;
-                let ty = self.decls[slot].ty;
-                if ty.is_float() {
+                let (idx, ty) = self.tap(name, args, out)?;
+                // Integer elements no wider than the lanes.
+                if ty.is_float() || (ty.bytes() as u32) * 8 > C::BITS {
                     return None;
                 }
-                let (dims, lane) = self.tap_dims(args)?;
-                let idx = out.tap(TapAccess {
-                    slot,
-                    ty,
-                    dims,
-                    lane,
-                });
                 out.push(VOp::Load(idx), 1);
-                Some(())
+                Some(Interval::of_type(ty).unwrap_or_else(Interval::everything))
             }
         }
     }
 
-    fn fuse64_binary(
+    // -- The float walk: `[f32; W]` and `[f64; W/2]` lanes ------------------
+
+    /// Compile `e` onto float lanes `C` under the invariant that the lanes
+    /// hold the reference `f64` value bit-exactly. Returns the expression's
+    /// reference kind: integer leaves stay `Kind::Int` (carried as exact
+    /// float lanes), and all-integer arithmetic is rejected because the
+    /// reference would evaluate it on i64.
+    ///
+    /// `rounding` marks a *rounding context*: the caller (a `cast<float>` or
+    /// the `Float32` store itself) rounds the reference value to `f32`. On
+    /// `f32` lanes arithmetic may be emitted only there — one f32 rounding of
+    /// exact operands equals the reference's f64 op followed by the cast for
+    /// +, −, ×, ÷ and sqrt (f64's 53 significant bits ≥ 2·24 + 2, so the
+    /// double rounding is innocuous). Exact (`f64`) lanes replay the
+    /// reference's own f64 ops, so every position rounds for them, and they
+    /// reject `cast<float>`, whose f32 rounding they cannot replay. Constants,
+    /// loop variables and loads are admitted only where the lanes hold them
+    /// exactly ([`LaneConst::exact_f64`], [`LaneConst::exact_ints`], loads no
+    /// wider than the lanes).
+    fn fuse_float<C: LaneConst>(
         &self,
-        op: BinOp,
-        a: &Expr,
-        b: &Expr,
-        out: &mut VEmit<VOp<i64>>,
-    ) -> Option<()> {
-        match op {
-            // Quotient/remainder lanes would have to replicate the
-            // divide-by-zero and i64::MIN / -1 edge cases per lane — rare in
-            // stencils; keep them on the per-op tier (as the i32 family does).
-            BinOp::Div | BinOp::Mod => None,
-            BinOp::Shr => {
-                // eval_binop: `(x as u64) >> (y as u64 & 63)` — exactly ShrU.
-                let s = (const_int_of(b, self.params)? as u64 & 63) as u32;
-                self.fuse64(a, out)?;
-                if s > 0 {
-                    out.push(VOp::ShrU(s), 0);
-                }
-                Some(())
-            }
-            BinOp::Shl => {
-                // eval_binop: `wrapping_shl(y as u32)`, which masks by 63.
-                let s = (const_int_of(b, self.params)? as u32) & 63;
-                self.fuse64(a, out)?;
-                if s > 0 {
-                    out.push(VOp::Shl(s), 0);
-                }
-                Some(())
-            }
-            BinOp::Min | BinOp::Max => {
-                // eval_binop's integer branch is signed i64 min/max.
-                self.fuse64(a, out)?;
-                self.fuse64(b, out)?;
-                out.push(
-                    if op == BinOp::Min {
-                        VOp::MinS
-                    } else {
-                        VOp::MaxS
-                    },
-                    -1,
-                );
-                Some(())
-            }
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor => {
-                let ka = const_int_of(a, self.params);
-                let kb = const_int_of(b, self.params);
-                let commutes = matches!(
-                    op,
-                    BinOp::Add | BinOp::Mul | BinOp::And | BinOp::Or | BinOp::Xor
-                );
-                let fold = |k: i64, o: &mut VEmit<VOp<i64>>| match op {
-                    BinOp::Add => o.push(VOp::AddC(k), 0),
-                    BinOp::Sub => o.push(VOp::AddC(k.wrapping_neg()), 0),
-                    BinOp::Mul => o.push(VOp::MulC(k), 0),
-                    BinOp::And => o.push(VOp::AndC(k), 0),
-                    BinOp::Or => o.push(VOp::OrC(k), 0),
-                    BinOp::Xor => o.push(VOp::XorC(k), 0),
-                    _ => unreachable!("folded ops are wrapping/bitwise"),
-                };
-                if let Some(k) = kb {
-                    self.fuse64(a, out)?;
-                    if !(k == 0 && matches!(op, BinOp::Add | BinOp::Sub)) {
-                        fold(k, out);
-                    }
-                    return Some(());
-                }
-                if let (Some(k), true) = (ka, commutes) {
-                    self.fuse64(b, out)?;
-                    if !(k == 0 && op == BinOp::Add) {
-                        fold(k, out);
-                    }
-                    return Some(());
-                }
-                self.fuse64(a, out)?;
-                self.fuse64(b, out)?;
-                let vop = match op {
-                    BinOp::Add => VOp::Add,
-                    BinOp::Sub => VOp::Sub,
-                    BinOp::Mul => VOp::Mul,
-                    BinOp::And => VOp::And,
-                    BinOp::Or => VOp::Or,
-                    BinOp::Xor => VOp::Xor,
-                    _ => unreachable!("matched above"),
-                };
-                out.push(vop, -1);
-                Some(())
-            }
-        }
-    }
-
-    // -- The `[f32; W]` family: rounding-point discipline -------------------
-
-    /// Compile `e` onto f32 lanes under the invariant that the reference
-    /// `f64` value of `e` is bit-exactly representable in `f32` for every
-    /// input, and the lanes hold it. Returns the expression's reference kind
-    /// (integer leaves stay `Kind::Int` — carried as exact f32 lanes — which
-    /// [`Self::fuse_f32_rounding`] uses to reject all-integer arithmetic the
-    /// reference would evaluate on i64).
-    fn fuse_f32(&self, e: &Expr, out: &mut VEmit<FOp<f32>>) -> Option<Kind> {
+        e: &Expr,
+        rounding: bool,
+        out: &mut VEmit<FOp<C>>,
+    ) -> Option<Kind> {
+        let rounding = rounding || C::EXACT;
+        let mut push_const = |c: Option<C>, kind: Kind| {
+            out.push(FOp::Const(c?), 1);
+            Some(kind)
+        };
         match e {
-            Expr::ConstFloat(v, _) => {
-                if !f64_is_f32_exact(*v) {
-                    return None;
-                }
-                out.push(FOp::Const(*v as f32), 1);
-                Some(Kind::Float)
-            }
+            Expr::ConstFloat(v, _) => push_const(C::exact_f64(*v), Kind::Float),
+            // `v as f64` is the promotion the reference applies to a
+            // float-typed integer constant.
             Expr::ConstInt(v, ty) if ty.is_float() => {
-                if !f64_is_f32_exact(*v as f64) {
-                    return None;
-                }
-                out.push(FOp::Const(*v as f64 as f32), 1);
-                Some(Kind::Float)
+                push_const(C::exact_f64(*v as f64), Kind::Float)
             }
-            Expr::ConstInt(v, _) => {
-                if !Interval::f32_exact_int_range().contains(*v) {
-                    return None;
-                }
-                out.push(FOp::Const(*v as f32), 1);
-                Some(Kind::Int)
-            }
+            Expr::ConstInt(v, _) => push_const(C::exact_i64(*v), Kind::Int),
             Expr::Param(name, _) => match self.params.get(name)? {
-                Value::Int(v) => {
-                    if !Interval::f32_exact_int_range().contains(*v) {
-                        return None;
-                    }
-                    out.push(FOp::Const(*v as f32), 1);
-                    Some(Kind::Int)
-                }
-                Value::Float(f) => {
-                    if !f64_is_f32_exact(*f) {
-                        return None;
-                    }
-                    out.push(FOp::Const(*f as f32), 1);
-                    Some(Kind::Float)
-                }
+                Value::Int(v) => push_const(C::exact_i64(*v), Kind::Int),
+                Value::Float(f) => push_const(C::exact_f64(*f), Kind::Float),
             },
             Expr::Var(name) | Expr::RVar(name) => {
                 let depth = *self.var_depths.get(name)?;
-                let iv = *self.var_bounds.get(name)?;
-                if !iv.within(Interval::f32_exact_int_range()) {
+                if !self.var_bounds.get(name)?.within(C::exact_ints()) {
                     return None;
                 }
                 out.push(FOp::Var(depth), 1);
@@ -1933,55 +1745,56 @@ impl FusedBuilder<'_> {
             }
             // The explicit rounding point: exactly where lifted
             // single-precision code rounds after every SSE instruction.
-            Expr::Cast(ScalarType::Float32, inner) => {
-                self.fuse_f32_rounding(inner, out)?;
+            Expr::Cast(ScalarType::Float32, inner) if !C::EXACT => {
+                self.fuse_float(inner, true, out)?;
                 Some(Kind::Float)
             }
-            // Widening an exact-f32 (or exactly promoted integer) value is
-            // the identity on the carried lanes.
+            // Widening to the reference representation is the identity on
+            // the carried lanes.
             Expr::Cast(ScalarType::Float64, inner) => {
-                self.fuse_f32(inner, out)?;
+                self.fuse_float(inner, false, out)?;
                 Some(Kind::Float)
             }
             // Integer casts leave the float-exact domain.
             Expr::Cast(..) => None,
-            Expr::Binary(op @ (BinOp::Min | BinOp::Max), a, b) => {
-                let ka = self.fuse_f32(a, out)?;
-                let kb = self.fuse_f32(b, out)?;
+            Expr::Binary(op, a, b) => {
+                let fop = match op {
+                    BinOp::Add if rounding => FOp::Add,
+                    BinOp::Sub if rounding => FOp::Sub,
+                    BinOp::Mul if rounding => FOp::Mul,
+                    BinOp::Div if rounding => FOp::Div,
+                    // Selection of one exact operand needs no rounding
+                    // point (evaluated in f64 per lane to match eval_binop
+                    // on NaN and ±0.0).
+                    BinOp::Min => FOp::Min,
+                    BinOp::Max => FOp::Max,
+                    // Arithmetic outside a rounding context, and ops the
+                    // reference defines on integers only.
+                    _ => return None,
+                };
+                let ka = self.fuse_float(a, false, out)?;
+                let kb = self.fuse_float(b, false, out)?;
                 if ka == Kind::Int && kb == Kind::Int {
-                    // The reference would take the i64 min/max; stay safe and
-                    // leave all-integer shapes to the integer families.
+                    // The reference would wrap (or min/max) on i64; leave
+                    // all-integer shapes to the integer families.
                     return None;
                 }
-                // Selection of one exact operand: exact without a rounding
-                // point (evaluated in f64 per lane to match eval_binop on
-                // NaN and ±0.0).
-                out.push(
-                    if *op == BinOp::Min {
-                        FOp::Min
-                    } else {
-                        FOp::Max
-                    },
-                    -1,
-                );
+                out.push(fop, -1);
                 Some(Kind::Float)
             }
-            // Arithmetic without an enclosing rounding point would make the
-            // lanes diverge from the f64 reference value.
-            Expr::Binary(..) => None,
             Expr::Cmp(op, a, b) => {
                 // Comparison of exact values is order-preserving across
                 // widths (NaN unordered in both), and the 0/1 result is
-                // f32-exact.
-                self.fuse_f32(a, out)?;
-                self.fuse_f32(b, out)?;
+                // exact.
+                self.fuse_float(a, false, out)?;
+                self.fuse_float(b, false, out)?;
                 out.push(FOp::Cmp(*op), -1);
                 Some(Kind::Int)
             }
             Expr::Select(c, t, f) => {
-                self.fuse_f32(c, out)?;
-                let kt = self.fuse_f32(t, out)?;
-                let kf = self.fuse_f32(f, out)?;
+                self.fuse_float(c, false, out)?;
+                let kt = self.fuse_float(t, false, out)?;
+                let kf = self.fuse_float(f, false, out)?;
                 if kt != kf {
                     // Mirror the typed tier, which falls back on dynamically
                     // typed selects.
@@ -1990,216 +1803,26 @@ impl FusedBuilder<'_> {
                 out.push(FOp::Sel, -2);
                 Some(kt)
             }
-            // Extern calls round at f64; only sqrt under a rounding point is
-            // exact (handled by fuse_f32_rounding).
-            Expr::Call(..) => None,
-            Expr::Image(name, args) | Expr::FuncRef(name, args) => {
-                let slot = *self.slot_ids.get(name)?;
-                let ty = self.decls[slot].ty;
-                // Float32 loads are exact by definition; narrow integer loads
-                // (u8/u16) promote to f32 without loss.
-                let kind = match ty {
-                    ScalarType::Float32 => Kind::Float,
-                    _ => {
-                        let iv = Interval::of_type(ty)?;
-                        if !iv.within(Interval::f32_exact_int_range()) {
-                            return None;
-                        }
-                        Kind::Int
-                    }
-                };
-                let (dims, lane) = self.tap_dims(args)?;
-                let idx = out.tap(TapAccess {
-                    slot,
-                    ty,
-                    dims,
-                    lane,
-                });
-                out.push(FOp::Load(idx), 1);
-                Some(kind)
-            }
-        }
-    }
-
-    /// Compile `e` in a *rounding context*: the caller (a `cast<float>` or
-    /// the `Float32` store itself) rounds the reference `f64` value to `f32`.
-    /// Here — and only here — f32 arithmetic may be emitted: one f32 rounding
-    /// of bit-exact operands equals the reference's f64 op followed by the
-    /// cast for +, −, ×, ÷ and sqrt (f64's 53 significant bits ≥ 2·24 + 2,
-    /// so the double rounding is innocuous). Anything already exact passes
-    /// through [`Self::fuse_f32`]; the rounding is then the identity.
-    fn fuse_f32_rounding(&self, e: &Expr, out: &mut VEmit<FOp<f32>>) -> Option<Kind> {
-        match e {
-            Expr::Binary(op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div), a, b) => {
-                let ka = self.fuse_f32(a, out)?;
-                let kb = self.fuse_f32(b, out)?;
-                if ka == Kind::Int && kb == Kind::Int {
-                    // The reference would wrap on i64 and round the integer
-                    // result; leave all-integer arithmetic to the integer
-                    // families.
-                    return None;
-                }
-                out.push(
-                    match op {
-                        BinOp::Add => FOp::Add,
-                        BinOp::Sub => FOp::Sub,
-                        BinOp::Mul => FOp::Mul,
-                        BinOp::Div => FOp::Div,
-                        _ => unreachable!("matched above"),
-                    },
-                    -1,
-                );
-                Some(Kind::Float)
-            }
-            Expr::Call(ExternCall::Sqrt, args) if args.len() == 1 => {
-                self.fuse_f32(&args[0], out)?;
-                out.push(FOp::Sqrt, 0);
-                Some(Kind::Float)
-            }
-            _ => self.fuse_f32(e, out),
-        }
-    }
-
-    // -- The `[f64; W/2]` family: lanes are the reference values ------------
-
-    /// Compile `e` onto f64 lanes. The reference evaluator carries floats as
-    /// `f64`, so no rounding discipline exists: every emitted op mirrors the
-    /// reference op bit-for-bit and the lanes hold the reference values by
-    /// construction. Only integer *leaves* need a proof — within
-    /// [`Interval::f64_exact_int_range`] their `i64 → f64` promotion is the
-    /// exact, order-preserving map the reference itself applies in mixed
-    /// arithmetic and comparisons. All-integer arithmetic is still rejected
-    /// (the reference would wrap on `i64`), exactly like the f32 family.
-    fn fuse_f64(&self, e: &Expr, out: &mut VEmit<FOp<f64>>) -> Option<Kind> {
-        match e {
-            Expr::ConstFloat(v, _) => {
-                out.push(FOp::Const(*v), 1);
-                Some(Kind::Float)
-            }
-            // `v as f64` is exactly the promotion the reference performs on
-            // a float-typed integer constant, whatever its magnitude.
-            Expr::ConstInt(v, ty) if ty.is_float() => {
-                out.push(FOp::Const(*v as f64), 1);
-                Some(Kind::Float)
-            }
-            Expr::ConstInt(v, _) => {
-                if !Interval::f64_exact_int_range().contains(*v) {
-                    return None;
-                }
-                out.push(FOp::Const(*v as f64), 1);
-                Some(Kind::Int)
-            }
-            Expr::Param(name, _) => match self.params.get(name)? {
-                Value::Int(v) => {
-                    if !Interval::f64_exact_int_range().contains(*v) {
-                        return None;
-                    }
-                    out.push(FOp::Const(*v as f64), 1);
-                    Some(Kind::Int)
-                }
-                Value::Float(f) => {
-                    out.push(FOp::Const(*f), 1);
-                    Some(Kind::Float)
-                }
-            },
-            Expr::Var(name) | Expr::RVar(name) => {
-                let depth = *self.var_depths.get(name)?;
-                let iv = *self.var_bounds.get(name)?;
-                if !iv.within(Interval::f64_exact_int_range()) {
-                    return None;
-                }
-                out.push(FOp::Var(depth), 1);
-                Some(Kind::Int)
-            }
-            // Widening to the reference representation is the identity on
-            // the carried lanes (an int operand promotes exactly, a float
-            // operand already is the f64 value).
-            Expr::Cast(ScalarType::Float64, inner) => {
-                self.fuse_f64(inner, out)?;
-                Some(Kind::Float)
-            }
-            // A `cast<float>` inserts an f32 rounding the f64 lanes cannot
-            // replay; those shapes belong to the `[f32; W]` family. Integer
-            // casts leave the exact domain entirely.
-            Expr::Cast(..) => None,
-            Expr::Binary(
-                op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Min | BinOp::Max),
-                a,
-                b,
-            ) => {
-                let ka = self.fuse_f64(a, out)?;
-                let kb = self.fuse_f64(b, out)?;
-                if ka == Kind::Int && kb == Kind::Int {
-                    // The reference would wrap (or min/max) on i64; leave
-                    // all-integer shapes to the integer families.
-                    return None;
-                }
-                out.push(
-                    match op {
-                        BinOp::Add => FOp::Add,
-                        BinOp::Sub => FOp::Sub,
-                        BinOp::Mul => FOp::Mul,
-                        BinOp::Div => FOp::Div,
-                        BinOp::Min => FOp::Min,
-                        BinOp::Max => FOp::Max,
-                        _ => unreachable!("matched above"),
-                    },
-                    -1,
-                );
-                Some(Kind::Float)
-            }
-            // Mod (and any op the reference defines on integers only).
-            Expr::Binary(..) => None,
-            Expr::Cmp(op, a, b) => {
-                // Exact-range operands compare identically as f64 (the int
-                // promotion is injective and order-preserving; NaN is
-                // unordered in both representations).
-                self.fuse_f64(a, out)?;
-                self.fuse_f64(b, out)?;
-                out.push(FOp::Cmp(*op), -1);
-                Some(Kind::Int)
-            }
-            Expr::Select(c, t, f) => {
-                self.fuse_f64(c, out)?;
-                let kt = self.fuse_f64(t, out)?;
-                let kf = self.fuse_f64(f, out)?;
-                if kt != kf {
-                    return None;
-                }
-                out.push(FOp::Sel, -2);
-                Some(kt)
-            }
-            // The reference computes sqrt in f64 — mirrored exactly. Other
-            // extern calls stay on the per-op tier.
-            Expr::Call(ExternCall::Sqrt, args) if args.len() == 1 => {
-                self.fuse_f64(&args[0], out)?;
+            // The reference computes sqrt in f64 and rounds it like any
+            // arithmetic op. Other extern calls stay on the per-op tier.
+            Expr::Call(ExternCall::Sqrt, args) if rounding && args.len() == 1 => {
+                self.fuse_float(&args[0], false, out)?;
                 out.push(FOp::Sqrt, 0);
                 Some(Kind::Float)
             }
             Expr::Call(..) => None,
             Expr::Image(name, args) | Expr::FuncRef(name, args) => {
-                let slot = *self.slot_ids.get(name)?;
-                let ty = self.decls[slot].ty;
-                // f64 loads ARE the reference values; f32 loads widen
-                // exactly; integer loads are exact within ±2^53 (UInt64's
-                // range exceeds it and is rejected by `of_type`).
-                let kind = match ty {
-                    ScalarType::Float64 | ScalarType::Float32 => Kind::Float,
-                    _ => {
-                        let iv = Interval::of_type(ty)?;
-                        if !iv.within(Interval::f64_exact_int_range()) {
-                            return None;
-                        }
-                        Kind::Int
-                    }
+                let (idx, ty) = self.tap(name, args, out)?;
+                // Float elements no wider than the lanes are exact (f64
+                // lanes widen `Float32` exactly); integer elements promote
+                // exactly within the lanes' exact-integer range (`UInt64`
+                // has no range and never fuses here).
+                let kind = if ty.is_float() {
+                    ((ty.bytes() as u32) * 8 <= C::BITS).then_some(Kind::Float)?
+                } else {
+                    let iv = Interval::of_type(ty)?;
+                    iv.within(C::exact_ints()).then_some(Kind::Int)?
                 };
-                let (dims, lane) = self.tap_dims(args)?;
-                let idx = out.tap(TapAccess {
-                    slot,
-                    ty,
-                    dims,
-                    lane,
-                });
                 out.push(FOp::Load(idx), 1);
                 Some(kind)
             }
@@ -2212,15 +1835,49 @@ fn emitted_tap(taps: &[TapAccess], tap: &TapAccess) -> Option<usize> {
 }
 
 /// Scalar carrier of a lane family — `i32`, `i64`, `f32` or `f64`: the
-/// constant type of its ops and the element type of its chunks. Gives the
-/// generic [`peephole`] the wrapping negation it needs to sign-adjust folded
-/// coefficients, and the generic tap loader, chunk store and float evaluator
-/// the conversions each family's exactness argument admits.
+/// constant type of its ops, the element type of its chunks, and the
+/// family's exactness rules. The two compiler walks read the rules
+/// ([`LaneConst::EXACT`], `BITS`, the exact ranges), the generic
+/// [`peephole`] the wrapping negation, and the generic tap loader, chunk
+/// store and float evaluator the conversions.
 trait LaneConst: Copy + Default + PartialEq + PartialOrd {
+    /// Lane width in bits: the widest element a lane loads, and the shift
+    /// count from which integer lanes shift out to zero.
+    const BITS: u32 = 8 * std::mem::size_of::<Self>() as u32;
+    /// Whether the lanes carry the reference value itself (`i64`, `f64`),
+    /// rather than an image of it that holds only under proof (`i32`'s low
+    /// 32 bits, `f32` at rounding points).
+    const EXACT: bool;
+    /// The family's kernel op: [`VOp`] on integer lanes, [`FOp`] on float
+    /// lanes.
+    type Op;
+    /// Compile a store value onto these lanes: the integer walk
+    /// ([`FusedBuilder::fuse_int`], then [`peephole`]), or the float walk
+    /// ([`FusedBuilder::fuse_float`]) in a rounding context, because the
+    /// store narrows like a `cast<float>`.
+    fn fuse(b: &FusedBuilder<'_>, value: &Expr, out: &mut VEmit<Self::Op>) -> Option<()>;
+    /// Tag a finished op stream with its family.
+    fn program(ops: Vec<Self::Op>) -> LaneProgram;
+    /// The integers a lane holds exactly, which a lane ramp reaches without
+    /// overflow.
+    fn exact_ints() -> Interval;
+    /// `v` as a lane, when the lane holds the integer exactly.
+    fn exact_i64(v: i64) -> Option<Self> {
+        Self::exact_ints().contains(v).then(|| Self::from_i64(v))
+    }
+    /// `v` as a lane, when narrowing and re-widening reproduces its bits
+    /// (on f32 lanes this is [`crate::bounds::f64_is_f32_exact`]; f64 lanes
+    /// hold every value).
+    fn exact_f64(v: f64) -> Option<Self> {
+        let c = Self::from_f64(v);
+        (c.to_f64().to_bits() == v.to_bits()).then_some(c)
+    }
     /// Wrapping negation (two's complement).
     fn wneg(self) -> Self;
     /// The multiplicative identity (the implicit coefficient of a bare tap).
-    fn one() -> Self;
+    fn one() -> Self {
+        Self::from_i64(1)
+    }
     /// An integer tap element or loop variable, already extended to `i64`
     /// the way the per-op tier extends it: truncated to the lane width on
     /// integer lanes, promoted on float lanes (exactly — fusion admits only
@@ -2240,18 +1897,34 @@ trait LaneConst: Copy + Default + PartialEq + PartialOrd {
     fn sqrt(self) -> Self;
 }
 
-// The conversions are always inlined so that unoptimized builds, which run
-// the test suite, keep the generic lane loops close to hand-written speed.
+// The conversions are always inlined so that unoptimized builds keep the
+// generic lane loops close to hand-written speed.
 macro_rules! lane_const {
-    ($($t:ty: $wneg:expr, $to_bits:expr, $sqrt:expr;)*) => {$(
+    (@fuse VOp, $b:ident, $value:ident, $out:ident) => {{
+        $b.fuse_int($value, $out)?;
+        peephole(&mut $out.ops);
+        Some(())
+    }};
+    (@fuse FOp, $b:ident, $value:ident, $out:ident) => {
+        $b.fuse_float($value, true, $out).map(drop)
+    };
+    ($($t:ty: $family:ident $op:ident, exact $exact:literal, ints $ints:expr,
+       wneg $wneg:expr, bits $to_bits:expr, sqrt $sqrt:expr;)*) => {$(
         impl LaneConst for $t {
+            const EXACT: bool = $exact;
+            type Op = $op<$t>;
+            fn fuse(b: &FusedBuilder<'_>, value: &Expr, out: &mut VEmit<$op<$t>>) -> Option<()> {
+                lane_const!(@fuse $op, b, value, out)
+            }
+            fn program(ops: Vec<$op<$t>>) -> LaneProgram {
+                LaneProgram::$family(ops)
+            }
+            fn exact_ints() -> Interval {
+                $ints
+            }
             #[inline(always)]
             fn wneg(self) -> Self {
                 $wneg(self)
-            }
-            #[inline(always)]
-            fn one() -> Self {
-                1 as $t
             }
             #[inline(always)]
             fn from_i64(v: i64) -> Self {
@@ -2282,10 +1955,14 @@ macro_rules! lane_const {
 }
 
 lane_const! {
-    i32: i32::wrapping_neg, |v: i32| v as u64, |_| unreachable!("no integer sqrt");
-    i64: i64::wrapping_neg, |v: i64| v as u64, |_| unreachable!("no integer sqrt");
-    f32: |v: f32| -v, |v: f32| u64::from(v.to_bits()), f32::sqrt;
-    f64: |v: f64| -v, f64::to_bits, f64::sqrt;
+    i32: I32 VOp, exact false, ints Interval::i32_range(),
+        wneg i32::wrapping_neg, bits |v: i32| v as u64, sqrt |_| unreachable!("no integer sqrt");
+    i64: I64 VOp, exact true, ints Interval::everything(),
+        wneg i64::wrapping_neg, bits |v: i64| v as u64, sqrt |_| unreachable!("no integer sqrt");
+    f32: F32 FOp, exact false, ints Interval::f32_exact_int_range(),
+        wneg |v: f32| -v, bits |v: f32| u64::from(v.to_bits()), sqrt f32::sqrt;
+    f64: F64 FOp, exact true, ints Interval::f64_exact_int_range(),
+        wneg |v: f64| -v, bits f64::to_bits, sqrt f64::sqrt;
 }
 
 /// Collapse the dominant stencil pattern — load, scale, accumulate — into
@@ -3312,7 +2989,6 @@ impl Runner<'_> {
         let mut acc =
             crate::buffer::read_scalar(rk.out_ty, &out_bind.data()[byte_off..byte_off + eb])
                 .as_i64();
-        let isa = kernel_isa(rk.family(), rk.taps.len(), self.isa);
         let mut x = lo;
         while x <= hi {
             let n = (w as i64).min(hi + 1 - x) as usize;
@@ -3324,13 +3000,9 @@ impl Runner<'_> {
                 lane_depth,
                 binds,
                 vars,
-                isa,
             ));
             x += n as i64;
             REDUCE_CHUNKS.fetch_add(1, Ordering::Relaxed);
-        }
-        if isa == Isa::Avx2 {
-            ARCH_ROWS.fetch_add(1, Ordering::Relaxed);
         }
         // Replay the update's cast chain (innermost first) and store through
         // the buffer type, exactly as the per-element path would.
@@ -3687,7 +3359,6 @@ impl Runner<'_> {
                 self.accumulate_elements(
                     t, merge, lane_depth, min, lo, buf_idx, side, binds, vars, scratch,
                 );
-                let isa = kernel_isa(rk.family(), rk.taps.len(), self.isa);
                 let mut acc = 0i64;
                 let mut x = lo;
                 while x <= hi {
@@ -3700,13 +3371,9 @@ impl Runner<'_> {
                         lane_depth,
                         binds,
                         vars,
-                        isa,
                     ));
                     x += n as i64;
                     REDUCE_CHUNKS.fetch_add(1, Ordering::Relaxed);
-                }
-                if isa == Isa::Avx2 {
-                    ARCH_ROWS.fetch_add(1, Ordering::Relaxed);
                 }
                 side[buf_idx][out_off] = side[buf_idx][out_off].wrapping_add(acc);
                 self.accumulate_elements(
@@ -4604,16 +4271,15 @@ fn store_chunk<L: LaneConst, const W: usize>(
 /// per-tap pointer and array tables).
 const A_TAPS: usize = 16;
 
-/// The ISA one kernel's chunks execute on, given the run's
-/// [`Target::effective_isa`] — the per-family rule of the module docs: AVX2
-/// only for i64 kernels and for f32/f64 kernels of at most [`A_TAPS`] taps,
-/// the families whose hand-written evaluators measured faster than the
-/// portable lanes. This is the one decision point: the fused and reduce
-/// dispatchers, the [`arch_rows_executed`] counter and
-/// [`StoreProfile::selected_isa`] all read it, so they cannot disagree.
+/// The ISA one fused kernel's chunks execute on, given the run's
+/// [`Target::effective_isa`] — the rule of the module docs: AVX2 only for
+/// f32/f64 kernels of at most [`A_TAPS`] taps, whose plan evaluators
+/// measured faster than the portable lanes. Integer kernels, and reduce
+/// kernels with them, always run the portable lanes. This is the one
+/// decision point: the fused dispatcher, the [`arch_rows_executed`] counter
+/// and [`StoreProfile::selected_isa`] all read it, so they cannot disagree.
 fn kernel_isa(family: LaneFamily, taps: usize, target_isa: Isa) -> Isa {
     match family {
-        LaneFamily::I64 => target_isa,
         LaneFamily::F32 | LaneFamily::F64 if taps <= A_TAPS => target_isa,
         _ => Isa::Portable,
     }
@@ -4904,8 +4570,7 @@ tree_sum!(tree_sum_i64, i64);
 /// Evaluate one chunk of a reduction kernel's `g` and tree-reduce its first
 /// `n` lanes, returning the partial sum as an `i64` (for the i32 family the
 /// value is the sum mod `2^32`, which is all its ≤ 32-bit accumulator needs).
-/// `isa` is the kernel's [`kernel_isa`].
-#[allow(clippy::too_many_arguments)]
+/// Reduce kernels always run the portable lanes (see [`kernel_isa`]).
 fn dispatch_reduce_chunk(
     rk: &ReduceKernel,
     x: i64,
@@ -4914,19 +4579,7 @@ fn dispatch_reduce_chunk(
     lane_depth: usize,
     binds: &BindTable,
     vars: &[i64],
-    isa: Isa,
 ) -> i64 {
-    #[cfg(target_arch = "x86_64")]
-    if isa == Isa::Avx2 {
-        // SAFETY: `Isa::Avx2` is only produced by `Target::effective_isa`
-        // after `is_x86_feature_detected!("avx2")` succeeded on this CPU,
-        // and `kernel_isa` passes it on only for i64 reductions.
-        unsafe {
-            return arch::dispatch_reduce_chunk_avx2(rk, x, n, tap_bases, lane_depth, binds, vars);
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = isa;
     match &rk.prog {
         LaneProgram::I32(ops) => {
             let lanes = eval_chunk_i32::<MAX_CHUNK>(
@@ -5070,39 +4723,37 @@ fn cmp_lanes<T: PartialOrd>(op: CmpOp, x: T, y: T) -> i32 {
 // Hand-written AVX2 chunk evaluators (`core::arch::x86_64`)
 // ---------------------------------------------------------------------------
 
-/// Explicit AVX2 chunk evaluators for the lane families that measured faster
-/// than the portable lanes: the `[i64; W/2]` evaluator and tree-reduce, and
-/// the f32/f64 plan evaluators for kernels of at most [`A_TAPS`] taps.
-/// [`dispatch_fused_chunk`] / [`dispatch_reduce_chunk`] route a kernel here
-/// when [`kernel_isa`] selects [`Isa::Avx2`] for it. On a 2-core AVX2 Xeon
+/// Explicit AVX2 chunk evaluators: the f32/f64 plan evaluators, for kernels
+/// of at most [`A_TAPS`] taps — the one family that measured faster than the
+/// portable lanes. [`dispatch_fused_chunk`] routes a kernel here when
+/// [`kernel_isa`] selects [`Isa::Avx2`] for it. On a 2-core AVX2 Xeon
 /// (medians of 15, AVX2-pinned vs portable-pinned targets) the plan
-/// evaluators ran 1.07–2.10× on a 7-tap stencil; i32 kernels and wider float
-/// kernels run the portable lanes, which AVX2 evaluators for them did not
-/// beat (0.76–1.02× on a u8 7-tap stencil, 0.55–0.98× on a 25-tap one); the
-/// i64 evaluator awaits a re-measurement. The portable lane loops above
-/// remain the oracle; everything here must be — and per
-/// `tests/prop_simd.rs` is — **bit-identical** to them:
+/// evaluators ran 1.07–2.10× on a 7-tap stencil. AVX2 evaluators for the
+/// other families did not beat the portable lanes and were deleted: i32
+/// kernels ran 0.76–1.02× on a u8 7-tap stencil, full-chunk float kernels
+/// 0.55–0.98× on a 25-tap one, and the `[i64; W/2]` evaluator and
+/// tree-reduce as below. There, ratio = portable time ÷ AVX2 time (above 1
+/// means AVX2 is faster), from medians of 9 interleaved rounds of 7 runs with
+/// identical bytes; "tiled v8" is `Schedule::stencil_default()`:
 ///
-/// - i64 ops wrap in two's complement on both paths, so every `VOp` has an
-///   exact vector form: `Axpy`/`MulC`/`Mul` via the `mul_epu32` cross-term
-///   emulation (AVX2 has no 64-bit mullo), shifts via `_mm256_srl/sll_epi64`
-///   with the count register, signed clamp via `cmpgt_epi64` + `blendv`.
-///   Ops with no profitable AVX2 form (comparisons-to-0/1, selects, unsigned
-///   min/max and `Sext32`) run the same scalar lane loops as the portable
-///   evaluator — trivially identical, and still compiled with AVX2 enabled.
-/// - The float plan evaluators vectorize exactly the IEEE-exact
-///   single-rounding ops (`Add`/`Sub`/`Mul`/`Div`/`Sqrt` — one rounding per
-///   op on both paths, so `_mm256_*_ps/pd` are bit-identical by IEEE 754).
-///   `Min`/`Max`/`Cmp`/`Sel` keep the portable scalar bodies:
-///   `_mm256_min_ps` resolves NaN and ±0 operands differently from the
-///   reference's `f64::min`, and the differential matrix includes NaN inputs.
-/// - The i64 tree-reduce epilogue halves with `_mm256_add_epi64` — the same
-///   reduction shape, wrapping addition, any order exact.
+/// | kernel | serial v8 | serial v16 | serial v32 | tiled v8 | tiled v16 | tiled v32 |
+/// |---|---|---|---|---|---|---|
+/// | hist64 1024×768 (i64 store) | 0.95 | 0.59 | 0.93 | 1.00 | 0.98 | 0.93 |
+/// | norm 128×128×48 (i64 store + reduce) | 0.90 | 0.94 | 0.92 | 0.97 | 0.98 | 0.96 |
+/// | smooth_f32 128×128×108 | 1.03 | 1.10 | 1.47 | 1.03 | 1.11 | 1.24 |
+/// | smooth_f64 128×128×54 | 1.05 | 1.06 | 1.42 | 1.01 | 1.10 | 1.30 |
 ///
-/// Tap loading and chunk stores reuse the portable [`load_tap`] and
-/// [`store_chunk`]: they fill stack arrays, which keeps masked tails from
-/// ever issuing an out-of-bounds vector load, and the vector ops read the
-/// arrays with unaligned loads.
+/// The portable lane loops above remain the oracle; everything here must be
+/// — and per `tests/prop_simd.rs` is — **bit-identical** to them. The plan
+/// evaluators vectorize exactly the IEEE-exact single-rounding ops
+/// (`Add`/`Sub`/`Mul`/`Div`/`Sqrt` — one rounding per op on both paths, so
+/// `_mm256_*_ps/pd` are bit-identical by IEEE 754). `Min`/`Max`/`Cmp`/`Sel`
+/// keep the portable scalar bodies: `_mm256_min_ps` resolves NaN and ±0
+/// operands differently from the reference's `f64::min`, and the
+/// differential matrix includes NaN inputs. Taps that cannot stream straight
+/// from the buffer materialize through the portable [`load_tap`], and chunks
+/// store through the portable [`store_chunk`]: stack arrays keep masked
+/// tails from ever issuing an out-of-bounds vector load.
 ///
 /// SAFETY: every `#[target_feature(enable = "avx2")]` fn below must only be
 /// reached via [`Isa::Avx2`], which `Target::effective_isa` returns only
@@ -5111,285 +4762,6 @@ fn cmp_lanes<T: PartialOrd>(op: CmpOp, x: T, y: T) -> i32 {
 mod arch {
     use super::*;
     use std::arch::x86_64::*;
-
-    // -- 256-bit block helpers over `[i64; W]` stack arrays -----------------
-    // W is a multiple of 4 for i64 chunks, so the block loops cover the
-    // arrays exactly.
-
-    macro_rules! avx2_bin_i64 {
-        ($name:ident, $intr:ident) => {
-            #[target_feature(enable = "avx2")]
-            unsafe fn $name<const W: usize>(a: &mut [i64; W], b: &[i64; W]) {
-                let mut i = 0;
-                while i + 4 <= W {
-                    let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-                    let vb = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-                    _mm256_storeu_si256(a.as_mut_ptr().add(i) as *mut __m256i, $intr(va, vb));
-                    i += 4;
-                }
-            }
-        };
-    }
-
-    avx2_bin_i64!(add_i64, _mm256_add_epi64);
-    avx2_bin_i64!(sub_i64, _mm256_sub_epi64);
-    avx2_bin_i64!(and_i64, _mm256_and_si256);
-    avx2_bin_i64!(or_i64, _mm256_or_si256);
-    avx2_bin_i64!(xor_i64, _mm256_xor_si256);
-
-    /// 64-bit wrapping mullo — AVX2 has no `_mm256_mullo_epi64`, so build it
-    /// from 32×32→64 partial products: `lo(a)·lo(b) + ((hi(a)·lo(b) +
-    /// lo(a)·hi(b)) << 32)`, which is exactly `a·b mod 2^64`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn mullo64(a: __m256i, b: __m256i) -> __m256i {
-        let a_hi = _mm256_srli_epi64(a, 32);
-        let b_hi = _mm256_srli_epi64(b, 32);
-        let lo = _mm256_mul_epu32(a, b);
-        let cross1 = _mm256_mul_epu32(a_hi, b);
-        let cross2 = _mm256_mul_epu32(a, b_hi);
-        let cross = _mm256_slli_epi64(_mm256_add_epi64(cross1, cross2), 32);
-        _mm256_add_epi64(lo, cross)
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_i64<const W: usize>(a: &mut [i64; W], b: &[i64; W]) {
-        let mut i = 0;
-        while i + 4 <= W {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(a.as_mut_ptr().add(i) as *mut __m256i, mullo64(va, vb));
-            i += 4;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn axpy_i64<const W: usize>(a: &mut [i64; W], v: &[i64; W], coeff: i64) {
-        let vc = _mm256_set1_epi64x(coeff);
-        let mut i = 0;
-        while i + 4 <= W {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let vv = _mm256_loadu_si256(v.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                a.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_add_epi64(va, mullo64(vv, vc)),
-            );
-            i += 4;
-        }
-    }
-
-    /// `a[l] = a[l] OP set1(c)` on i64 lanes, routed through `$apply`.
-    macro_rules! avx2_binc_i64 {
-        ($name:ident, $apply:expr) => {
-            #[target_feature(enable = "avx2")]
-            unsafe fn $name<const W: usize>(a: &mut [i64; W], c: i64) {
-                let vc = _mm256_set1_epi64x(c);
-                let mut i = 0;
-                while i + 4 <= W {
-                    let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-                    #[allow(clippy::redundant_closure_call)]
-                    let r = $apply(va, vc);
-                    _mm256_storeu_si256(a.as_mut_ptr().add(i) as *mut __m256i, r);
-                    i += 4;
-                }
-            }
-        };
-    }
-
-    avx2_binc_i64!(addc_i64, |a, c| _mm256_add_epi64(a, c));
-    avx2_binc_i64!(mulc_i64, |a, c| mullo64(a, c));
-    avx2_binc_i64!(andc_i64, |a, c| _mm256_and_si256(a, c));
-    avx2_binc_i64!(orc_i64, |a, c| _mm256_or_si256(a, c));
-    avx2_binc_i64!(xorc_i64, |a, c| _mm256_xor_si256(a, c));
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn shru_i64<const W: usize>(a: &mut [i64; W], s: u32) {
-        let count = _mm_cvtsi32_si128(s as i32);
-        let mut i = 0;
-        while i + 4 <= W {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                a.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_srl_epi64(va, count),
-            );
-            i += 4;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn shl_i64<const W: usize>(a: &mut [i64; W], s: u32) {
-        let count = _mm_cvtsi32_si128((s & 63) as i32);
-        let mut i = 0;
-        while i + 4 <= W {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            _mm256_storeu_si256(
-                a.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_sll_epi64(va, count),
-            );
-            i += 4;
-        }
-    }
-
-    /// Signed 64-bit min/max via `cmpgt` + byte blend (AVX2 has no
-    /// `min/max_epi64`): `blendv(b, a, a OP b)` keeps `a` where the mask is
-    /// set. Ties (equal lanes) pick either operand — identical values.
-    #[target_feature(enable = "avx2")]
-    unsafe fn mins_i64<const W: usize>(a: &mut [i64; W], b: &[i64; W]) {
-        let mut i = 0;
-        while i + 4 <= W {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-            let b_gt_a = _mm256_cmpgt_epi64(vb, va);
-            _mm256_storeu_si256(
-                a.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_blendv_epi8(vb, va, b_gt_a),
-            );
-            i += 4;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn maxs_i64<const W: usize>(a: &mut [i64; W], b: &[i64; W]) {
-        let mut i = 0;
-        while i + 4 <= W {
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let vb = _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i);
-            let a_gt_b = _mm256_cmpgt_epi64(va, vb);
-            _mm256_storeu_si256(
-                a.as_mut_ptr().add(i) as *mut __m256i,
-                _mm256_blendv_epi8(vb, va, a_gt_b),
-            );
-            i += 4;
-        }
-    }
-
-    // -- Chunk evaluators ---------------------------------------------------
-
-    /// AVX2 `[i64; W/2]` chunk evaluator. Multiplies use the `mullo64`
-    /// emulation; `MinU`/`MaxU`, comparisons, selects and `Sext32` keep the
-    /// scalar lane loops.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn eval_chunk_i64_avx2<const W: usize>(
-        ops: &[VOp<i64>],
-        taps: &[TapAccess],
-        x: i64,
-        n: usize,
-        tap_bases: &[i64],
-        lane_depth: usize,
-        binds: &BindTable,
-        vars: &[i64],
-    ) -> [i64; W] {
-        let mut st = [[0i64; W]; V_STACK];
-        let mut sp = 0usize;
-        for op in ops {
-            match op {
-                VOp::Const(v) => {
-                    st[sp] = [*v; W];
-                    sp += 1;
-                }
-                VOp::Var(depth) => {
-                    if *depth == lane_depth {
-                        for (l, lane) in st[sp].iter_mut().enumerate() {
-                            *lane = x + l as i64;
-                        }
-                    } else {
-                        st[sp] = [vars[*depth]; W];
-                    }
-                    sp += 1;
-                }
-                VOp::Load(t) => {
-                    st[sp] = load_tap::<i64, W>(&taps[*t], tap_bases[*t], x, n, binds);
-                    sp += 1;
-                }
-                VOp::Axpy { tap, coeff } => {
-                    let v = load_tap::<i64, W>(&taps[*tap], tap_bases[*tap], x, n, binds);
-                    axpy_i64(&mut st[sp - 1], &v, *coeff);
-                }
-                VOp::AddC(c) => addc_i64(&mut st[sp - 1], *c),
-                VOp::MulC(c) => mulc_i64(&mut st[sp - 1], *c),
-                VOp::AndC(c) => andc_i64(&mut st[sp - 1], *c),
-                VOp::OrC(c) => orc_i64(&mut st[sp - 1], *c),
-                VOp::XorC(c) => xorc_i64(&mut st[sp - 1], *c),
-                VOp::Mask(m) => andc_i64(&mut st[sp - 1], *m),
-                VOp::ShrU(s) => shru_i64(&mut st[sp - 1], *s),
-                VOp::Shl(s) => shl_i64(&mut st[sp - 1], *s),
-                VOp::Sext32 => {
-                    for l in &mut st[sp - 1] {
-                        *l = (*l as i32) as i64;
-                    }
-                }
-                VOp::Add
-                | VOp::Sub
-                | VOp::Mul
-                | VOp::And
-                | VOp::Or
-                | VOp::Xor
-                | VOp::MinS
-                | VOp::MaxS => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    match op {
-                        VOp::Add => add_i64(a, b),
-                        VOp::Sub => sub_i64(a, b),
-                        VOp::Mul => mul_i64(a, b),
-                        VOp::And => and_i64(a, b),
-                        VOp::Or => or_i64(a, b),
-                        VOp::Xor => xor_i64(a, b),
-                        VOp::MinS => mins_i64(a, b),
-                        VOp::MaxS => maxs_i64(a, b),
-                        _ => unreachable!("binary group"),
-                    }
-                    sp -= 1;
-                }
-                VOp::MinU | VOp::MaxU => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    for l in 0..W {
-                        let (x, y) = (a[l] as u64, b[l] as u64);
-                        a[l] = if matches!(op, VOp::MinU) {
-                            x.min(y)
-                        } else {
-                            x.max(y)
-                        } as i64;
-                    }
-                    sp -= 1;
-                }
-                VOp::CmpS(cmp) => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    for l in 0..W {
-                        let (x, y) = (a[l], b[l]);
-                        a[l] = cmp_lanes(*cmp, x, y) as i64;
-                    }
-                    sp -= 1;
-                }
-                VOp::CmpU(cmp) => {
-                    let (head, tail) = st.split_at_mut(sp - 1);
-                    let a = &mut head[sp - 2];
-                    let b = &tail[0];
-                    for l in 0..W {
-                        let (x, y) = (a[l] as u64, b[l] as u64);
-                        a[l] = cmp_lanes(*cmp, x, y) as i64;
-                    }
-                    sp -= 1;
-                }
-                VOp::Sel => {
-                    let (head, tail) = st.split_at_mut(sp - 2);
-                    let c = &mut head[sp - 3];
-                    let (t, f) = (&tail[0], &tail[1]);
-                    for l in 0..W {
-                        c[l] = if c[l] != 0 { t[l] } else { f[l] };
-                    }
-                    sp -= 2;
-                }
-            }
-        }
-        debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
-        st[0]
-    }
 
     /// One register-width tap load for the plan evaluators: streamed straight
     /// from the buffer when the chunk staging proved the direct pointer, else
@@ -5814,39 +5186,11 @@ mod arch {
         tap_vec_f64
     );
 
-    #[target_feature(enable = "avx2")]
-    unsafe fn tree_sum_i64_avx2<const W: usize>(mut lanes: [i64; W], n: usize) -> i64 {
-        for lane in lanes.iter_mut().skip(n) {
-            *lane = 0;
-        }
-        let mut width = W;
-        while width > 4 {
-            width /= 2;
-            let mut i = 0;
-            while i + 4 <= width {
-                let lo = _mm256_loadu_si256(lanes.as_ptr().add(i) as *const __m256i);
-                let hi = _mm256_loadu_si256(lanes.as_ptr().add(i + width) as *const __m256i);
-                _mm256_storeu_si256(
-                    lanes.as_mut_ptr().add(i) as *mut __m256i,
-                    _mm256_add_epi64(lo, hi),
-                );
-                i += 4;
-            }
-        }
-        while width > 1 {
-            width /= 2;
-            for l in 0..width {
-                lanes[l] = lanes[l].wrapping_add(lanes[l + width]);
-            }
-        }
-        lanes[0]
-    }
-
     // -- Dispatch (the `arch` twins of the portable dispatchers) ------------
 
     /// SAFETY: caller must have verified AVX2 support (the `Isa::Avx2` gate).
-    /// Only kernels [`kernel_isa`] selects AVX2 for reach here: i64 programs
-    /// and float programs whose plan stages at most [`A_TAPS`] taps.
+    /// Only kernels [`kernel_isa`] selects AVX2 for reach here: float
+    /// programs whose plan stages at most [`A_TAPS`] taps.
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn dispatch_fused_chunk_avx2(
         fused: &FusedKernel,
@@ -5866,38 +5210,15 @@ mod arch {
                 store_chunk(fused, out_base, x, n, &lanes, binds);
             }};
         }
-        match (&fused.prog, &fused.arch_plan, w) {
-            (LaneProgram::I64(ops), _, 16) => run!(eval_chunk_i64_avx2, ops, 16),
-            (LaneProgram::I64(ops), _, 8) => run!(eval_chunk_i64_avx2, ops, 8),
-            (LaneProgram::I64(ops), _, _) => run!(eval_chunk_i64_avx2, ops, 4),
-            (_, ArchPlan::F32(plan), 32) => run!(eval_plan_f32_avx2, plan, 32),
-            (_, ArchPlan::F32(plan), 16) => run!(eval_plan_f32_avx2, plan, 16),
-            (_, ArchPlan::F32(plan), _) => run!(eval_plan_f32_avx2, plan, 8),
-            (_, ArchPlan::F64(plan), 16) => run!(eval_plan_f64_avx2, plan, 16),
-            (_, ArchPlan::F64(plan), 8) => run!(eval_plan_f64_avx2, plan, 8),
-            (_, ArchPlan::F64(plan), _) => run!(eval_plan_f64_avx2, plan, 4),
-            (_, ArchPlan::Int, _) => unreachable!("i32 kernels run the portable lanes"),
+        match (&fused.arch_plan, w) {
+            (ArchPlan::F32(plan), 32) => run!(eval_plan_f32_avx2, plan, 32),
+            (ArchPlan::F32(plan), 16) => run!(eval_plan_f32_avx2, plan, 16),
+            (ArchPlan::F32(plan), _) => run!(eval_plan_f32_avx2, plan, 8),
+            (ArchPlan::F64(plan), 16) => run!(eval_plan_f64_avx2, plan, 16),
+            (ArchPlan::F64(plan), 8) => run!(eval_plan_f64_avx2, plan, 8),
+            (ArchPlan::F64(plan), _) => run!(eval_plan_f64_avx2, plan, 4),
+            (ArchPlan::Int, _) => unreachable!("integer kernels run the portable lanes"),
         }
-    }
-
-    /// SAFETY: caller must have verified AVX2 support (the `Isa::Avx2` gate).
-    /// Only i64 reductions reach here (see [`kernel_isa`]).
-    pub(super) unsafe fn dispatch_reduce_chunk_avx2(
-        rk: &ReduceKernel,
-        x: i64,
-        n: usize,
-        tap_bases: &[i64],
-        lane_depth: usize,
-        binds: &BindTable,
-        vars: &[i64],
-    ) -> i64 {
-        let LaneProgram::I64(ops) = &rk.prog else {
-            unreachable!("only i64 reductions run on AVX2")
-        };
-        let lanes = eval_chunk_i64_avx2::<{ MAX_CHUNK / 2 }>(
-            ops, &rk.taps, x, n, tap_bases, lane_depth, binds, vars,
-        );
-        tree_sum_i64_avx2(lanes, n)
     }
 }
 
@@ -6005,19 +5326,26 @@ impl ExecPlan {
     /// predict the plan's run time without executing it. Kernel selection is
     /// part of the plan, so cached plans report the same profiles.
     ///
-    /// `target` is the resolved [`Target`] the plan will execute under; each
-    /// store with a fused or reduce kernel reports the lane ISA
+    /// `target` is the resolved [`Target`] the plan will execute under, and
+    /// the profiles report what it executes: a [`Tier::Scalar`] target runs
+    /// no fused, reduce or parallel-reduce path, so its profiles carry none;
+    /// otherwise each store with a fused kernel reports the lane ISA
     /// ([`StoreProfile::selected_isa`]) its kernel resolves to under that
     /// target on this host — the same per-family rule the executing path
     /// dispatches and counts by, so a dry run predicts exactly what it runs.
     pub fn store_profiles(&self, target: Target) -> Vec<StoreProfile> {
         let isa = target.effective_isa();
+        // The Scalar tier pins every store to the per-op tier: no fused,
+        // reduce or parallel-reduce path runs, so none is reported.
+        let kernels = target.tier() != Tier::Scalar;
         self.prepared
             .stores
             .iter()
             .flatten()
             .map(|store| {
-                let (taps, max_tap_offset) = match &store.fused {
+                let fused = store.fused.as_ref().filter(|_| kernels);
+                let reduce = store.reduce.as_ref().filter(|_| kernels);
+                let (taps, max_tap_offset) = match fused {
                     Some(f) => (
                         f.taps.len(),
                         f.taps
@@ -6029,19 +5357,15 @@ impl ExecPlan {
                     ),
                     None => (0, 0),
                 };
-                let selected_isa = match (&store.fused, &store.reduce) {
-                    (Some(f), _) => kernel_isa(f.family(), f.taps.len(), isa),
-                    (None, Some(r)) => kernel_isa(r.family(), r.taps.len(), isa),
-                    (None, None) => Isa::Portable,
-                };
                 StoreProfile {
-                    fused: store.fused.as_ref().map(|f| f.family()),
+                    fused: fused.map(|f| f.family()),
                     taps,
                     max_tap_offset,
                     guarded: store.clamp,
-                    reduce: store.reduce.as_ref().map(|r| r.family()),
-                    parallel_reduce: store.merge.is_some(),
-                    selected_isa,
+                    reduce: reduce.map(|r| r.family()),
+                    parallel_reduce: kernels && store.merge.is_some(),
+                    selected_isa: fused
+                        .map_or(Isa::Portable, |f| kernel_isa(f.family(), f.taps.len(), isa)),
                 }
             })
             .collect()
@@ -7072,8 +6396,8 @@ mod tests {
 
     /// [`ExecPlan::store_profiles`] reports [`kernel_isa`]'s choice under the
     /// given target on this host: portable targets always report portable,
-    /// and an AVX2 target reports AVX2 for an f64 kernel (on AVX2 hosts) but
-    /// portable for an i32 one.
+    /// an AVX2 target reports AVX2 for an f64 kernel (on AVX2 hosts) but
+    /// portable for an i32 one, and a Scalar-tier target reports no kernel.
     #[test]
     fn store_profiles_report_selected_isa() {
         use crate::target::Feature;
@@ -7098,12 +6422,20 @@ mod tests {
                 assert_eq!(p.selected_isa, expect, "store must report the kernel's ISA");
             }
         }
-        // The float tap cap is the plan evaluators' table length.
+        // The float tap cap is the plan evaluators' table length; integer
+        // kernels never run AVX2.
         assert_eq!(kernel_isa(LaneFamily::F32, A_TAPS, Isa::Avx2), Isa::Avx2);
         assert_eq!(
             kernel_isa(LaneFamily::F64, A_TAPS + 1, Isa::Avx2),
             Isa::Portable
         );
+        assert_eq!(kernel_isa(LaneFamily::I64, 1, Isa::Avx2), Isa::Portable);
+        // A Scalar tier runs no kernel, so its profiles report none.
+        for plan in [&int_plan, &f64_plan] {
+            for p in plan.store_profiles(avx2.with_tier(Tier::Scalar)) {
+                assert_eq!((p.fused, p.taps, p.selected_isa), (None, 0, Isa::Portable));
+            }
+        }
     }
 
     /// Sub-width interior tails run as fused chunks (masked below one chunk,

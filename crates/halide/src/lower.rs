@@ -123,12 +123,22 @@ impl RegionDim {
     /// The runtime region minimum as an expression over the enclosing loop
     /// variables, clamped at zero (matching `compute_root`'s `[0, max]`
     /// allocations so both placements clamp reads identically).
+    ///
+    /// Every loop variable starts at 0, so with `base_min ≥ 0` and no
+    /// negative coefficient the clamp is the identity and the bare affine sum
+    /// is emitted instead: indices into the region buffer then stay affine,
+    /// which the fused lane kernels of the producer and consumer stores
+    /// require.
     pub fn min_expr(&self) -> Expr {
         let mut e = Expr::int(self.base_min);
         for (var, c) in &self.coeffs {
             e = Expr::add(e, Expr::mul(Expr::int(*c), Expr::var(var)));
         }
-        simplify(&Expr::bin(BinOp::Max, e, Expr::int(0)))
+        if self.base_min >= 0 && self.coeffs.iter().all(|(_, c)| *c >= 0) {
+            simplify(&e)
+        } else {
+            simplify(&Expr::bin(BinOp::Max, e, Expr::int(0)))
+        }
     }
 }
 

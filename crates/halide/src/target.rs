@@ -173,8 +173,8 @@ impl Target {
     }
 
     /// Stable `+`-joined lowercase tag of the carried features (empty when
-    /// none), used to key schedule caches and trial logs so tuned schedules
-    /// never migrate across ISAs: `"avx2"`, or `""` for portable.
+    /// none), used to key schedule caches so tuned schedules never migrate
+    /// across ISAs: `"avx2"`, or `""` for portable.
     pub fn feature_tag(self) -> String {
         let mut parts = Vec::new();
         if self.features & FEATURE_AVX2 != 0 {

@@ -688,12 +688,12 @@ fn runs_portable(mut run: impl FnMut()) -> bool {
 /// The dedicated arch differential: on AVX2 hosts, pipelines compiled with
 /// an explicit [`Feature::Avx2`] target must produce bytes identical to the
 /// portable lane kernels, on prime extents. The per-family ISA rule decides
-/// which kernels execute the hand-written `core::arch` evaluators: i64
-/// kernels and float kernels of at most 16 taps must (run-time counter
-/// guard — equality alone would be vacuous if dispatch silently fell back),
-/// while i32 kernels and 25-tap float kernels must run fused on the portable
-/// lanes and leave the arch counter alone. On hosts without AVX2 the test
-/// prints a skip notice and passes.
+/// which kernels execute the hand-written `core::arch` evaluators: float
+/// kernels of at most 16 taps must (run-time counter guard — equality alone
+/// would be vacuous if dispatch silently fell back), while i32 and i64
+/// kernels and 25-tap float kernels must run fused on the portable lanes and
+/// leave the arch counter alone. On hosts without AVX2 the test prints a
+/// skip notice and passes.
 #[test]
 fn arch_kernels_match_portable_lanes_bit_for_bit() {
     if !Target::detect().has(Feature::Avx2) {
@@ -747,7 +747,7 @@ fn arch_kernels_match_portable_lanes_bit_for_bit() {
                     ),
                 ),
             ),
-            true,
+            false,
         ),
         (
             "f32-smooth",

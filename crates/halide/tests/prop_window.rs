@@ -254,7 +254,9 @@ proptest! {
 /// The fig7 shape the benchmark times: a two-stage blur with sliding-window
 /// `compute_at` must compile exactly one rolling window, actually reuse rows
 /// at run time (the counter guard makes the differential tests above
-/// non-vacuous), and agree with the oracle in both pinned modes.
+/// non-vacuous), and agree with the oracle in both pinned modes. Under
+/// either schedule both stores — the producer filling its region buffer and
+/// the consumer reading it — compile fused lane kernels.
 #[test]
 fn fig7_blur_sliding_window_reuses_rows() {
     let p = two_stage_vertical(3, 0);
@@ -292,6 +294,18 @@ fn fig7_blur_sliding_window_reuses_rows() {
         // The recompute-everything schedule compiles no window.
         let (plain, _) = run_lowered(&p, &base, mode, &[w, h], &inputs);
         assert_eq!(plain.sliding_windows(&inputs, &[w, h]).expect("program"), 0);
+        if mode.tier() == Tier::Scalar {
+            continue;
+        }
+        for (name, c) in [("sliding", &compiled), ("plain", &plain)] {
+            let profile = c.dry_run(&inputs, &[w, h]).expect("dry run");
+            let stores: Vec<_> = profile.stages.iter().flat_map(|s| &s.stores).collect();
+            assert_eq!(stores.len(), 2, "{name}: producer and consumer stores");
+            assert!(
+                stores.iter().all(|s| s.fused.is_some()),
+                "{name}: both compute_at stores must fuse, got {stores:?}"
+            );
+        }
     }
 }
 

@@ -19,10 +19,6 @@
 //!   `fingerprint_pipeline × extents × backend` (the sibling of the program
 //!   cache), serialized to the path named by `HELIUM_SCHEDULE_CACHE` — a
 //!   warmed serving process performs zero timed trials before serving.
-//! * **Trial log** ([`trials`]): every timed trial a cached search spends is
-//!   appended (feature columns + measured nanoseconds) to a versioned text
-//!   file beside the schedule cache — the design matrix for a future
-//!   least-squares refit of the cost model's constants.
 //!
 //! [`CompiledPipeline::dry_run`]: helium_halide::CompiledPipeline::dry_run
 //! [`Schedule`]: helium_halide::Schedule
@@ -32,7 +28,6 @@
 pub mod cache;
 pub mod model;
 pub mod search;
-pub mod trials;
 
 pub use cache::{
     CachedSchedule, ScheduleCache, ScheduleCacheError, ScheduleKey, SCHEDULE_CACHE_ENV,
@@ -42,4 +37,3 @@ pub use search::{
     enumerate_candidates, guided_search, guided_search_cached, rank_candidates, SearchConfig,
     Trial, TuneReport,
 };
-pub use trials::{TrialLog, TrialLogError, TrialRecord};

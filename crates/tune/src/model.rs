@@ -294,7 +294,7 @@ mod tests {
     use helium_halide::{
         BinOp, CompileOptions, Expr, Func, ImageParam, Pipeline, RealizeInputs, ScalarType, Value,
     };
-    use helium_halide::{Buffer, CompiledPipeline};
+    use helium_halide::{Buffer, CompiledPipeline, Target, Tier};
 
     fn invert_pipeline() -> (Pipeline, Buffer) {
         let x = Expr::var("x_0");
@@ -341,8 +341,19 @@ mod tests {
     fn features_expose_tier_selection() {
         let (p, input) = invert_pipeline();
         let wide = Schedule::naive().with_vector_width(16);
-        let profile = profile_of(&p, &wide, &input);
-        let f = ScheduleFeatures::extract(&wide, &profile);
+        let inputs = RealizeInputs::new().with_image("in", &input);
+        let features = |tier: Tier| {
+            let options = CompileOptions {
+                target: Some(Target::current().with_tier(tier)),
+                ..CompileOptions::default()
+            };
+            let compiled = p.compile(&wide, &options).unwrap();
+            ScheduleFeatures::extract(&wide, &compiled.dry_run(&inputs, &[64, 48]).unwrap())
+        };
+        // A Scalar tier runs the store per-op, and its dry run says so.
+        let f = features(Tier::Scalar);
+        assert_eq!((f.fused_stores, f.unfused_stores), (0, 1));
+        let f = features(Tier::Auto);
         assert_eq!(f.fused_stores, 1, "the invert store fuses on i32 lanes");
         assert_eq!(f.unfused_stores, 0);
         assert_eq!(f.stages, 1);

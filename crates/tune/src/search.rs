@@ -11,7 +11,6 @@
 
 use crate::cache::{CachedSchedule, ScheduleCache, ScheduleKey};
 use crate::model::{score, ScheduleFeatures};
-use crate::trials::{TrialLog, TrialRecord};
 use helium_halide::cache::fingerprint_schedule;
 use helium_halide::{CompileOptions, ExecBackend, Pipeline, RealizeError, RealizeInputs, Schedule};
 use std::collections::BTreeSet;
@@ -308,11 +307,7 @@ pub fn guided_search(
 /// [`guided_search`] with a persistent [`ScheduleCache`] in front: a hit
 /// returns the cached winner with **zero timed trials** (the warm-start
 /// contract a serving process relies on); a miss searches and inserts the
-/// winner under `fingerprint_pipeline × extents × backend`. When a schedule
-/// cache path is configured ([`crate::SCHEDULE_CACHE_ENV`]), every timed
-/// trial the miss spends is also appended to the sibling [`TrialLog`] —
-/// measured evidence for a future refit of the cost model. Log-write
-/// failures are swallowed: losing refit evidence must never fail a search.
+/// winner under `fingerprint_pipeline × extents × backend`.
 ///
 /// # Errors
 /// See [`guided_search`].
@@ -334,28 +329,6 @@ pub fn guided_search_cached(
         });
     }
     let report = guided_search(pipeline, extents, inputs, config)?;
-    let records: Vec<TrialRecord> = report
-        .trials
-        .iter()
-        .filter(|t| t.timed_reps > 0)
-        .map(|t| TrialRecord {
-            pipeline: key.pipeline,
-            backend: key.backend,
-            target_features: key.features.clone(),
-            extents: key.extents.clone(),
-            schedule: t.fingerprint,
-            measured_ns: t.measured.map_or(0, |m| m.as_nanos() as u64),
-            timed_reps: t.timed_reps,
-            model_score: t.model_score,
-            features: t
-                .features
-                .columns()
-                .into_iter()
-                .map(|(name, value)| (name.to_string(), value))
-                .collect(),
-        })
-        .collect();
-    let _ = TrialLog::append_env(&records);
     let best_fp = fingerprint_schedule(&report.best);
     cache.insert(
         key,
@@ -529,51 +502,5 @@ mod tests {
         let third = guided_search_cached(&p, &[40, 30], &inputs, &config, &mut cache).unwrap();
         assert!(!third.from_cache);
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn cache_miss_appends_timed_trials_to_the_sibling_log() {
-        use crate::cache::SCHEDULE_CACHE_ENV;
-        use crate::trials::TrialLog;
-        let dir =
-            std::env::temp_dir().join(format!("helium_tune_trial_env_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let cache_path = dir.join("schedules.txt");
-        std::env::set_var(SCHEDULE_CACHE_ENV, &cache_path);
-        let (p, input) = blur_pipeline();
-        let inputs = RealizeInputs::new().with_image("in", &input);
-        let config = SearchConfig {
-            top_k: 2,
-            repetitions: 1,
-            max_candidates: 12,
-            budget: Duration::from_secs(30),
-        };
-        let mut cache = ScheduleCache::new();
-        let report = guided_search_cached(&p, &[33, 21], &inputs, &config, &mut cache).unwrap();
-        std::env::remove_var(SCHEDULE_CACHE_ENV);
-        let key = ScheduleKey::for_pipeline(&p, ExecBackend::Lowered, &[33, 21]);
-        let log = TrialLog::load(&cache_path.with_file_name("schedules.txt.trials")).unwrap();
-        let mine: Vec<_> = log
-            .records()
-            .iter()
-            .filter(|r| r.pipeline == key.pipeline && r.extents == [33, 21])
-            .collect();
-        assert_eq!(
-            mine.len(),
-            report.timed_trials,
-            "one log row per timed trial"
-        );
-        for r in &mine {
-            assert!(r.measured_ns > 0);
-            assert!(r
-                .features
-                .iter()
-                .any(|(name, _)| name == "window_reuse_fraction"));
-            assert!(r
-                .features
-                .iter()
-                .any(|(name, _)| name == "fused_output_count"));
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -81,13 +81,12 @@ fn input(ty: ScalarType, w: usize, h: usize) -> Buffer {
 }
 
 /// The executor's per-family ISA rule as the tuner sees it: a store's
-/// chunks run on AVX2 only when the target resolves it and the store is an
-/// i64 kernel or a float kernel of at most 16 taps.
+/// chunks run on AVX2 only when the target resolves it and the store is a
+/// fused float kernel of at most 16 taps.
 fn expected_isa(target: Target, store: &StoreProfile) -> Isa {
-    let eligible = match store.fused.or(store.reduce) {
-        Some(LaneFamily::I64) => true,
+    let eligible = match store.fused {
         Some(LaneFamily::F32 | LaneFamily::F64) => store.taps <= 16,
-        Some(LaneFamily::I32) | None => false,
+        Some(LaneFamily::I32 | LaneFamily::I64) | None => false,
     };
     if eligible {
         target.effective_isa()
