@@ -14,12 +14,6 @@ degrading to the serial path — trips the gate, not CI-runner noise.
 Keys absent from a report fail its gate too (a silently dropped column is
 itself a regression).
 
-One floor is host-conditional: `arch_speedup` (the best of the f32/f64
-AVX2 plan-evaluator splits vs the portable lane programs; i32 kernels have
-no AVX2 path) is only gated when the report itself records
-`avx2_detected = 1` — on hosts without AVX2 the arch section is legitimately
-empty and the column reads 0.0.
-
 Usage: bench_gate.py [path-to-BENCH_*.json]
 """
 
@@ -78,14 +72,6 @@ def main():
         sys.exit(1)
     with open(path) as f:
         report = json.load(f)
-    floors = dict(floors)
-    if os.path.basename(path) == "BENCH_lowering.json":
-        # The explicit-AVX2 kernel floor only applies when the benchmarking
-        # host actually had AVX2; the report records what it detected.
-        if report.get("avx2_detected") == 1:
-            floors["arch_speedup"] = 1.1
-        else:
-            print("note: avx2_detected != 1, arch_speedup not gated")
     found, failures = set(), []
     walk(report, "", floors, found, failures)
     for key in sorted(set(floors) - found):

@@ -42,8 +42,8 @@ use helium_bench::{
     two_stage_blur_pipeline, LiftedRealizeSetup,
 };
 use helium_halide::{
-    arch_rows_executed, set_target_override, Buffer, CompileOptions, CounterSnapshot, ExecBackend,
-    Feature, Pipeline, RealizeInputs, Realizer, Schedule, Target, Tier,
+    set_target_override, Buffer, CompileOptions, CounterSnapshot, ExecBackend, Pipeline,
+    RealizeInputs, Realizer, Schedule, Target, Tier,
 };
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -246,58 +246,6 @@ fn lane_family_split(
          {expect_family}_simd_speedup={speedup:.2}x best_width={best_width}"
     );
     (scalar, simd, best_width, speedup)
-}
-
-/// Portable lane loops vs the hand-written AVX2 `core::arch` kernels on one
-/// compiled shape: assert the arch path really executes (run-time counter —
-/// equality alone would be vacuous under silent fallback) and is
-/// bit-identical to the portable lanes, then time warm runs of both. Returns
-/// `(portable, arch, speedup)`, or `None` on hosts without AVX2.
-fn arch_split(
-    name: &str,
-    pipeline: &Pipeline,
-    input_name: &str,
-    input: &Buffer,
-    extents: &[usize],
-    reps: usize,
-) -> Option<(Duration, Duration, f64)> {
-    if !Target::detect().has(Feature::Avx2) {
-        println!("lowering: {name}: host does not report AVX2, skipping arch split");
-        return None;
-    }
-    let inputs = RealizeInputs::new().with_image(input_name, input);
-    // Serial, widest chunks: the split measures the kernel bodies, and
-    // thread-pool coordination noise on a small grid would otherwise swamp
-    // the per-chunk delta between the two ISAs.
-    let schedule = Schedule::stencil_default()
-        .with_parallel(false)
-        .with_vector_width(32);
-    let portable_c = compile_pinned(
-        pipeline,
-        &schedule,
-        Target::portable().with_tier(Tier::Simd),
-    );
-    let arch_c = compile_pinned(
-        pipeline,
-        &schedule,
-        Target::with_features(&[Feature::Avx2]).with_tier(Tier::Simd),
-    );
-    let portable_out = portable_c.run(&inputs, extents).expect("portable run");
-    let before = arch_rows_executed();
-    let arch_out = arch_c.run(&inputs, extents).expect("arch run");
-    assert!(
-        arch_rows_executed() > before,
-        "{name}: the AVX2 kernels must actually execute"
-    );
-    assert_eq!(
-        arch_out, portable_out,
-        "{name}: arch kernels diverged from the portable lanes"
-    );
-    let portable = time_compiled_runs(&portable_c, &inputs, extents, reps);
-    let arch = time_compiled_runs(&arch_c, &inputs, extents, reps);
-    let speedup = portable.as_secs_f64() / arch.as_secs_f64().max(1e-12);
-    println!("lowering: {name:<18} portable={portable:?} arch={arch:?} arch_speedup={speedup:.2}x");
-    Some((portable, arch, speedup))
 }
 
 /// Sliding-window `compute_at` vs plain `compute_at` on the two-stage
@@ -532,45 +480,6 @@ fn write_report(reps: usize, width: usize, height: usize) {
         "f64",
         reps,
     );
-    // The explicit AVX2 core::arch kernels vs the portable lane loops, on
-    // the same fused shapes (oracle-verified + counter-guarded inside the
-    // split). Only the f32/f64 plan evaluators are split: i32 kernels run
-    // the portable lanes on every target. `arch_speedup` is the best
-    // demonstrated arch win; 0.0 with `avx2_detected: 0` means the host has
-    // no AVX2 and the column is moot.
-    let avx2_detected = Target::detect().has(Feature::Avx2);
-    // Dedicated grid for the arch splits, even in smoke mode: the smoke grid
-    // is small enough that fixed per-run overhead hides the kernel delta the
-    // split exists to measure (still well under a second per column).
-    let (anx, any, anz) = (64, 64, 16);
-    let arch_f32 = {
-        let (p, g) = minigmg_smooth_f32(anx, any, anz, 0x6116);
-        arch_split(
-            "smooth_f32_arch",
-            &p,
-            "grid",
-            &g,
-            &[anx, any, anz],
-            reps.max(30),
-        )
-    };
-    let arch_f64 = {
-        let (p, g) = minigmg_smooth_f64(anx, any, anz, 0x6116);
-        arch_split(
-            "smooth_f64_arch",
-            &p,
-            "grid",
-            &g,
-            &[anx, any, anz],
-            reps.max(30),
-        )
-    };
-    let arch_speedup = [arch_f32, arch_f64]
-        .iter()
-        .flatten()
-        .map(|(_, _, sp)| *sp)
-        .fold(0.0f64, f64::max);
-
     // Lowered reductions: pipelines whose hot path is an update definition,
     // run end-to-end compiled (no `run_update`) against the interpreter.
     let (rw, rh) = if smoke { (96, 64) } else { (256, 192) };
@@ -641,23 +550,8 @@ fn write_report(reps: usize, width: usize, height: usize) {
         d_scalar.as_nanos(),
         d_simd.as_nanos(),
     );
-    let arch_entries = [("smooth_f32_arch", arch_f32), ("smooth_f64_arch", arch_f64)]
-        .iter()
-        .filter_map(|(n, v)| {
-            v.map(|(p, a, _)| {
-                format!(
-                    "    {{\"pipeline\": \"{n}\", \"portable_ns\": {}, \"arch_ns\": {}}}",
-                    p.as_nanos(),
-                    a.as_nanos()
-                )
-            })
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-
     let json = format!(
-        "{{\n  \"benchmark\": \"fig7_interpret_vs_lowered\",\n  \"schedule\": \"stencil_default\",\n  \"image\": [{width}, {height}],\n  \"reps\": {reps},\n  \"results\": [\n{entries}\n  ],\n  \"lane_families\": [\n{lane_families}\n  ],\n  \"reductions\": [\n{reductions}\n  ],\n  \"locality\": [\n{locality}\n  ],\n  \"arch\": [\n{arch_entries}\n  ],\n  \"avx2_detected\": {},\n  \"f32_simd_speedup\": {f32_speedup:.3},\n  \"i64_simd_speedup\": {i64_speedup:.3},\n  \"f64_simd_speedup\": {f64_speedup:.3},\n  \"arch_speedup\": {arch_speedup:.3},\n  \"reduction_speedup\": {reduction_speedup:.3},\n  \"window_speedup\": {window_speedup:.3},\n  \"multi_output_speedup\": {multi_output_speedup:.3}\n}}\n",
-        u8::from(avx2_detected),
+        "{{\n  \"benchmark\": \"fig7_interpret_vs_lowered\",\n  \"schedule\": \"stencil_default\",\n  \"image\": [{width}, {height}],\n  \"reps\": {reps},\n  \"results\": [\n{entries}\n  ],\n  \"lane_families\": [\n{lane_families}\n  ],\n  \"reductions\": [\n{reductions}\n  ],\n  \"locality\": [\n{locality}\n  ],\n  \"f32_simd_speedup\": {f32_speedup:.3},\n  \"i64_simd_speedup\": {i64_speedup:.3},\n  \"f64_simd_speedup\": {f64_speedup:.3},\n  \"reduction_speedup\": {reduction_speedup:.3},\n  \"window_speedup\": {window_speedup:.3},\n  \"multi_output_speedup\": {multi_output_speedup:.3}\n}}\n"
     );
     // Anchor at the workspace root regardless of the bench's working dir.
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_lowering.json");

@@ -120,10 +120,8 @@ impl StageProfile {
 /// each with its sized extents and per-store execution-tier profiles.
 ///
 /// Obtained from [`CompiledPipeline::dry_run`]. The profile reflects
-/// compile-time kernel *selection*; whether a fused kernel actually executes
-/// is gated by the compiled [`Target`]'s tier, and the lane ISA each fused
-/// store will run on is reported per store
-/// ([`StoreProfile::selected_isa`]).
+/// compile-time kernel *selection* under the compiled [`Target`]'s tier: a
+/// Scalar tier executes no fused kernel, so its profiles report none.
 #[derive(Debug, Clone)]
 pub struct PipelineProfile {
     /// Materialized stages in execution order; the last entry is always the

@@ -125,34 +125,26 @@
 //! ±Inf and subnormal float inputs) and extents.
 //!
 //! Backend selection is a [`Target`]: an execution [`Tier`] (pin the fused
-//! tier on or off, or let the runner choose) plus the ISA
-//! [`Feature`](crate::target::Feature)s the fused kernels may exploit. A
-//! target is resolved once at compile time
+//! tier on or off, or let the runner choose), resolved once at compile time
 //! ([`crate::compile::CompileOptions::target`], defaulting to
-//! [`Target::current`] — env pins live in [`Target::from_env`]); its ISA is
-//! [`Isa::Avx2`] only when it carries
-//! [`Feature::Avx2`](crate::target::Feature::Avx2) *and*
-//! `is_x86_feature_detected!("avx2")` confirms it at run time
-//! ([`Target::effective_isa`]). One rule, `kernel_isa`, then decides
-//! whether a kernel's chunks run a hand-written AVX2 evaluator from the
-//! `arch` module: f32/f64 kernels of at most 16 taps do; integer kernels
-//! (fused and reduce) and wider float kernels run the portable lanes. The
-//! rule follows measurements on a 2-core AVX2 Xeon (AVX2-pinned vs
-//! portable-pinned targets, identical bytes; ratio = portable ÷ AVX2 time):
-//! the f32/f64 plan evaluators ran 1.07–2.10× on a 7-tap stencil and
-//! 1.01–1.47× on the `smooth_f32` / `smooth_f64` kernels, but an i32 AVX2
-//! evaluator ran only 0.76–1.02× on a u8 7-tap stencil, the i64 evaluator
-//! 0.59–1.00× on the `hist64` and `norm` kernels, and full-chunk f32/f64
-//! evaluators 0.55–0.98× on a 25-tap stencil, so those are gone (the `arch`
-//! module docs carry the i64 table). The fused dispatcher, the
-//! [`arch_rows_executed`] counter and [`StoreProfile::selected_isa`] all
-//! read that one rule. The portable constant-trip lane loops — one generic
-//! tap loader, chunk store and float evaluator over the lane type
-//! (`LaneConst`), plus the integer evaluator — remain both the fallback and
-//! the bit-exactness oracle. The float arch kernels vectorize only
-//! IEEE-exact single-rounding ops (`Add`/`Sub`/`Mul`/`Div`/`Sqrt`), leaving
-//! `Min`/`Max`/`Cmp` on the scalar reference path because `_mm256_min_ps`
-//! NaN/±0 semantics differ from Rust's.
+//! [`Target::current`] — env pins live in [`Target::from_env`]). There is no
+//! ISA dimension: every fused chunk runs the portable constant-trip lane
+//! loops — one generic tap decoder, chunk store and float evaluator over the
+//! lane type (`LaneConst`), plus the integer evaluator — which the compiler
+//! vectorizes for whatever ISA it targets. Hand-written AVX2 evaluators were
+//! measured against them family by family and deleted; the last, for f32/f64
+//! kernels, lost once the float lanes gained the fused ops below (README's
+//! "ISA selection" has the numbers).
+//!
+//! **Fused float ops.** The float lanes have their own peephole
+//! (`float_peephole`, beside the integer one): a tap or constant that is the
+//! right operand of an arithmetic op fuses into it, a constant × tap product
+//! becomes one push, and adding such a product one accumulate — the float
+//! counterpart of the integer `Axpy`. A sum-of-products stencil thus becomes
+//! one push plus in-place ops, and such accumulator-shaped programs run
+//! without the value stack, each tap streaming from its slice straight into
+//! the running chunk. Every fused op keeps the roundings and operand order of
+//! the ops it replaces (no fused multiply-add), so the bytes are unchanged.
 //!
 //! Since the compile/run split, store compilation happens once in [`prepare`]
 //! (producing an [`ExecPlan`] that the program cache retains — including the
@@ -182,7 +174,7 @@ use crate::realize::RealizeError;
 use crate::stmt::{
     access_contiguous_in, access_invariant_in, value_reads_buffer, AffineIndex, LoopKind, Stmt,
 };
-use crate::target::{Isa, Target, Tier};
+use crate::target::{Target, Tier};
 use crate::types::{ScalarType, Value};
 use std::collections::BTreeMap;
 use std::ops::{AddAssign, DivAssign, MulAssign, SubAssign};
@@ -239,13 +231,6 @@ static WINDOW_ROWS_REUSED: AtomicU64 = AtomicU64::new(0);
 /// observability and tests.
 static MULTI_OUTPUT_NESTS: AtomicU64 = AtomicU64::new(0);
 
-/// Fused interior rows whose chunks executed on a hand-written `core::arch`
-/// ISA path (currently AVX2) instead of the portable lane loops, for
-/// observability and tests — the proof that `kernel_isa` dispatch actually
-/// fires. Counted per row, not per chunk, to keep the atomic off the chunk
-/// hot path.
-static ARCH_ROWS: AtomicU64 = AtomicU64::new(0);
-
 /// Number of innermost-loop rows executed through the fused-kernel interior
 /// path since process start (monotonic; for tests and observability).
 pub fn fused_rows_executed() -> u64 {
@@ -286,12 +271,6 @@ pub fn multi_output_nests_executed() -> u64 {
     MULTI_OUTPUT_NESTS.load(Ordering::Relaxed)
 }
 
-/// Number of fused rows whose chunks ran on a hand-written `core::arch` ISA
-/// path since process start (monotonic; for tests and observability).
-pub fn arch_rows_executed() -> u64 {
-    ARCH_ROWS.load(Ordering::Relaxed)
-}
-
 /// A scoped snapshot of the global execution counters, for tests that assert
 /// exact deltas.
 ///
@@ -318,7 +297,9 @@ pub struct CounterSnapshot {
     pub window_rows_reused: u64,
     /// [`multi_output_nests_executed`] at snapshot time.
     pub multi_output_nests: u64,
-    /// [`arch_rows_executed`] at snapshot time.
+    /// Always 0: every fused chunk runs the portable lanes, so no ISA path
+    /// is left to count. Kept only because the `perfbench` harness still
+    /// reads it.
     pub arch_rows: u64,
 }
 
@@ -332,7 +313,7 @@ impl CounterSnapshot {
             parallel_reduce_merges: parallel_reduce_merges_executed(),
             window_rows_reused: window_rows_reused(),
             multi_output_nests: multi_output_nests_executed(),
-            arch_rows: arch_rows_executed(),
+            arch_rows: 0,
         }
     }
 
@@ -352,7 +333,7 @@ impl CounterSnapshot {
             multi_output_nests: now
                 .multi_output_nests
                 .saturating_sub(self.multi_output_nests),
-            arch_rows: now.arch_rows.saturating_sub(self.arch_rows),
+            arch_rows: 0,
         }
     }
 }
@@ -389,12 +370,20 @@ impl SlotBind {
     }
 
     /// Write `bytes` at `byte_off` without forming a `&mut` over the buffer.
+    ///
+    /// # Panics
+    /// If the write would reach past the buffer's end (store indices are in
+    /// range by loop construction, so this is a bug, never data).
     #[inline]
     fn write(&self, byte_off: usize, bytes: &[u8]) {
-        debug_assert!(byte_off + bytes.len() <= self.byte_len);
-        // SAFETY: in-bounds per the debug assert (store indices are in range
-        // by loop construction); concurrent writers target disjoint ranges
-        // per the module-level invariant.
+        assert!(
+            byte_off <= self.byte_len && bytes.len() <= self.byte_len - byte_off,
+            "raw store of {} bytes at {byte_off} overruns a {}-byte buffer",
+            bytes.len(),
+            self.byte_len
+        );
+        // SAFETY: in bounds per the assert; concurrent writers target
+        // disjoint ranges per the module-level invariant.
         unsafe {
             std::ptr::copy_nonoverlapping(bytes.as_ptr(), self.ptr.add(byte_off), bytes.len());
         }
@@ -666,6 +655,46 @@ enum VOp<C = i32> {
     },
 }
 
+/// Rounding-point arithmetic of the float lanes: `a ∘ b` with one rounding
+/// in the lane type, the left operand first (operand order decides which
+/// NaN payload survives, so every op keeps the reference's order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arith {
+    Add,
+    Sub,
+    Mul,
+    Div,
+}
+
+impl Arith {
+    /// `a[l] = a[l] ∘ b[l]` on every lane.
+    #[inline(always)]
+    fn lanes<L: FloatLane, const W: usize>(self, a: &mut [L; W], b: &[L; W]) {
+        match self {
+            Arith::Add => {
+                for l in 0..W {
+                    a[l] += b[l];
+                }
+            }
+            Arith::Sub => {
+                for l in 0..W {
+                    a[l] -= b[l];
+                }
+            }
+            Arith::Mul => {
+                for l in 0..W {
+                    a[l] *= b[l];
+                }
+            }
+            Arith::Div => {
+                for l in 0..W {
+                    a[l] /= b[l];
+                }
+            }
+        }
+    }
+}
+
 /// One op of a float fused kernel, generic over the lane carrier `C`.
 ///
 /// For `C = f32` (`[f32; W]` lanes) compilation maintains the invariant
@@ -678,21 +707,28 @@ enum VOp<C = i32> {
 /// For `C = f64` (`[f64; W/2]` lanes) no discipline is needed: the reference
 /// evaluator carries floats as `f64`, so the lanes ARE the reference values
 /// and every op is exact by construction.
+///
+/// The last four ops are [`float_peephole`]'s fusions of adjacent
+/// const/load/arithmetic ops, the float counterpart of [`VOp::Axpy`]: a
+/// stencil's taps stream from their slices straight into the running value
+/// instead of each taking a full-chunk pass through the stack. Each fused
+/// op performs the same roundings in the same operand order as the ops it
+/// replaces (no fused multiply-add), so the results are bit-identical,
+/// NaN payloads included — except where two NaNs with different payloads
+/// meet in one op: IEEE 754 leaves that payload unspecified, and the
+/// compiler may commute the operands of `+` and `×` on any tier.
 #[derive(Debug, Clone, PartialEq)]
 enum FOp<C> {
     /// Push a broadcast constant (proven lane-exact at compile time).
     Const(C),
-    /// Push the loop variable at `depth` as f32 lanes (a lane ramp at the
-    /// lane depth; the variable's interval is proven f32-exact).
+    /// Push the loop variable at `depth` as float lanes (a lane ramp at the
+    /// lane depth; the variable's interval is proven lane-exact).
     Var(usize),
-    /// Push tap `tap`'s lanes (f32 loads, or u8/u16 loads converted —
-    /// exactly — to f32).
+    /// Push tap `tap`'s lanes (float loads, or integer loads converted —
+    /// exactly — to the lane type).
     Load(usize),
-    /// Rounding-point arithmetic: one f32 rounding each.
-    Add,
-    Sub,
-    Mul,
-    Div,
+    /// Rounding-point arithmetic on the top two values.
+    Arith(Arith),
     /// Exact selection ops, evaluated in f64 per lane to mirror
     /// [`eval_binop`]'s float branch bit-for-bit (NaN and ±0.0 included).
     Min,
@@ -700,128 +736,42 @@ enum FOp<C> {
     /// Rounding-point square root.
     Sqrt,
     /// Comparison, yielding 1.0/0.0 mask lanes (the reference's 0/1 integers
-    /// are f32-exact).
+    /// are lane-exact).
     Cmp(CmpOp),
     /// `select(cond, t, f)` on three stack values; the condition tests
     /// `lane != 0.0`, which matches `Value::is_true` on the exact value.
     Sel,
+    /// Push the product of tap `tap` and `c`: `c · tap` when `c_first`
+    /// (from `Const(c), Load(tap), Arith(Mul)`), else `tap · c` (from
+    /// `Load(tap), Const(c), Arith(Mul)`).
+    PushMul {
+        tap: usize,
+        c: C,
+        c_first: bool,
+    },
+    /// `top + product`, from `PushMul` then `Arith(Add)`.
+    AccAddMul {
+        tap: usize,
+        c: C,
+        c_first: bool,
+    },
+    /// `top ∘ tap`, from `Load(tap), Arith(∘)`.
+    AccLoad(Arith, usize),
+    /// `top ∘ c`, from `Const(c), Arith(∘)`.
+    AccConst(Arith, C),
 }
 
-/// One op of a float fused kernel's **arch plan**: the [`FOp`] stream with
-/// adjacent const/load/arithmetic patterns pre-fused at kernel-build time,
-/// consumed only by the hand-written AVX2 evaluators (the `arch` module).
-/// The portable evaluators never read it — they stay the oracle.
-///
-/// Why it exists: the integer families fuse their multiply-accumulate spine
-/// into [`VOp::Axpy`], but float programs carry each `Const`/`Load`/`Mul`/
-/// `Add` as a separate full-chunk pass through the stack arrays. A 7-tap
-/// stencil pays ~13 such passes per chunk. The fused plan ops below let the
-/// AVX2 path touch each tap exactly once, in registers, streaming full-width
-/// contiguous taps straight from the bound buffer.
-///
-/// **Exactness.** Every fused op performs the same roundings in the same
-/// operand order as the ops it replaces (`PushCMulLoad` = one `c * tap`
-/// rounding, `AccAddCMulLoad` = that plus one `acc + _` rounding, etc.), so
-/// the plan is bit-identical to the `FOp` stream by construction — including
-/// NaN payload propagation, which on x86 follows operand order. Net stack
-/// effect of each rewrite is preserved, so passthrough ops ([`AOp::Op`])
-/// observe exactly the stack the portable evaluator would.
-#[derive(Debug, Clone, PartialEq)]
-enum AOp<C> {
-    /// Passthrough: the original op, executed by the generic arch body.
-    Op(FOp<C>),
-    /// Push `c * tap` (from `Const(c), Load(t), Mul`).
-    PushCMulLoad {
-        tap: usize,
-        c: C,
-    },
-    /// Push `tap * c` (from `Load(t), Const(c), Mul`).
-    PushLoadMulC {
-        tap: usize,
-        c: C,
-    },
-    /// `top = top + c * tap` (from `PushCMulLoad, Add`).
-    AccAddCMulLoad {
-        tap: usize,
-        c: C,
-    },
-    /// `top = top + tap * c` (from `PushLoadMulC, Add`).
-    AccAddLoadMulC {
-        tap: usize,
-        c: C,
-    },
-    /// `top = top OP tap` (from `Load(t), Add/Sub/Mul/Div`).
-    AccAddLoad(usize),
-    AccSubLoad(usize),
-    AccMulLoad(usize),
-    AccDivLoad(usize),
-    /// `top = top OP c` (from `Const(c), Add/Sub/Mul/Div`).
-    AccAddC(C),
-    AccSubC(C),
-    AccMulC(C),
-    AccDivC(C),
-}
-
-/// Pre-fuse a float op stream into its arch plan (see [`AOp`]). Each rewrite
-/// consumes only ops whose operands are adjacent on the virtual stack, so
-/// adjacency in the emitted plan proves the operands — no symbolic stack
-/// simulation is needed.
-fn build_arch_plan<C: Copy>(ops: &[FOp<C>]) -> Vec<AOp<C>> {
-    let mut plan: Vec<AOp<C>> = Vec::with_capacity(ops.len());
-    for op in ops {
-        let fused = match op {
-            FOp::Mul => match &plan[..] {
-                [.., AOp::Op(FOp::Const(c)), AOp::Op(FOp::Load(t))] => {
-                    Some((2, AOp::PushCMulLoad { tap: *t, c: *c }))
-                }
-                [.., AOp::Op(FOp::Load(t)), AOp::Op(FOp::Const(c))] => {
-                    Some((2, AOp::PushLoadMulC { tap: *t, c: *c }))
-                }
-                [.., AOp::Op(FOp::Const(c))] => Some((1, AOp::AccMulC(*c))),
-                [.., AOp::Op(FOp::Load(t))] => Some((1, AOp::AccMulLoad(*t))),
-                _ => None,
-            },
-            FOp::Add => match &plan[..] {
-                [.., AOp::PushCMulLoad { tap, c }] => {
-                    Some((1, AOp::AccAddCMulLoad { tap: *tap, c: *c }))
-                }
-                [.., AOp::PushLoadMulC { tap, c }] => {
-                    Some((1, AOp::AccAddLoadMulC { tap: *tap, c: *c }))
-                }
-                [.., AOp::Op(FOp::Const(c))] => Some((1, AOp::AccAddC(*c))),
-                [.., AOp::Op(FOp::Load(t))] => Some((1, AOp::AccAddLoad(*t))),
-                _ => None,
-            },
-            FOp::Sub => match &plan[..] {
-                [.., AOp::Op(FOp::Const(c))] => Some((1, AOp::AccSubC(*c))),
-                [.., AOp::Op(FOp::Load(t))] => Some((1, AOp::AccSubLoad(*t))),
-                _ => None,
-            },
-            FOp::Div => match &plan[..] {
-                [.., AOp::Op(FOp::Const(c))] => Some((1, AOp::AccDivC(*c))),
-                [.., AOp::Op(FOp::Load(t))] => Some((1, AOp::AccDivLoad(*t))),
-                _ => None,
-            },
-            _ => None,
-        };
-        match fused {
-            Some((consumed, aop)) => {
-                plan.truncate(plan.len() - consumed);
-                plan.push(aop);
-            }
-            None => plan.push(AOp::Op(op.clone())),
-        }
+impl<C> FOp<C> {
+    /// Whether the op rewrites the top value in place (stack depth
+    /// unchanged). A program of one push followed by such ops only is
+    /// accumulator-shaped — every sum-of-products stencil after the
+    /// peephole — and evaluates without a stack.
+    fn in_place(&self) -> bool {
+        matches!(
+            self,
+            FOp::Sqrt | FOp::AccAddMul { .. } | FOp::AccLoad(..) | FOp::AccConst(..)
+        )
     }
-    plan
-}
-
-/// The pre-built arch plan of a [`FusedKernel`], by lane family. Integer
-/// programs carry none — their hot spine is already fused as [`VOp::Axpy`].
-#[derive(Debug, Clone, PartialEq)]
-enum ArchPlan {
-    Int,
-    F32(Vec<AOp<f32>>),
-    F64(Vec<AOp<f64>>),
 }
 
 /// The lane program of a fused kernel, tagging which lane family it runs on.
@@ -874,12 +824,6 @@ pub struct StoreProfile {
     /// Whether the store admits privatize-then-merge deferred accumulation
     /// under a [`crate::stmt::LoopKind::ParallelReduce`] nest.
     pub parallel_reduce: bool,
-    /// The instruction-set family the store's fused chunks will execute on
-    /// under the profiled [`Target`]: [`Isa::Avx2`] only for f32/f64 kernels
-    /// of at most 16 taps on a target that resolves AVX2, else
-    /// [`Isa::Portable`] (always for integer, reduce and unfused stores —
-    /// their tiers have no arch paths).
-    pub selected_isa: Isa,
 }
 
 /// Per-lane-family fused-kernel counts of an [`ExecPlan`], for observability,
@@ -908,9 +852,6 @@ impl FusedStoreCounts {
 #[derive(Debug, Clone, PartialEq)]
 struct FusedKernel {
     prog: LaneProgram,
-    /// Pre-fused float op stream for the AVX2 evaluators (see [`AOp`]);
-    /// [`ArchPlan::Int`] for the integer families.
-    arch_plan: ArchPlan,
     taps: Vec<TapAccess>,
     /// Output slot (dimension 0 is contiguous in the lane variable).
     out_slot: usize,
@@ -1340,14 +1281,8 @@ impl FusedBuilder<'_> {
         if taps.iter().any(|t| t.slot == self.out_slot) {
             return None;
         }
-        let arch_plan = match &prog {
-            LaneProgram::F32(ops) => ArchPlan::F32(build_arch_plan(ops)),
-            LaneProgram::F64(ops) => ArchPlan::F64(build_arch_plan(ops)),
-            _ => ArchPlan::Int,
-        };
         Some(FusedKernel {
             prog,
-            arch_plan,
             taps,
             out_slot: self.out_slot,
             out_ty,
@@ -1759,10 +1694,10 @@ impl FusedBuilder<'_> {
             Expr::Cast(..) => None,
             Expr::Binary(op, a, b) => {
                 let fop = match op {
-                    BinOp::Add if rounding => FOp::Add,
-                    BinOp::Sub if rounding => FOp::Sub,
-                    BinOp::Mul if rounding => FOp::Mul,
-                    BinOp::Div if rounding => FOp::Div,
+                    BinOp::Add if rounding => FOp::Arith(Arith::Add),
+                    BinOp::Sub if rounding => FOp::Arith(Arith::Sub),
+                    BinOp::Mul if rounding => FOp::Arith(Arith::Mul),
+                    BinOp::Div if rounding => FOp::Arith(Arith::Div),
                     // Selection of one exact operand needs no rounding
                     // point (evaluated in f64 per lane to match eval_binop
                     // on NaN and ±0.0).
@@ -1905,9 +1840,11 @@ macro_rules! lane_const {
         peephole(&mut $out.ops);
         Some(())
     }};
-    (@fuse FOp, $b:ident, $value:ident, $out:ident) => {
-        $b.fuse_float($value, true, $out).map(drop)
-    };
+    (@fuse FOp, $b:ident, $value:ident, $out:ident) => {{
+        $b.fuse_float($value, true, $out)?;
+        float_peephole(&mut $out.ops);
+        Some(())
+    }};
     ($($t:ty: $family:ident $op:ident, exact $exact:literal, ints $ints:expr,
        wneg $wneg:expr, bits $to_bits:expr, sqrt $sqrt:expr;)*) => {$(
         impl LaneConst for $t {
@@ -2040,6 +1977,56 @@ fn try_fold_additive<C: LaneConst>(out: &mut Vec<VOp<C>>, negate: bool) -> bool 
         });
     }
     true
+}
+
+/// The float counterpart of [`peephole`]: fuse each constant or tap that
+/// is the right operand of an arithmetic op into that op (see [`FOp`]).
+/// Float lanes cannot reassociate, so unlike the integer fold this only
+/// merges ops that are adjacent on the stack: a `Const`/`Load` pushed just
+/// before the op that consumes it, and a tap product consumed by the `Add`
+/// right after it. Each rewrite keeps the consumed ops' roundings and
+/// operand order, and the net stack effect of the ops it replaces.
+fn float_peephole<C: Copy>(ops: &mut Vec<FOp<C>>) {
+    let mut out: Vec<FOp<C>> = Vec::with_capacity(ops.len());
+    for op in ops.drain(..) {
+        let fused = match (&op, &out[..]) {
+            (FOp::Arith(Arith::Mul), [.., FOp::Const(c), FOp::Load(t)]) => Some((
+                2,
+                FOp::PushMul {
+                    tap: *t,
+                    c: *c,
+                    c_first: true,
+                },
+            )),
+            (FOp::Arith(Arith::Mul), [.., FOp::Load(t), FOp::Const(c)]) => Some((
+                2,
+                FOp::PushMul {
+                    tap: *t,
+                    c: *c,
+                    c_first: false,
+                },
+            )),
+            (FOp::Arith(Arith::Add), [.., FOp::PushMul { tap, c, c_first }]) => Some((
+                1,
+                FOp::AccAddMul {
+                    tap: *tap,
+                    c: *c,
+                    c_first: *c_first,
+                },
+            )),
+            (FOp::Arith(a), [.., FOp::Const(c)]) => Some((1, FOp::AccConst(*a, *c))),
+            (FOp::Arith(a), [.., FOp::Load(t)]) => Some((1, FOp::AccLoad(*a, *t))),
+            _ => None,
+        };
+        match fused {
+            Some((consumed, f)) => {
+                out.truncate(out.len() - consumed);
+                out.push(f);
+            }
+            None => out.push(op),
+        }
+    }
+    *ops = out;
 }
 
 // ---------------------------------------------------------------------------
@@ -2426,11 +2413,6 @@ struct Runner<'a> {
     params: &'a BTreeMap<String, Value>,
     /// The execution tier of the resolved [`Target`].
     tier: Tier,
-    /// The target ISA resolved once per run via [`Target::effective_isa`]:
-    /// [`Isa::Avx2`] only when the target carries the feature *and* the
-    /// running CPU reports it, which is what makes the `arch` dispatch sound.
-    /// Each kernel narrows it through [`kernel_isa`].
-    isa: Isa,
 }
 
 /// Derive the in-range interior `[lo, hi]` (inclusive) of one innermost-loop
@@ -2843,7 +2825,6 @@ impl Runner<'_> {
         }
 
         let w = fused.chunk_width(width);
-        let isa = kernel_isa(fused.family(), fused.taps.len(), self.isa);
         // Pre-peel (clamped border), full-width interior chunks, the fused
         // tail chunk, then the post-peel.
         self.general_range(
@@ -2861,7 +2842,6 @@ impl Runner<'_> {
                 lane_depth,
                 binds,
                 vars,
-                isa,
             );
             x += w as i64;
         }
@@ -2884,7 +2864,6 @@ impl Runner<'_> {
                     lane_depth,
                     binds,
                     vars,
-                    isa,
                 );
             } else {
                 // Masked final chunk: load and store only the `rem` provably
@@ -2901,7 +2880,6 @@ impl Runner<'_> {
                     lane_depth,
                     binds,
                     vars,
-                    isa,
                 );
             }
             x = hi + 1;
@@ -2912,9 +2890,6 @@ impl Runner<'_> {
         )?;
         if x > lo {
             FUSED_ROWS.fetch_add(1, Ordering::Relaxed);
-            if isa == Isa::Avx2 {
-                ARCH_ROWS.fetch_add(1, Ordering::Relaxed);
-            }
         }
         Ok(())
     }
@@ -4123,13 +4098,8 @@ fn run_program(
 // Fused-kernel execution
 // ---------------------------------------------------------------------------
 
-/// Load one tap's lanes for the chunk at lane-variable value `x`, each
-/// element converted to the lane type as [`LaneConst`] describes. `n` is the
-/// number of in-range lanes (in bounds by the interior derivation in
-/// `run_fused_loop`): full chunks (`n == W`) use constant-trip slice loops
-/// LLVM turns into vector loads; masked tails (`n < W`) read only the
-/// in-range prefix and zero-fill the rest (the lanes are discarded at the
-/// store).
+/// Load one tap's lanes for the chunk at lane-variable value `x` (see
+/// [`stream_tap`]); lanes past `n` are zero.
 #[inline]
 fn load_tap<L: LaneConst, const W: usize>(
     tap: &TapAccess,
@@ -4138,69 +4108,97 @@ fn load_tap<L: LaneConst, const W: usize>(
     n: usize,
     binds: &BindTable,
 ) -> [L; W] {
-    let data = binds.0[tap.slot].as_ref().expect("tap source bound").data();
     let mut out = [L::default(); W];
+    stream_tap::<L, W>(tap, base, x, n, binds, |l, v| out[l] = v);
+    out
+}
+
+/// Feed one tap's lanes for the chunk at lane-variable value `x` to
+/// `f(lane, value)`, each element converted to the lane type as
+/// [`LaneConst`] describes: the per-type decoder behind [`load_tap`], which
+/// the float accumulate ops also stream through, so a tap goes from its
+/// slice straight into the op that consumes it. `n` is the number of
+/// in-range lanes (in bounds by the interior derivation in
+/// `run_fused_loop`): full chunks (`n == W`) use constant-trip slice loops
+/// LLVM turns into vector loads; masked tails (`n < W`) visit only the
+/// in-range prefix (the other lanes are discarded at the store).
+#[inline(always)]
+fn stream_tap<L: LaneConst, const W: usize>(
+    tap: &TapAccess,
+    base: i64,
+    x: i64,
+    n: usize,
+    binds: &BindTable,
+    mut f: impl FnMut(usize, L),
+) {
+    let data = binds.0[tap.slot].as_ref().expect("tap source bound").data();
     let off = (base + x) as usize;
     match tap.lane {
-        TapLane::Broadcast => out = [read_elem(tap.ty, data, base as usize); W],
+        TapLane::Broadcast => {
+            let v = read_elem(tap.ty, data, base as usize);
+            for l in 0..W {
+                f(l, v);
+            }
+        }
         // Each arm slices with its constant element size, so LLVM sees the
         // slice length and drops the per-lane bounds checks.
         TapLane::Contiguous if n >= W => match tap.ty {
             ScalarType::UInt8 => {
-                let src = &data[off..off + W];
-                for l in 0..W {
-                    out[l] = L::from_i64(src[l] as i64);
+                for (l, &b) in data[off..off + W].iter().enumerate() {
+                    f(l, L::from_i64(b as i64));
                 }
             }
             ScalarType::UInt16 => {
                 let src = &data[off * 2..off * 2 + W * 2];
                 for l in 0..W {
-                    out[l] = L::from_i64(u16::from_le_bytes([src[2 * l], src[2 * l + 1]]) as i64);
+                    f(
+                        l,
+                        L::from_i64(u16::from_le_bytes([src[2 * l], src[2 * l + 1]]) as i64),
+                    );
                 }
             }
             ScalarType::UInt32 => {
                 let src = &data[off * 4..off * 4 + W * 4];
                 for l in 0..W {
                     let b = src[4 * l..4 * l + 4].try_into().expect("4 bytes");
-                    out[l] = L::from_i64(u32::from_le_bytes(b) as i64);
+                    f(l, L::from_i64(u32::from_le_bytes(b) as i64));
                 }
             }
             ScalarType::Int32 => {
                 let src = &data[off * 4..off * 4 + W * 4];
                 for l in 0..W {
                     let b = src[4 * l..4 * l + 4].try_into().expect("4 bytes");
-                    out[l] = L::from_i64(i32::from_le_bytes(b) as i64);
+                    f(l, L::from_i64(i32::from_le_bytes(b) as i64));
                 }
             }
             ScalarType::UInt64 => {
                 let src = &data[off * 8..off * 8 + W * 8];
                 for l in 0..W {
                     let b = src[8 * l..8 * l + 8].try_into().expect("8 bytes");
-                    out[l] = L::from_i64(u64::from_le_bytes(b) as i64);
+                    f(l, L::from_i64(u64::from_le_bytes(b) as i64));
                 }
             }
             ScalarType::Float32 => {
                 let src = &data[off * 4..off * 4 + W * 4];
                 for l in 0..W {
                     let b = src[4 * l..4 * l + 4].try_into().expect("4 bytes");
-                    out[l] = L::from_f32(f32::from_le_bytes(b));
+                    f(l, L::from_f32(f32::from_le_bytes(b)));
                 }
             }
             ScalarType::Float64 => {
                 let src = &data[off * 8..off * 8 + W * 8];
                 for l in 0..W {
                     let b = src[8 * l..8 * l + 8].try_into().expect("8 bytes");
-                    out[l] = L::from_f64(f64::from_le_bytes(b));
+                    f(l, L::from_f64(f64::from_le_bytes(b)));
                 }
             }
         },
         TapLane::Contiguous => {
-            for (l, lane) in out.iter_mut().enumerate().take(n) {
-                *lane = read_elem(tap.ty, data, off + l);
+            for l in 0..n.min(W) {
+                f(l, read_elem(tap.ty, data, off + l));
             }
         }
     }
-    out
 }
 
 /// Element `i` of a `ty` buffer as a lane value (see [`load_tap`]).
@@ -4267,30 +4265,10 @@ fn store_chunk<L: LaneConst, const W: usize>(
     bind.write((out_base + x) as usize * eb, &tmp[..n * eb]);
 }
 
-/// Most taps the AVX2 plan evaluators stage per chunk (the length of their
-/// per-tap pointer and array tables).
-const A_TAPS: usize = 16;
-
-/// The ISA one fused kernel's chunks execute on, given the run's
-/// [`Target::effective_isa`] — the rule of the module docs: AVX2 only for
-/// f32/f64 kernels of at most [`A_TAPS`] taps, whose plan evaluators
-/// measured faster than the portable lanes. Integer kernels, and reduce
-/// kernels with them, always run the portable lanes. This is the one
-/// decision point: the fused dispatcher, the [`arch_rows_executed`] counter
-/// and [`StoreProfile::selected_isa`] all read it, so they cannot disagree.
-fn kernel_isa(family: LaneFamily, taps: usize, target_isa: Isa) -> Isa {
-    match family {
-        LaneFamily::F32 | LaneFamily::F64 if taps <= A_TAPS => target_isa,
-        _ => Isa::Portable,
-    }
-}
-
 /// Route one chunk to the monomorphized evaluator of the kernel's lane
 /// family and chunk width, then store it. `w` is the chunk width
 /// (`fused.chunk_width`); `n ≤ w` is the number of lanes to load and store
-/// (`n < w` only for masked tails). `isa` is the kernel's [`kernel_isa`]:
-/// [`Isa::Avx2`] routes the chunk through the `arch` module (bit-identical
-/// to the portable evaluators; see the module docs).
+/// (`n < w` only for masked tails).
 #[allow(clippy::too_many_arguments)]
 fn dispatch_fused_chunk(
     fused: &FusedKernel,
@@ -4302,21 +4280,7 @@ fn dispatch_fused_chunk(
     lane_depth: usize,
     binds: &BindTable,
     vars: &[i64],
-    isa: Isa,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if isa == Isa::Avx2 {
-        // SAFETY: `Isa::Avx2` is only produced by `Target::effective_isa`
-        // after `is_x86_feature_detected!("avx2")` succeeded on this CPU,
-        // and `kernel_isa` passes it on only for the families `arch` serves.
-        unsafe {
-            return arch::dispatch_fused_chunk_avx2(
-                fused, x, w, n, tap_bases, out_base, lane_depth, binds, vars,
-            );
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = isa;
     macro_rules! run {
         ($eval:expr, $ops:expr) => {{
             let lanes = $eval($ops, &fused.taps, x, n, tap_bases, lane_depth, binds, vars);
@@ -4570,7 +4534,6 @@ tree_sum!(tree_sum_i64, i64);
 /// Evaluate one chunk of a reduction kernel's `g` and tree-reduce its first
 /// `n` lanes, returning the partial sum as an `i64` (for the i32 family the
 /// value is the sum mod `2^32`, which is all its ≤ 32-bit accumulator needs).
-/// Reduce kernels always run the portable lanes (see [`kernel_isa`]).
 fn dispatch_reduce_chunk(
     rk: &ReduceKernel,
     x: i64,
@@ -4599,14 +4562,23 @@ fn dispatch_reduce_chunk(
     }
 }
 
+/// The bounds of a float lane carrier: `f32` or `f64` with its in-place
+/// arithmetic.
+trait FloatLane: LaneConst + AddAssign + SubAssign + MulAssign + DivAssign {}
+
+impl<L: LaneConst + AddAssign + SubAssign + MulAssign + DivAssign> FloatLane for L {}
+
 /// Evaluate one float kernel chunk on `[f32; W]` or `[f64; W/2]` lanes.
 /// Arithmetic ops round once in the lane type (on f32 lanes they are only
 /// emitted at reference rounding points; on f64 lanes they are the reference
 /// ops), and Min/Max evaluate through f64 per lane to replicate
 /// [`eval_binop`]'s float branch bit-for-bit (a no-op widening on f64
-/// lanes). Lanes beyond `n` are unspecified, as for the integer families.
+/// lanes). Taps stream through [`stream_tap`] into the op that consumes
+/// them. Accumulator-shaped programs ([`FOp::in_place`]) keep their one
+/// running chunk out of the stack, which then is never built. Lanes beyond
+/// `n` are unspecified, as for the integer families.
 #[allow(clippy::too_many_arguments)]
-fn eval_chunk_float<L, const W: usize>(
+fn eval_chunk_float<L: FloatLane, const W: usize>(
     ops: &[FOp<L>],
     taps: &[TapAccess],
     x: i64,
@@ -4615,64 +4587,107 @@ fn eval_chunk_float<L, const W: usize>(
     lane_depth: usize,
     binds: &BindTable,
     vars: &[i64],
-) -> [L; W]
-where
-    L: LaneConst + AddAssign + SubAssign + MulAssign + DivAssign,
-{
+) -> [L; W] {
+    // Stream tap `t`'s lanes into `f(lane, value)`.
+    macro_rules! stream {
+        ($t:expr, $f:expr) => {
+            stream_tap::<L, W>(&taps[$t], tap_bases[$t], x, n, binds, $f)
+        };
+    }
+    // The chunk a push op puts on the stack (`None` for the other ops). A
+    // macro rather than a closure, so both call sites expand inline.
+    macro_rules! push {
+        ($op:expr) => {
+            match $op {
+                FOp::Const(v) => Some([*v; W]),
+                // Exact: the variable's interval was proven within the lane
+                // type's exact integer range.
+                FOp::Var(depth) if *depth == lane_depth => {
+                    Some(std::array::from_fn(|l| L::from_i64(x + l as i64)))
+                }
+                FOp::Var(depth) => Some([L::from_i64(vars[*depth]); W]),
+                FOp::Load(t) => Some(load_tap::<L, W>(&taps[*t], tap_bases[*t], x, n, binds)),
+                FOp::PushMul { tap, c, c_first } => {
+                    let (c, mut out) = (*c, [*c; W]);
+                    if *c_first {
+                        stream!(*tap, |l, v| out[l] *= v);
+                    } else {
+                        stream!(*tap, |l, mut v: L| {
+                            v *= c;
+                            out[l] = v;
+                        });
+                    }
+                    Some(out)
+                }
+                _ => None,
+            }
+        };
+    }
+    // Apply an in-place op (see [`FOp::in_place`]) to the top chunk.
+    macro_rules! in_place {
+        ($op:expr, $top:expr) => {{
+            let top: &mut [L; W] = $top;
+            match $op {
+                FOp::Sqrt => {
+                    for l in top.iter_mut() {
+                        *l = l.sqrt();
+                    }
+                }
+                FOp::AccAddMul { tap, c, c_first } => {
+                    let c = *c;
+                    if *c_first {
+                        stream!(*tap, |l, v| {
+                            let mut p = c;
+                            p *= v;
+                            top[l] += p;
+                        });
+                    } else {
+                        stream!(*tap, |l, mut v: L| {
+                            v *= c;
+                            top[l] += v;
+                        });
+                    }
+                }
+                FOp::AccLoad(a, t) => match a {
+                    Arith::Add => stream!(*t, |l, v| top[l] += v),
+                    Arith::Sub => stream!(*t, |l, v| top[l] -= v),
+                    Arith::Mul => stream!(*t, |l, v| top[l] *= v),
+                    Arith::Div => stream!(*t, |l, v| top[l] /= v),
+                },
+                FOp::AccConst(a, c) => a.lanes(top, &[*c; W]),
+                _ => unreachable!("not an in-place op"),
+            }
+        }};
+    }
+    if let [first, rest @ ..] = ops {
+        if rest.iter().all(FOp::in_place) {
+            if let Some(mut acc) = push!(first) {
+                for op in rest {
+                    in_place!(op, &mut acc);
+                }
+                return acc;
+            }
+        }
+    }
     let mut st = [[L::default(); W]; V_STACK];
     let mut sp = 0usize;
     for op in ops {
+        if let Some(v) = push!(op) {
+            st[sp] = v;
+            sp += 1;
+            continue;
+        }
+        if op.in_place() {
+            in_place!(op, &mut st[sp - 1]);
+            continue;
+        }
         match op {
-            FOp::Const(v) => {
-                st[sp] = [*v; W];
-                sp += 1;
-            }
-            FOp::Var(depth) => {
-                if *depth == lane_depth {
-                    for (l, lane) in st[sp].iter_mut().enumerate() {
-                        // Exact: the variable's interval was proven within
-                        // the lane type's exact integer range.
-                        *lane = L::from_i64(x + l as i64);
-                    }
-                } else {
-                    st[sp] = [L::from_i64(vars[*depth]); W];
-                }
-                sp += 1;
-            }
-            FOp::Load(t) => {
-                st[sp] = load_tap::<L, W>(&taps[*t], tap_bases[*t], x, n, binds);
-                sp += 1;
-            }
-            FOp::Sqrt => {
-                for l in &mut st[sp - 1] {
-                    *l = l.sqrt();
-                }
-            }
-            FOp::Add | FOp::Sub | FOp::Mul | FOp::Div | FOp::Min | FOp::Max | FOp::Cmp(_) => {
+            FOp::Arith(_) | FOp::Min | FOp::Max | FOp::Cmp(_) => {
                 let (head, tail) = st.split_at_mut(sp - 1);
                 let a = &mut head[sp - 2];
                 let b = &tail[0];
                 match op {
-                    FOp::Add => {
-                        for l in 0..W {
-                            a[l] += b[l];
-                        }
-                    }
-                    FOp::Sub => {
-                        for l in 0..W {
-                            a[l] -= b[l];
-                        }
-                    }
-                    FOp::Mul => {
-                        for l in 0..W {
-                            a[l] *= b[l];
-                        }
-                    }
-                    FOp::Div => {
-                        for l in 0..W {
-                            a[l] /= b[l];
-                        }
-                    }
+                    FOp::Arith(op) => op.lanes(a, b),
                     FOp::Min => {
                         for l in 0..W {
                             a[l] = L::from_f64(a[l].to_f64().min(b[l].to_f64()));
@@ -4701,6 +4716,7 @@ where
                 }
                 sp -= 2;
             }
+            _ => unreachable!("push and in-place ops are handled above"),
         }
     }
     debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
@@ -4717,509 +4733,6 @@ fn cmp_lanes<T: PartialOrd>(op: CmpOp, x: T, y: T) -> i32 {
         CmpOp::Gt => x > y,
         CmpOp::Ge => x >= y,
     }) as i32
-}
-
-// ---------------------------------------------------------------------------
-// Hand-written AVX2 chunk evaluators (`core::arch::x86_64`)
-// ---------------------------------------------------------------------------
-
-/// Explicit AVX2 chunk evaluators: the f32/f64 plan evaluators, for kernels
-/// of at most [`A_TAPS`] taps — the one family that measured faster than the
-/// portable lanes. [`dispatch_fused_chunk`] routes a kernel here when
-/// [`kernel_isa`] selects [`Isa::Avx2`] for it. On a 2-core AVX2 Xeon
-/// (medians of 15, AVX2-pinned vs portable-pinned targets) the plan
-/// evaluators ran 1.07–2.10× on a 7-tap stencil. AVX2 evaluators for the
-/// other families did not beat the portable lanes and were deleted: i32
-/// kernels ran 0.76–1.02× on a u8 7-tap stencil, full-chunk float kernels
-/// 0.55–0.98× on a 25-tap one, and the `[i64; W/2]` evaluator and
-/// tree-reduce as below. There, ratio = portable time ÷ AVX2 time (above 1
-/// means AVX2 is faster), from medians of 9 interleaved rounds of 7 runs with
-/// identical bytes; "tiled v8" is `Schedule::stencil_default()`:
-///
-/// | kernel | serial v8 | serial v16 | serial v32 | tiled v8 | tiled v16 | tiled v32 |
-/// |---|---|---|---|---|---|---|
-/// | hist64 1024×768 (i64 store) | 0.95 | 0.59 | 0.93 | 1.00 | 0.98 | 0.93 |
-/// | norm 128×128×48 (i64 store + reduce) | 0.90 | 0.94 | 0.92 | 0.97 | 0.98 | 0.96 |
-/// | smooth_f32 128×128×108 | 1.03 | 1.10 | 1.47 | 1.03 | 1.11 | 1.24 |
-/// | smooth_f64 128×128×54 | 1.05 | 1.06 | 1.42 | 1.01 | 1.10 | 1.30 |
-///
-/// The portable lane loops above remain the oracle; everything here must be
-/// — and per `tests/prop_simd.rs` is — **bit-identical** to them. The plan
-/// evaluators vectorize exactly the IEEE-exact single-rounding ops
-/// (`Add`/`Sub`/`Mul`/`Div`/`Sqrt` — one rounding per op on both paths, so
-/// `_mm256_*_ps/pd` are bit-identical by IEEE 754). `Min`/`Max`/`Cmp`/`Sel`
-/// keep the portable scalar bodies: `_mm256_min_ps` resolves NaN and ±0
-/// operands differently from the reference's `f64::min`, and the
-/// differential matrix includes NaN inputs. Taps that cannot stream straight
-/// from the buffer materialize through the portable [`load_tap`], and chunks
-/// store through the portable [`store_chunk`]: stack arrays keep masked
-/// tails from ever issuing an out-of-bounds vector load.
-///
-/// SAFETY: every `#[target_feature(enable = "avx2")]` fn below must only be
-/// reached via [`Isa::Avx2`], which `Target::effective_isa` returns only
-/// after `is_x86_feature_detected!("avx2")` succeeded in this process.
-#[cfg(target_arch = "x86_64")]
-mod arch {
-    use super::*;
-    use std::arch::x86_64::*;
-
-    /// One register-width tap load for the plan evaluators: streamed straight
-    /// from the buffer when the chunk staging proved the direct pointer, else
-    /// from the materialized array (written by the staging loop exactly when
-    /// the pointer is null — the `MaybeUninit` is initialized on that path).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn tap_vec_f32<const W: usize>(
-        ptrs: &[*const f32; A_TAPS],
-        arrs: &[core::mem::MaybeUninit<[f32; W]>; A_TAPS],
-        t: usize,
-        o: usize,
-    ) -> __m256 {
-        if ptrs[t].is_null() {
-            _mm256_loadu_ps(arrs[t].assume_init_ref().as_ptr().add(o))
-        } else {
-            _mm256_loadu_ps(ptrs[t].add(o))
-        }
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn tap_vec_f64<const W: usize>(
-        ptrs: &[*const f64; A_TAPS],
-        arrs: &[core::mem::MaybeUninit<[f64; W]>; A_TAPS],
-        t: usize,
-        o: usize,
-    ) -> __m256d {
-        if ptrs[t].is_null() {
-            _mm256_loadu_pd(arrs[t].assume_init_ref().as_ptr().add(o))
-        } else {
-            _mm256_loadu_pd(ptrs[t].add(o))
-        }
-    }
-
-    /// Generate one plan evaluator (see [`AOp`]): the float fused kernel as
-    /// a register-resident stack machine. Taps are staged once per chunk —
-    /// full-width contiguous taps of the native element type stream straight
-    /// from the bound buffer, everything else materializes through the shared
-    /// tap loader — then each register-width block runs the whole pre-fused
-    /// plan in `__m256` registers, touching memory only for tap loads and the
-    /// final store. This is where the arch tier earns its keep over the
-    /// portable lane programs: a k-tap stencil does k loads and ~2k register
-    /// ops per block instead of ~2k full-chunk passes through stack arrays.
-    ///
-    /// Exactness: every body performs the identical roundings in the
-    /// identical operand order as the portable evaluator (`AOp`'s contract);
-    /// `Min`/`Max`/`Cmp`/`Sel` spill to lanes and reuse the scalar bodies.
-    macro_rules! plan_eval {
-        ($name:ident, $elem:ty, $vec:ty, $vw:literal, $set1:ident, $loadu:ident,
-         $storeu:ident, $zero:ident, $add:ident, $sub:ident, $mul:ident,
-         $div:ident, $sqrt:ident, $direct_ty:pat, $esize:literal,
-         $minmax:expr, $tap_vec:ident) => {
-            #[target_feature(enable = "avx2")]
-            #[allow(clippy::too_many_arguments)]
-            unsafe fn $name<const W: usize>(
-                plan: &[AOp<$elem>],
-                taps: &[TapAccess],
-                x: i64,
-                n: usize,
-                tap_bases: &[i64],
-                lane_depth: usize,
-                binds: &BindTable,
-                vars: &[i64],
-            ) -> [$elem; W] {
-                // Stage every tap once. A null pointer means "use the
-                // materialized array"; a non-null one streams loads directly
-                // from the bound buffer bytes (valid: the `get` proved
-                // `W * size` bytes in range, and x86 loads are little-endian
-                // like the portable byte decoder). The arrays stay
-                // uninitialized unless their tap actually materializes —
-                // zero-filling A_TAPS chunk-wide arrays per chunk would cost
-                // more than the kernel itself.
-                let mut ptrs = [core::ptr::null::<$elem>(); A_TAPS];
-                let mut arrs = [const { core::mem::MaybeUninit::<[$elem; W]>::uninit() }; A_TAPS];
-                for (t, tap) in taps.iter().enumerate() {
-                    let mut direct = None;
-                    if matches!(tap.lane, TapLane::Contiguous)
-                        && matches!(tap.ty, $direct_ty)
-                        && n >= W
-                    {
-                        let bind = binds.0[tap.slot].as_ref().expect("tap source bound");
-                        let data = bind.data();
-                        direct = usize::try_from(tap_bases[t] + x)
-                            .ok()
-                            .and_then(|o| o.checked_mul($esize))
-                            .and_then(|b| Some((b, b.checked_add(W * $esize)?)))
-                            .and_then(|(b, e)| data.get(b..e))
-                            .map(|s| s.as_ptr() as *const $elem);
-                    }
-                    match direct {
-                        Some(p) => ptrs[t] = p,
-                        None => {
-                            arrs[t].write(load_tap::<$elem, W>(tap, tap_bases[t], x, n, binds));
-                        }
-                    }
-                }
-                // Accumulator-shaped plans — one push, then only in-place
-                // accumulate/unary ops, i.e. every sum-of-products stencil —
-                // skip the block stack machine entirely: the running value
-                // lives in one register per block, the plan is walked once,
-                // and each op applies to every block, so op dispatch
-                // amortizes over the whole chunk and the accumulate chain
-                // gains cross-block ILP.
-                let acc_shaped = matches!(
-                    plan.first(),
-                    Some(
-                        AOp::Op(FOp::Const(_) | FOp::Var(_) | FOp::Load(_))
-                            | AOp::PushCMulLoad { .. }
-                            | AOp::PushLoadMulC { .. }
-                    )
-                ) && plan[1..].iter().all(|op| {
-                    matches!(
-                        op,
-                        AOp::Op(FOp::Sqrt)
-                            | AOp::AccAddLoad(_)
-                            | AOp::AccSubLoad(_)
-                            | AOp::AccMulLoad(_)
-                            | AOp::AccDivLoad(_)
-                            | AOp::AccAddC(_)
-                            | AOp::AccSubC(_)
-                            | AOp::AccMulC(_)
-                            | AOp::AccDivC(_)
-                            | AOp::AccAddCMulLoad { .. }
-                            | AOp::AccAddLoadMulC { .. }
-                    )
-                });
-                if acc_shaped {
-                    let blk = W / $vw;
-                    let mut acc = [$zero(); MAX_CHUNK / $vw];
-                    match &plan[0] {
-                        AOp::Op(FOp::Const(v)) => {
-                            let s = $set1(*v);
-                            for a in acc.iter_mut().take(blk) {
-                                *a = s;
-                            }
-                        }
-                        AOp::Op(FOp::Var(depth)) => {
-                            if *depth == lane_depth {
-                                let mut tmp = [0.0 as $elem; MAX_CHUNK];
-                                for (l, lane) in tmp.iter_mut().enumerate().take(W) {
-                                    *lane = (x + l as i64) as $elem;
-                                }
-                                for b in 0..blk {
-                                    acc[b] = $loadu(tmp.as_ptr().add(b * $vw));
-                                }
-                            } else {
-                                let s = $set1(vars[*depth] as $elem);
-                                for a in acc.iter_mut().take(blk) {
-                                    *a = s;
-                                }
-                            }
-                        }
-                        AOp::Op(FOp::Load(t)) => {
-                            for b in 0..blk {
-                                acc[b] = $tap_vec(&ptrs, &arrs, *t, b * $vw);
-                            }
-                        }
-                        AOp::PushCMulLoad { tap, c } => {
-                            let s = $set1(*c);
-                            for b in 0..blk {
-                                acc[b] = $mul(s, $tap_vec(&ptrs, &arrs, *tap, b * $vw));
-                            }
-                        }
-                        AOp::PushLoadMulC { tap, c } => {
-                            let s = $set1(*c);
-                            for b in 0..blk {
-                                acc[b] = $mul($tap_vec(&ptrs, &arrs, *tap, b * $vw), s);
-                            }
-                        }
-                        _ => unreachable!("acc-shaped plan starts with a push"),
-                    }
-                    for op in &plan[1..] {
-                        match op {
-                            AOp::Op(FOp::Sqrt) => {
-                                for a in acc.iter_mut().take(blk) {
-                                    *a = $sqrt(*a);
-                                }
-                            }
-                            AOp::AccAddLoad(t) => {
-                                for b in 0..blk {
-                                    acc[b] = $add(acc[b], $tap_vec(&ptrs, &arrs, *t, b * $vw));
-                                }
-                            }
-                            AOp::AccSubLoad(t) => {
-                                for b in 0..blk {
-                                    acc[b] = $sub(acc[b], $tap_vec(&ptrs, &arrs, *t, b * $vw));
-                                }
-                            }
-                            AOp::AccMulLoad(t) => {
-                                for b in 0..blk {
-                                    acc[b] = $mul(acc[b], $tap_vec(&ptrs, &arrs, *t, b * $vw));
-                                }
-                            }
-                            AOp::AccDivLoad(t) => {
-                                for b in 0..blk {
-                                    acc[b] = $div(acc[b], $tap_vec(&ptrs, &arrs, *t, b * $vw));
-                                }
-                            }
-                            AOp::AccAddC(c) => {
-                                let s = $set1(*c);
-                                for a in acc.iter_mut().take(blk) {
-                                    *a = $add(*a, s);
-                                }
-                            }
-                            AOp::AccSubC(c) => {
-                                let s = $set1(*c);
-                                for a in acc.iter_mut().take(blk) {
-                                    *a = $sub(*a, s);
-                                }
-                            }
-                            AOp::AccMulC(c) => {
-                                let s = $set1(*c);
-                                for a in acc.iter_mut().take(blk) {
-                                    *a = $mul(*a, s);
-                                }
-                            }
-                            AOp::AccDivC(c) => {
-                                let s = $set1(*c);
-                                for a in acc.iter_mut().take(blk) {
-                                    *a = $div(*a, s);
-                                }
-                            }
-                            AOp::AccAddCMulLoad { tap, c } => {
-                                let s = $set1(*c);
-                                for b in 0..blk {
-                                    let v = $mul(s, $tap_vec(&ptrs, &arrs, *tap, b * $vw));
-                                    acc[b] = $add(acc[b], v);
-                                }
-                            }
-                            AOp::AccAddLoadMulC { tap, c } => {
-                                let s = $set1(*c);
-                                for b in 0..blk {
-                                    let v = $mul($tap_vec(&ptrs, &arrs, *tap, b * $vw), s);
-                                    acc[b] = $add(acc[b], v);
-                                }
-                            }
-                            _ => unreachable!("acc-shaped plan body"),
-                        }
-                    }
-                    let mut out = [0.0 as $elem; W];
-                    for b in 0..blk {
-                        $storeu(out.as_mut_ptr().add(b * $vw), acc[b]);
-                    }
-                    return out;
-                }
-                let mut out = [0.0 as $elem; W];
-                let mut o = 0usize;
-                while o < W {
-                    let mut st = [$zero(); V_STACK];
-                    let mut sp = 0usize;
-                    for op in plan {
-                        match op {
-                            AOp::Op(FOp::Const(v)) => {
-                                st[sp] = $set1(*v);
-                                sp += 1;
-                            }
-                            AOp::Op(FOp::Var(depth)) => {
-                                if *depth == lane_depth {
-                                    let mut tmp = [0.0 as $elem; $vw];
-                                    for (l, lane) in tmp.iter_mut().enumerate() {
-                                        *lane = (x + (o + l) as i64) as $elem;
-                                    }
-                                    st[sp] = $loadu(tmp.as_ptr());
-                                } else {
-                                    st[sp] = $set1(vars[*depth] as $elem);
-                                }
-                                sp += 1;
-                            }
-                            AOp::Op(FOp::Load(t)) => {
-                                st[sp] = $tap_vec(&ptrs, &arrs, *t, o);
-                                sp += 1;
-                            }
-                            AOp::Op(FOp::Sqrt) => st[sp - 1] = $sqrt(st[sp - 1]),
-                            AOp::Op(FOp::Add) => {
-                                st[sp - 2] = $add(st[sp - 2], st[sp - 1]);
-                                sp -= 1;
-                            }
-                            AOp::Op(FOp::Sub) => {
-                                st[sp - 2] = $sub(st[sp - 2], st[sp - 1]);
-                                sp -= 1;
-                            }
-                            AOp::Op(FOp::Mul) => {
-                                st[sp - 2] = $mul(st[sp - 2], st[sp - 1]);
-                                sp -= 1;
-                            }
-                            AOp::Op(FOp::Div) => {
-                                st[sp - 2] = $div(st[sp - 2], st[sp - 1]);
-                                sp -= 1;
-                            }
-                            AOp::Op(op @ (FOp::Min | FOp::Max | FOp::Cmp(_))) => {
-                                let mut a = [0.0 as $elem; $vw];
-                                let mut b = [0.0 as $elem; $vw];
-                                $storeu(a.as_mut_ptr(), st[sp - 2]);
-                                $storeu(b.as_mut_ptr(), st[sp - 1]);
-                                match op {
-                                    FOp::Min | FOp::Max => {
-                                        #[allow(clippy::redundant_closure_call)]
-                                        ($minmax)(&mut a, &b, matches!(op, FOp::Min));
-                                    }
-                                    FOp::Cmp(cmp) => {
-                                        for l in 0..$vw {
-                                            let (x, y) = (a[l], b[l]);
-                                            a[l] = cmp_lanes(*cmp, x, y) as $elem;
-                                        }
-                                    }
-                                    _ => unreachable!("scalar-body group"),
-                                }
-                                st[sp - 2] = $loadu(a.as_ptr());
-                                sp -= 1;
-                            }
-                            AOp::Op(FOp::Sel) => {
-                                let mut c = [0.0 as $elem; $vw];
-                                let mut t = [0.0 as $elem; $vw];
-                                let mut f = [0.0 as $elem; $vw];
-                                $storeu(c.as_mut_ptr(), st[sp - 3]);
-                                $storeu(t.as_mut_ptr(), st[sp - 2]);
-                                $storeu(f.as_mut_ptr(), st[sp - 1]);
-                                for l in 0..$vw {
-                                    c[l] = if c[l] != 0.0 { t[l] } else { f[l] };
-                                }
-                                st[sp - 3] = $loadu(c.as_ptr());
-                                sp -= 2;
-                            }
-                            AOp::PushCMulLoad { tap, c } => {
-                                st[sp] = $mul($set1(*c), $tap_vec(&ptrs, &arrs, *tap, o));
-                                sp += 1;
-                            }
-                            AOp::PushLoadMulC { tap, c } => {
-                                st[sp] = $mul($tap_vec(&ptrs, &arrs, *tap, o), $set1(*c));
-                                sp += 1;
-                            }
-                            AOp::AccAddCMulLoad { tap, c } => {
-                                let v = $mul($set1(*c), $tap_vec(&ptrs, &arrs, *tap, o));
-                                st[sp - 1] = $add(st[sp - 1], v);
-                            }
-                            AOp::AccAddLoadMulC { tap, c } => {
-                                let v = $mul($tap_vec(&ptrs, &arrs, *tap, o), $set1(*c));
-                                st[sp - 1] = $add(st[sp - 1], v);
-                            }
-                            AOp::AccAddLoad(t) => {
-                                st[sp - 1] = $add(st[sp - 1], $tap_vec(&ptrs, &arrs, *t, o));
-                            }
-                            AOp::AccSubLoad(t) => {
-                                st[sp - 1] = $sub(st[sp - 1], $tap_vec(&ptrs, &arrs, *t, o));
-                            }
-                            AOp::AccMulLoad(t) => {
-                                st[sp - 1] = $mul(st[sp - 1], $tap_vec(&ptrs, &arrs, *t, o));
-                            }
-                            AOp::AccDivLoad(t) => {
-                                st[sp - 1] = $div(st[sp - 1], $tap_vec(&ptrs, &arrs, *t, o));
-                            }
-                            AOp::AccAddC(c) => st[sp - 1] = $add(st[sp - 1], $set1(*c)),
-                            AOp::AccSubC(c) => st[sp - 1] = $sub(st[sp - 1], $set1(*c)),
-                            AOp::AccMulC(c) => st[sp - 1] = $mul(st[sp - 1], $set1(*c)),
-                            AOp::AccDivC(c) => st[sp - 1] = $div(st[sp - 1], $set1(*c)),
-                        }
-                    }
-                    debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
-                    $storeu(out.as_mut_ptr().add(o), st[0]);
-                    o += $vw;
-                }
-                out
-            }
-        };
-    }
-
-    plan_eval!(
-        eval_plan_f32_avx2,
-        f32,
-        __m256,
-        8,
-        _mm256_set1_ps,
-        _mm256_loadu_ps,
-        _mm256_storeu_ps,
-        _mm256_setzero_ps,
-        _mm256_add_ps,
-        _mm256_sub_ps,
-        _mm256_mul_ps,
-        _mm256_div_ps,
-        _mm256_sqrt_ps,
-        ScalarType::Float32,
-        4,
-        // Portable f32 Min/Max evaluates in f64 per lane (see FOp::Min).
-        |a: &mut [f32; 8], b: &[f32; 8], is_min: bool| {
-            for l in 0..8 {
-                a[l] = if is_min {
-                    (a[l] as f64).min(b[l] as f64) as f32
-                } else {
-                    (a[l] as f64).max(b[l] as f64) as f32
-                };
-            }
-        },
-        tap_vec_f32
-    );
-
-    plan_eval!(
-        eval_plan_f64_avx2,
-        f64,
-        __m256d,
-        4,
-        _mm256_set1_pd,
-        _mm256_loadu_pd,
-        _mm256_storeu_pd,
-        _mm256_setzero_pd,
-        _mm256_add_pd,
-        _mm256_sub_pd,
-        _mm256_mul_pd,
-        _mm256_div_pd,
-        _mm256_sqrt_pd,
-        ScalarType::Float64,
-        8,
-        |a: &mut [f64; 4], b: &[f64; 4], is_min: bool| {
-            for l in 0..4 {
-                a[l] = if is_min {
-                    a[l].min(b[l])
-                } else {
-                    a[l].max(b[l])
-                };
-            }
-        },
-        tap_vec_f64
-    );
-
-    // -- Dispatch (the `arch` twins of the portable dispatchers) ------------
-
-    /// SAFETY: caller must have verified AVX2 support (the `Isa::Avx2` gate).
-    /// Only kernels [`kernel_isa`] selects AVX2 for reach here: float
-    /// programs whose plan stages at most [`A_TAPS`] taps.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn dispatch_fused_chunk_avx2(
-        fused: &FusedKernel,
-        x: i64,
-        w: usize,
-        n: usize,
-        tap_bases: &[i64],
-        out_base: i64,
-        lane_depth: usize,
-        binds: &BindTable,
-        vars: &[i64],
-    ) {
-        macro_rules! run {
-            ($eval:ident, $ops:expr, $w:literal) => {{
-                let lanes =
-                    $eval::<$w>($ops, &fused.taps, x, n, tap_bases, lane_depth, binds, vars);
-                store_chunk(fused, out_base, x, n, &lanes, binds);
-            }};
-        }
-        match (&fused.arch_plan, w) {
-            (ArchPlan::F32(plan), 32) => run!(eval_plan_f32_avx2, plan, 32),
-            (ArchPlan::F32(plan), 16) => run!(eval_plan_f32_avx2, plan, 16),
-            (ArchPlan::F32(plan), _) => run!(eval_plan_f32_avx2, plan, 8),
-            (ArchPlan::F64(plan), 16) => run!(eval_plan_f64_avx2, plan, 16),
-            (ArchPlan::F64(plan), 8) => run!(eval_plan_f64_avx2, plan, 8),
-            (ArchPlan::F64(plan), _) => run!(eval_plan_f64_avx2, plan, 4),
-            (ArchPlan::Int, _) => unreachable!("integer kernels run the portable lanes"),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -5328,13 +4841,8 @@ impl ExecPlan {
     ///
     /// `target` is the resolved [`Target`] the plan will execute under, and
     /// the profiles report what it executes: a [`Tier::Scalar`] target runs
-    /// no fused, reduce or parallel-reduce path, so its profiles carry none;
-    /// otherwise each store with a fused kernel reports the lane ISA
-    /// ([`StoreProfile::selected_isa`]) its kernel resolves to under that
-    /// target on this host — the same per-family rule the executing path
-    /// dispatches and counts by, so a dry run predicts exactly what it runs.
+    /// no fused, reduce or parallel-reduce path, so its profiles carry none.
     pub fn store_profiles(&self, target: Target) -> Vec<StoreProfile> {
-        let isa = target.effective_isa();
         // The Scalar tier pins every store to the per-op tier: no fused,
         // reduce or parallel-reduce path runs, so none is reported.
         let kernels = target.tier() != Tier::Scalar;
@@ -5364,8 +4872,6 @@ impl ExecPlan {
                     guarded: store.clamp,
                     reduce: reduce.map(|r| r.family()),
                     parallel_reduce: kernels && store.merge.is_some(),
-                    selected_isa: fused
-                        .map_or(Isa::Portable, |f| kernel_isa(f.family(), f.taps.len(), isa)),
                 }
             })
             .collect()
@@ -5473,9 +4979,7 @@ pub fn run(
 /// the compile/run split. Binds the output writable plus the declared images
 /// and roots read-only (`Allocate` nodes bind their scratch buffers during
 /// execution), then walks the loop nest. `target` selects which execution
-/// tiers fused stores may use and which lane ISA the fused chunks execute on
-/// (its features resolve through [`Target::effective_isa`] once per run);
-/// every target produces bit-identical buffers.
+/// tiers fused stores may use; every target produces bit-identical buffers.
 ///
 /// # Errors
 /// Returns an error if a declared image or root buffer is not provided.
@@ -5552,7 +5056,6 @@ pub fn run_multi_with_target(
         prepared: &plan.prepared,
         params,
         tier: target.tier(),
-        isa: target.effective_isa(),
     };
     let mut binds = BindTable(binds);
     let mut env: Vec<(String, i64)> = Vec::new();
@@ -6162,7 +5665,7 @@ mod tests {
         assert_modes_agree(&plan, &[19, 5], &input(21, 7, 11));
     }
 
-    // -- The `[f64; W/2]` lane family and the arch (AVX2) dispatch ----------
+    // -- The `[f64; W/2]` lane family and the fused float ops ---------------
 
     /// A Float64 input with NaN, infinities, ±0 and irrationals sprinkled
     /// among ordinary data — f64 lanes carry the reference values, so even
@@ -6298,144 +5801,275 @@ mod tests {
         );
     }
 
-    /// Whether `run` can execute without advancing [`arch_rows_executed`].
-    /// The counter is process-wide and other tests run concurrently, so one
-    /// quiet run out of several suffices: a kernel whose chunks run on AVX2
-    /// advances it on every run.
-    fn runs_portable(mut run: impl FnMut()) -> bool {
-        (0..32).any(|_| {
-            let before = arch_rows_executed();
-            run();
-            arch_rows_executed() == before
-        })
-    }
-
-    /// [`kernel_isa`]'s rule, executed: under an AVX2 target an f64 kernel
-    /// runs the arch plan evaluator (the [`arch_rows_executed`] counter
-    /// advances) while an i32 kernel stays on the portable lanes, both
-    /// bit-identical to a portable target, which never touches the arch
-    /// path. Skipped with a notice on hosts without AVX2.
-    #[test]
-    fn arch_dispatch_agrees_with_portable_and_counts_rows() {
-        use crate::target::Feature;
-        if !Target::detect().has(Feature::Avx2) {
-            eprintln!("skipping arch_dispatch test: host has no AVX2");
-            return;
+    /// Fill a float buffer of `ty` (Float32 or Float64), written bit-exactly:
+    /// quiet NaNs with distinct payloads and both signs and ±Inf sit on a
+    /// lattice (every fifth column of every third row), ±0 and subnormals on
+    /// a third of the other elements, ordinary values elsewhere. The lattice
+    /// puts at most one NaN or infinity in any 3×3 stencil footprint, so no
+    /// op meets two NaNs with different payloads: IEEE 754 leaves that
+    /// result's payload unspecified, and the compiler may commute the
+    /// operands of `+` and `×`.
+    fn special_input(ty: ScalarType, w: usize, h: usize, seed: u64) -> Buffer {
+        let specials: [f64; 5] = [
+            f64::from_bits(0x7ff8_0000_0000_0000 | (0x1234 << 29)),
+            f64::from_bits(0xfff8_0000_0000_0000 | (0x0777 << 29)),
+            f64::from_bits(0x7ff8_0000_0000_0000 | (0x3_0001 << 29)),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let small: [f64; 4] = [
+            0.0,
+            -0.0,
+            f32::from_bits(3) as f64,
+            -(f32::from_bits(0x0000_0100) as f64),
+        ];
+        let mut b = Buffer::new(ty, &[w, h]);
+        let eb = ty.bytes();
+        let mut s = seed | 1;
+        for i in 0..w * h {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let pick = (s >> 33) as usize;
+            let v = if (i % w).is_multiple_of(5) && (i / w).is_multiple_of(3) {
+                specials[pick % specials.len()]
+            } else if i % 3 == 1 {
+                small[pick % small.len()]
+            } else {
+                ((s >> 29) as i64 % 4096) as f64 / 8.0 - 128.0
+            };
+            let bytes = &mut b.bytes_mut()[i * eb..(i + 1) * eb];
+            match ty {
+                ScalarType::Float32 => bytes.copy_from_slice(&(v as f32).to_le_bytes()),
+                _ => bytes.copy_from_slice(&v.to_le_bytes()),
+            }
         }
-        let int_value = Expr::cast(
-            ScalarType::UInt8,
-            Expr::bin(
-                BinOp::Shr,
-                Expr::add(
-                    Expr::add(Expr::int(2), Expr::mul(Expr::int(2), tap(1, 1))),
-                    Expr::add(tap(0, 1), tap(2, 1)),
-                ),
-                Expr::uint(2),
-            ),
-        );
-        let f64_value = Expr::add(
-            Expr::mul(Expr::add(ftap(-1, 0), ftap(1, 0)), dconst(1.0 / 12.0)),
-            Expr::mul(ftap(0, 0), dconst(0.5)),
-        );
-        let arch = Target::with_features(&[Feature::Avx2]).with_tier(Tier::Simd);
-        let portable = Target::portable().with_tier(Tier::Simd);
-        let run = |plan: &ExecPlan, img: &Buffer, target: Target| {
-            let images: BTreeMap<String, &Buffer> = [("in".to_string(), img)].into_iter().collect();
-            let mut out = Buffer::new(plan.output_tys[0], &[37, 9]);
-            run_with_target(
-                plan,
-                &mut out,
-                &images,
-                &BTreeMap::new(),
-                &BTreeMap::new(),
-                target,
-            )
-            .expect("run");
-            out
-        };
-
-        let int_plan = plan_for(nest(37, 9, 16, int_value), ScalarType::UInt8);
-        assert_eq!(int_plan.fused_store_counts().lanes_i32, 1);
-        let img = input(39, 11, 3);
-        let expect = run(&int_plan, &img, portable);
-        let before = fused_rows_executed();
-        assert!(
-            runs_portable(|| assert_eq!(run(&int_plan, &img, arch), expect, "i32 lanes diverged")),
-            "an AVX2 target must run i32 kernels on the portable lanes"
-        );
-        assert!(
-            fused_rows_executed() > before,
-            "the i32 kernel must run fused"
-        );
-
-        let f64_plan = plan_with_input(
-            nest(37, 9, 16, f64_value),
-            ScalarType::Float64,
-            ScalarType::Float64,
-        );
-        assert_eq!(f64_plan.fused_store_counts().lanes_f64, 1);
-        let img = dinput(39, 11, 7);
-        let expect = run(&f64_plan, &img, portable);
-        assert!(
-            runs_portable(|| {
-                run(&f64_plan, &img, portable);
-            }),
-            "portable target must not touch the arch path"
-        );
-        let before = arch_rows_executed();
-        assert_eq!(
-            run(&f64_plan, &img, arch),
-            expect,
-            "f64 arch lanes diverged from portable"
-        );
-        assert!(
-            arch_rows_executed() > before,
-            "AVX2 target must execute arch rows for f64 kernels"
-        );
+        b
     }
 
-    /// [`ExecPlan::store_profiles`] reports [`kernel_isa`]'s choice under the
-    /// given target on this host: portable targets always report portable,
-    /// an AVX2 target reports AVX2 for an f64 kernel (on AVX2 hosts) but
-    /// portable for an i32 one, and a Scalar-tier target reports no kernel.
+    /// The interpreter's result for `nest`'s store: the shared per-element
+    /// evaluator, stored through `Buffer::set` as the interpreter backend
+    /// stores.
+    fn interpret(value: &Expr, out_ty: ScalarType, w: usize, h: usize, img: &Buffer) -> Buffer {
+        struct Point<'a> {
+            x: i64,
+            y: i64,
+            img: &'a Buffer,
+        }
+        impl EvalSources for Point<'_> {
+            fn var(&self, name: &str) -> Option<i64> {
+                match name {
+                    "x" => Some(self.x),
+                    "y" => Some(self.y),
+                    _ => None,
+                }
+            }
+            fn param(&self, _: &str) -> Option<Value> {
+                None
+            }
+            fn load_image(&self, _: &str, indices: &[i64]) -> Result<Value, RealizeError> {
+                Ok(self.img.get(indices))
+            }
+            fn load_func(&self, name: &str, _: &[i64]) -> Result<Value, RealizeError> {
+                Err(RealizeError::UndefinedFunc(name.to_string()))
+            }
+        }
+        let mut out = Buffer::new(out_ty, &[w, h]);
+        for y in 0..h as i64 {
+            for x in 0..w as i64 {
+                let v = eval_expr(value, &Point { x, y, img }).expect("interpret");
+                out.set(&[x, y], v);
+            }
+        }
+        out
+    }
+
+    /// The ops [`float_peephole`] emits: every fused op, each product order,
+    /// and the arithmetic of the accumulate ops, as tags.
+    fn fused_float_ops<C: std::fmt::Debug>(ops: &[FOp<C>]) -> Vec<String> {
+        ops.iter()
+            .filter_map(|op| match op {
+                FOp::PushMul { c_first, .. } => Some(format!("PushMul c_first={c_first}")),
+                FOp::AccAddMul { c_first, .. } => Some(format!("AccAddMul c_first={c_first}")),
+                FOp::AccLoad(a, _) => Some(format!("AccLoad {a:?}")),
+                FOp::AccConst(a, _) => Some(format!("AccConst {a:?}")),
+                FOp::Min | FOp::Max | FOp::Sel | FOp::Cmp(_) => Some(format!("{op:?}")),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The float lanes' fused ops ([`float_peephole`]) are bit-identical to
+    /// the per-op tier and the interpreter on f32 and f64 kernels, NaN
+    /// payloads included: two programs per family carry every fused op —
+    /// both product orders, load- and const-accumulate Add/Sub/Mul/Div — one
+    /// of them accumulator-shaped and one running Min/Max/Cmp/Sel after an
+    /// accumulate on the stack, with a NaN constant in a const-accumulate.
+    /// Widths and extents cover full, overlapping and masked chunks.
     #[test]
-    fn store_profiles_report_selected_isa() {
-        use crate::target::Feature;
+    fn float_fused_ops_match_per_op_tier_and_interpreter() {
+        for ty in [ScalarType::Float32, ScalarType::Float64] {
+            // On f32 lanes arithmetic fuses only at rounding points, so
+            // every arithmetic node rounds; on f64 lanes the casts are
+            // absent, as in the lifted f64 kernels.
+            let r = |e: Expr| match ty {
+                ScalarType::Float32 => f32c(e),
+                _ => e,
+            };
+            let k = |v: f64| Expr::ConstFloat(v, ty);
+            let add = |a, b| r(Expr::add(a, b));
+            let sub = |a, b| r(Expr::bin(BinOp::Sub, a, b));
+            let mul = |a, b| r(Expr::mul(a, b));
+            let div = |a, b| r(Expr::bin(BinOp::Div, a, b));
+            // A NaN with a payload of its own, exact on both lane types.
+            let nan = k(f64::from_bits(0x7ff8_0000_0000_0000 | (0x0_2a5a << 29)));
+            // t·c + c·t + t·c + t − t × t ÷ t + c − c × c ÷ c
+            let acc = mul(ftap(0, 0), k(0.375));
+            let acc = add(acc, mul(k(-1.25), ftap(1, 0)));
+            let acc = add(acc, mul(ftap(-1, 0), k(2.5)));
+            let acc = add(acc, ftap(0, 1));
+            let acc = sub(acc, ftap(1, 1));
+            let acc = mul(acc, ftap(0, -1));
+            let acc = div(acc, ftap(-1, 1));
+            let acc = add(acc, k(0.5));
+            let acc = sub(acc, k(-3.0));
+            let acc = mul(acc, k(1.5));
+            let accumulator = div(acc, k(-0.75));
+            // select(max(c·t + t, t) < c, min(c·t + t, t), x + NaN): the
+            // NaN constant meets only the (never NaN) loop variable.
+            let first = || add(mul(k(0.5), ftap(0, 0)), ftap(1, 0));
+            let general = Expr::select(
+                Expr::cmp(
+                    CmpOp::Lt,
+                    Expr::bin(BinOp::Max, first(), ftap(0, -1)),
+                    k(4.0),
+                ),
+                Expr::bin(BinOp::Min, first(), ftap(0, 1)),
+                add(Expr::var("x"), nan),
+            );
+            let mut emitted = std::collections::BTreeSet::new();
+            for value in [&accumulator, &general] {
+                for width in [8usize, 16, 32] {
+                    for (w, h) in [(37usize, 5usize), (5, 3)] {
+                        let plan =
+                            plan_with_input(nest(w as i64, h as i64, width, value.clone()), ty, ty);
+                        let fused = plan.prepared.stores[0]
+                            .as_ref()
+                            .and_then(|s| s.fused.as_ref())
+                            .expect("the program must fuse");
+                        emitted.extend(match &fused.prog {
+                            LaneProgram::F32(ops) => fused_float_ops(ops),
+                            LaneProgram::F64(ops) => fused_float_ops(ops),
+                            other => panic!("float kernel on {other:?}"),
+                        });
+                        for seed in [3u64, 41] {
+                            let img = special_input(ty, w + 2, h + 2, seed);
+                            let images: BTreeMap<String, &Buffer> =
+                                [("in".to_string(), &img)].into_iter().collect();
+                            let run = |tier: Tier| {
+                                let mut out = Buffer::new(ty, &[w, h]);
+                                run_with_target(
+                                    &plan,
+                                    &mut out,
+                                    &images,
+                                    &BTreeMap::new(),
+                                    &BTreeMap::new(),
+                                    Target::detect().with_tier(tier),
+                                )
+                                .expect("run");
+                                out
+                            };
+                            let rows = fused_rows_executed() + fused_tail_chunks_executed();
+                            let fused_out = run(Tier::Simd);
+                            assert!(
+                                fused_rows_executed() + fused_tail_chunks_executed() > rows,
+                                "{ty:?} {w}x{h} v{width}: the fused chunks must run"
+                            );
+                            let per_op = run(Tier::Scalar);
+                            let reference = interpret(value, ty, w, h, &img);
+                            assert_eq!(
+                                fused_out.bytes(),
+                                per_op.bytes(),
+                                "{ty:?} {w}x{h} v{width}: fused vs per-op tier"
+                            );
+                            assert_eq!(
+                                fused_out.bytes(),
+                                reference.bytes(),
+                                "{ty:?} {w}x{h} v{width}: fused vs interpreter"
+                            );
+                        }
+                    }
+                }
+            }
+            let expected = [
+                "PushMul c_first=true",
+                "PushMul c_first=false",
+                "AccAddMul c_first=true",
+                "AccAddMul c_first=false",
+                "AccLoad Add",
+                "AccLoad Sub",
+                "AccLoad Mul",
+                "AccLoad Div",
+                "AccConst Add",
+                "AccConst Sub",
+                "AccConst Mul",
+                "AccConst Div",
+                "Min",
+                "Max",
+                "Sel",
+                "Cmp(Lt)",
+            ];
+            for op in expected {
+                assert!(
+                    emitted.contains(op),
+                    "{ty:?}: {op} never emitted, got {emitted:?}"
+                );
+            }
+        }
+    }
+
+    /// [`ExecPlan::store_profiles`] reports a store's fused kernel — its
+    /// lane family and taps — exactly when the target's tier runs fused
+    /// kernels: an Auto or Simd tier reports the i32 and f64 kernels, a
+    /// Scalar tier reports none.
+    #[test]
+    fn store_profiles_report_kernels_only_on_fused_tiers() {
         let int_plan = plan_for(nest(16, 4, 8, tap(0, 0)), ScalarType::UInt8);
-        assert_eq!(int_plan.fused_store_counts().lanes_i32, 1);
         let f64_plan = plan_with_input(
             nest(16, 4, 8, Expr::add(ftap(0, 0), ftap(1, 0))),
             ScalarType::Float64,
             ScalarType::Float64,
         );
-        assert_eq!(f64_plan.fused_store_counts().lanes_f64, 1);
-        let avx2 = Target::with_features(&[Feature::Avx2]);
-        // Avx2 on AVX2 hosts, else Portable.
-        for (plan, expect) in [
-            (&int_plan, Isa::Portable),
-            (&f64_plan, avx2.effective_isa()),
+        for (plan, family, taps) in [
+            (&int_plan, LaneFamily::I32, 1),
+            (&f64_plan, LaneFamily::F64, 2),
         ] {
-            for p in plan.store_profiles(Target::portable()) {
-                assert_eq!(p.selected_isa, Isa::Portable);
+            for tier in [Tier::Auto, Tier::Simd] {
+                let profiles = plan.store_profiles(Target::detect().with_tier(tier));
+                assert_eq!(profiles.len(), 1);
+                assert_eq!((profiles[0].fused, profiles[0].taps), (Some(family), taps));
             }
-            for p in plan.store_profiles(avx2) {
-                assert_eq!(p.selected_isa, expect, "store must report the kernel's ISA");
-            }
-        }
-        // The float tap cap is the plan evaluators' table length; integer
-        // kernels never run AVX2.
-        assert_eq!(kernel_isa(LaneFamily::F32, A_TAPS, Isa::Avx2), Isa::Avx2);
-        assert_eq!(
-            kernel_isa(LaneFamily::F64, A_TAPS + 1, Isa::Avx2),
-            Isa::Portable
-        );
-        assert_eq!(kernel_isa(LaneFamily::I64, 1, Isa::Avx2), Isa::Portable);
-        // A Scalar tier runs no kernel, so its profiles report none.
-        for plan in [&int_plan, &f64_plan] {
-            for p in plan.store_profiles(avx2.with_tier(Tier::Scalar)) {
-                assert_eq!((p.fused, p.taps, p.selected_isa), (None, 0, Isa::Portable));
+            // A Scalar tier runs no kernel, so its profiles report none.
+            for p in plan.store_profiles(Target::detect().with_tier(Tier::Scalar)) {
+                assert_eq!((p.fused, p.taps), (None, 0));
             }
         }
+    }
+
+    /// The fused tier's one raw-pointer store checks its bounds in every
+    /// build: a write past the buffer's end panics instead of corrupting
+    /// memory.
+    #[test]
+    #[should_panic(expected = "overruns")]
+    fn raw_store_past_the_buffer_end_panics() {
+        let mut bytes = vec![0u8; 8];
+        let bind = SlotBind {
+            ptr: bytes.as_mut_ptr(),
+            byte_len: bytes.len(),
+            extents: vec![8],
+            strides: vec![1],
+        };
+        bind.write(6, &[1, 2, 3]);
     }
 
     /// Sub-width interior tails run as fused chunks (masked below one chunk,

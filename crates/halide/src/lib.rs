@@ -24,12 +24,9 @@
 //!   interior/boundary loop splitting and masked/overlapping tail chunks,
 //!   per-op typed lane dispatch, and a shared-evaluator per-element
 //!   fallback) with scoped-thread parallelism — see the [`exec`] module
-//!   docs. On AVX2 hosts the fused chunks additionally dispatch to
-//!   hand-written `core::arch` evaluators (bit-identical to the portable
-//!   lanes) when the resolved [`target::Target`] carries
-//!   [`target::Feature::Avx2`] and the kernel's lane family has an AVX2
-//!   evaluator that pays (see the `exec` module docs). Update (reduction)
-//!   definitions lower too:
+//!   docs. The lane kernels are portable Rust with constant trip counts
+//!   that the compiler vectorizes for whatever ISA it targets; no kernel is
+//!   written per ISA. Update (reduction) definitions lower too:
 //!   guarded [`stmt::Stmt::ReduceStore`] nests with a privatized-vs-sequential
 //!   accumulation strategy and a fused integer tree-reduce for
 //!   loop-invariant accumulators, so histograms, scans and residual norms
@@ -133,9 +130,8 @@ pub use codegen::{generate_halide_source, CodegenOptions};
 pub use compile::{CompileOptions, CompiledPipeline, PipelineProfile, StageProfile, UpdateCounts};
 pub use eval::{eval_expr, EvalSources};
 pub use exec::{
-    arch_rows_executed, fused_rows_executed, fused_tail_chunks_executed,
-    parallel_reduce_merges_executed, reduce_chunks_executed, CounterSnapshot, FusedStoreCounts,
-    LaneFamily, StoreProfile,
+    fused_rows_executed, fused_tail_chunks_executed, parallel_reduce_merges_executed,
+    reduce_chunks_executed, CounterSnapshot, FusedStoreCounts, LaneFamily, StoreProfile,
 };
 pub use expr::{BinOp, CmpOp, Expr, ExternCall};
 pub use func::{Func, ImageParam, Pipeline, RDom, UpdateDef};
@@ -143,7 +139,7 @@ pub use realize::{ExecBackend, RealizeError, RealizeInputs, Realizer};
 pub use schedule::Schedule;
 pub use simplify::{simplify, simplify_func, simplify_pipeline};
 pub use stmt::{LoopKind, Stmt};
-pub use target::{set_target_override, Feature, Isa, Target, Tier};
+pub use target::{set_target_override, Isa, Target, Tier};
 pub use types::{ScalarType, Value};
 
 /// Convenient glob-import of the commonly used types.
@@ -158,6 +154,6 @@ pub mod prelude {
     pub use crate::realize::{ExecBackend, RealizeInputs, Realizer};
     pub use crate::schedule::Schedule;
     pub use crate::simplify::{simplify, simplify_pipeline};
-    pub use crate::target::{Feature, Isa, Target, Tier};
+    pub use crate::target::{Isa, Target, Tier};
     pub use crate::types::{ScalarType, Value};
 }

@@ -1,38 +1,33 @@
 //! Unified backend-selection API: which execution *tier* the runner may use
-//! (fused lane kernels vs per-op lanes vs per-element fallback) and which
-//! *ISA features* the fused kernels may exploit (explicit AVX2 `core::arch`
-//! paths vs the portable constant-trip lane loops).
+//! (fused lane kernels vs per-op lanes vs per-element fallback).
 //!
 //! A [`Target`] is resolved **once at compile time** — [`Pipeline::compile`]
 //! stores the resolved value on the [`CompiledPipeline`] — and every dispatch
-//! site (tier selection, fused builders, reduce kernels, the `arch` module's
-//! AVX2 chunk evaluators, which the executor's per-family rule narrows
-//! further) reads that one value.
+//! site (tier selection, fused builders, reduce kernels) reads that one
+//! value. There is no ISA dimension: the fused lane kernels are portable
+//! constant-trip loops that the compiler vectorizes for the ISA it targets,
+//! so every host runs the same kernels. [`Target::effective_isa`] only
+//! describes the host, for reports.
 //!
 //! [`Pipeline::compile`]: crate::func::Pipeline::compile
 //! [`CompiledPipeline`]: crate::compile::CompiledPipeline
 //!
 //! Construction:
 //!
-//! - [`Target::detect`] — the host's best target: `Auto` tier plus every ISA
-//!   feature the running CPU reports (AVX2 via `is_x86_feature_detected!`).
-//! - [`Target::portable`] — `Auto` tier, no ISA features: fused kernels run
-//!   the portable lane loops only. The bit-exactness oracle configuration.
-//! - [`Target::with_features`] — `Auto` tier with an explicit feature list
-//!   (requested features absent from the host fall back safely at run time;
-//!   see [`Target::effective_isa`]).
+//! - [`Target::detect`] — the default target: `Auto` tier.
+//! - [`Target::with_tier`] — a target with a pinned tier.
 //! - [`Target::from_env`] — [`Target::detect`] adjusted by the environment
 //!   pins. This is the **only** place in the workspace that reads
-//!   `HELIUM_FORCE_SCALAR` / `HELIUM_FORCE_SIMD` / `HELIUM_PORTABLE`.
+//!   `HELIUM_FORCE_SCALAR` / `HELIUM_FORCE_SIMD`.
 //! - [`Target::current`] — the process-wide override (set via
 //!   [`set_target_override`], used by benchmarks to time tiers from one
 //!   process) if present, else [`Target::from_env`]. This is what
 //!   `CompileOptions { target: None, .. }` resolves to.
 //!
 //! All targets produce bit-identical buffers; the knob exists for
-//! differential testing, benchmarking, and honest fallback on older hosts.
+//! differential testing and benchmarking.
 
-use std::sync::atomic::{AtomicU16, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Which execution tiers the runner may use for stores that have a fused
@@ -51,32 +46,20 @@ pub enum Tier {
     Simd,
 }
 
-/// An ISA feature a [`Target`] may carry. Fused kernels only use a feature
-/// when the running CPU also reports it (see [`Target::effective_isa`]), so
-/// requesting one on an older host degrades to portable lanes, never UB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Feature {
-    /// 256-bit AVX2 integer + float vectors (`core::arch::x86_64`).
-    Avx2,
-}
-
-const FEATURE_AVX2: u8 = 1 << 0;
-
-/// The instruction-set family a fused chunk actually executes on: resolved
-/// from a [`Target`] by [`Target::effective_isa`] at run time, then narrowed
-/// per lane family by the executor. Reported per store by
-/// `StoreProfile::selected_isa` so the tuner can score it.
+/// The widest vector instruction set the host reports, as a description
+/// for reports ([`Target::effective_isa`]). It selects nothing: every host
+/// runs the same portable lane kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Isa {
-    /// Portable constant-trip lane loops (LLVM auto-vectorized).
+    /// No wider vector set than the compile target's baseline.
     #[default]
     Portable,
-    /// Hand-written AVX2 `core::arch` chunk evaluators.
+    /// The host reports AVX2.
     Avx2,
 }
 
 impl Isa {
-    /// Stable lowercase tag, used in profiles and bench reports.
+    /// Stable lowercase tag, used in bench reports.
     pub fn as_str(self) -> &'static str {
         match self {
             Isa::Portable => "portable",
@@ -85,69 +68,27 @@ impl Isa {
     }
 }
 
-/// A resolved backend selection: execution [`Tier`] plus the set of ISA
-/// [`Feature`]s the fused kernels may exploit.
+/// A resolved backend selection: the execution [`Tier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Target {
     tier: Tier,
-    features: u8,
 }
 
-/// Process-wide override set by [`set_target_override`]: bit 15 = set, bits
-/// 0..2 = tier, bits 4..12 = feature bitset.
-static TARGET_OVERRIDE: AtomicU16 = AtomicU16::new(0);
+/// Process-wide override set by [`set_target_override`]: bit 7 = set, bits
+/// 0..2 = tier.
+static TARGET_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
-const OVERRIDE_SET: u16 = 1 << 15;
-
-fn host_features() -> u8 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return FEATURE_AVX2;
-        }
-    }
-    0
-}
+const OVERRIDE_SET: u8 = 1 << 7;
 
 impl Target {
-    /// The host's best target: `Auto` tier plus every ISA feature the
-    /// running CPU reports.
+    /// The default target: `Auto` tier.
     pub fn detect() -> Target {
-        Target {
-            tier: Tier::Auto,
-            features: host_features(),
-        }
-    }
-
-    /// `Auto` tier with no ISA features: fused kernels run the portable lane
-    /// loops only. This is the bit-exactness oracle configuration the
-    /// differential matrix compares arch kernels against.
-    pub fn portable() -> Target {
-        Target {
-            tier: Tier::Auto,
-            features: 0,
-        }
-    }
-
-    /// `Auto` tier with exactly the given ISA features. Features the host
-    /// lacks are carried but never executed ([`Target::effective_isa`]
-    /// re-checks runtime detection), so this is safe on any machine.
-    pub fn with_features(features: &[Feature]) -> Target {
-        let mut bits = 0u8;
-        for f in features {
-            bits |= match f {
-                Feature::Avx2 => FEATURE_AVX2,
-            };
-        }
-        Target {
-            tier: Tier::Auto,
-            features: bits,
-        }
+        Target { tier: Tier::Auto }
     }
 
     /// This target with its execution tier replaced.
     pub fn with_tier(self, tier: Tier) -> Target {
-        Target { tier, ..self }
+        Target { tier }
     }
 
     /// The execution tier this target pins (or `Auto`).
@@ -155,43 +96,12 @@ impl Target {
         self.tier
     }
 
-    /// Whether this target carries the given ISA feature.
-    pub fn has(self, feature: Feature) -> bool {
-        let bit = match feature {
-            Feature::Avx2 => FEATURE_AVX2,
-        };
-        self.features & bit != 0
-    }
-
-    /// The carried ISA features, in a stable order.
-    pub fn features(self) -> Vec<Feature> {
-        let mut out = Vec::new();
-        if self.features & FEATURE_AVX2 != 0 {
-            out.push(Feature::Avx2);
-        }
-        out
-    }
-
-    /// Stable `+`-joined lowercase tag of the carried features (empty when
-    /// none), used to key schedule caches so tuned schedules never migrate
-    /// across ISAs: `"avx2"`, or `""` for portable.
-    pub fn feature_tag(self) -> String {
-        let mut parts = Vec::new();
-        if self.features & FEATURE_AVX2 != 0 {
-            parts.push("avx2");
-        }
-        parts.join("+")
-    }
-
-    /// The ISA the fused chunk evaluators may execute on: a carried feature
-    /// only counts when the running CPU also reports it, which makes
-    /// dispatching into `#[target_feature]` code sound and gives automatic
-    /// portable fallback on older hosts. The executor narrows it per lane
-    /// family (see `StoreProfile::selected_isa`).
+    /// The widest vector instruction set the running CPU reports. A
+    /// description of the host for reports; no kernel dispatches on it.
     pub fn effective_isa(self) -> Isa {
         #[cfg(target_arch = "x86_64")]
         {
-            if self.features & FEATURE_AVX2 != 0 && std::arch::is_x86_feature_detected!("avx2") {
+            if std::arch::is_x86_feature_detected!("avx2") {
                 return Isa::Avx2;
             }
         }
@@ -201,7 +111,6 @@ impl Target {
     /// [`Target::detect`] adjusted by the environment pins, computed once
     /// per process. The only reader of the `HELIUM_*` selection variables:
     ///
-    /// - `HELIUM_PORTABLE=1` — drop all ISA features (portable lanes only).
     /// - `HELIUM_FORCE_SCALAR=1` — pin the `Scalar` tier.
     /// - `HELIUM_FORCE_SIMD=1` — pin the `Simd` tier (`FORCE_SCALAR` wins
     ///   if both are set, matching the historical precedence).
@@ -210,9 +119,6 @@ impl Target {
         *ENV_TARGET.get_or_init(|| {
             let truthy = |name: &str| std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0");
             let mut t = Target::detect();
-            if truthy("HELIUM_PORTABLE") {
-                t.features = 0;
-            }
             if truthy("HELIUM_FORCE_SCALAR") {
                 t.tier = Tier::Scalar;
             } else if truthy("HELIUM_FORCE_SIMD") {
@@ -233,32 +139,29 @@ impl Target {
         }
     }
 
-    fn encode(self) -> u16 {
+    fn encode(self) -> u8 {
         let tier = match self.tier {
-            Tier::Auto => 0u16,
+            Tier::Auto => 0u8,
             Tier::Scalar => 1,
             Tier::Simd => 2,
         };
-        OVERRIDE_SET | tier | ((self.features as u16) << 4)
+        OVERRIDE_SET | tier
     }
 
-    fn decode(v: u16) -> Target {
+    fn decode(v: u8) -> Target {
         let tier = match v & 0b11 {
             1 => Tier::Scalar,
             2 => Tier::Simd,
             _ => Tier::Auto,
         };
-        Target {
-            tier,
-            features: ((v >> 4) & 0xff) as u8,
-        }
+        Target { tier }
     }
 }
 
 /// Override (or with `None`, un-override) the process-wide [`Target`] that
-/// [`Target::current`] returns. Benchmarks use this to time the scalar,
-/// portable-SIMD and arch tiers from one process; per-pipeline control is
-/// available via `CompileOptions::target`.
+/// [`Target::current`] returns. Benchmarks use this to time the scalar and
+/// SIMD tiers from one process; per-pipeline control is available via
+/// `CompileOptions::target`.
 pub fn set_target_override(target: Option<Target>) {
     let v = match target {
         None => 0,
@@ -272,49 +175,31 @@ mod tests {
     use super::*;
 
     #[test]
-    fn portable_target_has_no_features_and_auto_tier() {
-        let t = Target::portable();
-        assert_eq!(t.tier(), Tier::Auto);
-        assert!(!t.has(Feature::Avx2));
-        assert_eq!(t.feature_tag(), "");
-        assert_eq!(t.effective_isa(), Isa::Portable);
-    }
-
-    #[test]
-    fn with_features_round_trips_and_tags() {
-        let t = Target::with_features(&[Feature::Avx2]);
-        assert!(t.has(Feature::Avx2));
-        assert_eq!(t.features(), vec![Feature::Avx2]);
-        assert_eq!(t.feature_tag(), "avx2");
-    }
-
-    #[test]
-    fn detect_effective_isa_matches_carried_features() {
-        let t = Target::detect();
-        // On AVX2 hosts detect() carries the feature and resolves to the
-        // arch ISA; elsewhere both sides are portable. Either way they agree.
-        let expect = if t.has(Feature::Avx2) {
-            Isa::Avx2
-        } else {
-            Isa::Portable
-        };
-        assert_eq!(t.effective_isa(), expect);
+    fn effective_isa_describes_the_host() {
+        // The tier does not change what the host reports.
+        let isa = Target::detect().effective_isa();
+        for tier in [Tier::Auto, Tier::Scalar, Tier::Simd] {
+            assert_eq!(Target::detect().with_tier(tier).effective_isa(), isa);
+        }
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            isa == Isa::Avx2,
+            std::arch::is_x86_feature_detected!("avx2")
+        );
     }
 
     #[test]
     fn with_tier_overrides_only_the_tier() {
-        let t = Target::with_features(&[Feature::Avx2]).with_tier(Tier::Scalar);
+        let t = Target::detect().with_tier(Tier::Scalar);
         assert_eq!(t.tier(), Tier::Scalar);
-        assert!(t.has(Feature::Avx2));
+        assert_eq!(t.with_tier(Tier::Auto), Target::detect());
     }
 
     #[test]
     fn override_encode_decode_round_trips() {
         for tier in [Tier::Auto, Tier::Scalar, Tier::Simd] {
-            for feats in [&[][..], &[Feature::Avx2][..]] {
-                let t = Target::with_features(feats).with_tier(tier);
-                assert_eq!(Target::decode(t.encode()), t);
-            }
+            let t = Target::detect().with_tier(tier);
+            assert_eq!(Target::decode(t.encode()), t);
         }
     }
 }

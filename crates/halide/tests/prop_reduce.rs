@@ -67,13 +67,12 @@ fn assert_update_tiers_match_oracle(
         .expect("interpreter realize");
     // Explicit pins cover both tiers in any environment; the unpinned
     // (`None`) compile follows the process-wide target, so the CI legs
-    // running this suite under HELIUM_FORCE_SCALAR=1 / HELIUM_FORCE_SIMD=1 /
-    // HELIUM_PORTABLE=1 each exercise a genuinely different default path.
+    // running this suite under HELIUM_FORCE_SCALAR=1 / HELIUM_FORCE_SIMD=1
+    // each exercise a genuinely different default path.
     for mode in [
         None,
         Some(Target::detect().with_tier(Tier::Scalar)),
         Some(Target::detect().with_tier(Tier::Simd)),
-        Some(Target::portable().with_tier(Tier::Simd)),
     ] {
         let compiled = p
             .compile(

@@ -11,11 +11,7 @@
 //! * across every [`ScalarType`] as both input and output element type
 //!   (`UInt64` outputs ride the `[i64; W/2]` family, `Float32` outputs the
 //!   `[f32; W]` family, `Float64` outputs the `[f64; W/2]` family);
-//! * across ISAs: the pinned-scalar tier, the portable lane kernels, and —
-//!   on hosts whose detected target carries AVX2 — the hand-written
-//!   `core::arch` evaluators, which must be bit-identical to the portable
-//!   lanes (on non-AVX2 hosts the arch column degrades to portable and the
-//!   dedicated differential test below prints a skip notice);
+//! * across tiers: the pinned-scalar tier and the fused lane kernels;
 //! * on odd/prime extents, so interior chunks always leave sub-width tails
 //!   (executed as masked or overlapping fused chunks) and border peels;
 //! * on border-clamping stencils (negative and past-the-end tap offsets);
@@ -28,7 +24,7 @@
 //!   expressions — f64 lanes are the reference representation, so exactness
 //!   comes free.
 //!
-//! The `HELIUM_FORCE_SCALAR=1` / `HELIUM_FORCE_SIMD=1` / `HELIUM_PORTABLE=1`
+//! The `HELIUM_FORCE_SCALAR=1` / `HELIUM_FORCE_SIMD=1`
 //! environment variables apply the same pinning process-wide (read once by
 //! [`Target::from_env`]); CI runs the whole test suite under each as
 //! separate matrix legs, plus float- and 64-bit-filtered legs that
@@ -207,14 +203,11 @@ fn f32_value_strategy() -> impl Strategy<Value = Expr> {
 }
 
 /// The pinned-target matrix every differential case runs under: the scalar
-/// tier, the portable lane kernels, and the detected target's lane kernels
-/// (the hand-written AVX2 evaluators on hosts that have them; identical to
-/// the portable column elsewhere).
-fn target_matrix() -> [(&'static str, Target); 3] {
+/// tier and the fused lane kernels.
+fn target_matrix() -> [(&'static str, Target); 2] {
     [
-        ("scalar", Target::portable().with_tier(Tier::Scalar)),
-        ("portable-simd", Target::portable().with_tier(Tier::Simd)),
-        ("arch-simd", Target::detect().with_tier(Tier::Simd)),
+        ("scalar", Target::detect().with_tier(Tier::Scalar)),
+        ("simd", Target::detect().with_tier(Tier::Simd)),
     ]
 }
 
@@ -671,182 +664,4 @@ fn i64_histogram_idiom_runs_fused_and_agrees() {
         .realize(&p, &[37, 19], &inputs)
         .expect("oracle");
     assert_eq!(fused, oracle, "i64 histogram diverged from oracle");
-}
-
-/// Whether `run` can execute without advancing the process-wide arch
-/// counter. Tests in this binary run concurrently and may advance it from
-/// other threads, so one quiet run out of several suffices: a kernel whose
-/// chunks run on AVX2 advances it on every run.
-fn runs_portable(mut run: impl FnMut()) -> bool {
-    (0..32).any(|_| {
-        let before = helium_halide::arch_rows_executed();
-        run();
-        helium_halide::arch_rows_executed() == before
-    })
-}
-
-/// The dedicated arch differential: on AVX2 hosts, pipelines compiled with
-/// an explicit [`Feature::Avx2`] target must produce bytes identical to the
-/// portable lane kernels, on prime extents. The per-family ISA rule decides
-/// which kernels execute the hand-written `core::arch` evaluators: float
-/// kernels of at most 16 taps must (run-time counter guard — equality alone
-/// would be vacuous if dispatch silently fell back), while i32 and i64
-/// kernels and 25-tap float kernels must run fused on the portable lanes and
-/// leave the arch counter alone. On hosts without AVX2 the test prints a
-/// skip notice and passes.
-#[test]
-fn arch_kernels_match_portable_lanes_bit_for_bit() {
-    if !Target::detect().has(Feature::Avx2) {
-        eprintln!("skipping arch differential: host does not report AVX2");
-        return;
-    }
-    let u32c = |e: Expr| Expr::cast(ScalarType::UInt32, e);
-    let neg = |e: Expr| u32c(Expr::mul(Expr::int(4294967295), e));
-    // 5x5 box sums: 25 taps, more than the AVX2 plan evaluators stage.
-    let box25 = |round: fn(Expr) -> Expr| {
-        (1..25).fold(ftap(-2, -2), |acc, i| {
-            round(Expr::add(acc, ftap(i % 5 - 2, i / 5 - 2)))
-        })
-    };
-    let shapes: Vec<(&str, ScalarType, ScalarType, Expr, bool)> = vec![
-        (
-            "i32-sharpen",
-            ScalarType::UInt8,
-            ScalarType::UInt8,
-            Expr::cast(
-                ScalarType::UInt8,
-                u32c(Expr::bin(
-                    BinOp::Shr,
-                    u32c(Expr::add(
-                        u32c(Expr::add(
-                            u32c(Expr::add(
-                                Expr::int(2),
-                                u32c(Expr::mul(Expr::int(8), tap(1, 1))),
-                            )),
-                            neg(tap(0, 1)),
-                        )),
-                        neg(tap(2, 1)),
-                    )),
-                    Expr::uint(2),
-                )),
-            ),
-            false,
-        ),
-        (
-            "i64-binning",
-            ScalarType::UInt8,
-            ScalarType::UInt64,
-            Expr::cast(
-                ScalarType::UInt64,
-                Expr::add(
-                    Expr::mul(tap(0, 0), Expr::int(0x1_0000_0001)),
-                    Expr::bin(
-                        BinOp::Shl,
-                        Expr::cast(ScalarType::UInt64, tap(1, 1)),
-                        Expr::int(33),
-                    ),
-                ),
-            ),
-            false,
-        ),
-        (
-            "f32-smooth",
-            ScalarType::Float32,
-            ScalarType::Float32,
-            {
-                let f32c = |e: Expr| Expr::cast(ScalarType::Float32, e);
-                let wn = Expr::ConstFloat((1.0f32 / 12.0) as f64, ScalarType::Float32);
-                f32c(Expr::add(
-                    f32c(Expr::mul(
-                        f32c(Expr::add(
-                            f32c(Expr::add(ftap(-1, 0), ftap(1, 0))),
-                            ftap(0, -1),
-                        )),
-                        wn,
-                    )),
-                    ftap(0, 0),
-                ))
-            },
-            true,
-        ),
-        (
-            "f64-smooth",
-            ScalarType::Float64,
-            ScalarType::Float64,
-            Expr::add(
-                Expr::mul(
-                    Expr::add(Expr::add(ftap(-1, 0), ftap(1, 0)), ftap(0, -1)),
-                    Expr::ConstFloat(1.0 / 12.0, ScalarType::Float64),
-                ),
-                Expr::mul(ftap(0, 0), Expr::ConstFloat(0.5, ScalarType::Float64)),
-            ),
-            true,
-        ),
-        (
-            "f32-box25",
-            ScalarType::Float32,
-            ScalarType::Float32,
-            box25(|e| Expr::cast(ScalarType::Float32, e)),
-            false,
-        ),
-        (
-            "f64-box25",
-            ScalarType::Float64,
-            ScalarType::Float64,
-            box25(|e| e),
-            false,
-        ),
-    ];
-    for (name, in_ty, out_ty, value, runs_arch) in shapes {
-        let out = Func::pure("out", &["x_0", "x_1"], out_ty, value);
-        let p = Pipeline::new(out, vec![ImageParam::new("in", in_ty, 2)]);
-        let input = image(in_ty, 41, 23, 0xA5A5);
-        let inputs = RealizeInputs::new().with_image("in", &input);
-        let compile = |target: Target| {
-            p.compile(
-                &Schedule::stencil_default(),
-                &CompileOptions {
-                    backend: ExecBackend::Lowered,
-                    target: Some(target.with_tier(Tier::Simd)),
-                    ..CompileOptions::default()
-                },
-            )
-            .expect("compile")
-        };
-        let portable = compile(Target::portable());
-        let arch = compile(Target::with_features(&[Feature::Avx2]));
-        for (w, h) in [(37usize, 19usize), (31, 13), (8, 8)] {
-            let profile = arch.dry_run(&inputs, &[w, h]).expect("dry run");
-            let stores: Vec<_> = profile
-                .stages
-                .iter()
-                .flat_map(|s| &s.stores)
-                .filter(|s| s.fused.is_some())
-                .collect();
-            assert_eq!(stores.len(), 1, "{name} ({w}x{h}): the store must fuse");
-            let expect_isa = if runs_arch { Isa::Avx2 } else { Isa::Portable };
-            assert_eq!(stores[0].selected_isa, expect_isa, "{name} ({w}x{h})");
-            let expect = portable.run(&inputs, &[w, h]).expect("portable run");
-            let check = || {
-                assert_eq!(
-                    arch.run(&inputs, &[w, h]).expect("arch run"),
-                    expect,
-                    "{name} ({w}x{h}): arch target diverged from portable lanes"
-                );
-            };
-            if runs_arch {
-                let before = helium_halide::arch_rows_executed();
-                check();
-                assert!(
-                    helium_halide::arch_rows_executed() > before,
-                    "{name} ({w}x{h}): the AVX2 kernels must actually execute"
-                );
-            } else {
-                assert!(
-                    runs_portable(check),
-                    "{name} ({w}x{h}): the kernel must stay on the portable lanes"
-                );
-            }
-        }
-    }
 }

@@ -9,8 +9,7 @@
 //! border-clamping taps, vector widths and parallelism, under both pinned
 //! execution tiers ([`Tier::Scalar`] / [`Tier::Simd`] via the [`Target`]
 //! carried on [`CompileOptions`]; CI additionally runs the whole suite under
-//! `HELIUM_FORCE_SCALAR=1`, `HELIUM_FORCE_SIMD=1` and `HELIUM_PORTABLE=1`
-//! legs).
+//! `HELIUM_FORCE_SCALAR=1` and `HELIUM_FORCE_SIMD=1` legs).
 //!
 //! Equality alone can be vacuous — a schedule that silently degrades to the
 //! non-locality path also matches — so the deterministic tests guard with

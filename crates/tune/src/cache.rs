@@ -15,7 +15,7 @@
 //! missing cache must mean "search again", never "crash".
 
 use helium_halide::cache::fingerprint_pipeline;
-use helium_halide::{ExecBackend, Pipeline, Schedule, Target};
+use helium_halide::{ExecBackend, Pipeline, Schedule};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -38,24 +38,16 @@ pub struct ScheduleKey {
     pub pipeline: u64,
     /// Execution backend the schedule was tuned for.
     pub backend: ExecBackend,
-    /// `+`-joined ISA feature tag of the resolved [`Target`] the schedule
-    /// was tuned under ([`Target::feature_tag`]; empty = portable lanes).
-    /// Winners tuned with the AVX2 arch kernels never migrate to portable
-    /// hosts, and vice versa.
-    pub features: String,
     /// Output extents the schedule was tuned over.
     pub extents: Vec<usize>,
 }
 
 impl ScheduleKey {
-    /// Build the key for `pipeline` tuned over `extents` on `backend`,
-    /// keyed on the ISA features of the process's resolved
-    /// [`Target::current`] — the target unpinned compiles resolve to.
+    /// Build the key for `pipeline` tuned over `extents` on `backend`.
     pub fn for_pipeline(pipeline: &Pipeline, backend: ExecBackend, extents: &[usize]) -> Self {
         ScheduleKey {
             pipeline: fingerprint_pipeline(pipeline),
             backend,
-            features: Target::current().feature_tag(),
             extents: extents.to_vec(),
         }
     }
@@ -142,7 +134,7 @@ impl ScheduleCache {
             out.push_str(&format!(
                 "{:016x} {} {} {} {:e} {} {}\n",
                 key.pipeline,
-                encode_backend(key.backend, &key.features),
+                encode_backend(key.backend),
                 if extents.is_empty() {
                     "-".into()
                 } else {
@@ -183,8 +175,7 @@ impl ScheduleCache {
             }
             let pipeline = u64::from_str_radix(fields[0], 16)
                 .map_err(|_| err(lineno, "bad pipeline fingerprint"))?;
-            let (backend, features) =
-                decode_backend(fields[1]).ok_or_else(|| err(lineno, "bad backend"))?;
+            let backend = decode_backend(fields[1]).ok_or_else(|| err(lineno, "bad backend"))?;
             let extents: Vec<usize> = if fields[2] == "-" {
                 Vec::new()
             } else {
@@ -208,7 +199,6 @@ impl ScheduleCache {
                 ScheduleKey {
                     pipeline,
                     backend,
-                    features,
                     extents,
                 },
                 CachedSchedule {
@@ -279,32 +269,24 @@ impl ScheduleCache {
     }
 }
 
-/// The backend field of the v1 text encoding, extended with the resolved
-/// target's ISA feature tag: `lowered`, `lowered+avx2`. Legacy files carry
-/// the bare backend, which decodes as the empty (portable) feature set.
-fn encode_backend(backend: ExecBackend, features: &str) -> String {
-    let tag = match backend {
+/// The backend field of the v1 text encoding: `lowered` or `interpret`.
+fn encode_backend(backend: ExecBackend) -> &'static str {
+    match backend {
         ExecBackend::Interpret => "interpret",
         ExecBackend::Lowered => "lowered",
-    };
-    if features.is_empty() {
-        tag.to_string()
-    } else {
-        format!("{tag}+{features}")
     }
 }
 
-fn decode_backend(tag: &str) -> Option<(ExecBackend, String)> {
-    let (backend, features) = match tag.split_once('+') {
-        Some((b, f)) => (b, f),
-        None => (tag, ""),
-    };
-    let backend = match backend {
-        "interpret" => ExecBackend::Interpret,
-        "lowered" => ExecBackend::Lowered,
-        _ => return None,
-    };
-    Some((backend, features.to_string()))
+/// Decode a backend field. Files written while schedules were keyed on ISA
+/// features carry a `+`-joined tag (`lowered+avx2`); every host now runs the
+/// same portable kernels, so the tag is dropped and the entry still hits.
+fn decode_backend(tag: &str) -> Option<ExecBackend> {
+    let backend = tag.split_once('+').map_or(tag, |(b, _)| b);
+    match backend {
+        "interpret" => Some(ExecBackend::Interpret),
+        "lowered" => Some(ExecBackend::Lowered),
+        _ => None,
+    }
 }
 
 /// Percent-escape a func or var name so the schedule encoding's delimiters
@@ -443,7 +425,6 @@ mod tests {
             ScheduleKey {
                 pipeline: 0xDEADBEEF_u64,
                 backend: ExecBackend::Lowered,
-                features: "avx2".to_string(),
                 extents: vec![640, 480],
             },
             CachedSchedule {
@@ -468,7 +449,6 @@ mod tests {
             ScheduleKey {
                 pipeline: 7,
                 backend: ExecBackend::Interpret,
-                features: String::new(),
                 extents: vec![1],
             },
             CachedSchedule {
@@ -502,22 +482,24 @@ mod tests {
     }
 
     #[test]
-    fn legacy_backend_tags_without_features_decode_as_portable() {
-        // Files written before the ISA-feature extension carry the bare
-        // backend tag; they must load with the empty (portable) feature set
-        // and stay distinct from entries keyed on the arch feature tag.
-        let legacy = format!("{HEADER}\n00000000000000aa lowered 4x4 10 1e2 3 parallel=false\n");
-        let cache = ScheduleCache::from_text(&legacy).unwrap();
-        let (key, _) = cache.iter().next().unwrap();
-        assert_eq!(key.features, "");
-        // And the extended tag round-trips exactly.
-        let mut tagged = ScheduleCache::new();
+    fn legacy_feature_tagged_backends_decode_and_hit() {
+        // v1 files written while keys carried ISA features tag the backend
+        // (`lowered+avx2`); the tag is dropped on load, so the entry hits
+        // the key every host now builds, and is written back bare.
         let (key, entry) = sample_entry();
-        tagged.insert(key.clone(), entry);
-        let text = tagged.to_text();
-        assert!(text.contains(" lowered+avx2 "), "got: {text}");
-        let parsed = ScheduleCache::from_text(&text).unwrap();
-        assert_eq!(parsed, tagged);
+        let legacy = format!(
+            "{HEADER}\n{:016x} lowered+avx2 640x480 123456 9.875e2 5 {}\n",
+            key.pipeline,
+            encode_schedule(&entry.schedule)
+        );
+        let cache = ScheduleCache::from_text(&legacy).unwrap();
+        assert_eq!(cache.get(&key), Some(&entry));
+        let text = cache.to_text();
+        assert!(text.contains(" lowered 640x480 "), "got: {text}");
+        assert!(!text.contains('+'), "got: {text}");
+        // The bare tag decodes to the same key.
+        let bare = legacy.replace("lowered+avx2", "lowered");
+        assert_eq!(ScheduleCache::from_text(&bare).unwrap(), cache);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! admit the lane tree-reduce or privatize-then-merge paths.
 
 use helium_halide::exec::MAX_CHUNK;
-use helium_halide::{Isa, LaneFamily, PipelineProfile, Schedule, StageProfile, StoreProfile};
+use helium_halide::{LaneFamily, PipelineProfile, Schedule, StageProfile, StoreProfile};
 
 /// The model's feature vector for one candidate schedule, exposed on every
 /// trial of a [`TuneReport`](crate::TuneReport) so benches and tests can
@@ -62,9 +62,6 @@ pub struct ScheduleFeatures {
     /// Stages carried by fused multi-output loop nests (0 when nothing
     /// fused; at least 2 per nest otherwise).
     pub fused_output_count: usize,
-    /// Stores whose lane kernels will execute on a hand-written arch ISA
-    /// path (`selected_isa` = AVX2) rather than the portable lane loops.
-    pub arch_stores: usize,
 }
 
 impl ScheduleFeatures {
@@ -108,7 +105,6 @@ impl ScheduleFeatures {
             interpreted_stages: profile.stages.iter().filter(|s| !s.lowered).count(),
             window_reuse_fraction: window_reuse_fraction(profile),
             fused_output_count: profile.fused_outputs,
-            arch_stores: stores().filter(|p| p.selected_isa == Isa::Avx2).count(),
         }
     }
 
@@ -134,7 +130,6 @@ impl ScheduleFeatures {
             ("interpreted_stages", self.interpreted_stages as f64),
             ("window_reuse_fraction", self.window_reuse_fraction),
             ("fused_output_count", self.fused_output_count as f64),
-            ("arch_stores", self.arch_stores as f64),
         ]
     }
 }
@@ -172,21 +167,15 @@ fn fused_lanes(family: LaneFamily, width: usize) -> f64 {
     }
 }
 
-/// Per-chunk cost multiplier of the lane ISA a store will execute on: the
-/// hand-written AVX2 evaluators beat the autovectorized portable loops on
-/// the same chunk shapes (see `BENCH_lowering.json`'s `arch_speedup` floor),
-/// so arch-selected stores score cheaper.
-fn isa_factor(isa: Isa) -> f64 {
-    match isa {
-        Isa::Portable => 1.0,
-        Isa::Avx2 => 0.8,
-    }
-}
-
 /// Abstract per-element cost of the per-op typed tier: a dispatch overhead
-/// amortized over the scheduled width plus per-op work.
+/// amortized over the scheduled width plus per-op work. Calibrated against
+/// the fused tier's unit on the lifted invert at 96×64 (release build, 2-vCPU
+/// host, medians of 301 serial runs): the per-op tier took 95, 24, 20 and
+/// 20 ns per element at widths 1, 8, 16 and 32, where the 1-tap fused store
+/// took 4.2 ns at width 16 (0.078 units). Per-op work is thus about 5× a
+/// fused element, the scale [`THREAD_SPAWN_COST`] is weighed against.
 fn per_op_cost(width: usize) -> f64 {
-    2.0 + 2.0 / width.max(1) as f64
+    0.28 + 1.5 / width.max(1) as f64
 }
 
 /// Predicted cost of one store over one cell of its stage.
@@ -194,14 +183,11 @@ fn store_cost(p: &StoreProfile, schedule: &Schedule, extent0: usize) -> f64 {
     if let Some(family) = p.reduce {
         // Lane tree-reduce accumulation: reductions always chunk at the
         // widest width, independent of the schedule knob.
-        return isa_factor(p.selected_isa) * (1.0 + 0.25 * p.taps as f64)
-            / fused_lanes(family, MAX_CHUNK)
-            + 0.05;
+        return (1.0 + 0.25 * p.taps as f64) / fused_lanes(family, MAX_CHUNK) + 0.05;
     }
     if let Some(family) = p.fused {
         let interior = interior_fraction(extent0, p.max_tap_offset);
-        let fused = isa_factor(p.selected_isa) * (1.0 + 0.25 * p.taps as f64)
-            / fused_lanes(family, schedule.vector_width);
+        let fused = (1.0 + 0.25 * p.taps as f64) / fused_lanes(family, schedule.vector_width);
         return interior * fused + (1.0 - interior) * per_op_cost(schedule.vector_width);
     }
     if p.guarded {
