@@ -30,6 +30,13 @@
 //! after asserting the chain collapsed into exactly one shared nest) — both
 //! bit-identical to the interpreter oracle before any timing counts.
 //!
+//! Every two-sided split above (and the lane families' width sweep) times
+//! its sides in interleaved rounds, alternating which side goes first, and
+//! reports medians, so drift in the host's speed lands on every side alike.
+//! The report also carries an ungated `tile_overhead.<filter>` column:
+//! `stencil_default` on one thread over untiled vector 32, for the lifted
+//! invert, blur and sharpen at 1920×1080.
+//!
 //! Setting `HELIUM_BENCH_SMOKE=1` skips the criterion group and writes the
 //! report from a reduced configuration — CI uses this to exercise the cached
 //! realize path on every PR without burning minutes.
@@ -41,9 +48,10 @@ use helium_bench::{
     minigmg_smooth_f32, minigmg_smooth_f64, pointwise_chain_pipeline, time_lifted_on,
     two_stage_blur_pipeline, LiftedRealizeSetup,
 };
+use helium_core::LiftedStencil;
 use helium_halide::{
     set_target_override, Buffer, CompileOptions, CounterSnapshot, ExecBackend, Pipeline,
-    RealizeInputs, Realizer, Schedule, Target, Tier,
+    RealizeInputs, Realizer, ScalarType, Schedule, Target, Tier,
 };
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -106,21 +114,43 @@ fn compile_pinned(
         .expect("compile")
 }
 
-/// Steady-state best-of-`reps` timing of warm runs of a compiled pipeline.
+/// Steady-state timing of the sides of a split: `rounds` rounds of one warm
+/// run per side, alternating the order from round to round so drift in the
+/// host's speed lands on every side alike. Returns each side's median.
 fn time_compiled_runs(
-    compiled: &helium_halide::CompiledPipeline,
+    sides: &[&helium_halide::CompiledPipeline],
     inputs: &RealizeInputs<'_>,
     extents: &[usize],
-    reps: usize,
-) -> Duration {
-    let _ = compiled.run(inputs, extents).expect("warm-up run");
-    let mut best = Duration::MAX;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let _ = compiled.run(inputs, extents).expect("run");
-        best = best.min(start.elapsed());
+    rounds: usize,
+) -> Vec<Duration> {
+    for side in sides {
+        let _ = side.run(inputs, extents).expect("warm-up run");
     }
-    best
+    let mut times = vec![Vec::new(); sides.len()];
+    for round in 0..rounds.max(1) {
+        for k in 0..sides.len() {
+            let i = if round % 2 == 0 {
+                k
+            } else {
+                sides.len() - 1 - k
+            };
+            let start = Instant::now();
+            let _ = sides[i].run(inputs, extents).expect("run");
+            times[i].push(start.elapsed());
+        }
+    }
+    times
+        .into_iter()
+        .map(|mut t| {
+            t.sort();
+            t[t.len() / 2]
+        })
+        .collect()
+}
+
+/// Interleaved rounds for `reps`: an odd count, so each median is a run.
+fn rounds(reps: usize) -> usize {
+    2 * reps.max(2) + 1
 }
 
 /// Compiled-vs-interpreter split for a pipeline whose hot path is an update
@@ -171,8 +201,13 @@ fn reduction_split(
         .expect("interpreter run");
     assert_eq!(out, oracle, "{name}: compiled updates diverged from oracle");
 
-    let interpret = time_compiled_runs(&interp_compiled, &inputs, extents, reps);
-    let compiled_t = time_compiled_runs(&compiled, &inputs, extents, reps);
+    let t = time_compiled_runs(
+        &[&interp_compiled, &compiled],
+        &inputs,
+        extents,
+        rounds(reps),
+    );
+    let (interpret, compiled_t) = (t[0], t[1]);
     let speedup = interpret.as_secs_f64() / compiled_t.as_secs_f64().max(1e-12);
     println!(
         "lowering: {name:<22} interpret={interpret:?} compiled={compiled_t:?} \
@@ -195,7 +230,11 @@ fn lane_family_split(
     reps: usize,
 ) -> (Duration, Duration, usize, f64) {
     let inputs = RealizeInputs::new().with_image(input_name, input);
-    let schedule = Schedule::stencil_default();
+    // One thread: the split compares tiers, and spawning the parallel
+    // workers (about 130 µs per realize on a 2-vCPU host) costs more than
+    // the whole fused realize of the smoke-sized smoother (about 40 µs),
+    // so on a parallel schedule the ratio measured thread start-up.
+    let schedule = Schedule::stencil_default().with_parallel(false);
     // Correctness gate before timing: the fused tier must be active on the
     // expected lane family and bit-identical to the interpreter.
     let compiled = compile_pinned(pipeline, &schedule, Target::detect().with_tier(Tier::Simd));
@@ -224,22 +263,26 @@ fn lane_family_split(
         &schedule,
         Target::detect().with_tier(Tier::Scalar),
     );
-    let scalar = time_compiled_runs(&scalar_compiled, &inputs, extents, reps);
-    let (mut best_width, mut simd) = (0usize, Duration::MAX);
-    for width in [8usize, 16, 32] {
-        // Each swept width compiles a different fused kernel (its own cache
-        // key), so every one is pinned to the fused tier and oracle-gated
-        // before its timing counts (on the same compiled pipeline).
+    let widths = [8usize, 16, 32];
+    let mut sides = vec![scalar_compiled];
+    for width in widths {
+        // Each swept width is its own compiled program (its own cache key),
+        // so every one is pinned to the fused tier and oracle-gated before
+        // its timing counts (on the same compiled pipeline).
         let s = schedule.clone().with_vector_width(width);
         let swept = compile_pinned(pipeline, &s, Target::detect().with_tier(Tier::Simd));
         let out = swept.run(&inputs, extents).expect("swept run");
         assert_eq!(out, oracle, "{name}: width {width} diverged from oracle");
-        let t = time_compiled_runs(&swept, &inputs, extents, reps);
-        if t < simd {
-            simd = t;
-            best_width = width;
-        }
+        sides.push(swept);
     }
+    let sides: Vec<_> = sides.iter().collect();
+    let t = time_compiled_runs(&sides, &inputs, extents, rounds(reps));
+    let scalar = t[0];
+    let (best_width, simd) = widths
+        .into_iter()
+        .zip(t[1..].iter().copied())
+        .min_by_key(|(_, t)| *t)
+        .expect("a swept width");
     let speedup = scalar.as_secs_f64() / simd.as_secs_f64().max(1e-12);
     println!(
         "lowering: {name:<18} scalar={scalar:?} simd={simd:?} \
@@ -302,8 +345,8 @@ fn window_split(
         "{name}: no rows re-used — the window is vacuous"
     );
 
-    let plain = time_compiled_runs(&plain_c, &inputs, extents, reps);
-    let sliding = time_compiled_runs(&slid_c, &inputs, extents, reps);
+    let t = time_compiled_runs(&[&plain_c, &slid_c], &inputs, extents, rounds(reps));
+    let (plain, sliding) = (t[0], t[1]);
     let speedup = plain.as_secs_f64() / sliding.as_secs_f64().max(1e-12);
     println!(
         "lowering: {name:<18} plain={plain:?} sliding={sliding:?} \
@@ -365,8 +408,8 @@ fn multi_output_split(
     );
     assert!(nests >= 1, "{name}: the fused nest never executed");
 
-    let unfused = time_compiled_runs(&unfused_c, &inputs, extents, reps);
-    let fused = time_compiled_runs(&fused_c, &inputs, extents, reps);
+    let t = time_compiled_runs(&[&unfused_c, &fused_c], &inputs, extents, rounds(reps));
+    let (unfused, fused) = (t[0], t[1]);
     let speedup = unfused.as_secs_f64() / fused.as_secs_f64().max(1e-12);
     println!(
         "lowering: {name:<18} unfused={unfused:?} fused={fused:?} \
@@ -375,10 +418,66 @@ fn multi_output_split(
     (unfused, fused, speedup)
 }
 
+/// Image the tiling overhead is measured on (the `run` workload's size).
+const TILE_IMAGE: (usize, usize) = (1920, 1080);
+
+/// Tiling overhead of a lifted kernel at [`TILE_IMAGE`] on one thread:
+/// `stencil_default` (64×64 tiles, vector 8) over untiled vector 32, as a
+/// ratio of interleaved medians, after checking both give the same bytes.
+/// The engine picks its chunk from the row, so the ratio shows what tiling
+/// itself costs (loop control, row set-up, the memory access pattern), not
+/// a chunk-width difference.
+fn tile_overhead(lifted: &LiftedStencil, reps: usize) -> f64 {
+    let (w, h) = TILE_IMAGE;
+    let kernel = lifted.primary();
+    let images: Vec<(String, Buffer)> = kernel
+        .pipeline
+        .images
+        .keys()
+        .map(|name| {
+            let mut image = Buffer::new(ScalarType::UInt8, &[w + 2, h + 2]);
+            for (i, b) in image.bytes_mut().iter_mut().enumerate() {
+                *b = (i.wrapping_mul(2654435761) >> 13) as u8;
+            }
+            (name.clone(), image)
+        })
+        .collect();
+    let mut inputs = RealizeInputs::new();
+    for (name, image) in &images {
+        inputs = inputs.with_image(name, image);
+    }
+    for (name, value) in &kernel.parameter_values {
+        inputs = inputs.with_param(name, *value);
+    }
+    let compile = |s: Schedule| {
+        let options = CompileOptions::default();
+        kernel.pipeline.compile(&s, &options).expect("compile")
+    };
+    let tiled = compile(Schedule::stencil_default().with_parallel(false));
+    let untiled = compile(Schedule::naive().with_vector_width(32));
+    assert_eq!(
+        tiled.run(&inputs, &[w, h]).expect("tiled run"),
+        untiled.run(&inputs, &[w, h]).expect("untiled run"),
+        "tiled and untiled schedules must agree"
+    );
+    // Many rounds: a tiled run's memory traffic varies more from run to
+    // run than an untiled one's, and each round costs only milliseconds.
+    let t = time_compiled_runs(&[&tiled, &untiled], &inputs, &[w, h], rounds(4 * reps));
+    t[0].as_secs_f64() / t[1].as_secs_f64().max(1e-12)
+}
+
 fn write_report(reps: usize, width: usize, height: usize) {
     let mut entries = String::new();
+    let mut tile_overheads = Vec::new();
     for (i, filter) in FILTERS.iter().enumerate() {
         let (app, lifted) = lift_photoflow(*filter, width, height);
+        let overhead = tile_overhead(&lifted, reps);
+        println!(
+            "lowering: {:<10} tile_overhead={overhead:.2}x",
+            filter.name()
+        );
+        tile_overheads.push(format!("\"{}\": {overhead:.3}", filter.name()));
+
         let schedule = Schedule::stencil_default();
         let interpret = time_lifted_on(
             &app,
@@ -506,7 +605,7 @@ fn write_report(reps: usize, width: usize, height: usize) {
         window_split("blur_window", &window_p, &window_in, &[ww, wh], reps.max(3));
     // Request-rate-sized realizes: per-nest worker spawning is the overhead
     // fusion removes, so the split runs where that overhead is visible and
-    // takes best-of-many to keep the µs-scale measurement stable.
+    // takes many interleaved rounds to keep the µs-scale measurement stable.
     let (cw, ch, stages) = if smoke { (96, 64, 8) } else { (128, 96, 8) };
     let (chain_p, chain_in) = pointwise_chain_pipeline(cw, ch, stages, 0xC4A1);
     let (m_unfused, m_fused, multi_output_speedup) = multi_output_split(
@@ -551,7 +650,8 @@ fn write_report(reps: usize, width: usize, height: usize) {
         d_simd.as_nanos(),
     );
     let json = format!(
-        "{{\n  \"benchmark\": \"fig7_interpret_vs_lowered\",\n  \"schedule\": \"stencil_default\",\n  \"image\": [{width}, {height}],\n  \"reps\": {reps},\n  \"results\": [\n{entries}\n  ],\n  \"lane_families\": [\n{lane_families}\n  ],\n  \"reductions\": [\n{reductions}\n  ],\n  \"locality\": [\n{locality}\n  ],\n  \"f32_simd_speedup\": {f32_speedup:.3},\n  \"i64_simd_speedup\": {i64_speedup:.3},\n  \"f64_simd_speedup\": {f64_speedup:.3},\n  \"reduction_speedup\": {reduction_speedup:.3},\n  \"window_speedup\": {window_speedup:.3},\n  \"multi_output_speedup\": {multi_output_speedup:.3}\n}}\n"
+        "{{\n  \"benchmark\": \"fig7_interpret_vs_lowered\",\n  \"schedule\": \"stencil_default\",\n  \"image\": [{width}, {height}],\n  \"reps\": {reps},\n  \"results\": [\n{entries}\n  ],\n  \"lane_families\": [\n{lane_families}\n  ],\n  \"reductions\": [\n{reductions}\n  ],\n  \"locality\": [\n{locality}\n  ],\n  \"tile_overhead\": {{{}}},\n  \"f32_simd_speedup\": {f32_speedup:.3},\n  \"i64_simd_speedup\": {i64_speedup:.3},\n  \"f64_simd_speedup\": {f64_speedup:.3},\n  \"reduction_speedup\": {reduction_speedup:.3},\n  \"window_speedup\": {window_speedup:.3},\n  \"multi_output_speedup\": {multi_output_speedup:.3}\n}}\n",
+        tile_overheads.join(", ")
     );
     // Anchor at the workspace root regardless of the bench's working dir.
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_lowering.json");

@@ -208,6 +208,12 @@ impl<V: Clone> ProgramCache<V> {
         }
     }
 
+    /// The program for `key`, neither counted nor refreshed.
+    fn peek(&self, key: &CacheKey) -> Option<V> {
+        let entry = self.entries.iter().find(|e| e.key == *key);
+        entry.map(|e| e.value.clone())
+    }
+
     /// Insert (or replace) the program for `key`, evicting the least recently
     /// used entry if the cache is full.
     pub fn insert(&mut self, key: CacheKey, value: V) {
@@ -389,6 +395,12 @@ impl<V: Clone> ShardedCache<V> {
             match inflight.get(key) {
                 Some(slot) => (Arc::clone(slot), false),
                 None => {
+                    // A leader may have published and retired its build
+                    // between the miss above and this lock: share it.
+                    if let Some(v) = self.shard(key).lock().unwrap().peek(key) {
+                        self.coalesced.fetch_add(1, Ordering::Relaxed);
+                        return Ok(v);
+                    }
                     let slot = Arc::new(Inflight::new());
                     inflight.insert(key.clone(), Arc::clone(&slot));
                     (slot, true)

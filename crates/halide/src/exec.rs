@@ -11,10 +11,10 @@
 //!
 //!    | family      | lanes per chunk  | outputs            | exactness invariant |
 //!    |-------------|------------------|--------------------|---------------------|
-//!    | `[i32; W]`  | `W` ∈ {8,16,32}  | ≤ 32-bit integers  | lanes hold the low 32 bits of the reference `i64` value; wrapping/bitwise ops are low-bit homomorphic, value-sensitive ops (shifts, min/max, compares, selects) only emitted when interval analysis proves the 32-bit result exact |
-//!    | `[i64; W/2]`| `W/2` ∈ {4,8,16} | any integer (incl. `UInt64`) | lanes *are* the reference `i64` value — every emitted op replicates [`eval_binop`] integer semantics verbatim, so no wrap proofs are needed (they would be vacuous) |
-//!    | `[f32; W]`  | `W` ∈ {8,16,32}  | `Float32`          | lanes hold values bit-exactly representable in `f32`; arithmetic is only emitted at *rounding points* (an enclosing `cast<float>` or the store's own narrowing), where a single `f32` rounding of exact-`f32` operands equals the reference's compute-in-`f64`-then-round (innocuous double rounding: 53 ≥ 2·24 + 2 significant bits, for +, −, ×, ÷ and sqrt) |
-//!    | `[f64; W/2]`| `W/2` ∈ {4,8,16} | `Float64`          | lanes *are* the reference `f64` value — every emitted op mirrors the reference op, so every position is a rounding point; only integer leaves need a proof (within ±2^53 their promotion is exact), and `cast<float>` is rejected |
+//!    | `[i32; W]`  | `W` ∈ {8,…,64}   | ≤ 32-bit integers  | lanes hold the low 32 bits of the reference `i64` value; wrapping/bitwise ops are low-bit homomorphic, value-sensitive ops (shifts, min/max, compares, selects) only emitted when interval analysis proves the 32-bit result exact |
+//!    | `[i64; W/2]`| `W/2` ∈ {4,…,32} | any integer (incl. `UInt64`) | lanes *are* the reference `i64` value — every emitted op replicates [`eval_binop`](crate::expr::eval_binop) integer semantics verbatim, so no wrap proofs are needed (they would be vacuous) |
+//!    | `[f32; W]`  | `W` ∈ {8,…,64}   | `Float32`          | lanes hold values bit-exactly representable in `f32`; arithmetic is only emitted at *rounding points* (an enclosing `cast<float>` or the store's own narrowing), where a single `f32` rounding of exact-`f32` operands equals the reference's compute-in-`f64`-then-round (innocuous double rounding: 53 ≥ 2·24 + 2 significant bits, for +, −, ×, ÷ and sqrt) |
+//!    | `[f64; W/2]`| `W/2` ∈ {4,…,32} | `Float64`          | lanes *are* the reference `f64` value — every emitted op mirrors the reference op, so every position is a rounding point; only integer leaves need a proof (within ±2^53 their promotion is exact), and `cast<float>` is rejected |
 //!
 //!    Integer stores try the `[i32; W]` family first and fall back to
 //!    `[i64; W/2]` when the 32-bit proofs fail, so wide-valued idioms (64-bit
@@ -33,9 +33,14 @@
 //!    which constants, loop variables and loads a family admits.
 //!    The kernels evaluate fixed-width chunks with constant trip counts that
 //!    LLVM reliably turns into SIMD, loading taps as straight slices with
-//!    *no per-lane clamping* and storing whole chunks contiguously. Narrow
-//!    types stay narrow end-to-end: a `UInt8` blur runs as u8 loads → i32
-//!    arithmetic → u8 stores, never widening to `i64`/`f64`.
+//!    *no per-lane clamping* and storing whole chunks contiguously. The
+//!    chunk length comes from the row, not the schedule: each row's interior
+//!    runs the widest chunk that fits it (`LaneFamily::chunk_lanes`, up to
+//!    [`MAX_CHUNK`] lanes), so a 64-lane tile row costs one dispatch of the
+//!    op stream whatever the vector width. The chunk stack lives in the
+//!    worker's [`Scratch`] and the result goes straight into the output.
+//!    Narrow types stay narrow end-to-end: a `UInt8` blur runs as u8 loads →
+//!    i32 arithmetic → u8 stores, never widening to `i64`/`f64`.
 //! 2. **Per-op typed lane dispatch.** Every store compiles to typed stack
 //!    programs (`TOp`) whose int lanes are `i64` and float lanes `f64`,
 //!    with clamped, gather-style loads — the general path, and the one the
@@ -77,18 +82,19 @@
 //! derives, from the affine decomposition of every load index and the bound
 //! buffer extents, the sub-range of the loop where *every* load is provably
 //! in-range (the steady-state interior). The interior runs the fused kernel
-//! in full-width chunks; the border lanes before and after it run the
-//! clamped per-op tier — so boundary clamping semantics are preserved
-//! exactly while the hot interior pays for none of it. A sub-width interior
-//! tail no longer peels onto the per-op tier: after at least one full chunk,
-//! the final chunk simply *overlaps* the previous one (re-storing identical
-//! lanes — sound because the kernel is deterministic and reads nothing it
-//! wrote; stores that read their own buffer are refused fusion outright, at
-//! build time, via [`crate::stmt::value_reads_buffer`] and the tap-slot
-//! check); an interior shorter than one chunk instead runs a single *masked*
-//! chunk that loads only the provably in-range lane prefix (zero-filling the
-//! rest) and stores only that prefix. Either way small tiles stay on tier 1
-//! — [`fused_tail_chunks_executed`] counts these tail chunks.
+//! in full chunks of the widest width that fits it; the border lanes before
+//! and after it run the clamped per-op tier — so boundary clamping semantics
+//! are preserved exactly while the hot interior pays for none of it. A
+//! sub-width interior tail does not peel onto the per-op tier: after at
+//! least one full chunk, the final chunk simply *overlaps* the previous one
+//! (re-storing identical lanes — sound because the kernel is deterministic
+//! and reads nothing it wrote; stores that read their own buffer are refused
+//! fusion outright, at build time, via [`crate::stmt::value_reads_buffer`]
+//! and the tap-slot check); an interior shorter than the narrowest chunk
+//! instead runs a single *masked* chunk that loads and stores only the
+//! provably in-range lane prefix (the other lanes hold stale values and are
+//! never stored). Either way small tiles stay on tier 1 —
+//! [`fused_tail_chunks_executed`] counts these tail chunks.
 //!
 //! **The locality tier.** Two lowering constructs cut redundant memory
 //! traffic without touching per-element values:
@@ -141,18 +147,25 @@
 //! right operand of an arithmetic op fuses into it, a constant × tap product
 //! becomes one push, and adding such a product one accumulate — the float
 //! counterpart of the integer `Axpy`. A sum-of-products stencil thus becomes
-//! one push plus in-place ops, and such accumulator-shaped programs run
-//! without the value stack, each tap streaming from its slice straight into
-//! the running chunk. Every fused op keeps the roundings and operand order of
-//! the ops it replaces (no fused multiply-add), so the bytes are unchanged.
+//! one push plus in-place ops, each tap streaming from its slice straight
+//! into the running chunk. Every fused op keeps the roundings and operand
+//! order of the ops it replaces (no fused multiply-add), so the bytes are
+//! unchanged.
 //!
 //! Since the compile/run split, store compilation happens once in [`prepare`]
 //! (producing an [`ExecPlan`] that the program cache retains — including the
 //! per-store fused-kernel selection) and [`run`] only binds buffers and
-//! walks the loop nest.
+//! walks the loop nest. The loop control is compiled too: `prepare` resolves
+//! every loop variable to a slot of the runner's `vars` and every loop bound
+//! to a `Bound` program (affine terms over those slots, `min`/`max` tail
+//! clamps), so no loop entry looks up a name. The rows of a fused store step
+//! their tap and output indices by the row variable's coefficients instead
+//! of re-evaluating them, and each worker counts its rows in its [`Scratch`],
+//! adding them to the process-wide counters once when it finishes.
 //!
-//! **Safety.** Worker threads share buffers through raw pointers; no `&mut`
-//! is ever formed over shared data. This is sound because (a) loads only ever
+//! **Safety.** Worker threads share buffers through raw pointers; a `&mut`
+//! is only ever formed over the bytes one store writes, which no other
+//! thread touches. This is sound because (a) loads only ever
 //! read buffers that nothing writes during the run (inputs, pre-materialized
 //! roots, and the thread's own finished `compute_at` scratch — a fused
 //! kernel additionally rejects stores whose value reads the buffer being
@@ -169,7 +182,7 @@
 use crate::bounds::{combine, expr_interval, Interval};
 use crate::buffer::Buffer;
 use crate::eval::{eval_expr, EvalSources};
-use crate::expr::{eval_binop, eval_cmp, BinOp, CmpOp, Expr, ExternCall};
+use crate::expr::{BinOp, CmpOp, Expr, ExternCall};
 use crate::realize::RealizeError;
 use crate::stmt::{
     access_contiguous_in, access_invariant_in, value_reads_buffer, AffineIndex, LoopKind, Stmt,
@@ -185,11 +198,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// for `vectorize(32)` dispatches 32 lanes per store visit, executed as two
 /// full 16-lane batches (results are identical either way; see
 /// `Runner::exec_store`). Fused SIMD kernels choose their own chunk width
-/// (up to [`MAX_CHUNK`]) from the schedule.
+/// (up to [`MAX_CHUNK`]) from each row.
 pub const MAX_LANES: usize = 16;
 
-/// Widest fused-kernel chunk (lanes of `i32` per kernel invocation).
-pub const MAX_CHUNK: usize = 32;
+/// Widest fused-kernel chunk (lanes of `i32`/`f32` per kernel invocation;
+/// the 64-bit lane families run half as many).
+pub const MAX_CHUNK: usize = 64;
 
 /// Value-stack depth limit of fused kernels; deeper programs (rare — tap
 /// accumulation is peephole-fused) use the per-op tier.
@@ -230,6 +244,17 @@ static WINDOW_ROWS_REUSED: AtomicU64 = AtomicU64::new(0);
 /// [`run_multi_with_target`] with more than one output buffer), for
 /// observability and tests.
 static MULTI_OUTPUT_NESTS: AtomicU64 = AtomicU64::new(0);
+
+/// One worker's share of the per-row counters above, kept in its [`Scratch`]
+/// off the shared cache lines and added to the process-wide totals once,
+/// when the scratch drops at the end of the worker's run.
+#[derive(Debug, Default)]
+struct Counts {
+    fused_rows: u64,
+    fused_tails: u64,
+    reduce_chunks: u64,
+    window_rows: u64,
+}
 
 /// Number of innermost-loop rows executed through the fused-kernel interior
 /// path since process start (monotonic; for tests and observability).
@@ -369,24 +394,29 @@ impl SlotBind {
         unsafe { std::slice::from_raw_parts(self.ptr, self.byte_len) }
     }
 
-    /// Write `bytes` at `byte_off` without forming a `&mut` over the buffer.
+    /// Write `bytes` at `byte_off` (see [`SlotBind::write_with`]).
+    #[inline]
+    fn write(&self, byte_off: usize, bytes: &[u8]) {
+        self.write_with(byte_off, bytes.len(), |dst| dst.copy_from_slice(bytes));
+    }
+
+    /// Let `fill` write the `len` bytes at `byte_off`, forming a `&mut` over
+    /// those bytes only.
     ///
     /// # Panics
     /// If the write would reach past the buffer's end (store indices are in
     /// range by loop construction, so this is a bug, never data).
     #[inline]
-    fn write(&self, byte_off: usize, bytes: &[u8]) {
+    fn write_with(&self, byte_off: usize, len: usize, fill: impl FnOnce(&mut [u8])) {
         assert!(
-            byte_off <= self.byte_len && bytes.len() <= self.byte_len - byte_off,
-            "raw store of {} bytes at {byte_off} overruns a {}-byte buffer",
-            bytes.len(),
+            byte_off <= self.byte_len && len <= self.byte_len - byte_off,
+            "raw store of {len} bytes at {byte_off} overruns a {}-byte buffer",
             self.byte_len
         );
         // SAFETY: in bounds per the assert; concurrent writers target
-        // disjoint ranges per the module-level invariant.
-        unsafe {
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), self.ptr.add(byte_off), bytes.len());
-        }
+        // disjoint ranges and nothing reads the stored bytes meanwhile, per
+        // the module-level invariant.
+        fill(unsafe { std::slice::from_raw_parts_mut(self.ptr.add(byte_off), len) });
     }
 }
 
@@ -730,7 +760,8 @@ enum FOp<C> {
     /// Rounding-point arithmetic on the top two values.
     Arith(Arith),
     /// Exact selection ops, evaluated in f64 per lane to mirror
-    /// [`eval_binop`]'s float branch bit-for-bit (NaN and ±0.0 included).
+    /// [`eval_binop`](crate::expr::eval_binop)'s float branch bit-for-bit
+    /// (NaN and ±0.0 included).
     Min,
     Max,
     /// Rounding-point square root.
@@ -759,19 +790,6 @@ enum FOp<C> {
     AccLoad(Arith, usize),
     /// `top ∘ c`, from `Const(c), Arith(∘)`.
     AccConst(Arith, C),
-}
-
-impl<C> FOp<C> {
-    /// Whether the op rewrites the top value in place (stack depth
-    /// unchanged). A program of one push followed by such ops only is
-    /// accumulator-shaped — every sum-of-products stencil after the
-    /// peephole — and evaluates without a stack.
-    fn in_place(&self) -> bool {
-        matches!(
-            self,
-            FOp::Sqrt | FOp::AccAddMul { .. } | FOp::AccLoad(..) | FOp::AccConst(..)
-        )
-    }
 }
 
 /// The lane program of a fused kernel, tagging which lane family it runs on.
@@ -897,58 +915,34 @@ struct ReduceKernel {
     casts: Vec<ScalarType>,
 }
 
-impl ReduceKernel {
-    /// The lane family the kernel accumulates on.
+impl LaneProgram {
+    /// The lane family the program runs on.
     fn family(&self) -> LaneFamily {
-        match self.prog {
-            LaneProgram::I32(_) => LaneFamily::I32,
-            LaneProgram::I64(_) => LaneFamily::I64,
-            LaneProgram::F32(_) | LaneProgram::F64(_) => {
-                unreachable!("reduce kernels are integer-only")
-            }
-        }
-    }
-
-    /// Chunk width: reductions always accumulate at the widest chunk
-    /// ([`MAX_CHUNK`] lanes for i32, half for i64) — there is no scheduled
-    /// lane loop to inherit a width from.
-    fn chunk_width(&self) -> usize {
-        match self.family() {
-            LaneFamily::I32 => MAX_CHUNK,
-            LaneFamily::I64 => MAX_CHUNK / 2,
-            LaneFamily::F32 | LaneFamily::F64 => {
-                unreachable!("reduce kernels are integer-only")
-            }
-        }
-    }
-}
-
-impl FusedKernel {
-    /// The lane family this kernel runs on.
-    fn family(&self) -> LaneFamily {
-        match self.prog {
+        match self {
             LaneProgram::I32(_) => LaneFamily::I32,
             LaneProgram::I64(_) => LaneFamily::I64,
             LaneProgram::F32(_) => LaneFamily::F32,
             LaneProgram::F64(_) => LaneFamily::F64,
         }
     }
+}
 
-    /// The chunk width used for a scheduled vector width: {8, 16, 32} lanes
-    /// for the i32/f32 families, half that ({4, 8, 16}) for the 64-bit-wide
-    /// i64/f64 lanes so one chunk covers the same number of vector registers.
-    fn chunk_width(&self, width: usize) -> usize {
-        let w = if width >= 32 {
-            32
-        } else if width >= 16 {
-            16
-        } else {
-            8
+impl LaneFamily {
+    /// Lanes per chunk of a fused row whose interior spans `row` lanes: the
+    /// widest chunk that fits the row — {8, 16, 32, 64} lanes of `i32` and
+    /// `f32`, half as many of the 64-bit `i64` and `f64`, so one chunk
+    /// covers the same bytes — or the narrowest one (run masked) when none
+    /// fits. The schedule's vector width plays no part.
+    pub fn chunk_lanes(self, row: usize) -> usize {
+        let widest = match self {
+            LaneFamily::I32 | LaneFamily::F32 => MAX_CHUNK,
+            LaneFamily::I64 | LaneFamily::F64 => MAX_CHUNK / 2,
         };
-        match self.family() {
-            LaneFamily::I32 | LaneFamily::F32 => w,
-            LaneFamily::I64 | LaneFamily::F64 => w / 2,
+        let mut w = widest;
+        while w > widest / 8 && w > row {
+            w /= 2;
         }
+        w
     }
 }
 
@@ -1432,7 +1426,9 @@ impl FusedBuilder<'_> {
     /// Wrapping and bitwise ops are homomorphic in the low bits, so both
     /// families emit them unconditionally. The families part at
     /// value-sensitive ops, by [`LaneConst::EXACT`]. `i64` lanes *are* the
-    /// reference value: every op replicates [`eval_binop`] / [`eval_cmp`] /
+    /// reference value: every op replicates
+    /// [`eval_binop`](crate::expr::eval_binop) /
+    /// [`eval_cmp`](crate::expr::eval_cmp) /
     /// [`Value::cast`] verbatim (casts replay as `Mask` / `Sext32`, min/max
     /// and comparisons are signed), so nothing needs a proof. `i32` lanes
     /// hold its low 32 bits: shifts, min/max, comparisons and selects are
@@ -1830,6 +1826,8 @@ trait LaneConst: Copy + Default + PartialEq + PartialOrd {
     fn to_bits(self) -> u64;
     /// Square root, rounded once in the lane type (float lanes only).
     fn sqrt(self) -> Self;
+    /// This family's chunk-stack storage in a worker's [`LaneStacks`].
+    fn stack(stacks: &mut LaneStacks) -> &mut Vec<Self>;
 }
 
 // The conversions are always inlined so that unoptimized builds keep the
@@ -1845,7 +1843,7 @@ macro_rules! lane_const {
         float_peephole(&mut $out.ops);
         Some(())
     }};
-    ($($t:ty: $family:ident $op:ident, exact $exact:literal, ints $ints:expr,
+    ($($t:ident: $family:ident $op:ident, exact $exact:literal, ints $ints:expr,
        wneg $wneg:expr, bits $to_bits:expr, sqrt $sqrt:expr;)*) => {$(
         impl LaneConst for $t {
             const EXACT: bool = $exact;
@@ -1886,6 +1884,9 @@ macro_rules! lane_const {
             #[inline(always)]
             fn sqrt(self) -> Self {
                 $sqrt(self)
+            }
+            fn stack(stacks: &mut LaneStacks) -> &mut Vec<Self> {
+                &mut stacks.$t
             }
         }
     )*};
@@ -2030,30 +2031,135 @@ fn float_peephole<C: Copy>(ops: &mut Vec<FOp<C>>) {
 }
 
 // ---------------------------------------------------------------------------
-// Preparation: walk the stmt, assign slots/depths, compile stores
+// Preparation: walk the stmt, assign slots/depths, compile stores and bounds
 // ---------------------------------------------------------------------------
 
 #[derive(Debug)]
 struct Prepared {
     decls: Vec<SlotDecl>,
-    /// Slot id per Allocate node, keyed by buffer name (unique per tree).
-    alloc_slots: BTreeMap<String, usize>,
     stores: Vec<Option<CompiledStore>>,
     max_depth: usize,
     max_stack: usize,
     max_arity: usize,
 }
 
+/// A loop bound compiled at prepare time: an affine form over the loop
+/// variables' `vars` slots, or the `min`/`max` of two bounds — all the
+/// lowering pass emits (tile tails `min(64, w - 64·xo)`, clamped region
+/// minima `max(…, 0)`, sliding extents `e - warm`).
+#[derive(Debug, Clone, PartialEq)]
+enum Bound {
+    Affine(DepthAffine),
+    Min(Box<Bound>, Box<Bound>),
+    Max(Box<Bound>, Box<Bound>),
+}
+
+impl Bound {
+    /// Compile `e` over the loop variables in scope (`var_depths`).
+    ///
+    /// # Errors
+    /// A variable out of scope, or an expression outside the bound language.
+    fn compile(
+        e: &Expr,
+        var_depths: &BTreeMap<String, usize>,
+        params: &BTreeMap<String, Value>,
+    ) -> Result<Bound, RealizeError> {
+        let sub = |x: &Expr| Bound::compile(x, var_depths, params).map(Box::new);
+        Ok(match e {
+            Expr::Binary(BinOp::Min, a, b) => Bound::Min(sub(a)?, sub(b)?),
+            Expr::Binary(BinOp::Max, a, b) => Bound::Max(sub(a)?, sub(b)?),
+            _ => {
+                let affine = AffineIndex::decompose(e, params).ok_or_else(|| {
+                    RealizeError::MissingParam(format!("unsupported loop bound expression: {e}"))
+                })?;
+                let terms = affine
+                    .coeffs
+                    .iter()
+                    .map(|(v, c)| {
+                        let depth = var_depths.get(v).copied();
+                        depth
+                            .map(|d| (d, *c))
+                            .ok_or_else(|| RealizeError::MissingParam(v.clone()))
+                    })
+                    .collect::<Result<_, _>>()?;
+                Bound::Affine(DepthAffine {
+                    konst: affine.konst,
+                    terms,
+                })
+            }
+        })
+    }
+
+    /// Whether the bound reads the loop variable at `depth`.
+    fn uses(&self, depth: usize) -> bool {
+        match self {
+            Bound::Affine(a) => a.terms.iter().any(|(at, _)| *at == depth),
+            Bound::Min(a, b) | Bound::Max(a, b) => a.uses(depth) || b.uses(depth),
+        }
+    }
+
+    fn eval(&self, vars: &[i64]) -> i64 {
+        match self {
+            Bound::Affine(a) => a.eval(vars),
+            Bound::Min(a, b) => a.eval(vars).min(b.eval(vars)),
+            Bound::Max(a, b) => a.eval(vars).max(b.eval(vars)),
+        }
+    }
+}
+
+/// The loop nest as the runner walks it: a [`Stmt`] with every name resolved
+/// at prepare time — loop variables to `vars` depths, loop bounds to
+/// [`Bound`] programs, buffers to slots. `Produce` markers are dropped.
+#[derive(Debug)]
+enum Node {
+    Block(Vec<Node>),
+    Allocate {
+        slot: usize,
+        bytes: usize,
+        extents: Vec<usize>,
+        strides: Vec<usize>,
+        body: Box<Node>,
+    },
+    /// [`Stmt::SlideWindow`] over allocation `slot`, binding the warm-row
+    /// count at `depth`.
+    Window {
+        slot: usize,
+        dim: usize,
+        extent: usize,
+        min: Bound,
+        depth: usize,
+        body: Box<Node>,
+    },
+    Loop {
+        depth: usize,
+        min: Bound,
+        extent: Bound,
+        kind: LoopKind,
+        body: Box<Node>,
+    },
+    /// A pure or guarded store, by id.
+    Store(usize),
+}
+
+/// Restore `key` in a scoped map to its value before the scope (`prev`).
+fn restore<V>(map: &mut BTreeMap<String, V>, key: &str, prev: Option<V>) {
+    match prev {
+        Some(p) => map.insert(key.to_string(), p),
+        None => map.remove(key),
+    };
+}
+
 struct PrepareCtx<'a> {
     params: &'a BTreeMap<String, Value>,
     decls: Vec<SlotDecl>,
     slot_ids: BTreeMap<String, usize>,
-    alloc_slots: BTreeMap<String, usize>,
     stores: Vec<Option<CompiledStore>>,
     var_depths: BTreeMap<String, usize>,
     /// Sound interval of each in-scope loop variable (from its bound
     /// expressions), consumed by the fused-kernel compiler's proofs.
     var_bounds: BTreeMap<String, Interval>,
+    /// Extents of the sliding windows, in visit order.
+    windows: Vec<usize>,
     depth: usize,
     max_depth: usize,
     max_stack: usize,
@@ -2068,117 +2174,133 @@ impl PrepareCtx<'_> {
         id
     }
 
-    fn walk(&mut self, stmt: &Stmt) -> Result<(), RealizeError> {
-        match stmt {
-            Stmt::Block(stmts) => {
-                for s in stmts {
-                    self.walk(s)?;
-                }
-                Ok(())
-            }
-            Stmt::Produce { body, .. } => self.walk(body),
-            Stmt::Allocate { name, ty, body, .. } => {
+    fn bound(&self, e: &Expr) -> Result<Bound, RealizeError> {
+        Bound::compile(e, &self.var_depths, self.params)
+    }
+
+    /// Walk `body` with `var` bound to the next `vars` depth over the sound
+    /// interval `range`, returning that depth and the body's node.
+    fn walk_scoped(
+        &mut self,
+        var: &str,
+        range: Interval,
+        body: &Stmt,
+    ) -> Result<(usize, Node), RealizeError> {
+        let depth = self.depth;
+        let prev = self.var_depths.insert(var.to_string(), depth);
+        let prev_bounds = self.var_bounds.insert(var.to_string(), range);
+        self.depth += 1;
+        self.max_depth = self.max_depth.max(self.depth);
+        let body = self.walk(body);
+        self.depth -= 1;
+        restore(&mut self.var_depths, var, prev);
+        restore(&mut self.var_bounds, var, prev_bounds);
+        Ok((depth, body?))
+    }
+
+    fn walk(&mut self, stmt: &Stmt) -> Result<Node, RealizeError> {
+        Ok(match stmt {
+            Stmt::Block(stmts) => Node::Block(
+                stmts
+                    .iter()
+                    .map(|s| self.walk(s))
+                    .collect::<Result<_, _>>()?,
+            ),
+            Stmt::Produce { body, .. } => self.walk(body)?,
+            Stmt::Allocate {
+                name,
+                ty,
+                extents,
+                body,
+            } => {
                 let prev = self.slot_ids.get(name).copied();
-                let id = self.add_slot(name, *ty, true);
-                self.alloc_slots.insert(name.clone(), id);
-                self.walk(body)?;
-                match prev {
-                    Some(p) => {
-                        self.slot_ids.insert(name.clone(), p);
-                    }
-                    None => {
-                        self.slot_ids.remove(name);
-                    }
+                let slot = self.add_slot(name, *ty, true);
+                let body = self.walk(body);
+                restore(&mut self.slot_ids, name, prev);
+                let strides = extents
+                    .iter()
+                    .scan(1usize, |stride, &e| {
+                        Some(std::mem::replace(stride, *stride * e))
+                    })
+                    .collect();
+                Node::Allocate {
+                    slot,
+                    bytes: extents.iter().product::<usize>() * ty.bytes(),
+                    extents: extents.clone(),
+                    strides,
+                    body: Box::new(body?),
                 }
-                Ok(())
             }
             Stmt::For {
                 var,
                 min,
                 extent,
+                kind,
                 body,
-                ..
             } => {
-                let prev = self.var_depths.insert(var.clone(), self.depth);
                 // A sound interval for the loop variable: symbolic bounds
                 // (tile tails) resolve through the enclosing vars' intervals.
                 let imin = expr_interval(min, &self.var_bounds, self.params);
                 let iext = expr_interval(extent, &self.var_bounds, self.params);
                 let hi = imin.max.saturating_add(iext.max.saturating_sub(1).max(0));
-                let prev_bounds = self
-                    .var_bounds
-                    .insert(var.clone(), Interval::new(imin.min, hi));
-                self.depth += 1;
-                self.max_depth = self.max_depth.max(self.depth);
-                self.walk(body)?;
-                self.depth -= 1;
-                match prev {
-                    Some(p) => {
-                        self.var_depths.insert(var.clone(), p);
-                    }
-                    None => {
-                        self.var_depths.remove(var);
-                    }
+                let (min, extent) = (self.bound(min)?, self.bound(extent)?);
+                let (depth, body) = self.walk_scoped(var, Interval::new(imin.min, hi), body)?;
+                Node::Loop {
+                    depth,
+                    min,
+                    extent,
+                    kind: *kind,
+                    body: Box::new(body),
                 }
-                match prev_bounds {
-                    Some(p) => {
-                        self.var_bounds.insert(var.clone(), p);
-                    }
-                    None => {
-                        self.var_bounds.remove(var);
-                    }
-                }
-                Ok(())
             }
             Stmt::SlideWindow {
+                name,
+                dim,
                 extent,
+                min,
                 warm_var,
                 body,
-                ..
             } => {
                 // The warm-row count behaves like a loop variable bound once
                 // per attach iteration: it occupies a depth slot (so the
-                // producer nest's sliding loop can reference it through the
-                // environment) with the sound interval [0, extent].
-                let prev = self.var_depths.insert(warm_var.clone(), self.depth);
-                let prev_bounds = self
-                    .var_bounds
-                    .insert(warm_var.clone(), Interval::new(0, *extent as i64));
-                self.depth += 1;
-                self.max_depth = self.max_depth.max(self.depth);
-                self.walk(body)?;
-                self.depth -= 1;
-                match prev {
-                    Some(p) => {
-                        self.var_depths.insert(warm_var.clone(), p);
-                    }
-                    None => {
-                        self.var_depths.remove(warm_var);
-                    }
+                // producer nest's sliding loop can start at it) with the
+                // sound interval [0, extent].
+                let slot = *self
+                    .slot_ids
+                    .get(name)
+                    .ok_or_else(|| RealizeError::UndefinedFunc(name.clone()))?;
+                let min = self.bound(min)?;
+                self.windows.push(*extent);
+                let range = Interval::new(0, *extent as i64);
+                let (depth, body) = self.walk_scoped(warm_var, range, body)?;
+                Node::Window {
+                    slot,
+                    dim: *dim,
+                    extent: *extent,
+                    min,
+                    depth,
+                    body: Box::new(body),
                 }
-                match prev_bounds {
-                    Some(p) => {
-                        self.var_bounds.insert(warm_var.clone(), p);
-                    }
-                    None => {
-                        self.var_bounds.remove(warm_var);
-                    }
-                }
-                Ok(())
             }
             Stmt::Store {
                 id,
                 buffer,
                 indices,
                 value,
-            } => self.compile_store(*id, buffer, indices, value, false),
+            } => {
+                self.compile_store(*id, buffer, indices, value, false)?;
+                Node::Store(*id)
+            }
             Stmt::ReduceStore {
                 id,
                 buffer,
                 indices,
                 value,
-            } => self.compile_store(*id, buffer, indices, value, true),
-        }
+            } => {
+                self.compile_store(*id, buffer, indices, value, true)?;
+                Node::Store(*id)
+            }
+        })
     }
 
     /// Compile one store (pure or guarded) into its [`CompiledStore`]:
@@ -2373,10 +2495,31 @@ impl PrepareCtx<'_> {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// Per-thread scratch: lane register files, load offset buffers, and
-/// reusable backing storage for `Allocate` nodes (an attach loop re-enters
-/// its allocation once per iteration; reusing the heap buffer keeps the
-/// allocator off the hot path).
+/// The fused lane families' chunk stacks (`V_STACK` chunks each), grown on
+/// first use and reused by every later chunk of the worker.
+#[derive(Default)]
+struct LaneStacks {
+    i32: Vec<i32>,
+    i64: Vec<i64>,
+    f32: Vec<f32>,
+    f64: Vec<f64>,
+}
+
+impl LaneStacks {
+    /// The `V_STACK` chunks of `W` lanes of type `L`.
+    fn stack<L: LaneConst, const W: usize>(&mut self) -> &mut [[L; W]] {
+        let lanes = L::stack(self);
+        if lanes.len() < V_STACK * W {
+            lanes.resize(V_STACK * W, L::default());
+        }
+        lanes[..V_STACK * W].as_chunks_mut().0
+    }
+}
+
+/// Per-thread scratch: lane register files, load offset buffers, fused chunk
+/// stacks, execution counts, and reusable backing storage for `Allocate`
+/// nodes (an attach loop re-enters its allocation once per iteration;
+/// reusing the heap buffer keeps the allocator off the hot path).
 struct Scratch {
     ints: Vec<i64>,
     floats: Vec<f64>,
@@ -2384,6 +2527,13 @@ struct Scratch {
     offs: Vec<usize>,
     /// Per-row tap base offsets of the active fused kernel.
     tap_bases: Vec<i64>,
+    /// Index values of the active fused kernel's row dimensions (see
+    /// `FusedKernel::row_dims`) at the current row, and their steps from one
+    /// row to the next.
+    row_vals: Vec<i64>,
+    row_steps: Vec<i64>,
+    lanes: LaneStacks,
+    counts: Counts,
     allocs: BTreeMap<usize, Vec<u8>>,
     /// Last sliding-dimension region minimum seen per window allocation slot
     /// (keyed like `allocs`), consumed by [`Stmt::SlideWindow`] to decide how
@@ -2402,8 +2552,29 @@ impl Scratch {
             idx: vec![0; prepared.max_arity.max(1) * MAX_LANES],
             offs: vec![0; MAX_LANES],
             tap_bases: Vec::new(),
+            row_vals: Vec::new(),
+            row_steps: Vec::new(),
+            lanes: LaneStacks::default(),
+            counts: Counts::default(),
             allocs: BTreeMap::new(),
             windows: BTreeMap::new(),
+        }
+    }
+}
+
+impl Drop for Scratch {
+    /// The worker is done: add its counts to the process-wide counters.
+    fn drop(&mut self) {
+        let c = &self.counts;
+        for (total, n) in [
+            (&FUSED_ROWS, c.fused_rows),
+            (&FUSED_TAILS, c.fused_tails),
+            (&REDUCE_CHUNKS, c.reduce_chunks),
+            (&WINDOW_ROWS_REUSED, c.window_rows),
+        ] {
+            if n > 0 {
+                total.fetch_add(n, Ordering::Relaxed);
+            }
         }
     }
 }
@@ -2415,17 +2586,46 @@ struct Runner<'a> {
     tier: Tier,
 }
 
+impl FusedKernel {
+    /// The index dimensions a row of the kernel addresses: every tap's, in
+    /// tap order, then the output's.
+    fn row_dims(&self) -> impl Iterator<Item = &DepthAffine> {
+        self.taps.iter().flat_map(|t| &t.dims).chain(&self.out_dims)
+    }
+}
+
+/// Evaluate `dims` at the current loop variables into `out`.
+fn eval_dims<'a>(dims: impl Iterator<Item = &'a DepthAffine>, vars: &[i64], out: &mut Vec<i64>) {
+    out.clear();
+    out.extend(dims.map(|d| d.eval(vars)));
+}
+
+/// Workers of a parallel loop over `extent` iterations: the schedule's cap
+/// (`threads`, 0 for every available core), at most one per iteration.
+fn worker_count(threads: usize, extent: i64) -> usize {
+    let avail = if threads > 0 {
+        threads
+    } else {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    };
+    avail.min(extent as usize).max(1)
+}
+
 /// Derive the in-range interior `[lo, hi]` (inclusive) of one innermost-loop
 /// entry over `[min, end)`: the sub-range of the loop variable where every
 /// tap access is provably within its buffer, filling `tap_bases` with each
-/// tap's per-row base offset. Shared by the fused-kernel and fused-reduction
-/// runners — the pre/post peels cover `[min, lo)` and `(hi, end)` with the
-/// clamped per-op tier. `lo > hi` means no interior exists (e.g. a
-/// lane-invariant index out of range, which the reference semantics clamp).
+/// tap's per-row base offset. `vals` holds the row's index value of every
+/// tap dimension (lane term excluded), taps in order. Shared by the
+/// fused-kernel and fused-reduction runners — the pre/post peels cover
+/// `[min, lo)` and `(hi, end)` with the clamped per-op tier. `lo > hi` means
+/// no interior exists (e.g. a lane-invariant index out of range, which the
+/// reference semantics clamp).
 fn tap_interior(
     taps: &[TapAccess],
     binds: &BindTable,
-    vars: &[i64],
+    vals: &[i64],
     min: i64,
     end: i64,
     tap_bases: &mut Vec<i64>,
@@ -2433,11 +2633,11 @@ fn tap_interior(
     let mut lo = min;
     let mut hi = end - 1;
     tap_bases.clear();
+    let mut vals = vals.iter();
     for tap in taps {
         let bind = binds.0[tap.slot].as_ref().expect("tap source bound");
         let mut base = 0i64;
-        for (d, aff) in tap.dims.iter().enumerate() {
-            let b = aff.eval(vars);
+        for (d, &b) in vals.by_ref().take(tap.dims.len()).enumerate() {
             let ext = bind.extents[d] as i64;
             if d == 0 && tap.lane == TapLane::Contiguous {
                 // 0 <= b + x <= ext - 1, and dimension 0 has stride 1.
@@ -2458,107 +2658,57 @@ fn tap_interior(
     (lo, hi)
 }
 
-/// Evaluate a loop-bound expression to a scalar with the current environment.
-fn eval_scalar(e: &Expr, env: &[(String, i64)]) -> Result<i64, RealizeError> {
-    Ok(match e {
-        Expr::Var(n) | Expr::RVar(n) => env
-            .iter()
-            .rev()
-            .find(|(name, _)| name == n)
-            .map(|(_, v)| *v)
-            .ok_or_else(|| RealizeError::MissingParam(n.clone()))?,
-        Expr::ConstInt(v, _) => *v,
-        Expr::ConstFloat(v, _) => *v as i64,
-        Expr::Binary(op, a, b) => eval_binop(
-            *op,
-            Value::Int(eval_scalar(a, env)?),
-            Value::Int(eval_scalar(b, env)?),
-        )
-        .as_i64(),
-        Expr::Cmp(op, a, b) => eval_cmp(
-            *op,
-            Value::Int(eval_scalar(a, env)?),
-            Value::Int(eval_scalar(b, env)?),
-        )
-        .as_i64(),
-        Expr::Select(c, t, f) => {
-            if eval_scalar(c, env)? != 0 {
-                eval_scalar(t, env)?
-            } else {
-                eval_scalar(f, env)?
-            }
-        }
-        Expr::Cast(ty, inner) => Value::Int(eval_scalar(inner, env)?).cast(*ty).as_i64(),
-        other => {
-            return Err(RealizeError::MissingParam(format!(
-                "unsupported loop bound expression: {other}"
-            )))
-        }
-    })
-}
-
 impl Runner<'_> {
     fn run(
         &self,
-        stmt: &Stmt,
+        node: &Node,
         binds: &mut BindTable,
-        env: &mut Vec<(String, i64)>,
         vars: &mut [i64],
         scratch: &mut Scratch,
         in_parallel: bool,
     ) -> Result<(), RealizeError> {
-        match stmt {
-            Stmt::Block(stmts) => {
-                for s in stmts {
-                    self.run(s, binds, env, vars, scratch, in_parallel)?;
+        match node {
+            Node::Block(nodes) => {
+                for n in nodes {
+                    self.run(n, binds, vars, scratch, in_parallel)?;
                 }
                 Ok(())
             }
-            Stmt::Produce { body, .. } => self.run(body, binds, env, vars, scratch, in_parallel),
-            Stmt::Allocate {
-                name,
-                ty,
+            Node::Allocate {
+                slot,
+                bytes,
                 extents,
+                strides,
                 body,
             } => {
-                let slot = self.prepared.alloc_slots[name];
-                let total: usize = extents.iter().product();
-                let needed = total * ty.bytes();
                 // Reuse this thread's backing buffer across iterations of the
                 // attach loop. Skipping the re-zero is sound because the
                 // produce nest lowered into `body` stores every element of
                 // the region before anything reads it.
-                let data = scratch.allocs.entry(slot).or_default();
-                if data.len() != needed {
+                let data = scratch.allocs.entry(*slot).or_default();
+                if data.len() != *bytes {
                     data.clear();
-                    data.resize(needed, 0);
+                    data.resize(*bytes, 0);
                 }
-                let mut strides = Vec::with_capacity(extents.len());
-                let mut stride = 1usize;
-                for &e in extents {
-                    strides.push(stride);
-                    stride *= e;
-                }
-                binds.0[slot] = Some(SlotBind {
+                binds.0[*slot] = Some(SlotBind {
                     ptr: data.as_mut_ptr(),
-                    byte_len: needed,
+                    byte_len: *bytes,
                     extents: extents.clone(),
-                    strides,
+                    strides: strides.clone(),
                 });
-                let result = self.run(body, binds, env, vars, scratch, in_parallel);
-                binds.0[slot] = None;
+                let result = self.run(body, binds, vars, scratch, in_parallel);
+                binds.0[*slot] = None;
                 result
             }
-            Stmt::SlideWindow {
-                name,
+            Node::Window {
+                slot,
                 dim,
                 extent,
                 min,
-                warm_var,
+                depth,
                 body,
             } => {
-                let slot = self.prepared.alloc_slots[name];
-                let cur = eval_scalar(min, env)?;
+                let cur = min.eval(vars);
                 let ext = *extent as i64;
                 // Warm rows: how much of the previous iteration's window
                 // content is still in range after the region minimum advanced
@@ -2568,12 +2718,12 @@ impl Runner<'_> {
                 // `p + cur`; the old buffer holds `p + prev` at row `p`, i.e.
                 // the surviving rows sit `shift = cur - prev` higher — shift
                 // them down in place and recompute only `[warm, extent)`.
-                let warm = match scratch.windows.get(&slot) {
+                let warm = match scratch.windows.get(slot) {
                     Some(&prev) if cur >= prev && cur - prev < ext => {
                         let shift = (cur - prev) as usize;
                         let warm = *extent - shift;
                         if shift > 0 {
-                            let bind = binds.0[slot].as_ref().expect("window allocation bound");
+                            let bind = binds.0[*slot].as_ref().expect("window allocation bound");
                             debug_assert_eq!(bind.extents[*dim], *extent);
                             let total: usize = bind.extents.iter().product();
                             let elem = bind.byte_len / total.max(1);
@@ -2584,313 +2734,452 @@ impl Runner<'_> {
                                 std::ptr::copy(bind.ptr.add(shift * row), bind.ptr, warm * row);
                             }
                         }
-                        WINDOW_ROWS_REUSED.fetch_add(warm as u64, Ordering::Relaxed);
+                        scratch.counts.window_rows += warm as u64;
                         warm as i64
                     }
                     // Cold (first iteration, or the minimum moved backwards /
                     // jumped past the window): recompute every row.
                     _ => 0,
                 };
-                scratch.windows.insert(slot, cur);
-                let depth = env.len();
-                env.push((warm_var.clone(), warm));
-                vars[depth] = warm;
-                let result = self.run(body, binds, env, vars, scratch, in_parallel);
-                env.pop();
-                result
+                scratch.windows.insert(*slot, cur);
+                vars[*depth] = warm;
+                self.run(body, binds, vars, scratch, in_parallel)
             }
-            Stmt::For {
-                var,
+            Node::Loop {
+                depth,
                 min,
                 extent,
                 kind,
                 body,
             } => {
-                let min = eval_scalar(min, env)?;
-                let extent = eval_scalar(extent, env)?.max(0);
-                let depth = env.len();
-                // The full scheduled width: each store visit dispatches this
-                // many lanes, and `exec_store` batches them `MAX_LANES` at a
-                // time — `vectorize(32)` really runs 32 lanes per dispatch.
-                let batch = match kind {
-                    LoopKind::Vectorized { width } => (*width).max(1),
-                    _ => 1,
-                };
+                let min = min.eval(vars);
+                let extent = extent.eval(vars).max(0);
                 match kind {
-                    LoopKind::Parallel { threads } if !in_parallel && extent > 1 => {
-                        let avail = if *threads > 0 {
-                            *threads
-                        } else {
-                            std::thread::available_parallelism()
-                                .map(|n| n.get())
-                                .unwrap_or(1)
-                        };
-                        let workers = avail.min(extent as usize);
-                        if workers <= 1 {
-                            return self.run_serial_loop(
-                                var,
-                                min,
-                                extent,
-                                batch,
-                                body,
-                                binds,
-                                env,
-                                vars,
-                                scratch,
-                                in_parallel,
-                            );
-                        }
-                        let chunk = (extent as usize).div_ceil(workers);
-                        let errors = std::sync::Mutex::new(Vec::new());
-                        std::thread::scope(|scope| {
-                            for w in 0..workers {
-                                let start = min + (w * chunk) as i64;
-                                let end = (min + extent).min(start + chunk as i64);
-                                if start >= end {
-                                    continue;
-                                }
-                                let mut binds = binds.clone();
-                                let mut env = env.clone();
-                                let mut vars = vars.to_vec();
-                                let errors = &errors;
-                                let body = &**body;
-                                let var = var.as_str();
-                                scope.spawn(move || {
-                                    let mut scratch = Scratch::new(self.prepared);
-                                    env.push((var.to_string(), 0));
-                                    for i in start..end {
-                                        env[depth].1 = i;
-                                        vars[depth] = i;
-                                        if let Err(e) = self.run(
-                                            body,
-                                            &mut binds,
-                                            &mut env,
-                                            &mut vars,
-                                            &mut scratch,
-                                            true,
-                                        ) {
-                                            errors.lock().expect("error mutex").push(e);
-                                            return;
-                                        }
-                                    }
-                                });
-                            }
-                        });
-                        let mut errs = errors.into_inner().expect("error mutex");
-                        match errs.pop() {
-                            Some(e) => Err(e),
-                            None => Ok(()),
-                        }
-                    }
+                    LoopKind::Parallel { threads } if !in_parallel && extent > 1 => self
+                        .run_parallel_loop(
+                            *depth, min, extent, *threads, body, binds, vars, scratch,
+                        ),
                     LoopKind::ParallelReduce { threads }
                         if !in_parallel && extent > 1 && self.tier != Tier::Scalar =>
                     {
                         self.run_parallel_reduce(
-                            var, min, extent, *threads, body, binds, env, vars, scratch,
+                            *depth, min, extent, *threads, body, binds, vars, scratch,
                         )
                     }
+                    // The full scheduled width: each store visit dispatches
+                    // this many lanes, and `exec_store` batches them
+                    // `MAX_LANES` at a time — `vectorize(32)` really runs 32
+                    // lanes per dispatch.
                     _ => self.run_serial_loop(
-                        var,
+                        *depth,
                         min,
                         extent,
-                        batch,
+                        batch_width(kind),
                         body,
                         binds,
-                        env,
                         vars,
                         scratch,
                         in_parallel,
                     ),
                 }
             }
-            Stmt::Store { id, .. } | Stmt::ReduceStore { id, .. } => {
-                // A store not directly owned by a loop (e.g. beside an
-                // Allocate in a Block, or an update over an empty reduction
-                // domain): execute a single element at the current
-                // environment.
-                self.exec_store(*id, 1, binds, vars, scratch)
-            }
+            // A store not directly owned by a loop (e.g. beside an Allocate
+            // in a Block, or an update over an empty reduction domain):
+            // execute a single element at the current variables.
+            Node::Store(id) => self.exec_store(*id, 1, binds, vars, scratch),
         }
+    }
+
+    /// Split a parallel loop's iterations into contiguous chunks, one worker
+    /// thread each (see [`Runner::in_workers`]).
+    #[allow(clippy::too_many_arguments)]
+    fn run_parallel_loop(
+        &self,
+        depth: usize,
+        min: i64,
+        extent: i64,
+        threads: usize,
+        body: &Node,
+        binds: &mut BindTable,
+        vars: &mut [i64],
+        scratch: &mut Scratch,
+    ) -> Result<(), RealizeError> {
+        let workers = worker_count(threads, extent);
+        if workers <= 1 {
+            return self.run_serial_loop(depth, min, extent, 1, body, binds, vars, scratch, false);
+        }
+        self.in_workers(
+            (min, extent),
+            &mut vec![(); workers],
+            binds,
+            vars,
+            |start, end, _, b, v, s| {
+                self.run_serial_loop(depth, start, end - start, 1, body, b, v, s, true)
+            },
+        )
+    }
+
+    /// Split `[min, min + extent)` into contiguous chunks, one per entry of
+    /// `states`, and run `work(start, end, state, binds, vars, scratch)` on
+    /// each in a thread of its own, with its own bind table, variables and
+    /// [`Scratch`]. Returns the last error a worker hit.
+    #[allow(clippy::type_complexity)]
+    fn in_workers<S: Send>(
+        &self,
+        (min, extent): (i64, i64),
+        states: &mut [S],
+        binds: &BindTable,
+        vars: &[i64],
+        work: impl Fn(
+                i64,
+                i64,
+                &mut S,
+                &mut BindTable,
+                &mut [i64],
+                &mut Scratch,
+            ) -> Result<(), RealizeError>
+            + Sync,
+    ) -> Result<(), RealizeError> {
+        let chunk = (extent as usize).div_ceil(states.len());
+        let errors = std::sync::Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for (w, state) in states.iter_mut().enumerate() {
+                let start = min + (w * chunk) as i64;
+                let end = (min + extent).min(start + chunk as i64);
+                if start >= end {
+                    continue;
+                }
+                let (mut binds, mut vars) = (binds.clone(), vars.to_vec());
+                let (errors, work) = (&errors, &work);
+                scope.spawn(move || {
+                    let mut scratch = Scratch::new(self.prepared);
+                    if let Err(e) = work(start, end, state, &mut binds, &mut vars, &mut scratch) {
+                        errors.lock().expect("error mutex").push(e);
+                    }
+                });
+            }
+        });
+        let mut errs = errors.into_inner().expect("error mutex");
+        errs.pop().map_or(Ok(()), Err)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn run_serial_loop(
         &self,
-        var: &str,
+        depth: usize,
         min: i64,
         extent: i64,
         batch: usize,
-        body: &Stmt,
+        body: &Node,
         binds: &mut BindTable,
-        env: &mut Vec<(String, i64)>,
         vars: &mut [i64],
         scratch: &mut Scratch,
         in_parallel: bool,
     ) -> Result<(), RealizeError> {
-        let depth = env.len();
-        env.push((var.to_string(), 0));
-        let result = (|| {
-            if let Stmt::Store { id, .. } | Stmt::ReduceStore { id, .. } = body {
-                // Innermost loop over a single store: tier selection.
-                let store = self.prepared.stores[*id].as_ref().expect("store compiled");
-                let use_fused = match self.tier {
-                    Tier::Scalar => false,
-                    Tier::Auto => batch > 1,
-                    Tier::Simd => true,
-                };
-                if use_fused {
-                    if let Some(fused) = &store.fused {
-                        debug_assert_eq!(store.lane_depth, depth, "lane depth mismatch");
-                        let width = if batch > 1 { batch } else { MAX_LANES };
-                        return self.run_fused_loop(
-                            fused, *id, depth, min, extent, width, binds, vars, scratch,
-                        );
-                    }
-                }
-                // Fused accumulation kernels have no scheduled lane loop to
-                // gate on (rdom loops are serial by construction), so Auto
-                // uses them whenever one compiled; only the Scalar tier pins
-                // the per-op tier.
-                if self.tier != Tier::Scalar {
-                    if let Some(reduce) = &store.reduce {
-                        debug_assert_eq!(store.lane_depth, depth, "lane depth mismatch");
-                        return self.run_reduce_loop(
-                            reduce, *id, depth, min, extent, binds, vars, scratch,
-                        );
-                    }
-                }
-                // Per-op tier: run in lane batches of the scheduled width.
-                // Guarded stores only ever see batch > 1 when the lowering
-                // pass vectorized their lane loop (privatized accumulation:
-                // per-lane writes are provably disjoint).
-                let mut i = min;
-                let end = min + extent;
-                while i < end {
-                    let n = batch.min((end - i) as usize);
-                    env[depth].1 = i;
-                    vars[depth] = i;
-                    self.exec_store(*id, n, binds, vars, scratch)?;
-                    i += n as i64;
-                }
-                Ok(())
-            } else {
-                for i in min..min + extent {
-                    env[depth].1 = i;
-                    vars[depth] = i;
-                    self.run(body, binds, env, vars, scratch, in_parallel)?;
-                }
-                Ok(())
+        match body {
+            Node::Store(id) => {
+                return self.run_store_loop(*id, depth, min, extent, batch, binds, vars, scratch)
             }
-        })();
-        env.pop();
+            // The rows of a fused store: the body is the store's lane loop.
+            Node::Loop {
+                depth: lane_depth,
+                min: lane_min,
+                extent: lane_extent,
+                kind: kind @ (LoopKind::Serial | LoopKind::Vectorized { .. }),
+                body: lane_body,
+            } => {
+                if let Node::Store(id) = **lane_body {
+                    if let Some(fused) = self.fused(id, batch_width(kind)) {
+                        return self.run_fused_rows(
+                            fused,
+                            id,
+                            depth,
+                            min,
+                            extent,
+                            (lane_min, lane_extent),
+                            *lane_depth,
+                            binds,
+                            vars,
+                            scratch,
+                        );
+                    }
+                }
+            }
+            _ => {}
+        }
+        for i in min..min + extent {
+            vars[depth] = i;
+            self.run(body, binds, vars, scratch, in_parallel)?;
+        }
+        Ok(())
+    }
+
+    /// The fused kernel a store's lane loop runs, when the tier selects the
+    /// fused tier for a loop batching `batch` lanes.
+    fn fused(&self, id: usize, batch: usize) -> Option<&FusedKernel> {
+        let use_fused = match self.tier {
+            Tier::Scalar => false,
+            Tier::Auto => batch > 1,
+            Tier::Simd => true,
+        };
+        let store = self.prepared.stores[id].as_ref().expect("store compiled");
+        store.fused.as_ref().filter(|_| use_fused)
+    }
+
+    /// The innermost loop over a single store: tier selection.
+    #[allow(clippy::too_many_arguments)]
+    fn run_store_loop(
+        &self,
+        id: usize,
+        depth: usize,
+        min: i64,
+        extent: i64,
+        batch: usize,
+        binds: &BindTable,
+        vars: &mut [i64],
+        scratch: &mut Scratch,
+    ) -> Result<(), RealizeError> {
+        let store = self.prepared.stores[id].as_ref().expect("store compiled");
+        debug_assert_eq!(store.lane_depth, depth, "lane depth mismatch");
+        if let Some(fused) = self.fused(id, batch) {
+            // One row, with no row loop around it: its own lane variable
+            // stands in for the row variable.
+            let mut vals = std::mem::take(&mut scratch.row_vals);
+            eval_dims(fused.row_dims(), vars, &mut vals);
+            let result = self.run_fused_loop(
+                fused,
+                id,
+                (depth, depth),
+                (min, extent, 1),
+                (&vals, &[]),
+                binds,
+                vars,
+                scratch,
+            );
+            scratch.row_vals = vals;
+            return result;
+        }
+        // Fused accumulation kernels have no scheduled lane loop to gate on
+        // (rdom loops are serial by construction), so Auto uses them
+        // whenever one compiled; only the Scalar tier pins the per-op tier.
+        if let Some(reduce) = store.reduce.as_ref().filter(|_| self.tier != Tier::Scalar) {
+            return self.run_reduce_loop(reduce, id, depth, min, extent, binds, vars, scratch);
+        }
+        // Per-op tier: run in lane batches of the scheduled width. Guarded
+        // stores only ever see batch > 1 when the lowering pass vectorized
+        // their lane loop (privatized accumulation: per-lane writes are
+        // provably disjoint).
+        self.general_range(id, depth, min, min + extent, batch, binds, vars, scratch)
+    }
+
+    /// The rows of a fused store: the loop at `depth` whose body is the
+    /// store's lane loop, with bounds `lane`. The first row's tap and output
+    /// index values are evaluated once; every later row steps them by their
+    /// coefficients on the row variable. When neither the lane bounds nor
+    /// any contiguous tap's lane index move with the row, every row whose
+    /// lane-invariant tap indices are in range shares one interior: it is
+    /// derived once per run of such rows, whose chunks then go out in one
+    /// batch, the tap and output bases stepping by their row strides.
+    #[allow(clippy::too_many_arguments)]
+    fn run_fused_rows(
+        &self,
+        fused: &FusedKernel,
+        id: usize,
+        depth: usize,
+        min: i64,
+        extent: i64,
+        lane: (&Bound, &Bound),
+        lane_depth: usize,
+        binds: &BindTable,
+        vars: &mut [i64],
+        scratch: &mut Scratch,
+    ) -> Result<(), RealizeError> {
+        let mut vals = std::mem::take(&mut scratch.row_vals);
+        let mut steps = std::mem::take(&mut scratch.row_steps);
+        vars[depth] = min;
+        eval_dims(fused.row_dims(), vars, &mut vals);
+        steps.clear();
+        steps.extend(fused.row_dims().map(|d| {
+            let on_row = d.terms.iter().filter(|(at, _)| *at == depth);
+            on_row.fold(0i64, |s, (_, c)| s.wrapping_add(*c))
+        }));
+        // Rows share an interior while the lane bounds stay put (they must
+        // not read the row variable) and, from one row to the next, every
+        // lane-invariant tap index stays in range and every contiguous tap
+        // either keeps its lane index (peels included) or keeps all of the
+        // lane range in range. `run` counts the rows, from one whose index
+        // values are `vals`, before one breaks that (0 when one breaks it
+        // already; the row then runs alone).
+        let shared = !lane.0.uses(depth) && !lane.1.uses(depth);
+        let run = |vals: &[i64], lmin: i64, lend: i64| {
+            let (mut rows, mut k) = (i64::MAX, 0);
+            for tap in &fused.taps {
+                let bind = binds.0[tap.slot].as_ref().expect("tap source bound");
+                for d in 0..tap.dims.len() {
+                    let (b, s, ext) = (vals[k], steps[k], bind.extents[d] as i64);
+                    k += 1;
+                    // The range `b` must stay in for every lane to load in range.
+                    let (lo, hi) = match (d == 0 && tap.lane == TapLane::Contiguous, s) {
+                        (true, 0) => continue,
+                        (true, _) => (-lmin, ext - lend),
+                        (false, _) => (0, ext - 1),
+                    };
+                    if !(lo..=hi).contains(&b) {
+                        return 0;
+                    } else if s > 0 {
+                        rows = rows.min((hi - b) / s + 1);
+                    } else if s < 0 {
+                        rows = rows.min((b - lo) / -s + 1);
+                    }
+                }
+            }
+            rows
+        };
+        let mut result = Ok(());
+        let mut i = min;
+        while i < min + extent && result.is_ok() {
+            vars[depth] = i;
+            let (lmin, lext) = (lane.0.eval(vars), lane.1.eval(vars).max(0));
+            let rows = if shared && lext > 0 {
+                run(&vals, lmin, lmin + lext).clamp(1, min + extent - i)
+            } else {
+                1
+            };
+            result = self.run_fused_loop(
+                fused,
+                id,
+                (depth, lane_depth),
+                (lmin, lext, rows),
+                (&vals, &steps),
+                binds,
+                vars,
+                scratch,
+            );
+            for (v, s) in vals.iter_mut().zip(&steps) {
+                *v = v.wrapping_add(s.wrapping_mul(rows));
+            }
+            i += rows;
+        }
+        scratch.row_vals = vals;
+        scratch.row_steps = steps;
         result
     }
 
-    /// Execute one full innermost loop of a fused store: derive the in-range
-    /// interior from the tap bases and buffer extents, run the fused kernel
-    /// over full-width chunks there (finishing with an overlapping or masked
-    /// tail chunk, so sub-width remainders stay on tier 1), and peel the
-    /// clamped borders through the per-op tier.
+    /// Execute `rows` consecutive rows of a fused store's lane loop (row
+    /// variable at `depths.0`, lane variable at `depths.1`), each over
+    /// `[min, min + extent)` from the current row variable on: derive the
+    /// in-range interior from the first row's index values `vals` (see
+    /// [`FusedKernel::row_dims`]; `steps` advance them by one row) and the
+    /// buffer extents, run the fused kernel over it in chunks of the widest
+    /// width that fits (finishing with an overlapping or masked tail chunk,
+    /// so sub-width remainders stay on tier 1), and peel the clamped
+    /// borders through the per-op tier. Rows after the first must share the
+    /// first one's interior (see [`Runner::run_fused_rows`]).
     #[allow(clippy::too_many_arguments)]
     fn run_fused_loop(
         &self,
         fused: &FusedKernel,
         store_id: usize,
-        lane_depth: usize,
-        min: i64,
-        extent: i64,
-        width: usize,
+        (depth, lane_depth): (usize, usize),
+        (min, extent, rows): (i64, i64, i64),
+        (vals, steps): (&[i64], &[i64]),
         binds: &BindTable,
         vars: &mut [i64],
         scratch: &mut Scratch,
     ) -> Result<(), RealizeError> {
         let end = min + extent;
+        let first = vars[depth];
         if extent <= 0 {
             return Ok(());
         }
-        let (lo, hi) = tap_interior(&fused.taps, binds, vars, min, end, &mut scratch.tap_bases);
-        if lo > hi {
-            return self.general_range(
-                store_id, lane_depth, min, end, MAX_LANES, binds, vars, scratch,
-            );
+        let (lo, hi) = tap_interior(&fused.taps, binds, vals, min, end, &mut scratch.tap_bases);
+        // Per row: the pre-peel (clamped border), then the post-peel — all
+        // of it when no interior exists.
+        let (pre, post) = if lo > hi { (end, end) } else { (lo, hi + 1) };
+        for r in 0..rows {
+            vars[depth] = first + r;
+            self.general_range(
+                store_id, lane_depth, min, pre, MAX_LANES, binds, vars, scratch,
+            )?;
+            self.general_range(
+                store_id, lane_depth, post, end, MAX_LANES, binds, vars, scratch,
+            )?;
         }
-        // Output base offset (store indices are in range by construction).
-        let out_bind = binds.0[fused.out_slot]
+        if lo > hi {
+            return Ok(());
+        }
+        // Base offsets of the first row, and their steps from row to row
+        // (store indices are in range by construction).
+        let out = binds.0[fused.out_slot]
             .as_ref()
             .expect("store target bound");
-        let mut out_base = 0i64;
-        for (d, aff) in fused.out_dims.iter().enumerate() {
-            out_base =
-                out_base.wrapping_add(aff.eval(vars).wrapping_mul(out_bind.strides[d] as i64));
-        }
-
-        let w = fused.chunk_width(width);
-        // Pre-peel (clamped border), full-width interior chunks, the fused
-        // tail chunk, then the post-peel.
-        self.general_range(
-            store_id, lane_depth, min, lo, MAX_LANES, binds, vars, scratch,
-        )?;
-        let mut x = lo;
-        while x + w as i64 <= hi + 1 {
-            dispatch_fused_chunk(
-                fused,
-                x,
-                w,
-                w,
-                &scratch.tap_bases,
-                out_base,
-                lane_depth,
-                binds,
-                vars,
-            );
-            x += w as i64;
-        }
-        let rem = (hi + 1 - x) as usize;
-        if rem > 0 {
-            if x > lo {
-                // Overlapping final chunk: step back so the chunk ends at the
-                // interior's edge, re-storing lanes the previous chunk wrote.
-                // Sound because the kernel is deterministic and reads nothing
-                // the store writes — self-aliasing stores never fuse (the
-                // `value_reads_buffer` / tap-slot checks at build time) — so
-                // the re-stored lanes are bit-identical.
-                dispatch_fused_chunk(
-                    fused,
-                    hi + 1 - w as i64,
-                    w,
-                    w,
-                    &scratch.tap_bases,
-                    out_base,
-                    lane_depth,
-                    binds,
-                    vars,
-                );
-            } else {
-                // Masked final chunk: load and store only the `rem` provably
-                // in-range lanes (the rest are zero-filled and discarded).
-                // This is what keeps interiors shorter than one chunk — small
-                // tiles — on tier 1.
-                dispatch_fused_chunk(
-                    fused,
-                    x,
-                    w,
-                    rem,
-                    &scratch.tap_bases,
-                    out_base,
-                    lane_depth,
-                    binds,
-                    vars,
-                );
+        let strided = |vals: &[i64], strides: &[usize]| {
+            let terms = vals.iter().zip(strides);
+            terms.fold(0i64, |b, (&v, &s)| b.wrapping_add(v.wrapping_mul(s as i64)))
+        };
+        let split = vals.len() - fused.out_dims.len();
+        let mut out_base = strided(&vals[split..], &out.strides);
+        let mut bases = std::mem::take(&mut scratch.tap_bases);
+        let (mut base_steps, mut out_step) = (Vec::new(), 0);
+        if rows > 1 {
+            out_step = strided(&steps[split..], &out.strides);
+            let mut k = 0;
+            for tap in &fused.taps {
+                let bind = binds.0[tap.slot].as_ref().expect("tap source bound");
+                base_steps.push(strided(&steps[k..k + tap.dims.len()], &bind.strides));
+                k += tap.dims.len();
             }
-            x = hi + 1;
-            FUSED_TAILS.fetch_add(1, Ordering::Relaxed);
         }
-        self.general_range(
-            store_id, lane_depth, x, end, MAX_LANES, binds, vars, scratch,
-        )?;
-        if x > lo {
-            FUSED_ROWS.fetch_add(1, Ordering::Relaxed);
+        let lanes = &mut scratch.lanes;
+        macro_rules! rows {
+            ($eval:expr, $ops:expr) => {{
+                let stack = lanes.stack();
+                let mut tails = 0;
+                for r in 0..rows {
+                    vars[depth] = first + r;
+                    let ch = Chunk {
+                        taps: &fused.taps,
+                        bases: &bases,
+                        lane_depth,
+                        vars,
+                        binds,
+                    };
+                    tails += u64::from(chunk_row(lo, hi, stack, |x, n, st| {
+                        $eval($ops, &ch, x, n, st);
+                        store_chunk(out, fused.out_ty, out_base + x, &st[0][..n]);
+                    }));
+                    for (b, s) in bases.iter_mut().zip(&base_steps) {
+                        *b = b.wrapping_add(*s);
+                    }
+                    out_base = out_base.wrapping_add(out_step);
+                }
+                tails
+            }};
         }
+        let tails = match (
+            &fused.prog,
+            fused.prog.family().chunk_lanes((hi + 1 - lo) as usize),
+        ) {
+            (LaneProgram::I32(ops), 64) => rows!(eval_chunk_i32::<64>, ops),
+            (LaneProgram::I32(ops), 32) => rows!(eval_chunk_i32::<32>, ops),
+            (LaneProgram::I32(ops), 16) => rows!(eval_chunk_i32::<16>, ops),
+            (LaneProgram::I32(ops), _) => rows!(eval_chunk_i32::<8>, ops),
+            (LaneProgram::I64(ops), 32) => rows!(eval_chunk_i64::<32>, ops),
+            (LaneProgram::I64(ops), 16) => rows!(eval_chunk_i64::<16>, ops),
+            (LaneProgram::I64(ops), 8) => rows!(eval_chunk_i64::<8>, ops),
+            (LaneProgram::I64(ops), _) => rows!(eval_chunk_i64::<4>, ops),
+            (LaneProgram::F32(ops), 64) => rows!(eval_chunk_float::<f32, 64>, ops),
+            (LaneProgram::F32(ops), 32) => rows!(eval_chunk_float::<f32, 32>, ops),
+            (LaneProgram::F32(ops), 16) => rows!(eval_chunk_float::<f32, 16>, ops),
+            (LaneProgram::F32(ops), _) => rows!(eval_chunk_float::<f32, 8>, ops),
+            (LaneProgram::F64(ops), 32) => rows!(eval_chunk_float::<f64, 32>, ops),
+            (LaneProgram::F64(ops), 16) => rows!(eval_chunk_float::<f64, 16>, ops),
+            (LaneProgram::F64(ops), 8) => rows!(eval_chunk_float::<f64, 8>, ops),
+            (LaneProgram::F64(ops), _) => rows!(eval_chunk_float::<f64, 4>, ops),
+        };
+        scratch.tap_bases = bases;
+        scratch.counts.fused_rows += rows as u64;
+        scratch.counts.fused_tails += tails;
         Ok(())
     }
 
@@ -2941,44 +3230,19 @@ impl Runner<'_> {
         scratch: &mut Scratch,
     ) -> Result<(), RealizeError> {
         let end = min + extent;
-        if extent <= 0 {
-            return Ok(());
-        }
-        let (lo, hi) = tap_interior(&rk.taps, binds, vars, min, end, &mut scratch.tap_bases);
-        let w = rk.chunk_width();
-        if lo > hi || hi + 1 - lo < w as i64 {
-            // No interior worth a chunk: the whole loop runs per element.
+        let Some((lo, hi)) = reduce_interior(rk, binds, vars, min, end, scratch) else {
+            // No interior: the whole loop runs per element.
             return self.general_range(store_id, lane_depth, min, end, 1, binds, vars, scratch);
-        }
-        // The accumulator cell, clamped per dimension like `Buffer::set`.
-        let out_bind = binds.0[rk.out_slot].as_ref().expect("store target bound");
-        let mut out_off = 0usize;
-        for (d, aff) in rk.out_dims.iter().enumerate() {
-            let i = aff.eval(vars).clamp(0, out_bind.extents[d] as i64 - 1) as usize;
-            out_off += i * out_bind.strides[d];
-        }
-        // Pre-peel, then accumulate the interior on lanes.
+        };
+        // Pre-peel, then accumulate the interior on lanes from the
+        // accumulator cell, clamped per dimension like `Buffer::set`.
         self.general_range(store_id, lane_depth, min, lo, 1, binds, vars, scratch)?;
+        let out_bind = binds.0[rk.out_slot].as_ref().expect("store target bound");
         let eb = rk.out_ty.bytes();
-        let byte_off = out_off * eb;
-        let mut acc =
-            crate::buffer::read_scalar(rk.out_ty, &out_bind.data()[byte_off..byte_off + eb])
-                .as_i64();
-        let mut x = lo;
-        while x <= hi {
-            let n = (w as i64).min(hi + 1 - x) as usize;
-            acc = acc.wrapping_add(dispatch_reduce_chunk(
-                rk,
-                x,
-                n,
-                &scratch.tap_bases,
-                lane_depth,
-                binds,
-                vars,
-            ));
-            x += n as i64;
-            REDUCE_CHUNKS.fetch_add(1, Ordering::Relaxed);
-        }
+        let byte_off = reduce_cell(rk, out_bind, vars) * eb;
+        let acc = crate::buffer::read_scalar(rk.out_ty, &out_bind.data()[byte_off..byte_off + eb])
+            .as_i64()
+            .wrapping_add(reduce_row(rk, lo, hi, lane_depth, binds, vars, scratch));
         // Replay the update's cast chain (innermost first) and store through
         // the buffer type, exactly as the per-element path would.
         let mut val = Value::Int(acc);
@@ -2998,14 +3262,14 @@ impl Runner<'_> {
     /// a [`MergeAcc`] plan. Anything else — nested parallel loops, scoped
     /// allocations, pure stores, fallback stores — degrades the nest to the
     /// serial reference path.
-    fn collect_merge_stores(&self, stmt: &Stmt, ids: &mut Vec<usize>) -> bool {
-        match stmt {
-            Stmt::Block(stmts) => stmts.iter().all(|s| self.collect_merge_stores(s, ids)),
-            Stmt::For { kind, body, .. } => {
+    fn collect_merge_stores(&self, node: &Node, ids: &mut Vec<usize>) -> bool {
+        match node {
+            Node::Block(nodes) => nodes.iter().all(|n| self.collect_merge_stores(n, ids)),
+            Node::Loop { kind, body, .. } => {
                 matches!(kind, LoopKind::Serial | LoopKind::Vectorized { .. })
                     && self.collect_merge_stores(body, ids)
             }
-            Stmt::ReduceStore { id, .. } => {
+            Node::Store(id) => {
                 let store = self.prepared.stores[*id].as_ref().expect("store compiled");
                 if store.clamp && store.merge.is_some() {
                     ids.push(*id);
@@ -3038,13 +3302,12 @@ impl Runner<'_> {
     #[allow(clippy::too_many_arguments)]
     fn run_parallel_reduce(
         &self,
-        var: &str,
+        depth: usize,
         min: i64,
         extent: i64,
         threads: usize,
-        body: &Stmt,
+        body: &Node,
         binds: &mut BindTable,
-        env: &mut Vec<(String, i64)>,
         vars: &mut [i64],
         scratch: &mut Scratch,
     ) -> Result<(), RealizeError> {
@@ -3084,74 +3347,37 @@ impl Runner<'_> {
                 bind.byte_len / self.prepared.decls[slot].ty.bytes()
             })
             .collect();
-        let avail = if threads > 0 {
-            threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
-        let workers = avail.min(extent as usize).max(1);
+        let workers = worker_count(threads, extent);
         let total_cells: usize = cells.iter().sum();
         if !coherent || workers.saturating_mul(total_cells) > MERGE_MAX_CELLS {
-            return self
-                .run_serial_loop(var, min, extent, 1, body, binds, env, vars, scratch, false);
+            return self.run_serial_loop(depth, min, extent, 1, body, binds, vars, scratch, false);
         }
         let mut worker_bufs: Vec<Vec<Vec<i64>>> = (0..workers)
             .map(|_| cells.iter().map(|&c| vec![0i64; c]).collect())
             .collect();
         if workers == 1 {
             self.accumulate_outer(
-                var,
+                depth,
                 min,
                 min + extent,
                 body,
                 &slots,
                 &mut worker_bufs[0],
                 binds,
-                env,
                 vars,
                 scratch,
             )?;
         } else {
-            let chunk = (extent as usize).div_ceil(workers);
-            let errors = std::sync::Mutex::new(Vec::new());
-            std::thread::scope(|scope| {
-                for (w, bufs) in worker_bufs.iter_mut().enumerate() {
-                    let start = min + (w * chunk) as i64;
-                    let end = (min + extent).min(start + chunk as i64);
-                    if start >= end {
-                        continue;
-                    }
-                    let binds = binds.clone();
-                    let mut env = env.clone();
-                    let mut vars = vars.to_vec();
-                    let errors = &errors;
-                    let slots = &slots;
-                    scope.spawn(move || {
-                        let mut scratch = Scratch::new(self.prepared);
-                        if let Err(e) = self.accumulate_outer(
-                            var,
-                            start,
-                            end,
-                            body,
-                            slots,
-                            bufs,
-                            &binds,
-                            &mut env,
-                            &mut vars,
-                            &mut scratch,
-                        ) {
-                            errors.lock().expect("error mutex").push(e);
-                        }
-                    });
-                }
-            });
-            let mut errs = errors.into_inner().expect("error mutex");
-            if let Some(e) = errs.pop() {
-                // Nothing was merged: the outputs are untouched.
-                return Err(e);
-            }
+            // On an error nothing is merged: the outputs stay untouched.
+            self.in_workers(
+                (min, extent),
+                &mut worker_bufs,
+                binds,
+                vars,
+                |start, end, bufs, b, v, s| {
+                    self.accumulate_outer(depth, start, end, body, &slots, bufs, b, v, s)
+                },
+            )?;
         }
         // Merge: per buffer, fold the workers' sums cell-wise and apply each
         // nonzero total with one wrapping add and one truncating store — a
@@ -3184,50 +3410,42 @@ impl Runner<'_> {
         Ok(())
     }
 
-    /// One worker's slice `[start, end)` of a parallel-reduce loop: push the
-    /// loop variable and accumulate the body per iteration — or, when the
-    /// tagged loop is itself the innermost store loop (a 1-D reduction
-    /// domain), hand the whole slice to the lane-batched store path.
+    /// One worker's slice `[start, end)` of a parallel-reduce loop at
+    /// `depth`: accumulate the body per iteration — or, when the tagged loop
+    /// is itself the innermost store loop (a 1-D reduction domain), hand the
+    /// whole slice to the lane-batched store path.
     #[allow(clippy::too_many_arguments)]
     fn accumulate_outer(
         &self,
-        var: &str,
+        depth: usize,
         start: i64,
         end: i64,
-        body: &Stmt,
+        body: &Node,
         slots: &[usize],
         side: &mut [Vec<i64>],
         binds: &BindTable,
-        env: &mut Vec<(String, i64)>,
         vars: &mut [i64],
         scratch: &mut Scratch,
     ) -> Result<(), RealizeError> {
-        let depth = env.len();
-        env.push((var.to_string(), start));
-        let result = (|| {
-            if let Stmt::ReduceStore { id, .. } = body {
-                vars[depth] = start;
-                return self.accumulate_store_loop(
-                    *id,
-                    depth,
-                    start,
-                    end - start,
-                    slots,
-                    side,
-                    binds,
-                    vars,
-                    scratch,
-                );
-            }
-            for i in start..end {
-                env[depth].1 = i;
-                vars[depth] = i;
-                self.accumulate(body, slots, side, binds, env, vars, scratch)?;
-            }
-            Ok(())
-        })();
-        env.pop();
-        result
+        vars[depth] = start;
+        if let Node::Store(id) = body {
+            return self.accumulate_store_loop(
+                *id,
+                depth,
+                start,
+                end - start,
+                slots,
+                side,
+                binds,
+                vars,
+                scratch,
+            );
+        }
+        for i in start..end {
+            vars[depth] = i;
+            self.accumulate(body, slots, side, binds, vars, scratch)?;
+        }
+        Ok(())
     }
 
     /// The deferred-accumulation walker over an admissible parallel-reduce
@@ -3236,45 +3454,43 @@ impl Runner<'_> {
     #[allow(clippy::too_many_arguments)]
     fn accumulate(
         &self,
-        stmt: &Stmt,
+        node: &Node,
         slots: &[usize],
         side: &mut [Vec<i64>],
         binds: &BindTable,
-        env: &mut Vec<(String, i64)>,
         vars: &mut [i64],
         scratch: &mut Scratch,
     ) -> Result<(), RealizeError> {
-        match stmt {
-            Stmt::Block(stmts) => {
-                for s in stmts {
-                    self.accumulate(s, slots, side, binds, env, vars, scratch)?;
+        match node {
+            Node::Block(nodes) => {
+                for n in nodes {
+                    self.accumulate(n, slots, side, binds, vars, scratch)?;
                 }
                 Ok(())
             }
-            Stmt::For {
-                var,
+            Node::Loop {
+                depth,
                 min,
                 extent,
                 body,
                 ..
             } => {
-                let min = eval_scalar(min, env)?;
-                let extent = eval_scalar(extent, env)?.max(0);
+                let min = min.eval(vars);
+                let extent = extent.eval(vars).max(0);
                 self.accumulate_outer(
-                    var,
+                    *depth,
                     min,
                     min + extent,
                     body,
                     slots,
                     side,
                     binds,
-                    env,
                     vars,
                     scratch,
                 )
             }
-            Stmt::ReduceStore { id, .. } => {
-                // A bare store at the current environment: one element.
+            Node::Store(id) => {
+                // A bare store at the current variables: one element.
                 let lane_depth = self.prepared.stores[*id]
                     .as_ref()
                     .expect("store compiled")
@@ -3321,53 +3537,33 @@ impl Runner<'_> {
             .expect("merged slot");
         let end = min + extent;
         debug_assert_eq!(store.lane_depth, lane_depth, "lane depth mismatch");
-        if let Some(rk) = &store.reduce {
-            let (lo, hi) = tap_interior(&rk.taps, binds, vars, min, end, &mut scratch.tap_bases);
-            let w = rk.chunk_width();
-            if lo <= hi && hi + 1 - lo >= w as i64 {
-                let out_bind = binds.0[t.slot].as_ref().expect("store target bound");
-                let mut out_off = 0usize;
-                for (d, aff) in rk.out_dims.iter().enumerate() {
-                    let i = aff.eval(vars).clamp(0, out_bind.extents[d] as i64 - 1) as usize;
-                    out_off += i * out_bind.strides[d];
-                }
-                self.accumulate_elements(
-                    t, merge, lane_depth, min, lo, buf_idx, side, binds, vars, scratch,
-                );
-                let mut acc = 0i64;
-                let mut x = lo;
-                while x <= hi {
-                    let n = (w as i64).min(hi + 1 - x) as usize;
-                    acc = acc.wrapping_add(dispatch_reduce_chunk(
-                        rk,
-                        x,
-                        n,
-                        &scratch.tap_bases,
-                        lane_depth,
-                        binds,
-                        vars,
-                    ));
-                    x += n as i64;
-                    REDUCE_CHUNKS.fetch_add(1, Ordering::Relaxed);
-                }
-                side[buf_idx][out_off] = side[buf_idx][out_off].wrapping_add(acc);
-                self.accumulate_elements(
-                    t,
-                    merge,
-                    lane_depth,
-                    hi + 1,
-                    end,
-                    buf_idx,
-                    side,
-                    binds,
-                    vars,
-                    scratch,
-                );
-                return Ok(());
-            }
-        }
+        let interior = store.reduce.as_ref().and_then(|rk| {
+            reduce_interior(rk, binds, vars, min, end, scratch).map(|lohi| (rk, lohi))
+        });
+        let Some((rk, (lo, hi))) = interior else {
+            self.accumulate_elements(
+                t, merge, lane_depth, min, end, buf_idx, side, binds, vars, scratch,
+            );
+            return Ok(());
+        };
+        let out_bind = binds.0[t.slot].as_ref().expect("store target bound");
+        let cell = reduce_cell(rk, out_bind, vars);
         self.accumulate_elements(
-            t, merge, lane_depth, min, end, buf_idx, side, binds, vars, scratch,
+            t, merge, lane_depth, min, lo, buf_idx, side, binds, vars, scratch,
+        );
+        let acc = reduce_row(rk, lo, hi, lane_depth, binds, vars, scratch);
+        side[buf_idx][cell] = side[buf_idx][cell].wrapping_add(acc);
+        self.accumulate_elements(
+            t,
+            merge,
+            lane_depth,
+            hi + 1,
+            end,
+            buf_idx,
+            side,
+            binds,
+            vars,
+            scratch,
         );
         Ok(())
     }
@@ -3502,86 +3698,31 @@ impl Runner<'_> {
             scratch.offs[l] = off;
         }
         let ty = self.prepared.decls[t.slot].ty;
-        let offs = &scratch.offs;
-        // Monomorphized store loops: cast exactly like `write_scalar`.
-        if t.value_prog.float_result {
-            let vals = &scratch.floats[..MAX_LANES];
-            match ty {
-                ScalarType::UInt8 => {
-                    for l in 0..n {
-                        bind.write(offs[l], &[(vals[l] as i64) as u8]);
-                    }
+        let (ints, floats, offs) = (&scratch.ints, &scratch.floats, &scratch.offs);
+        // Cast exactly like `write_scalar`: an integer type keeps the low
+        // bytes of the `i64` value (a float value truncates to it first), a
+        // float type rounds to its width.
+        let bits = |l: usize| match (ty, t.value_prog.float_result) {
+            (ScalarType::Float32, true) => u64::from((floats[l] as f32).to_bits()),
+            (ScalarType::Float64, true) => floats[l].to_bits(),
+            (_, true) => floats[l] as i64 as u64,
+            (ScalarType::Float32, false) => u64::from((ints[l] as f64 as f32).to_bits()),
+            (ScalarType::Float64, false) => (ints[l] as f64).to_bits(),
+            (_, false) => ints[l] as u64,
+        };
+        // Constant-size copies per element width.
+        macro_rules! store {
+            ($eb:literal) => {
+                for l in 0..n {
+                    bind.write(offs[l] * $eb, &bits(l).to_le_bytes()[..$eb]);
                 }
-                ScalarType::UInt16 => {
-                    for l in 0..n {
-                        bind.write(offs[l] * 2, &((vals[l] as i64) as u16).to_le_bytes());
-                    }
-                }
-                ScalarType::UInt32 => {
-                    for l in 0..n {
-                        bind.write(offs[l] * 4, &((vals[l] as i64) as u32).to_le_bytes());
-                    }
-                }
-                ScalarType::UInt64 => {
-                    for l in 0..n {
-                        bind.write(offs[l] * 8, &((vals[l] as i64) as u64).to_le_bytes());
-                    }
-                }
-                ScalarType::Int32 => {
-                    for l in 0..n {
-                        bind.write(offs[l] * 4, &((vals[l] as i64) as i32).to_le_bytes());
-                    }
-                }
-                ScalarType::Float32 => {
-                    for l in 0..n {
-                        bind.write(offs[l] * 4, &(vals[l] as f32).to_le_bytes());
-                    }
-                }
-                ScalarType::Float64 => {
-                    for l in 0..n {
-                        bind.write(offs[l] * 8, &vals[l].to_le_bytes());
-                    }
-                }
-            }
-        } else {
-            let vals = &scratch.ints[..MAX_LANES];
-            match ty {
-                ScalarType::UInt8 => {
-                    for l in 0..n {
-                        bind.write(offs[l], &[vals[l] as u8]);
-                    }
-                }
-                ScalarType::UInt16 => {
-                    for l in 0..n {
-                        bind.write(offs[l] * 2, &(vals[l] as u16).to_le_bytes());
-                    }
-                }
-                ScalarType::UInt32 => {
-                    for l in 0..n {
-                        bind.write(offs[l] * 4, &(vals[l] as u32).to_le_bytes());
-                    }
-                }
-                ScalarType::UInt64 => {
-                    for l in 0..n {
-                        bind.write(offs[l] * 8, &(vals[l] as u64).to_le_bytes());
-                    }
-                }
-                ScalarType::Int32 => {
-                    for l in 0..n {
-                        bind.write(offs[l] * 4, &(vals[l] as i32).to_le_bytes());
-                    }
-                }
-                ScalarType::Float32 => {
-                    for l in 0..n {
-                        bind.write(offs[l] * 4, &((vals[l] as f64) as f32).to_le_bytes());
-                    }
-                }
-                ScalarType::Float64 => {
-                    for l in 0..n {
-                        bind.write(offs[l] * 8, &(vals[l] as f64).to_le_bytes());
-                    }
-                }
-            }
+            };
+        }
+        match ty.bytes() {
+            1 => store!(1),
+            2 => store!(2),
+            4 => store!(4),
+            _ => store!(8),
         }
     }
 
@@ -3739,70 +3880,26 @@ fn run_program(
             }
             TOp::BinII(op) => {
                 let (a, b) = ((sp - 2) * MAX_LANES, (sp - 1) * MAX_LANES);
+                macro_rules! lanes {
+                    ($f:expr) => {
+                        for l in 0..n {
+                            ints[a + l] = $f(ints[a + l], ints[b + l]);
+                        }
+                    };
+                }
                 match op {
-                    BinOp::Add => {
-                        for l in 0..n {
-                            ints[a + l] = ints[a + l].wrapping_add(ints[b + l]);
-                        }
-                    }
-                    BinOp::Sub => {
-                        for l in 0..n {
-                            ints[a + l] = ints[a + l].wrapping_sub(ints[b + l]);
-                        }
-                    }
-                    BinOp::Mul => {
-                        for l in 0..n {
-                            ints[a + l] = ints[a + l].wrapping_mul(ints[b + l]);
-                        }
-                    }
-                    BinOp::Div => {
-                        for l in 0..n {
-                            let y = ints[b + l];
-                            ints[a + l] = if y == 0 { 0 } else { ints[a + l] / y };
-                        }
-                    }
-                    BinOp::Mod => {
-                        for l in 0..n {
-                            let y = ints[b + l];
-                            ints[a + l] = if y == 0 { 0 } else { ints[a + l] % y };
-                        }
-                    }
-                    BinOp::Shr => {
-                        for l in 0..n {
-                            ints[a + l] =
-                                ((ints[a + l] as u64) >> (ints[b + l] as u64 & 63)) as i64;
-                        }
-                    }
-                    BinOp::Shl => {
-                        for l in 0..n {
-                            ints[a + l] = ints[a + l].wrapping_shl(ints[b + l] as u32);
-                        }
-                    }
-                    BinOp::And => {
-                        for l in 0..n {
-                            ints[a + l] &= ints[b + l];
-                        }
-                    }
-                    BinOp::Or => {
-                        for l in 0..n {
-                            ints[a + l] |= ints[b + l];
-                        }
-                    }
-                    BinOp::Xor => {
-                        for l in 0..n {
-                            ints[a + l] ^= ints[b + l];
-                        }
-                    }
-                    BinOp::Min => {
-                        for l in 0..n {
-                            ints[a + l] = ints[a + l].min(ints[b + l]);
-                        }
-                    }
-                    BinOp::Max => {
-                        for l in 0..n {
-                            ints[a + l] = ints[a + l].max(ints[b + l]);
-                        }
-                    }
+                    BinOp::Add => lanes!(i64::wrapping_add),
+                    BinOp::Sub => lanes!(i64::wrapping_sub),
+                    BinOp::Mul => lanes!(i64::wrapping_mul),
+                    BinOp::Div => lanes!(|x, y| if y == 0 { 0 } else { x / y }),
+                    BinOp::Mod => lanes!(|x, y| if y == 0 { 0 } else { x % y }),
+                    BinOp::Shr => lanes!(|x, y| ((x as u64) >> (y as u64 & 63)) as i64),
+                    BinOp::Shl => lanes!(|x: i64, y| x.wrapping_shl(y as u32)),
+                    BinOp::And => lanes!(|x, y| x & y),
+                    BinOp::Or => lanes!(|x, y| x | y),
+                    BinOp::Xor => lanes!(|x, y| x ^ y),
+                    BinOp::Min => lanes!(i64::min),
+                    BinOp::Max => lanes!(i64::max),
                 }
                 sp -= 1;
             }
@@ -3908,76 +4005,35 @@ fn run_program(
                 }
                 sp -= 1;
             }
-            TOp::CastI(ty) => {
+            // Casts as `Value::cast` does them: integer types truncate the
+            // `i64` (a float truncates to it first; `UInt64` keeps its bits),
+            // float types round.
+            TOp::CastI(ty) | TOp::CastF(ty) => {
                 let s = (sp - 1) * MAX_LANES;
-                match ty {
-                    ScalarType::UInt8 => {
-                        for l in 0..n {
-                            ints[s + l] = (ints[s + l] as u8) as i64;
+                // `conv(i, f)` gets the source as an `i64` (a float truncates
+                // to it first) and as an `f64`.
+                macro_rules! cast {
+                    ($dst:ident, $conv:expr) => {
+                        if matches!(op, TOp::CastF(_)) {
+                            for l in 0..n {
+                                $dst[s + l] = $conv(floats[s + l] as i64, floats[s + l]);
+                            }
+                        } else {
+                            for l in 0..n {
+                                $dst[s + l] = $conv(ints[s + l], ints[s + l] as f64);
+                            }
                         }
-                    }
-                    ScalarType::UInt16 => {
-                        for l in 0..n {
-                            ints[s + l] = (ints[s + l] as u16) as i64;
-                        }
-                    }
-                    ScalarType::UInt32 => {
-                        for l in 0..n {
-                            ints[s + l] = (ints[s + l] as u32) as i64;
-                        }
-                    }
-                    ScalarType::UInt64 => {} // Value::cast keeps the i64 bits
-                    ScalarType::Int32 => {
-                        for l in 0..n {
-                            ints[s + l] = (ints[s + l] as i32) as i64;
-                        }
-                    }
-                    ScalarType::Float32 => {
-                        for l in 0..n {
-                            floats[s + l] = (ints[s + l] as f64) as f32 as f64;
-                        }
-                    }
-                    ScalarType::Float64 => {
-                        for l in 0..n {
-                            floats[s + l] = ints[s + l] as f64;
-                        }
-                    }
+                    };
                 }
-            }
-            TOp::CastF(ty) => {
-                let s = (sp - 1) * MAX_LANES;
                 match ty {
-                    ScalarType::UInt8 => {
-                        for l in 0..n {
-                            ints[s + l] = ((floats[s + l] as i64) as u8) as i64;
-                        }
-                    }
-                    ScalarType::UInt16 => {
-                        for l in 0..n {
-                            ints[s + l] = ((floats[s + l] as i64) as u16) as i64;
-                        }
-                    }
-                    ScalarType::UInt32 => {
-                        for l in 0..n {
-                            ints[s + l] = ((floats[s + l] as i64) as u32) as i64;
-                        }
-                    }
-                    ScalarType::UInt64 => {
-                        for l in 0..n {
-                            ints[s + l] = floats[s + l] as i64;
-                        }
-                    }
-                    ScalarType::Int32 => {
-                        for l in 0..n {
-                            ints[s + l] = ((floats[s + l] as i64) as i32) as i64;
-                        }
-                    }
-                    ScalarType::Float32 => {
-                        for l in 0..n {
-                            floats[s + l] = (floats[s + l] as f32) as f64;
-                        }
-                    }
-                    ScalarType::Float64 => {}
+                    ScalarType::UInt8 => cast!(ints, |i: i64, _| i64::from(i as u8)),
+                    ScalarType::UInt16 => cast!(ints, |i: i64, _| i64::from(i as u16)),
+                    ScalarType::UInt32 => cast!(ints, |i: i64, _| i64::from(i as u32)),
+                    ScalarType::Int32 => cast!(ints, |i: i64, _| i64::from(i as i32)),
+                    // `Value::cast` keeps the i64 bits.
+                    ScalarType::UInt64 => cast!(ints, |i, _| i),
+                    ScalarType::Float32 => cast!(floats, |_, f: f64| f64::from(f as f32)),
+                    ScalarType::Float64 => cast!(floats, |_, f| f),
                 }
             }
             TOp::Sel {
@@ -4098,26 +4154,36 @@ fn run_program(
 // Fused-kernel execution
 // ---------------------------------------------------------------------------
 
-/// Load one tap's lanes for the chunk at lane-variable value `x` (see
-/// [`stream_tap`]); lanes past `n` are zero.
-#[inline]
-fn load_tap<L: LaneConst, const W: usize>(
-    tap: &TapAccess,
-    base: i64,
-    x: i64,
-    n: usize,
-    binds: &BindTable,
-) -> [L; W] {
-    let mut out = [L::default(); W];
-    stream_tap::<L, W>(tap, base, x, n, binds, |l, v| out[l] = v);
-    out
+/// What a fused chunk reads besides its position: the kernel's taps with
+/// their row base offsets, the loop variables and the bound buffers.
+struct Chunk<'a> {
+    taps: &'a [TapAccess],
+    bases: &'a [i64],
+    lane_depth: usize,
+    vars: &'a [i64],
+    binds: &'a BindTable,
+}
+
+impl Chunk<'_> {
+    /// Stream tap `t`'s lanes of the chunk at `x` into `f` (see
+    /// [`stream_tap`]).
+    #[inline(always)]
+    fn stream<L: LaneConst, const W: usize>(
+        &self,
+        t: usize,
+        x: i64,
+        n: usize,
+        f: impl FnMut(usize, L),
+    ) {
+        stream_tap::<L, W>(&self.taps[t], self.bases[t], x, n, self.binds, f);
+    }
 }
 
 /// Feed one tap's lanes for the chunk at lane-variable value `x` to
 /// `f(lane, value)`, each element converted to the lane type as
-/// [`LaneConst`] describes: the per-type decoder behind [`load_tap`], which
-/// the float accumulate ops also stream through, so a tap goes from its
-/// slice straight into the op that consumes it. `n` is the number of
+/// [`LaneConst`] describes: the per-type decoder every tap-reading op
+/// streams through, so a tap goes from its slice straight into the op that
+/// consumes it. `n` is the number of
 /// in-range lanes (in bounds by the interior derivation in
 /// `run_fused_loop`): full chunks (`n == W`) use constant-trip slice loops
 /// LLVM turns into vector loads; masked tails (`n < W`) visit only the
@@ -4142,57 +4208,29 @@ fn stream_tap<L: LaneConst, const W: usize>(
         }
         // Each arm slices with its constant element size, so LLVM sees the
         // slice length and drops the per-lane bounds checks.
-        TapLane::Contiguous if n >= W => match tap.ty {
-            ScalarType::UInt8 => {
-                for (l, &b) in data[off..off + W].iter().enumerate() {
-                    f(l, L::from_i64(b as i64));
-                }
+        TapLane::Contiguous if n >= W => {
+            macro_rules! lanes {
+                ($t:ty, $lane:expr) => {{
+                    const B: usize = std::mem::size_of::<$t>();
+                    let src = &data[off * B..(off + W) * B];
+                    for (l, b) in src.chunks_exact(B).enumerate() {
+                        f(
+                            l,
+                            $lane(<$t>::from_le_bytes(b.try_into().expect("element"))),
+                        );
+                    }
+                }};
             }
-            ScalarType::UInt16 => {
-                let src = &data[off * 2..off * 2 + W * 2];
-                for l in 0..W {
-                    f(
-                        l,
-                        L::from_i64(u16::from_le_bytes([src[2 * l], src[2 * l + 1]]) as i64),
-                    );
-                }
+            match tap.ty {
+                ScalarType::UInt8 => lanes!(u8, |v| L::from_i64(i64::from(v))),
+                ScalarType::UInt16 => lanes!(u16, |v| L::from_i64(i64::from(v))),
+                ScalarType::UInt32 => lanes!(u32, |v| L::from_i64(i64::from(v))),
+                ScalarType::Int32 => lanes!(i32, |v| L::from_i64(i64::from(v))),
+                ScalarType::UInt64 => lanes!(u64, |v| L::from_i64(v as i64)),
+                ScalarType::Float32 => lanes!(f32, L::from_f32),
+                ScalarType::Float64 => lanes!(f64, L::from_f64),
             }
-            ScalarType::UInt32 => {
-                let src = &data[off * 4..off * 4 + W * 4];
-                for l in 0..W {
-                    let b = src[4 * l..4 * l + 4].try_into().expect("4 bytes");
-                    f(l, L::from_i64(u32::from_le_bytes(b) as i64));
-                }
-            }
-            ScalarType::Int32 => {
-                let src = &data[off * 4..off * 4 + W * 4];
-                for l in 0..W {
-                    let b = src[4 * l..4 * l + 4].try_into().expect("4 bytes");
-                    f(l, L::from_i64(i32::from_le_bytes(b) as i64));
-                }
-            }
-            ScalarType::UInt64 => {
-                let src = &data[off * 8..off * 8 + W * 8];
-                for l in 0..W {
-                    let b = src[8 * l..8 * l + 8].try_into().expect("8 bytes");
-                    f(l, L::from_i64(u64::from_le_bytes(b) as i64));
-                }
-            }
-            ScalarType::Float32 => {
-                let src = &data[off * 4..off * 4 + W * 4];
-                for l in 0..W {
-                    let b = src[4 * l..4 * l + 4].try_into().expect("4 bytes");
-                    f(l, L::from_f32(f32::from_le_bytes(b)));
-                }
-            }
-            ScalarType::Float64 => {
-                let src = &data[off * 8..off * 8 + W * 8];
-                for l in 0..W {
-                    let b = src[8 * l..8 * l + 8].try_into().expect("8 bytes");
-                    f(l, L::from_f64(f64::from_le_bytes(b)));
-                }
-            }
-        },
+        }
         TapLane::Contiguous => {
             for l in 0..n.min(W) {
                 f(l, read_elem(tap.ty, data, off + l));
@@ -4201,7 +4239,7 @@ fn stream_tap<L: LaneConst, const W: usize>(
     }
 }
 
-/// Element `i` of a `ty` buffer as a lane value (see [`load_tap`]).
+/// Element `i` of a `ty` buffer as a lane value (see [`stream_tap`]).
 #[inline]
 fn read_elem<L: LaneConst>(ty: ScalarType, data: &[u8], i: usize) -> L {
     let eb = ty.bytes();
@@ -4221,108 +4259,184 @@ fn read_elem<L: LaneConst>(ty: ScalarType, data: &[u8], i: usize) -> L {
     }
 }
 
-/// Store the first `n` lanes of a chunk contiguously: each lane keeps the
-/// low bytes of its [`LaneConst::to_bits`], which truncates integer lanes
-/// to the output type (wrapping, like the per-op tier) and writes float
-/// lanes bit-exactly.
+/// Store lanes contiguously from element `at` of `out`, straight into the
+/// buffer: each lane keeps the low bytes of its [`LaneConst::to_bits`],
+/// which truncates integer lanes to the output type (wrapping, like the
+/// per-op tier) and writes float lanes bit-exactly.
 #[inline]
-fn store_chunk<L: LaneConst, const W: usize>(
-    fused: &FusedKernel,
-    out_base: i64,
-    x: i64,
-    n: usize,
-    vals: &[L; W],
-    binds: &BindTable,
-) {
-    let bind = binds.0[fused.out_slot]
-        .as_ref()
-        .expect("store target bound");
-    let eb = fused.out_ty.bytes();
-    let n = n.min(W);
-    let mut tmp = [0u8; MAX_CHUNK * 8];
-    match eb {
+fn store_chunk<L: LaneConst>(out: &SlotBind, ty: ScalarType, at: i64, vals: &[L]) {
+    let eb = ty.bytes();
+    out.write_with(at as usize * eb, vals.len() * eb, |dst| match eb {
         1 => {
-            for l in 0..n {
-                tmp[l] = vals[l].to_bits() as u8;
+            for (d, v) in dst.iter_mut().zip(vals) {
+                *d = v.to_bits() as u8;
             }
         }
         2 => {
-            for l in 0..n {
-                tmp[2 * l..2 * l + 2].copy_from_slice(&(vals[l].to_bits() as u16).to_le_bytes());
+            for (d, v) in dst.chunks_exact_mut(2).zip(vals) {
+                d.copy_from_slice(&(v.to_bits() as u16).to_le_bytes());
             }
         }
         4 => {
-            for l in 0..n {
-                tmp[4 * l..4 * l + 4].copy_from_slice(&(vals[l].to_bits() as u32).to_le_bytes());
+            for (d, v) in dst.chunks_exact_mut(4).zip(vals) {
+                d.copy_from_slice(&(v.to_bits() as u32).to_le_bytes());
             }
         }
         _ => {
-            for l in 0..n {
-                tmp[8 * l..8 * l + 8].copy_from_slice(&vals[l].to_bits().to_le_bytes());
+            for (d, v) in dst.chunks_exact_mut(8).zip(vals) {
+                d.copy_from_slice(&v.to_bits().to_le_bytes());
             }
         }
-    }
-    bind.write((out_base + x) as usize * eb, &tmp[..n * eb]);
+    });
 }
 
-/// Route one chunk to the monomorphized evaluator of the kernel's lane
-/// family and chunk width, then store it. `w` is the chunk width
-/// (`fused.chunk_width`); `n ≤ w` is the number of lanes to load and store
-/// (`n < w` only for masked tails).
-#[allow(clippy::too_many_arguments)]
-fn dispatch_fused_chunk(
-    fused: &FusedKernel,
-    x: i64,
-    w: usize,
-    n: usize,
-    tap_bases: &[i64],
-    out_base: i64,
+/// Cover a fused row's interior `[lo, hi]` with `chunk(x, n, stack)` calls
+/// of `W` lanes from `x` (`n` of them in range): full chunks, then a tail.
+/// After at least one full chunk the tail *overlaps* the previous chunk,
+/// ending at the interior's edge and re-storing lanes it already wrote —
+/// sound because the kernel is deterministic and reads nothing the store
+/// writes (self-aliasing stores never fuse: the `value_reads_buffer` and
+/// tap-slot checks at build time), so the re-stored lanes are bit-identical.
+/// An interior shorter than `W` instead runs one *masked* chunk that loads
+/// and stores only its `n` in-range lanes. Returns whether a tail ran.
+#[inline(always)]
+fn chunk_row<L, const W: usize>(
+    lo: i64,
+    hi: i64,
+    stack: &mut [[L; W]],
+    mut chunk: impl FnMut(i64, usize, &mut [[L; W]]),
+) -> bool {
+    let w = W as i64;
+    let mut x = lo;
+    while x + w <= hi + 1 {
+        chunk(x, W, stack);
+        x += w;
+    }
+    if x > hi {
+        false
+    } else {
+        if x > lo {
+            chunk(hi + 1 - w, W, stack);
+        } else {
+            chunk(x, (hi + 1 - x) as usize, stack);
+        }
+        true
+    }
+}
+
+/// Lanes per store visit of a loop of `kind`: the vectorized width, else 1.
+fn batch_width(kind: &LoopKind) -> usize {
+    match kind {
+        LoopKind::Vectorized { width } => (*width).max(1),
+        _ => 1,
+    }
+}
+
+/// The in-range interior of a reduction loop over `[min, end)` (see
+/// [`tap_interior`]), filling `scratch.tap_bases`; `None` when it is empty.
+fn reduce_interior(
+    rk: &ReduceKernel,
+    binds: &BindTable,
+    vars: &[i64],
+    min: i64,
+    end: i64,
+    scratch: &mut Scratch,
+) -> Option<(i64, i64)> {
+    eval_dims(
+        rk.taps.iter().flat_map(|t| &t.dims),
+        vars,
+        &mut scratch.row_vals,
+    );
+    let vals = &scratch.row_vals;
+    let (lo, hi) = tap_interior(&rk.taps, binds, vals, min, end, &mut scratch.tap_bases);
+    (lo <= hi).then_some((lo, hi))
+}
+
+/// The element offset of a reduction's accumulator cell: its LHS indices,
+/// clamped per dimension like `Buffer::set`.
+fn reduce_cell(rk: &ReduceKernel, out: &SlotBind, vars: &[i64]) -> usize {
+    let clamped = |(d, aff): (usize, &DepthAffine)| {
+        aff.eval(vars).clamp(0, out.extents[d] as i64 - 1) as usize * out.strides[d]
+    };
+    rk.out_dims.iter().enumerate().map(clamped).sum()
+}
+
+/// The wrapping sum of `g` over a reduction row's interior `[lo, hi]` (with
+/// `scratch.tap_bases` from [`reduce_interior`]): chunks of the widest width
+/// that fits it, the last one masked, each tree-reduced. For the i32 family
+/// the sum is exact mod `2^32`, which is all its ≤ 32-bit accumulator needs.
+fn reduce_row(
+    rk: &ReduceKernel,
+    lo: i64,
+    hi: i64,
     lane_depth: usize,
     binds: &BindTable,
     vars: &[i64],
-) {
-    macro_rules! run {
-        ($eval:expr, $ops:expr) => {{
-            let lanes = $eval($ops, &fused.taps, x, n, tap_bases, lane_depth, binds, vars);
-            store_chunk(fused, out_base, x, n, &lanes, binds);
+    scratch: &mut Scratch,
+) -> i64 {
+    let ch = Chunk {
+        taps: &rk.taps,
+        bases: &scratch.tap_bases,
+        lane_depth,
+        vars,
+        binds,
+    };
+    let (lanes, counts) = (&mut scratch.lanes, &mut scratch.counts);
+    macro_rules! sum {
+        ($eval:expr, $tree:ident, $ops:expr, $w:literal) => {{
+            let stack = lanes.stack::<_, $w>();
+            let (mut acc, mut x) = (0i64, lo);
+            while x <= hi {
+                let n = (hi + 1 - x).min($w) as usize;
+                $eval($ops, &ch, x, n, stack);
+                acc = acc.wrapping_add($tree(&mut stack[0], n) as i64);
+                counts.reduce_chunks += 1;
+                x += n as i64;
+            }
+            acc
         }};
     }
-    match (&fused.prog, w) {
-        (LaneProgram::I32(ops), 32) => run!(eval_chunk_i32::<32>, ops),
-        (LaneProgram::I32(ops), 16) => run!(eval_chunk_i32::<16>, ops),
-        (LaneProgram::I32(ops), _) => run!(eval_chunk_i32::<8>, ops),
-        (LaneProgram::I64(ops), 16) => run!(eval_chunk_i64::<16>, ops),
-        (LaneProgram::I64(ops), 8) => run!(eval_chunk_i64::<8>, ops),
-        (LaneProgram::I64(ops), _) => run!(eval_chunk_i64::<4>, ops),
-        (LaneProgram::F32(ops), 32) => run!(eval_chunk_float::<f32, 32>, ops),
-        (LaneProgram::F32(ops), 16) => run!(eval_chunk_float::<f32, 16>, ops),
-        (LaneProgram::F32(ops), _) => run!(eval_chunk_float::<f32, 8>, ops),
-        (LaneProgram::F64(ops), 16) => run!(eval_chunk_float::<f64, 16>, ops),
-        (LaneProgram::F64(ops), 8) => run!(eval_chunk_float::<f64, 8>, ops),
-        (LaneProgram::F64(ops), _) => run!(eval_chunk_float::<f64, 4>, ops),
+    match (
+        &rk.prog,
+        rk.prog.family().chunk_lanes((hi + 1 - lo) as usize),
+    ) {
+        (LaneProgram::I32(ops), 64) => sum!(eval_chunk_i32, tree_sum_i32, ops, 64),
+        (LaneProgram::I32(ops), 32) => sum!(eval_chunk_i32, tree_sum_i32, ops, 32),
+        (LaneProgram::I32(ops), 16) => sum!(eval_chunk_i32, tree_sum_i32, ops, 16),
+        (LaneProgram::I32(ops), _) => sum!(eval_chunk_i32, tree_sum_i32, ops, 8),
+        (LaneProgram::I64(ops), 32) => sum!(eval_chunk_i64, tree_sum_i64, ops, 32),
+        (LaneProgram::I64(ops), 16) => sum!(eval_chunk_i64, tree_sum_i64, ops, 16),
+        (LaneProgram::I64(ops), 8) => sum!(eval_chunk_i64, tree_sum_i64, ops, 8),
+        (LaneProgram::I64(ops), _) => sum!(eval_chunk_i64, tree_sum_i64, ops, 4),
+        (LaneProgram::F32(_) | LaneProgram::F64(_), _) => {
+            unreachable!("reduce kernels are integer-only")
+        }
+    }
+}
+
+/// `a[l] = f(a[l], b[l])` on every lane.
+#[inline(always)]
+fn zip_lanes<T: Copy, const W: usize>(a: &mut [T; W], b: &[T; W], f: impl Fn(T, T) -> T) {
+    for l in 0..W {
+        a[l] = f(a[l], b[l]);
     }
 }
 
 /// Generate the chunk *evaluator* of one integer lane family: a stack
 /// machine over `[$lane; W]` chunks with constant trip counts LLVM
-/// auto-vectorizes, returning the final chunk. `n` lanes are loaded
+/// auto-vectorizes, leaving the result in `st[0]`. `n` lanes are loaded
 /// (`n == W` except for masked tails; lanes beyond `n` are unspecified and
 /// must be masked by the consumer — the fused store writes only `n` lanes,
 /// the reduction epilogue zeroes them before summing).
 macro_rules! int_chunk_eval {
     ($name:ident, $lane:ty, $ulane:ty) => {
-        #[allow(clippy::too_many_arguments)]
         fn $name<const W: usize>(
             ops: &[VOp<$lane>],
-            taps: &[TapAccess],
+            ch: &Chunk,
             x: i64,
             n: usize,
-            tap_bases: &[i64],
-            lane_depth: usize,
-            binds: &BindTable,
-            vars: &[i64],
-        ) -> [$lane; W] {
-            let mut st = [[0 as $lane; W]; V_STACK];
+            st: &mut [[$lane; W]],
+        ) {
             let mut sp = 0usize;
             for op in ops {
                 match op {
@@ -4331,161 +4445,40 @@ macro_rules! int_chunk_eval {
                         sp += 1;
                     }
                     VOp::Var(depth) => {
-                        if *depth == lane_depth {
+                        if *depth == ch.lane_depth {
                             let base = x as $lane;
                             for (l, lane) in st[sp].iter_mut().enumerate() {
                                 *lane = base + l as $lane;
                             }
                         } else {
-                            st[sp] = [vars[*depth] as $lane; W];
+                            st[sp] = [ch.vars[*depth] as $lane; W];
                         }
                         sp += 1;
                     }
                     VOp::Load(t) => {
-                        st[sp] = load_tap::<$lane, W>(&taps[*t], tap_bases[*t], x, n, binds);
+                        let dst = &mut st[sp];
+                        ch.stream::<$lane, W>(*t, x, n, |l, v| dst[l] = v);
                         sp += 1;
                     }
                     VOp::Axpy { tap, coeff } => {
-                        let v = load_tap::<$lane, W>(&taps[*tap], tap_bases[*tap], x, n, binds);
                         let dst = &mut st[sp - 1];
-                        for l in 0..W {
-                            dst[l] = dst[l].wrapping_add(coeff.wrapping_mul(v[l]));
-                        }
+                        ch.stream::<$lane, W>(*tap, x, n, |l, v| {
+                            dst[l] = dst[l].wrapping_add(coeff.wrapping_mul(v))
+                        });
                     }
-                    VOp::AddC(c) => {
-                        for l in &mut st[sp - 1] {
-                            *l = l.wrapping_add(*c);
-                        }
-                    }
-                    VOp::MulC(c) => {
-                        for l in &mut st[sp - 1] {
-                            *l = l.wrapping_mul(*c);
-                        }
-                    }
-                    VOp::AndC(c) => {
-                        for l in &mut st[sp - 1] {
-                            *l &= *c;
-                        }
-                    }
-                    VOp::OrC(c) => {
-                        for l in &mut st[sp - 1] {
-                            *l |= *c;
-                        }
-                    }
-                    VOp::XorC(c) => {
-                        for l in &mut st[sp - 1] {
-                            *l ^= *c;
-                        }
-                    }
-                    VOp::Mask(m) => {
-                        for l in &mut st[sp - 1] {
-                            *l &= *m;
-                        }
-                    }
-                    VOp::ShrU(s) => {
-                        for l in &mut st[sp - 1] {
-                            *l = ((*l as $ulane) >> *s) as $lane;
-                        }
-                    }
-                    VOp::Shl(s) => {
-                        for l in &mut st[sp - 1] {
-                            *l = l.wrapping_shl(*s);
-                        }
-                    }
-                    VOp::Sext32 => {
-                        // The Int32 cast on i64 lanes; the identity on i32.
-                        for l in &mut st[sp - 1] {
-                            *l = (*l as i32) as $lane;
-                        }
-                    }
-                    VOp::Add
-                    | VOp::Sub
-                    | VOp::Mul
-                    | VOp::And
-                    | VOp::Or
-                    | VOp::Xor
-                    | VOp::MinS
-                    | VOp::MaxS
-                    | VOp::MinU
-                    | VOp::MaxU => {
-                        let (head, tail) = st.split_at_mut(sp - 1);
-                        let a = &mut head[sp - 2];
-                        let b = &tail[0];
-                        match op {
-                            VOp::Add => {
-                                for l in 0..W {
-                                    a[l] = a[l].wrapping_add(b[l]);
-                                }
-                            }
-                            VOp::Sub => {
-                                for l in 0..W {
-                                    a[l] = a[l].wrapping_sub(b[l]);
-                                }
-                            }
-                            VOp::Mul => {
-                                for l in 0..W {
-                                    a[l] = a[l].wrapping_mul(b[l]);
-                                }
-                            }
-                            VOp::And => {
-                                for l in 0..W {
-                                    a[l] &= b[l];
-                                }
-                            }
-                            VOp::Or => {
-                                for l in 0..W {
-                                    a[l] |= b[l];
-                                }
-                            }
-                            VOp::Xor => {
-                                for l in 0..W {
-                                    a[l] ^= b[l];
-                                }
-                            }
-                            VOp::MinS => {
-                                for l in 0..W {
-                                    a[l] = a[l].min(b[l]);
-                                }
-                            }
-                            VOp::MaxS => {
-                                for l in 0..W {
-                                    a[l] = a[l].max(b[l]);
-                                }
-                            }
-                            VOp::MinU => {
-                                for l in 0..W {
-                                    a[l] = (a[l] as $ulane).min(b[l] as $ulane) as $lane;
-                                }
-                            }
-                            VOp::MaxU => {
-                                for l in 0..W {
-                                    a[l] = (a[l] as $ulane).max(b[l] as $ulane) as $lane;
-                                }
-                            }
-                            _ => unreachable!("binary group"),
-                        }
-                        sp -= 1;
-                    }
-                    VOp::CmpS(cmp) => {
-                        let (head, tail) = st.split_at_mut(sp - 1);
-                        let a = &mut head[sp - 2];
-                        let b = &tail[0];
-                        for l in 0..W {
-                            let (x, y) = (a[l], b[l]);
-                            a[l] = cmp_lanes(*cmp, x, y) as $lane;
-                        }
-                        sp -= 1;
-                    }
-                    VOp::CmpU(cmp) => {
-                        let (head, tail) = st.split_at_mut(sp - 1);
-                        let a = &mut head[sp - 2];
-                        let b = &tail[0];
-                        for l in 0..W {
-                            let (x, y) = (a[l] as $ulane, b[l] as $ulane);
-                            a[l] = cmp_lanes(*cmp, x, y) as $lane;
-                        }
-                        sp -= 1;
-                    }
+                    VOp::AddC(c) => st[sp - 1].iter_mut().for_each(|l| *l = l.wrapping_add(*c)),
+                    VOp::MulC(c) => st[sp - 1].iter_mut().for_each(|l| *l = l.wrapping_mul(*c)),
+                    VOp::AndC(c) | VOp::Mask(c) => st[sp - 1].iter_mut().for_each(|l| *l &= *c),
+                    VOp::OrC(c) => st[sp - 1].iter_mut().for_each(|l| *l |= *c),
+                    VOp::XorC(c) => st[sp - 1].iter_mut().for_each(|l| *l ^= *c),
+                    VOp::ShrU(s) => st[sp - 1]
+                        .iter_mut()
+                        .for_each(|l| *l = ((*l as $ulane) >> *s) as $lane),
+                    VOp::Shl(s) => st[sp - 1].iter_mut().for_each(|l| *l = l.wrapping_shl(*s)),
+                    // The Int32 cast on i64 lanes; the identity on i32.
+                    VOp::Sext32 => st[sp - 1]
+                        .iter_mut()
+                        .for_each(|l| *l = (*l as i32) as $lane),
                     VOp::Sel => {
                         let (head, tail) = st.split_at_mut(sp - 2);
                         let c = &mut head[sp - 3];
@@ -4495,10 +4488,37 @@ macro_rules! int_chunk_eval {
                         }
                         sp -= 2;
                     }
+                    _ => {
+                        let (head, tail) = st.split_at_mut(sp - 1);
+                        let (a, b) = (&mut head[sp - 2], &tail[0]);
+                        match op {
+                            VOp::Add => zip_lanes(a, b, <$lane>::wrapping_add),
+                            VOp::Sub => zip_lanes(a, b, <$lane>::wrapping_sub),
+                            VOp::Mul => zip_lanes(a, b, <$lane>::wrapping_mul),
+                            VOp::And => zip_lanes(a, b, |x, y| x & y),
+                            VOp::Or => zip_lanes(a, b, |x, y| x | y),
+                            VOp::Xor => zip_lanes(a, b, |x, y| x ^ y),
+                            VOp::MinS => zip_lanes(a, b, Ord::min),
+                            VOp::MaxS => zip_lanes(a, b, Ord::max),
+                            VOp::MinU => {
+                                zip_lanes(a, b, |x, y| (x as $ulane).min(y as $ulane) as $lane)
+                            }
+                            VOp::MaxU => {
+                                zip_lanes(a, b, |x, y| (x as $ulane).max(y as $ulane) as $lane)
+                            }
+                            VOp::CmpS(cmp) => {
+                                zip_lanes(a, b, |x, y| cmp_lanes(*cmp, x, y) as $lane)
+                            }
+                            VOp::CmpU(cmp) => zip_lanes(a, b, |x, y| {
+                                cmp_lanes(*cmp, x as $ulane, y as $ulane) as $lane
+                            }),
+                            _ => unreachable!("binary group"),
+                        }
+                        sp -= 1;
+                    }
                 }
             }
             debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
-            st[0]
         }
     };
 }
@@ -4506,13 +4526,13 @@ macro_rules! int_chunk_eval {
 int_chunk_eval!(eval_chunk_i32, i32, u32);
 int_chunk_eval!(eval_chunk_i64, i64, u64);
 
-/// Wrapping in-lane tree reduce of the first `n` lanes of a chunk. Exact for
-/// any summation order because wrapping integer addition is commutative and
-/// associative; the halving tree is the shape LLVM turns into vector
-/// reductions.
+/// Wrapping in-lane tree reduce of the first `n` lanes of a chunk (the
+/// others are zeroed first). Exact for any summation order because wrapping
+/// integer addition is commutative and associative; the halving tree is the
+/// shape LLVM turns into vector reductions.
 macro_rules! tree_sum {
     ($name:ident, $lane:ty) => {
-        fn $name<const W: usize>(mut lanes: [$lane; W], n: usize) -> $lane {
+        fn $name<const W: usize>(lanes: &mut [$lane; W], n: usize) -> $lane {
             for lane in lanes.iter_mut().skip(n) {
                 *lane = 0;
             }
@@ -4531,177 +4551,104 @@ macro_rules! tree_sum {
 tree_sum!(tree_sum_i32, i32);
 tree_sum!(tree_sum_i64, i64);
 
-/// Evaluate one chunk of a reduction kernel's `g` and tree-reduce its first
-/// `n` lanes, returning the partial sum as an `i64` (for the i32 family the
-/// value is the sum mod `2^32`, which is all its ≤ 32-bit accumulator needs).
-fn dispatch_reduce_chunk(
-    rk: &ReduceKernel,
-    x: i64,
-    n: usize,
-    tap_bases: &[i64],
-    lane_depth: usize,
-    binds: &BindTable,
-    vars: &[i64],
-) -> i64 {
-    match &rk.prog {
-        LaneProgram::I32(ops) => {
-            let lanes = eval_chunk_i32::<MAX_CHUNK>(
-                ops, &rk.taps, x, n, tap_bases, lane_depth, binds, vars,
-            );
-            tree_sum_i32(lanes, n) as i64
-        }
-        LaneProgram::I64(ops) => {
-            let lanes = eval_chunk_i64::<{ MAX_CHUNK / 2 }>(
-                ops, &rk.taps, x, n, tap_bases, lane_depth, binds, vars,
-            );
-            tree_sum_i64(lanes, n)
-        }
-        LaneProgram::F32(_) | LaneProgram::F64(_) => {
-            unreachable!("reduce kernels are integer-only")
-        }
-    }
-}
-
 /// The bounds of a float lane carrier: `f32` or `f64` with its in-place
 /// arithmetic.
 trait FloatLane: LaneConst + AddAssign + SubAssign + MulAssign + DivAssign {}
 
 impl<L: LaneConst + AddAssign + SubAssign + MulAssign + DivAssign> FloatLane for L {}
 
-/// Evaluate one float kernel chunk on `[f32; W]` or `[f64; W/2]` lanes.
-/// Arithmetic ops round once in the lane type (on f32 lanes they are only
-/// emitted at reference rounding points; on f64 lanes they are the reference
-/// ops), and Min/Max evaluate through f64 per lane to replicate
-/// [`eval_binop`]'s float branch bit-for-bit (a no-op widening on f64
-/// lanes). Taps stream through [`stream_tap`] into the op that consumes
-/// them. Accumulator-shaped programs ([`FOp::in_place`]) keep their one
-/// running chunk out of the stack, which then is never built. Lanes beyond
-/// `n` are unspecified, as for the integer families.
-#[allow(clippy::too_many_arguments)]
+/// Evaluate one float kernel chunk on `[f32; W]` or `[f64; W/2]` lanes into
+/// `st[0]`. Arithmetic ops round once in the lane type (on f32 lanes they
+/// are only emitted at reference rounding points; on f64 lanes they are the
+/// reference ops), and Min/Max evaluate through f64 per lane to replicate
+/// [`eval_binop`](crate::expr::eval_binop)'s float branch bit-for-bit (a
+/// no-op widening on f64 lanes). Taps stream through [`stream_tap`] into
+/// the op that consumes them. Lanes beyond `n` are unspecified, as for the
+/// integer families.
 fn eval_chunk_float<L: FloatLane, const W: usize>(
     ops: &[FOp<L>],
-    taps: &[TapAccess],
+    ch: &Chunk,
     x: i64,
     n: usize,
-    tap_bases: &[i64],
-    lane_depth: usize,
-    binds: &BindTable,
-    vars: &[i64],
-) -> [L; W] {
-    // Stream tap `t`'s lanes into `f(lane, value)`.
-    macro_rules! stream {
-        ($t:expr, $f:expr) => {
-            stream_tap::<L, W>(&taps[$t], tap_bases[$t], x, n, binds, $f)
-        };
-    }
-    // The chunk a push op puts on the stack (`None` for the other ops). A
-    // macro rather than a closure, so both call sites expand inline.
-    macro_rules! push {
-        ($op:expr) => {
-            match $op {
-                FOp::Const(v) => Some([*v; W]),
-                // Exact: the variable's interval was proven within the lane
-                // type's exact integer range.
-                FOp::Var(depth) if *depth == lane_depth => {
-                    Some(std::array::from_fn(|l| L::from_i64(x + l as i64)))
-                }
-                FOp::Var(depth) => Some([L::from_i64(vars[*depth]); W]),
-                FOp::Load(t) => Some(load_tap::<L, W>(&taps[*t], tap_bases[*t], x, n, binds)),
-                FOp::PushMul { tap, c, c_first } => {
-                    let (c, mut out) = (*c, [*c; W]);
-                    if *c_first {
-                        stream!(*tap, |l, v| out[l] *= v);
-                    } else {
-                        stream!(*tap, |l, mut v: L| {
-                            v *= c;
-                            out[l] = v;
-                        });
-                    }
-                    Some(out)
-                }
-                _ => None,
-            }
-        };
-    }
-    // Apply an in-place op (see [`FOp::in_place`]) to the top chunk.
-    macro_rules! in_place {
-        ($op:expr, $top:expr) => {{
-            let top: &mut [L; W] = $top;
-            match $op {
-                FOp::Sqrt => {
-                    for l in top.iter_mut() {
-                        *l = l.sqrt();
-                    }
-                }
-                FOp::AccAddMul { tap, c, c_first } => {
-                    let c = *c;
-                    if *c_first {
-                        stream!(*tap, |l, v| {
-                            let mut p = c;
-                            p *= v;
-                            top[l] += p;
-                        });
-                    } else {
-                        stream!(*tap, |l, mut v: L| {
-                            v *= c;
-                            top[l] += v;
-                        });
-                    }
-                }
-                FOp::AccLoad(a, t) => match a {
-                    Arith::Add => stream!(*t, |l, v| top[l] += v),
-                    Arith::Sub => stream!(*t, |l, v| top[l] -= v),
-                    Arith::Mul => stream!(*t, |l, v| top[l] *= v),
-                    Arith::Div => stream!(*t, |l, v| top[l] /= v),
-                },
-                FOp::AccConst(a, c) => a.lanes(top, &[*c; W]),
-                _ => unreachable!("not an in-place op"),
-            }
-        }};
-    }
-    if let [first, rest @ ..] = ops {
-        if rest.iter().all(FOp::in_place) {
-            if let Some(mut acc) = push!(first) {
-                for op in rest {
-                    in_place!(op, &mut acc);
-                }
-                return acc;
-            }
-        }
-    }
-    let mut st = [[L::default(); W]; V_STACK];
+    st: &mut [[L; W]],
+) {
     let mut sp = 0usize;
     for op in ops {
-        if let Some(v) = push!(op) {
-            st[sp] = v;
-            sp += 1;
-            continue;
-        }
-        if op.in_place() {
-            in_place!(op, &mut st[sp - 1]);
-            continue;
-        }
         match op {
+            FOp::Const(v) => {
+                st[sp] = [*v; W];
+                sp += 1;
+            }
+            // Exact: the variable's interval was proven within the lane
+            // type's exact integer range.
+            FOp::Var(depth) => {
+                st[sp] = if *depth == ch.lane_depth {
+                    std::array::from_fn(|l| L::from_i64(x + l as i64))
+                } else {
+                    [L::from_i64(ch.vars[*depth]); W]
+                };
+                sp += 1;
+            }
+            FOp::Load(t) => {
+                let dst = &mut st[sp];
+                ch.stream::<L, W>(*t, x, n, |l, v| dst[l] = v);
+                sp += 1;
+            }
+            FOp::PushMul { tap, c, c_first } => {
+                let (c, dst) = (*c, &mut st[sp]);
+                if *c_first {
+                    ch.stream::<L, W>(*tap, x, n, |l, v| {
+                        dst[l] = c;
+                        dst[l] *= v;
+                    });
+                } else {
+                    ch.stream::<L, W>(*tap, x, n, |l, mut v: L| {
+                        v *= c;
+                        dst[l] = v;
+                    });
+                }
+                sp += 1;
+            }
+            FOp::Sqrt => {
+                for l in st[sp - 1].iter_mut() {
+                    *l = l.sqrt();
+                }
+            }
+            FOp::AccAddMul { tap, c, c_first } => {
+                let (c, top) = (*c, &mut st[sp - 1]);
+                if *c_first {
+                    ch.stream::<L, W>(*tap, x, n, |l, v| {
+                        let mut p = c;
+                        p *= v;
+                        top[l] += p;
+                    });
+                } else {
+                    ch.stream::<L, W>(*tap, x, n, |l, mut v: L| {
+                        v *= c;
+                        top[l] += v;
+                    });
+                }
+            }
+            FOp::AccLoad(a, t) => {
+                let top = &mut st[sp - 1];
+                match a {
+                    Arith::Add => ch.stream::<L, W>(*t, x, n, |l, v| top[l] += v),
+                    Arith::Sub => ch.stream::<L, W>(*t, x, n, |l, v| top[l] -= v),
+                    Arith::Mul => ch.stream::<L, W>(*t, x, n, |l, v| top[l] *= v),
+                    Arith::Div => ch.stream::<L, W>(*t, x, n, |l, v| top[l] /= v),
+                }
+            }
+            FOp::AccConst(a, c) => a.lanes(&mut st[sp - 1], &[*c; W]),
             FOp::Arith(_) | FOp::Min | FOp::Max | FOp::Cmp(_) => {
                 let (head, tail) = st.split_at_mut(sp - 1);
                 let a = &mut head[sp - 2];
                 let b = &tail[0];
                 match op {
                     FOp::Arith(op) => op.lanes(a, b),
-                    FOp::Min => {
-                        for l in 0..W {
-                            a[l] = L::from_f64(a[l].to_f64().min(b[l].to_f64()));
-                        }
-                    }
-                    FOp::Max => {
-                        for l in 0..W {
-                            a[l] = L::from_f64(a[l].to_f64().max(b[l].to_f64()));
-                        }
-                    }
+                    FOp::Min => zip_lanes(a, b, |x, y| L::from_f64(x.to_f64().min(y.to_f64()))),
+                    FOp::Max => zip_lanes(a, b, |x, y| L::from_f64(x.to_f64().max(y.to_f64()))),
                     FOp::Cmp(cmp) => {
-                        for l in 0..W {
-                            a[l] = L::from_i64(cmp_lanes(*cmp, a[l], b[l]) as i64);
-                        }
+                        zip_lanes(a, b, |x, y| L::from_i64(cmp_lanes(*cmp, x, y) as i64))
                     }
                     _ => unreachable!("binary group"),
                 }
@@ -4716,11 +4663,9 @@ fn eval_chunk_float<L: FloatLane, const W: usize>(
                 }
                 sp -= 2;
             }
-            _ => unreachable!("push and in-place ops are handled above"),
         }
     }
     debug_assert_eq!(sp, 1, "fused kernel must leave exactly one chunk");
-    st[0]
 }
 
 #[inline]
@@ -4749,8 +4694,10 @@ fn cmp_lanes<T: PartialOrd>(op: CmpOp, x: T, y: T) -> i32 {
 /// against — [`crate::cache::CacheKey`] enforces this for cached plans.
 #[derive(Debug)]
 pub struct ExecPlan {
-    stmt: Stmt,
+    root: Node,
     prepared: Prepared,
+    /// Extents of the plan's [`Stmt::SlideWindow`] nodes, in visit order.
+    windows: Vec<usize>,
     /// Element type of each output buffer, in slot order (slot `i` is output
     /// `i`). Single-output plans have exactly one entry; multi-output fused
     /// nests ([`prepare_multi`]) have one per produced stage.
@@ -4773,7 +4720,7 @@ impl ExecPlan {
     pub fn fused_store_counts(&self) -> FusedStoreCounts {
         let mut counts = FusedStoreCounts::default();
         for store in self.prepared.stores.iter().flatten() {
-            match store.fused.as_ref().map(|f| f.family()) {
+            match store.fused.as_ref().map(|f| f.prog.family()) {
                 Some(LaneFamily::I32) => counts.lanes_i32 += 1,
                 Some(LaneFamily::I64) => counts.lanes_i64 += 1,
                 Some(LaneFamily::F32) => counts.lanes_f32 += 1,
@@ -4789,23 +4736,17 @@ impl ExecPlan {
         self.prepared.stores.iter().filter(|s| s.is_some()).count()
     }
 
-    /// Number of output buffers the plan produces (1 for ordinary plans,
-    /// more for multi-output fused nests built via [`prepare_multi`]).
-    pub fn output_count(&self) -> usize {
-        self.output_tys.len()
-    }
-
     /// Number of [`Stmt::SlideWindow`] nodes in the plan's loop nest — the
     /// sliding-window `compute_at` allocations the locality tier manages.
     pub fn sliding_window_count(&self) -> usize {
-        self.stmt.sliding_window_count()
+        self.windows.len()
     }
 
     /// Window extents (rows of the slid dimension) of every
     /// [`Stmt::SlideWindow`] node in the plan, in visit order. A window of
     /// extent `E` re-uses `E - 1` rows per warm attach iteration.
     pub fn sliding_window_extents(&self) -> Vec<usize> {
-        self.stmt.sliding_window_extents()
+        self.windows.clone()
     }
 
     /// Number of guarded (reduction) stores in the plan — the lowered update
@@ -4824,7 +4765,7 @@ impl ExecPlan {
     pub fn reduce_store_counts(&self) -> FusedStoreCounts {
         let mut counts = FusedStoreCounts::default();
         for store in self.prepared.stores.iter().flatten() {
-            match store.reduce.as_ref().map(|r| r.family()) {
+            match store.reduce.as_ref().map(|r| r.prog.family()) {
                 Some(LaneFamily::I32) => counts.lanes_i32 += 1,
                 Some(LaneFamily::I64) => counts.lanes_i64 += 1,
                 Some(LaneFamily::F32) | Some(LaneFamily::F64) | None => {}
@@ -4866,11 +4807,11 @@ impl ExecPlan {
                     None => (0, 0),
                 };
                 StoreProfile {
-                    fused: fused.map(|f| f.family()),
+                    fused: fused.map(|f| f.prog.family()),
                     taps,
                     max_tap_offset,
                     guarded: store.clamp,
-                    reduce: reduce.map(|r| r.family()),
+                    reduce: reduce.map(|r| r.prog.family()),
                     parallel_reduce: kernels && store.merge.is_some(),
                 }
             })
@@ -4925,10 +4866,10 @@ pub fn prepare_multi(
         params,
         decls: Vec::new(),
         slot_ids: BTreeMap::new(),
-        alloc_slots: BTreeMap::new(),
         stores: Vec::new(),
         var_depths: BTreeMap::new(),
         var_bounds: BTreeMap::new(),
+        windows: Vec::new(),
         depth: 0,
         max_depth: 0,
         max_stack: 1,
@@ -4943,12 +4884,12 @@ pub fn prepare_multi(
     for (name, ty) in roots {
         ctx.add_slot(name, *ty, false);
     }
-    ctx.walk(&stmt)?;
+    let root = ctx.walk(&stmt)?;
     Ok(ExecPlan {
-        stmt,
+        root,
+        windows: ctx.windows,
         prepared: Prepared {
             decls: ctx.decls,
-            alloc_slots: ctx.alloc_slots,
             stores: ctx.stores,
             max_depth: ctx.max_depth,
             max_stack: ctx.max_stack,
@@ -5058,48 +4999,9 @@ pub fn run_multi_with_target(
         tier: target.tier(),
     };
     let mut binds = BindTable(binds);
-    let mut env: Vec<(String, i64)> = Vec::new();
     let mut vars = vec![0i64; plan.prepared.max_depth.max(1)];
     let mut scratch = Scratch::new(&plan.prepared);
-    runner.run(
-        &plan.stmt,
-        &mut binds,
-        &mut env,
-        &mut vars,
-        &mut scratch,
-        false,
-    )
-}
-
-/// One-shot convenience: [`prepare`] + [`run`] against the given buffers.
-///
-/// # Errors
-/// Returns an error if a referenced buffer or parameter is missing.
-pub fn execute(
-    stmt: &Stmt,
-    output_name: &str,
-    output: &mut Buffer,
-    images: &BTreeMap<String, &Buffer>,
-    roots: &BTreeMap<String, Buffer>,
-    params: &BTreeMap<String, Value>,
-) -> Result<(), RealizeError> {
-    let image_decls: Vec<(String, ScalarType)> = images
-        .iter()
-        .map(|(n, b)| (n.clone(), b.scalar_type()))
-        .collect();
-    let root_decls: Vec<(String, ScalarType)> = roots
-        .iter()
-        .map(|(n, b)| (n.clone(), b.scalar_type()))
-        .collect();
-    let plan = prepare(
-        stmt.clone(),
-        output_name,
-        output.scalar_type(),
-        &image_decls,
-        &root_decls,
-        params,
-    )?;
-    run(&plan, output, images, roots, params)
+    runner.run(&plan.root, &mut binds, &mut vars, &mut scratch, false)
 }
 
 #[cfg(test)]
@@ -6086,8 +5988,8 @@ mod tests {
                 Expr::uint(1),
             ),
         );
-        // Chunk width is 8 (vectorize(8)); input is wide enough that the
-        // interior spans the whole row for every extent.
+        // Chunks come from the row (8 lanes below 16, then 16); input is
+        // wide enough that the interior spans the whole row for every extent.
         for w in [3i64, 5, 7, 8, 9, 15, 16, 17] {
             let plan = plan_for(nest(w, 4, 8, value.clone()), ScalarType::UInt8);
             assert_eq!(plan.fused_store_count(), 1);
@@ -6498,5 +6400,73 @@ mod tests {
         assert!(later.fused_rows >= mid.fused_rows);
         assert!(later.fused_tails >= mid.fused_tails);
         assert!(later.reduce_chunks >= mid.reduce_chunks);
+    }
+
+    /// Loop bounds compile to `Bound` programs that agree with the shared
+    /// evaluator on the shapes lowering emits: tile tails
+    /// `min(t, w - t·xo)`, sliding-window region minima (bare affine, and
+    /// clamped `max(…, 0)`) and the sliding extent `e - warm`.
+    #[test]
+    fn compiled_loop_bounds_match_the_evaluator() {
+        struct Vars(BTreeMap<String, i64>);
+        impl EvalSources for Vars {
+            fn var(&self, name: &str) -> Option<i64> {
+                self.0.get(name).copied()
+            }
+            fn param(&self, _: &str) -> Option<Value> {
+                None
+            }
+            fn load_image(&self, name: &str, _: &[i64]) -> Result<Value, RealizeError> {
+                Err(RealizeError::MissingInput(name.into()))
+            }
+            fn load_func(&self, name: &str, _: &[i64]) -> Result<Value, RealizeError> {
+                Err(RealizeError::UndefinedFunc(name.into()))
+            }
+        }
+        let names = ["yo", "xo", "f.warm"];
+        let depths: BTreeMap<String, usize> = names
+            .iter()
+            .enumerate()
+            .map(|(d, v)| (v.to_string(), d))
+            .collect();
+        let tail = |w: i64, t: i64| {
+            let rest = Expr::bin(
+                BinOp::Sub,
+                Expr::int(w),
+                Expr::mul(Expr::var("xo"), Expr::int(t)),
+            );
+            crate::simplify::simplify(&Expr::bin(BinOp::Min, Expr::int(t), rest))
+        };
+        let region = |base_min: i64, coeffs: &[(&str, i64)]| crate::lower::RegionDim {
+            base_min,
+            coeffs: coeffs.iter().map(|(v, c)| (v.to_string(), *c)).collect(),
+            extent: 5,
+        };
+        let bounds = [
+            tail(1920, 64),
+            tail(67, 64),
+            tail(131, 7),
+            region(1, &[("xo", 3), ("yo", 1)]).min_expr(),
+            region(-2, &[("xo", 3), ("yo", 1)]).min_expr(),
+            region(0, &[("xo", -1)]).min_expr(),
+            Expr::bin(BinOp::Sub, Expr::int(5), Expr::var("f.warm")),
+        ];
+        for e in &bounds {
+            let bound = Bound::compile(e, &depths, &BTreeMap::new()).expect("bound compiles");
+            for yo in -1..3 {
+                for xo in -2..40 {
+                    for warm in 0..6 {
+                        let vars = [yo, xo, warm];
+                        let named = Vars(names.iter().map(|v| v.to_string()).zip(vars).collect());
+                        let want = eval_expr(e, &named).expect("evaluates").as_i64();
+                        assert_eq!(bound.eval(&vars), want, "{e} at {vars:?}");
+                    }
+                }
+            }
+        }
+        // Anything else is refused when the plan is prepared.
+        let halve = Expr::bin(BinOp::Div, Expr::var("xo"), Expr::int(2));
+        assert!(Bound::compile(&halve, &depths, &BTreeMap::new()).is_err());
+        assert!(Bound::compile(&Expr::var("unbound"), &depths, &BTreeMap::new()).is_err());
     }
 }

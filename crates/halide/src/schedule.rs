@@ -20,15 +20,12 @@ pub struct Schedule {
     pub threads: usize,
     /// Tile sizes for the two innermost dimensions, if tiling is enabled.
     pub tile: Option<(usize, usize)>,
-    /// Number of output elements evaluated per inner dispatch. Beyond
-    /// amortizing dispatch overhead, the width selects the fused SIMD
-    /// kernel's chunk size in the compiled executor per lane family
-    /// (see [`crate::exec`]): widths 8/16/32 map to 8/16/32 lanes for the
-    /// `[i32; W]` and `[f32; W]` families and to 4/8/16 lanes for the
-    /// `[i64; W/2]` family (same vector-register footprint), so 8, 16 and
-    /// 32 genuinely generate different inner kernels — the autotuner
-    /// samples all three. Widths beyond [`crate::exec::MAX_LANES`] are
-    /// batched on the per-op tier, never silently truncated.
+    /// Number of output elements evaluated per inner dispatch of the per-op
+    /// tier; widths beyond [`crate::exec::MAX_LANES`] are batched, never
+    /// silently truncated. A width above 1 also marks the innermost loop
+    /// vectorized, which lets the default tier run a store's fused SIMD
+    /// kernel. The fused chunk itself comes from each row, not from this
+    /// width (see [`crate::exec`]).
     pub vector_width: usize,
     /// Funcs materialized into intermediate buffers instead of being inlined.
     pub compute_root: BTreeSet<String>,

@@ -14,6 +14,9 @@
 //! * across tiers: the pinned-scalar tier and the fused lane kernels;
 //! * on odd/prime extents, so interior chunks always leave sub-width tails
 //!   (executed as masked or overlapping fused chunks) and border peels;
+//! * under tiles and on row lengths that reach every chunk width the engine
+//!   picks from a row, in 3-D nests whose rows are shorter than one chunk,
+//!   and on flattened buffers whose taps move with the row;
 //! * on border-clamping stencils (negative and past-the-end tap offsets);
 //! * on the u32 wrap-around idioms lifted binaries use (`4294967295 * x`
 //!   negative taps, `255 ^ x` inversion, logical shifts of wrapped sums);
@@ -49,6 +52,16 @@ const TYPES: [ScalarType; 7] = [
 /// chunks, so every case exercises the pre/post peels and the sub-width tail.
 const EXTENTS: [usize; 6] = [5, 7, 11, 13, 23, 31];
 
+/// Row extents for the tiling properties, reaching every chunk width the
+/// engine picks from a row: 67 and 131 run 64-lane chunks (32 on the 64-bit
+/// lanes) with an overlapping tail, 13 narrower ones, and 5 a masked chunk.
+const TILE_EXTENTS: [usize; 4] = [5, 13, 67, 131];
+
+/// Tiles for the tiling properties: 64×64 tiles give full-width rows, 7×5
+/// rows take an overlapping tail on the 64-bit lanes and a masked chunk on
+/// the 32-bit ones.
+const TILES: [(usize, usize); 6] = [(4, 4), (8, 8), (16, 4), (5, 3), (64, 64), (7, 5)];
+
 /// Float values that stress the `[f32; W]` family's invariant: NaN
 /// propagation, infinities, a value that becomes subnormal after the f32
 /// narrowing, the signed zero pair, and f32-rounding-sensitive fractions.
@@ -64,7 +77,12 @@ const FLOAT_SPECIALS: [f64; 8] = [
 ];
 
 fn image(ty: ScalarType, w: usize, h: usize, seed: u64) -> Buffer {
-    let mut b = Buffer::new(ty, &[w, h]);
+    grid(ty, &[w, h], seed)
+}
+
+/// A seed-filled buffer of any rank (see [`image`]).
+fn grid(ty: ScalarType, extents: &[usize], seed: u64) -> Buffer {
+    let mut b = Buffer::new(ty, extents);
     let mut s = seed | 1;
     for (i, c) in b.coords().collect::<Vec<_>>().into_iter().enumerate() {
         s = s
@@ -329,12 +347,12 @@ proptest! {
     #[test]
     fn fused_tier_is_exact_under_tiling(
         value in value_strategy(),
-        tile in prop::sample::select(vec![(4usize, 4usize), (8, 8), (16, 4), (5, 3)]),
-        wi in 0usize..EXTENTS.len(),
+        tile in prop::sample::select(TILES.to_vec()),
+        wi in 0usize..TILE_EXTENTS.len(),
         hi in 0usize..EXTENTS.len(),
         seed in any::<u64>(),
     ) {
-        let (w, h) = (EXTENTS[wi], EXTENTS[hi]);
+        let (w, h) = (TILE_EXTENTS[wi], EXTENTS[hi]);
         let out = Func::pure(
             "out",
             &["x_0", "x_1"],
@@ -390,12 +408,12 @@ proptest! {
     #[test]
     fn f32_family_is_exact_under_tiling(
         value in f32_value_strategy(),
-        tile in prop::sample::select(vec![(4usize, 4usize), (8, 8), (5, 3)]),
-        wi in 0usize..EXTENTS.len(),
+        tile in prop::sample::select(TILES.to_vec()),
+        wi in 0usize..TILE_EXTENTS.len(),
         hi in 0usize..EXTENTS.len(),
         seed in any::<u64>(),
     ) {
-        let (w, h) = (EXTENTS[wi], EXTENTS[hi]);
+        let (w, h) = (TILE_EXTENTS[wi], EXTENTS[hi]);
         let out = Func::pure("out", &["x_0", "x_1"], ScalarType::Float32, value);
         let p = Pipeline::new(out, vec![ImageParam::new("in", ScalarType::Float32, 2)]);
         let input = image(ScalarType::Float32, w + 3, h + 3, seed);
@@ -403,6 +421,128 @@ proptest! {
         let schedule = Schedule::naive()
             .with_tile(Some(tile))
             .with_vector_width(8);
+        assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
+    }
+
+    /// The `[i64; W/2]` family under tiling: 64-bit outputs over tile tails
+    /// and rows that reach every chunk width of the half-width lanes.
+    #[test]
+    fn i64_family_is_exact_under_tiling(
+        value in value_strategy(),
+        tile in prop::sample::select(TILES.to_vec()),
+        wi in 0usize..TILE_EXTENTS.len(),
+        hi in 0usize..EXTENTS.len(),
+        seed in any::<u64>(),
+    ) {
+        let (w, h) = (TILE_EXTENTS[wi], EXTENTS[hi]);
+        let out = Func::pure(
+            "out",
+            &["x_0", "x_1"],
+            ScalarType::UInt64,
+            Expr::cast(ScalarType::UInt64, value),
+        );
+        let p = Pipeline::new(out, vec![ImageParam::new("in", ScalarType::UInt32, 2)]);
+        let input = image(ScalarType::UInt32, w + 3, h + 3, seed);
+        let inputs = RealizeInputs::new().with_image("in", &input);
+        let schedule = Schedule::naive()
+            .with_tile(Some(tile))
+            .with_vector_width(8);
+        assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
+    }
+
+    /// The `[f64; W/2]` family under tiling, on the same tiles and rows.
+    #[test]
+    fn f64_family_is_exact_under_tiling(
+        value in f64_value_strategy(),
+        tile in prop::sample::select(TILES.to_vec()),
+        wi in 0usize..TILE_EXTENTS.len(),
+        hi in 0usize..EXTENTS.len(),
+        seed in any::<u64>(),
+    ) {
+        let (w, h) = (TILE_EXTENTS[wi], EXTENTS[hi]);
+        let out = Func::pure("out", &["x_0", "x_1"], ScalarType::Float64, value);
+        let p = Pipeline::new(out, vec![ImageParam::new("in", ScalarType::Float64, 2)]);
+        let input = image(ScalarType::Float64, w + 3, h + 3, seed);
+        let inputs = RealizeInputs::new().with_image("in", &input);
+        let schedule = Schedule::naive()
+            .with_tile(Some(tile))
+            .with_vector_width(8);
+        assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
+    }
+
+    /// Rows shorter than one chunk in a 3-D nest — the lifted f64 smooth's
+    /// rows are 12 lanes — on every lane family: a row runs one chunk and an
+    /// overlapping tail, or a single masked chunk, tiled or not.
+    #[test]
+    fn short_rows_of_a_3d_nest_are_exact(
+        out_ty in prop::sample::select(vec![
+            ScalarType::UInt8,
+            ScalarType::UInt64,
+            ScalarType::Float32,
+            ScalarType::Float64,
+        ]),
+        taps in prop::collection::vec((-1i64..2, -1i64..2, -1i64..2, 1i64..5), 1..6),
+        extents in prop::sample::select(vec![[12usize, 10, 5], [3, 4, 2], [7, 9, 3]]),
+        tile in prop::sample::select(vec![None, Some((4usize, 4usize)), Some((64, 64))]),
+        seed in any::<u64>(),
+    ) {
+        // A weighted sum of taps on the 3-D grid, in the output's type (f32
+        // rounding at every op, like lifted single-precision code).
+        let in_ty = if out_ty.is_float() { out_ty } else { ScalarType::UInt16 };
+        let typed = |e: Expr| Expr::cast(out_ty, e);
+        let value = taps.iter().fold(None, |acc, &(dx, dy, dz, weight)| {
+            let at = |v: &str, d: i64| Expr::add(Expr::var(v), Expr::int(d));
+            let tap = Expr::Image("in".into(), vec![at("x_0", dx), at("x_1", dy), at("x_2", dz)]);
+            let term = if out_ty.is_float() {
+                typed(Expr::mul(tap, Expr::ConstFloat(weight as f64, out_ty)))
+            } else {
+                Expr::mul(Expr::cast(ScalarType::UInt32, tap), Expr::int(weight))
+            };
+            Some(match acc {
+                Some(a) => typed(Expr::add(a, term)),
+                None => typed(term),
+            })
+        });
+        let out = Func::pure("out", &["x_0", "x_1", "x_2"], out_ty, value.expect("one tap"));
+        let p = Pipeline::new(out, vec![ImageParam::new("in", in_ty, 3)]);
+        let input = grid(in_ty, &[extents[0] + 2, extents[1] + 2, extents[2] + 2], seed);
+        let inputs = RealizeInputs::new().with_image("in", &input);
+        let schedule = Schedule::naive().with_tile(tile).with_vector_width(8);
+        assert_tiers_match_oracle(&p, &schedule, &extents, &inputs)?;
+    }
+
+    /// Taps on a flattened buffer, as lifted code addresses its arrays
+    /// (`in(x + stride·y + d)`): the lane index moves with the row, so rows
+    /// share one interior only while every lane loads in range, and border
+    /// rows, where offsets fall off either end, clamp per element.
+    #[test]
+    fn flattened_taps_moving_with_the_row_are_exact(
+        out_ty in prop::sample::select(vec![ScalarType::UInt8, ScalarType::Float64]),
+        offsets in prop::collection::vec(-20i64..21, 1..5),
+        wi in 0usize..TILE_EXTENTS.len(),
+        hi in 0usize..EXTENTS.len(),
+        tile in prop::sample::select(vec![None, Some((16usize, 4usize)), Some((64, 64))]),
+        seed in any::<u64>(),
+    ) {
+        let (w, h) = (TILE_EXTENTS[wi], EXTENTS[hi]);
+        let stride = w as i64 + 2;
+        let in_ty = if out_ty.is_float() { out_ty } else { ScalarType::UInt16 };
+        let value = offsets.iter().fold(None, |acc: Option<Expr>, &d| {
+            let at = Expr::add(
+                Expr::add(Expr::var("x_0"), Expr::mul(Expr::var("x_1"), Expr::int(stride))),
+                Expr::int(d),
+            );
+            let tap = Expr::cast(out_ty, Expr::Image("in".into(), vec![at]));
+            Some(match acc {
+                Some(a) => Expr::cast(out_ty, Expr::add(a, tap)),
+                None => tap,
+            })
+        });
+        let out = Func::pure("out", &["x_0", "x_1"], out_ty, value.expect("one tap"));
+        let p = Pipeline::new(out, vec![ImageParam::new("in", in_ty, 1)]);
+        let input = grid(in_ty, &[(stride * (h as i64 + 1)) as usize], seed);
+        let inputs = RealizeInputs::new().with_image("in", &input);
+        let schedule = Schedule::naive().with_tile(tile).with_vector_width(8);
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 

@@ -8,9 +8,10 @@
 //!
 //! * **Cost model** ([`model`]): scores a candidate [`Schedule`] from a
 //!   dry-run compile ([`CompiledPipeline::dry_run`]) — per-store fused lane
-//!   family and chunk width, predicted interior/boundary split from the
-//!   stencil halo radius, tap counts, materialized working set, reduction
-//!   and privatize-then-merge admissibility — without timing anything.
+//!   family (its chunk taken from the row), predicted interior/boundary
+//!   split from the stencil halo radius, tap counts, materialized working
+//!   set, reduction and privatize-then-merge admissibility — without timing
+//!   anything.
 //! * **Guided search** ([`search`]): ranks the enumerated candidate space by
 //!   model score and refines the top-K with a successive-halving bandit over
 //!   real cached steady-state timings, so the timing budget concentrates on

@@ -6,13 +6,12 @@
 //! few schedules that can win, not to predict wall-clock nanoseconds. All of
 //! its inputs come from compile-time introspection
 //! ([`CompiledPipeline::dry_run`](helium_halide::CompiledPipeline::dry_run)):
-//! which lane family each store fused onto and at what chunk width, the
+//! which lane family each store fused onto (its chunk comes from the row), the
 //! stencil halo radius (predicting the interior fraction that runs fused
 //! versus the boundary columns that peel onto the per-op tier), tap counts,
 //! the working set each materialized producer adds, and whether reductions
 //! admit the lane tree-reduce or privatize-then-merge paths.
 
-use helium_halide::exec::MAX_CHUNK;
 use helium_halide::{LaneFamily, PipelineProfile, Schedule, StageProfile, StoreProfile};
 
 /// The model's feature vector for one candidate schedule, exposed on every
@@ -156,15 +155,11 @@ fn interior_fraction(extent0: usize, halo: i64) -> f64 {
     ((extent0 as f64 - peel) / extent0 as f64).clamp(0.0, 1.0)
 }
 
-/// Effective lanes a fused store executes per dispatch: the schedule width
-/// capped at the widest chunk, halved for the `[i64; W/2]` family (same
-/// vector-register footprint).
-fn fused_lanes(family: LaneFamily, width: usize) -> f64 {
-    let w = width.clamp(1, MAX_CHUNK);
-    match family {
-        LaneFamily::I64 | LaneFamily::F64 => (w / 2).max(1) as f64,
-        LaneFamily::I32 | LaneFamily::F32 => w as f64,
-    }
+/// Lanes a fused store executes per dispatch over rows of `row` lanes: the
+/// chunk the engine picks from the row ([`LaneFamily::chunk_lanes`]), which
+/// the schedule's vector width does not enter.
+fn fused_lanes(family: LaneFamily, row: usize) -> f64 {
+    family.chunk_lanes(row) as f64
 }
 
 /// Abstract per-element cost of the per-op typed tier: a dispatch overhead
@@ -181,13 +176,17 @@ fn per_op_cost(width: usize) -> f64 {
 /// Predicted cost of one store over one cell of its stage.
 fn store_cost(p: &StoreProfile, schedule: &Schedule, extent0: usize) -> f64 {
     if let Some(family) = p.reduce {
-        // Lane tree-reduce accumulation: reductions always chunk at the
-        // widest width, independent of the schedule knob.
-        return (1.0 + 0.25 * p.taps as f64) / fused_lanes(family, MAX_CHUNK) + 0.05;
+        // Lane tree-reduce accumulation: a reduction domain's rows are long
+        // enough for the widest chunk.
+        return (1.0 + 0.25 * p.taps as f64) / fused_lanes(family, usize::MAX) + 0.05;
     }
-    if let Some(family) = p.fused {
+    // The engine runs a fused kernel under a vectorized lane loop only; an
+    // unvectorized one stays on the per-op tier.
+    if let Some(family) = p.fused.filter(|_| schedule.vector_width > 1) {
         let interior = interior_fraction(extent0, p.max_tap_offset);
-        let fused = (1.0 + 0.25 * p.taps as f64) / fused_lanes(family, schedule.vector_width);
+        // A fused row spans the tile width, or the whole first dimension.
+        let row = schedule.tile.map_or(extent0, |(tw, _)| tw.min(extent0));
+        let fused = (1.0 + 0.25 * p.taps as f64) / fused_lanes(family, row);
         return interior * fused + (1.0 - interior) * per_op_cost(schedule.vector_width);
     }
     if p.guarded {

@@ -382,12 +382,27 @@ fn quota_storm_rejections_reconcile_and_other_pipelines_proceed() {
 
     // Phase 1 — deterministic trip: fill subjects[0]'s quota with blocking
     // submits. In-flight = queued + running, released only at ticket
-    // delivery; with one worker the earliest release is after the first job
-    // finishes its cold-start program build, so the immediate try_submit
-    // below races against milliseconds, not microseconds. Meanwhile a
-    // different pipeline must sail through.
+    // delivery. A slow job on another pipeline occupies the one worker
+    // first, so no held ticket can run, let alone be delivered, before the
+    // try_submit below: the blocker is the interpreter backend over a large
+    // output (over half a second on any tier), against the microseconds the
+    // fill and the check take. Meanwhile a different pipeline must sail
+    // through.
     let s0 = &subjects[0];
     let s1 = &subjects[1];
+    let (smooth, grid) = minigmg_smooth_f32(18, 10, 6, 0x6116);
+    let interpreter = CompileOptions {
+        backend: ExecBackend::Interpret,
+        ..CompileOptions::default()
+    };
+    let slow = smooth
+        .compile(&Schedule::naive(), &interpreter)
+        .expect("compile blocker");
+    let blocker = server
+        .submit(
+            ServeRequest::new(Arc::new(slow), &[128, 128, 24]).with_image("grid", Arc::new(grid)),
+        )
+        .expect("blocker");
     let held: Vec<Ticket> = (0..quota)
         .map(|_| {
             let request = ServeRequest::new(Arc::clone(&s0.compiled), &s0.cases[0].0)
@@ -408,6 +423,7 @@ fn quota_storm_rejections_reconcile_and_other_pipelines_proceed() {
     let other_ticket = server
         .try_submit(other)
         .expect("a quota on one pipeline never starves another");
+    blocker.wait().expect("blocker");
     for t in held {
         t.wait().expect("held ticket");
     }
@@ -452,7 +468,8 @@ fn quota_storm_rejections_reconcile_and_other_pipelines_proceed() {
         storm_rejected + 1,
         "rejection counter reconciles"
     );
-    let phase1_submitted = quota as u64 + 1;
+    // Phase 1 submitted the blocker, the held quota and the other pipeline.
+    let phase1_submitted = quota as u64 + 2;
     assert_eq!(
         stats.submitted + storm_rejected,
         phase1_submitted + (THREADS * ITERS_PER_THREAD) as u64,

@@ -42,8 +42,12 @@ fn alone() -> std::sync::MutexGuard<'static, ()> {
 /// Steady-state time of every ranked candidate, as interleaved medians:
 /// each candidate is compiled and run once untimed (which also primes the
 /// shared program cache), then timed once per round for `rounds` rounds,
-/// so drift in the host's speed lands on every candidate alike. A
-/// candidate's time is the median of its rounds.
+/// so drift in the host's speed lands on every candidate alike. Every other
+/// round runs the candidates in reverse: in one fixed order each candidate
+/// always follows the same neighbour, and the first (the model's top pick)
+/// follows the slowest, which read up to 40% slower than the same kernel
+/// timed elsewhere in the order. A candidate's time is the median of its
+/// rounds.
 fn measure(
     pipeline: &Pipeline,
     ranked: &[Trial],
@@ -62,11 +66,16 @@ fn measure(
         })
         .collect();
     let mut samples = vec![Vec::with_capacity(rounds); compiled.len()];
-    for _ in 0..rounds {
-        for (c, s) in compiled.iter().zip(&mut samples) {
+    for round in 0..rounds {
+        for k in 0..compiled.len() {
+            let i = if round % 2 == 0 {
+                k
+            } else {
+                compiled.len() - 1 - k
+            };
             let start = Instant::now();
-            let _ = c.run(inputs, extents).expect("timed run");
-            s.push(start.elapsed());
+            let _ = compiled[i].run(inputs, extents).expect("timed run");
+            samples[i].push(start.elapsed());
         }
     }
     samples
