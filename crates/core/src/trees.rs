@@ -8,6 +8,7 @@
 //! leaves carry affine index functions of the output coordinates.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -84,12 +85,40 @@ impl TreeOp {
     }
 }
 
+impl TreeOp {
+    /// The operation's name in rendered trees and structure keys: the
+    /// variant name, or the library symbol of an external call.
+    pub fn name(self) -> &'static str {
+        match self {
+            TreeOp::Add => "Add",
+            TreeOp::Sub => "Sub",
+            TreeOp::Mul => "Mul",
+            TreeOp::And => "And",
+            TreeOp::Or => "Or",
+            TreeOp::Xor => "Xor",
+            TreeOp::Shr => "Shr",
+            TreeOp::Sar => "Sar",
+            TreeOp::Shl => "Shl",
+            TreeOp::Neg => "Neg",
+            TreeOp::Not => "Not",
+            TreeOp::Move => "Move",
+            TreeOp::SignExtend => "SignExtend",
+            TreeOp::Downcast => "Downcast",
+            TreeOp::FAdd => "FAdd",
+            TreeOp::FSub => "FSub",
+            TreeOp::FMul => "FMul",
+            TreeOp::FDiv => "FDiv",
+            TreeOp::IntToFloat => "IntToFloat",
+            TreeOp::FloatToIntRound => "FloatToIntRound",
+            TreeOp::Extern(e) => e.symbol(),
+            TreeOp::IndirectLoad => "IndirectLoad",
+        }
+    }
+}
+
 impl fmt::Display for TreeOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TreeOp::Extern(e) => write!(f, "{e}"),
-            other => write!(f, "{other:?}"),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -280,21 +309,13 @@ impl Tree {
     fn structure_of(&self, node: usize, out: &mut String) {
         match &self.nodes[node] {
             TreeNode::Leaf(l) => {
-                let tag = match l {
-                    Leaf::Mem { .. } => "M",
-                    Leaf::BufferRef { buffer, .. } => buffer.as_str(),
-                    Leaf::SymbolicRef { buffer, .. } => buffer.as_str(),
-                    Leaf::Const(_) | Leaf::ConstF(_) => "C",
-                    Leaf::Param { name, .. } => name.as_str(),
-                    Leaf::RecursiveRef { .. } => "R",
-                };
                 out.push('(');
-                out.push_str(tag);
+                out.push_str(leaf_tag(l));
                 out.push(')');
             }
             TreeNode::Op { op, children, .. } => {
                 out.push('(');
-                out.push_str(&op.to_string());
+                out.push_str(op.name());
                 for &c in children {
                     self.structure_of(c, out);
                 }
@@ -306,29 +327,53 @@ impl Tree {
     /// Canonicalize the tree in place: sort the children of commutative
     /// operations by their structural key so trees produced by differently
     /// scheduled/unrolled code compare equal (paper §4.7, "canonicalization").
+    /// Equal keys keep node-id order.
     pub fn canonicalize(&mut self) {
         self.canonicalize_node(self.root);
     }
 
     fn canonicalize_node(&mut self, node: usize) {
-        if let TreeNode::Op { children, op, .. } = self.nodes[node].clone() {
-            for &c in &children {
-                self.canonicalize_node(c);
-            }
-            if op.is_commutative() && children.len() > 1 {
-                let mut keyed: Vec<(String, usize)> = children
-                    .iter()
-                    .map(|&c| {
-                        let mut s = String::new();
-                        self.structure_of(c, &mut s);
-                        (s, c)
-                    })
-                    .collect();
-                keyed.sort();
-                if let TreeNode::Op { children, .. } = &mut self.nodes[node] {
-                    *children = keyed.into_iter().map(|(_, c)| c).collect();
-                }
-            }
+        let TreeNode::Op { op, children, .. } = &mut self.nodes[node] else {
+            return;
+        };
+        let (op, mut children) = (*op, std::mem::take(children));
+        for &c in &children {
+            self.canonicalize_node(c);
+        }
+        if op.is_commutative() && children.len() > 1 {
+            children.sort_by(|&a, &b| self.cmp_structure(a, b).then(a.cmp(&b)));
+        }
+        if let TreeNode::Op { children: slot, .. } = &mut self.nodes[node] {
+            *slot = children;
+        }
+    }
+
+    /// The order of two subtrees' structure keys, without rendering them.
+    ///
+    /// A key is `(`, the node's tag, its children's keys and `)`. No tag
+    /// contains a parenthesis and every tag character sorts after `)`, so:
+    /// different tags order as the tags do (a tag that is a prefix of the
+    /// other is followed by `(` or `)` in its key, which sorts first); equal
+    /// tags order by the first differing child (one child's key is never a
+    /// proper prefix of another's); and of two equal child lists, the
+    /// shorter one is followed by `)` where the longer has `(`, so it sorts
+    /// last.
+    fn cmp_structure(&self, a: usize, b: usize) -> Ordering {
+        let (ta, ca) = self.tag_and_children(a);
+        let (tb, cb) = self.tag_and_children(b);
+        ta.cmp(tb).then_with(|| {
+            ca.iter()
+                .zip(cb)
+                .map(|(&x, &y)| self.cmp_structure(x, y))
+                .find(|o| o.is_ne())
+                .unwrap_or_else(|| cb.len().cmp(&ca.len()))
+        })
+    }
+
+    fn tag_and_children(&self, node: usize) -> (&str, &[usize]) {
+        match &self.nodes[node] {
+            TreeNode::Leaf(l) => (leaf_tag(l), &[]),
+            TreeNode::Op { op, children, .. } => (op.name(), children),
         }
     }
 
@@ -368,6 +413,19 @@ impl Tree {
                 out.push(')');
             }
         }
+    }
+}
+
+/// A leaf's tag in structure keys: buffer and parameter names, `M` for a
+/// concrete location, `C` for a constant and `R` for a recursive reference.
+fn leaf_tag(l: &Leaf) -> &str {
+    match l {
+        Leaf::Mem { .. } => "M",
+        Leaf::BufferRef { buffer, .. } => buffer.as_str(),
+        Leaf::SymbolicRef { buffer, .. } => buffer.as_str(),
+        Leaf::Const(_) | Leaf::ConstF(_) => "C",
+        Leaf::Param { name, .. } => name.as_str(),
+        Leaf::RecursiveRef { .. } => "R",
     }
 }
 
@@ -432,12 +490,12 @@ impl GuardedTree {
             key.push_str(buffer);
         }
         key.push('|');
-        key.push_str(&self.tree.structure_key());
+        self.tree.structure_of(self.tree.root, &mut key);
         for p in &self.predicates {
             key.push('|');
             key.push_str(&format!("{:?}", p.cmp));
-            key.push_str(&p.lhs.structure_key());
-            key.push_str(&p.rhs.structure_key());
+            p.lhs.structure_of(p.lhs.root, &mut key);
+            p.rhs.structure_of(p.rhs.root, &mut key);
         }
         key
     }
@@ -504,6 +562,101 @@ mod tests {
         a.canonicalize();
         b.canonicalize();
         assert_eq!(a.structure_key(), b.structure_key());
+    }
+
+    /// Canonicalization as string keys define it: sort commutative
+    /// children by their rendered structure key, then by node id.
+    fn canonicalize_by_keys(t: &mut Tree, node: usize) {
+        if let TreeNode::Op { op, children, .. } = t.nodes[node].clone() {
+            for &c in &children {
+                canonicalize_by_keys(t, c);
+            }
+            if op.is_commutative() && children.len() > 1 {
+                let mut keyed: Vec<(String, usize)> = children
+                    .iter()
+                    .map(|&c| {
+                        let mut s = String::new();
+                        t.structure_of(c, &mut s);
+                        (s, c)
+                    })
+                    .collect();
+                keyed.sort();
+                if let TreeNode::Op { children, .. } = &mut t.nodes[node] {
+                    *children = keyed.into_iter().map(|(_, c)| c).collect();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn canonicalization_matches_string_key_order() {
+        // Random trees over tags that are prefixes of one another and over
+        // repeated subtrees, so ties and prefix cases both occur.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        let ops = [
+            TreeOp::Add,
+            TreeOp::Mul,
+            TreeOp::Sub,
+            TreeOp::FAdd,
+            TreeOp::Downcast,
+            TreeOp::IndirectLoad,
+            TreeOp::Extern(helium_machine::ExternFn::Sqrt),
+        ];
+        let leaf = |k: u64| match k {
+            0 => mem_leaf(0x100),
+            1 => Leaf::Const(3),
+            2 => Leaf::RecursiveRef { buffer: "o".into() },
+            3 => Leaf::BufferRef {
+                buffer: "input_1".into(),
+                indices: vec![],
+            },
+            4 => Leaf::BufferRef {
+                buffer: "input_10".into(),
+                indices: vec![],
+            },
+            _ => Leaf::Param {
+                name: "p_1".into(),
+                value: 0,
+                width: 4,
+                is_float: false,
+            },
+        };
+        for _ in 0..300 {
+            let mut t = Tree::leaf_only(Leaf::Const(0), mem_leaf(0));
+            let mut roots: Vec<usize> = Vec::new();
+            for _ in 0..12 {
+                let id = if roots.len() < 2 || next(3) == 0 {
+                    t.push(TreeNode::Leaf(leaf(next(6))))
+                } else {
+                    let arity = 1 + next(3.min(roots.len() as u64)) as usize;
+                    let at = next((roots.len() - arity + 1) as u64) as usize;
+                    let children: Vec<usize> = roots.drain(at..at + arity).collect();
+                    let op = ops[next(ops.len() as u64) as usize];
+                    t.push(TreeNode::Op {
+                        op,
+                        children,
+                        width: 4,
+                    })
+                };
+                roots.push(id);
+            }
+            let root = t.push(TreeNode::Op {
+                op: TreeOp::Add,
+                children: roots,
+                width: 4,
+            });
+            t.root = root;
+            let mut want = t.clone();
+            canonicalize_by_keys(&mut want, root);
+            t.canonicalize();
+            assert_eq!(t, want, "{}", want.render());
+        }
     }
 
     #[test]
