@@ -29,8 +29,6 @@ REPORT_FLOORS = {
         "i64_simd_speedup": 3.0,    # [i64; W/2] lane family (hist64 binning)
         "f64_simd_speedup": 1.5,    # [f64; W/2] lane family (f64 miniGMG smooth)
         "reduction_speedup": 1.5,   # compiled update nests vs run_update
-        "window_speedup": 1.2,      # sliding-window compute_at vs recompute
-        "multi_output_speedup": 1.2,  # fused multi-output nest vs per-stage nests
     },
     "BENCH_serve.json": {
         "serve_throughput_rps": 1.0,     # the service must actually serve

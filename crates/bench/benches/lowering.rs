@@ -7,8 +7,8 @@
 //! schedule; for the compile-once/run-many API the uncached (compile + run)
 //! and cached (warm `CompiledPipeline::run`) times and the amortization
 //! factor between them; and for the execution tiers a `scalar_ns` /
-//! `simd_ns` pair — steady-state runs with fused SIMD kernels disabled and
-//! enabled — plus the winning vector width of an 8/16/32 sweep
+//! `simd_ns` pair — steady-state runs on one thread with fused SIMD kernels
+//! disabled and enabled — plus the winning vector width of an 8/16/32 sweep
 //! (`best_width`), so tier regressions are visible per PR.
 //!
 //! The report also carries the fused lane families' columns: miniGMG smooth
@@ -22,15 +22,7 @@
 //! (`reduction_speedup`, gated ≥ 1.5× in CI), after asserting the updates
 //! really execute through the compiled engine and match the oracle.
 //!
-//! A `locality` section times the locality tier: sliding-window `compute_at`
-//! against plain recompute on a two-stage vertical blur (`window_speedup`,
-//! gated ≥ 1.2× in CI, after asserting `window_rows_reused` really fired)
-//! and a multi-output fused nest against per-stage `compute_root` nests on a
-//! pointwise `compose_after` chain (`multi_output_speedup`, gated ≥ 1.2×,
-//! after asserting the chain collapsed into exactly one shared nest) — both
-//! bit-identical to the interpreter oracle before any timing counts.
-//!
-//! Every two-sided split above (and the lane families' width sweep) times
+//! Every two-sided split above (and the execution tiers' width sweep) times
 //! its sides in interleaved rounds, alternating which side goes first, and
 //! reports medians, so drift in the host's speed lands on every side alike.
 //! The report also carries an ungated `tile_overhead.<filter>` column:
@@ -45,13 +37,12 @@ use criterion::{criterion_group, Criterion};
 use helium_apps::photoflow::PhotoFilter;
 use helium_bench::{
     hist64_pipeline, hist64_rdom_pipeline, lift_photoflow, minigmg_residual_norm,
-    minigmg_smooth_f32, minigmg_smooth_f64, pointwise_chain_pipeline, time_lifted_on,
-    two_stage_blur_pipeline, LiftedRealizeSetup,
+    minigmg_smooth_f32, minigmg_smooth_f64, time_lifted_on, LiftedRealizeSetup,
 };
 use helium_core::LiftedStencil;
 use helium_halide::{
-    set_target_override, Buffer, CompileOptions, CounterSnapshot, ExecBackend, Pipeline,
-    RealizeInputs, Realizer, ScalarType, Schedule, Target, Tier,
+    Buffer, CompileOptions, ExecBackend, Pipeline, RealizeInputs, Realizer, ScalarType, Schedule,
+    Target, Tier,
 };
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -223,24 +214,23 @@ fn reduction_split(
 fn lane_family_split(
     name: &str,
     pipeline: &Pipeline,
-    input_name: &str,
-    input: &Buffer,
+    inputs: &RealizeInputs<'_>,
     extents: &[usize],
     expect_family: &str,
     reps: usize,
 ) -> (Duration, Duration, usize, f64) {
-    let inputs = RealizeInputs::new().with_image(input_name, input);
     // One thread: the split compares tiers, and spawning the parallel
     // workers (about 130 µs per realize on a 2-vCPU host) costs more than
-    // the whole fused realize of the smoke-sized smoother (about 40 µs),
-    // so on a parallel schedule the ratio measured thread start-up.
+    // the whole fused realize of a smoke-sized kernel (about 40 µs for the
+    // smoother, 3–26 µs for the Fig. 7 filters), so on a parallel schedule
+    // the ratio measured thread start-up.
     let schedule = Schedule::stencil_default().with_parallel(false);
     // Correctness gate before timing: the fused tier must be active on the
     // expected lane family and bit-identical to the interpreter.
     let compiled = compile_pinned(pipeline, &schedule, Target::detect().with_tier(Tier::Simd));
-    let fused = compiled.run(&inputs, extents).expect("fused run");
+    let fused = compiled.run(inputs, extents).expect("fused run");
     let counts = compiled
-        .fused_store_counts(&inputs, extents)
+        .fused_store_counts(inputs, extents)
         .expect("counts");
     let family_count = match expect_family {
         "f32" => counts.lanes_f32,
@@ -254,7 +244,7 @@ fn lane_family_split(
     );
     let oracle = Realizer::new(schedule.clone())
         .with_backend(ExecBackend::Interpret)
-        .realize(pipeline, extents, &inputs)
+        .realize(pipeline, extents, inputs)
         .expect("oracle");
     assert_eq!(fused, oracle, "{name}: fused output diverged from oracle");
 
@@ -271,12 +261,12 @@ fn lane_family_split(
         // its timing counts (on the same compiled pipeline).
         let s = schedule.clone().with_vector_width(width);
         let swept = compile_pinned(pipeline, &s, Target::detect().with_tier(Tier::Simd));
-        let out = swept.run(&inputs, extents).expect("swept run");
+        let out = swept.run(inputs, extents).expect("swept run");
         assert_eq!(out, oracle, "{name}: width {width} diverged from oracle");
         sides.push(swept);
     }
     let sides: Vec<_> = sides.iter().collect();
-    let t = time_compiled_runs(&sides, &inputs, extents, rounds(reps));
+    let t = time_compiled_runs(&sides, inputs, extents, rounds(reps));
     let scalar = t[0];
     let (best_width, simd) = widths
         .into_iter()
@@ -289,133 +279,6 @@ fn lane_family_split(
          {expect_family}_simd_speedup={speedup:.2}x best_width={best_width}"
     );
     (scalar, simd, best_width, speedup)
-}
-
-/// Sliding-window `compute_at` vs plain `compute_at` on the two-stage
-/// vertical blur: oracle-gate both variants, assert the window really
-/// compiles and re-uses rows at run time (non-vacuity), then time warm runs
-/// of each. Returns `(plain, sliding, speedup)`.
-fn window_split(
-    name: &str,
-    pipeline: &Pipeline,
-    input: &Buffer,
-    extents: &[usize],
-    reps: usize,
-) -> (Duration, Duration, f64) {
-    let inputs = RealizeInputs::new().with_image("in", input);
-    // Serial attach loop: every iteration after the first is warm, so the
-    // measured delta is pure recompute-vs-reuse (parallel chunks would
-    // restart the window cold per chunk).
-    let base = Schedule::naive()
-        .with_vector_width(8)
-        .with_compute_at("blur_x", "x_1");
-    let slid = base.clone().with_store_sliding("blur_x");
-    let opts = CompileOptions {
-        backend: ExecBackend::Lowered,
-        ..CompileOptions::default()
-    };
-    let plain_c = pipeline.compile(&base, &opts).expect("compile plain");
-    let slid_c = pipeline.compile(&slid, &opts).expect("compile sliding");
-    // Correctness gate before timing: both variants bit-identical to the
-    // interpreter oracle.
-    let oracle = Realizer::new(base.clone())
-        .with_backend(ExecBackend::Interpret)
-        .realize(pipeline, extents, &inputs)
-        .expect("oracle");
-    let plain_out = plain_c.run(&inputs, extents).expect("plain run");
-    assert_eq!(plain_out, oracle, "{name}: plain compute_at diverged");
-    assert_eq!(
-        plain_c.sliding_windows(&inputs, extents).expect("windows"),
-        0,
-        "{name}: plain schedule must not slide"
-    );
-    // Non-vacuity gate: the sliding schedule compiles exactly one window and
-    // actually re-uses rows across attach iterations.
-    let before = CounterSnapshot::take();
-    let slid_out = slid_c.run(&inputs, extents).expect("sliding run");
-    let reused = before.delta().window_rows_reused;
-    assert_eq!(slid_out, oracle, "{name}: sliding window diverged");
-    assert_eq!(
-        slid_c.sliding_windows(&inputs, extents).expect("windows"),
-        1,
-        "{name}: the sliding schedule must compile one window"
-    );
-    assert!(
-        reused > 0,
-        "{name}: no rows re-used — the window is vacuous"
-    );
-
-    let t = time_compiled_runs(&[&plain_c, &slid_c], &inputs, extents, rounds(reps));
-    let (plain, sliding) = (t[0], t[1]);
-    let speedup = plain.as_secs_f64() / sliding.as_secs_f64().max(1e-12);
-    println!(
-        "lowering: {name:<18} plain={plain:?} sliding={sliding:?} \
-         window_speedup={speedup:.2}x rows_reused={reused}"
-    );
-    (plain, sliding, speedup)
-}
-
-/// Multi-output fusion vs per-stage nests on the pointwise `compose_after`
-/// chain: `compute_root` every upstream stage in both variants, oracle-gate
-/// both, assert the fused variant really collapses into one shared nest
-/// (non-vacuity), then time warm runs of each. Returns
-/// `(unfused, fused, speedup)`.
-fn multi_output_split(
-    name: &str,
-    pipeline: &Pipeline,
-    input: &Buffer,
-    extents: &[usize],
-    reps: usize,
-) -> (Duration, Duration, f64) {
-    let inputs = RealizeInputs::new().with_image("in", input);
-    // Parallel outer loop: the unfused chain spawns one worker set per
-    // stage nest, the fused nest spawns once — exactly the re-walk the
-    // locality tier removes.
-    let mut base = Schedule::naive().with_vector_width(32).with_parallel(true);
-    for func in pipeline.funcs.keys().filter(|n| **n != pipeline.output) {
-        base = base.with_compute_root(func);
-    }
-    let fused_s = base.clone().with_fuse_outputs(true);
-    let opts = CompileOptions {
-        backend: ExecBackend::Lowered,
-        ..CompileOptions::default()
-    };
-    let unfused_c = pipeline.compile(&base, &opts).expect("compile unfused");
-    let fused_c = pipeline.compile(&fused_s, &opts).expect("compile fused");
-    let oracle = Realizer::new(base.clone())
-        .with_backend(ExecBackend::Interpret)
-        .realize(pipeline, extents, &inputs)
-        .expect("oracle");
-    let unfused_out = unfused_c.run(&inputs, extents).expect("unfused run");
-    assert_eq!(unfused_out, oracle, "{name}: unfused chain diverged");
-    assert_eq!(
-        unfused_c
-            .multi_output_nests(&inputs, extents)
-            .expect("nests"),
-        0,
-        "{name}: the unfused schedule must not fuse"
-    );
-    // Non-vacuity gate: the fused program holds one shared nest and every
-    // run executes it as a multi-output dispatch.
-    let before = CounterSnapshot::take();
-    let fused_out = fused_c.run(&inputs, extents).expect("fused run");
-    let nests = before.delta().multi_output_nests;
-    assert_eq!(fused_out, oracle, "{name}: fused nest diverged");
-    assert_eq!(
-        fused_c.multi_output_nests(&inputs, extents).expect("nests"),
-        1,
-        "{name}: the chain must collapse into one shared nest"
-    );
-    assert!(nests >= 1, "{name}: the fused nest never executed");
-
-    let t = time_compiled_runs(&[&unfused_c, &fused_c], &inputs, extents, rounds(reps));
-    let (unfused, fused) = (t[0], t[1]);
-    let speedup = unfused.as_secs_f64() / fused.as_secs_f64().max(1e-12);
-    println!(
-        "lowering: {name:<18} unfused={unfused:?} fused={fused:?} \
-         multi_output_speedup={speedup:.2}x nests_per_run={nests}"
-    );
-    (unfused, fused, speedup)
 }
 
 /// Image the tiling overhead is measured on (the `run` workload's size).
@@ -496,29 +359,19 @@ fn write_report(reps: usize, width: usize, height: usize) {
             setup.time_compiled(&schedule, ExecBackend::Lowered, reps, true, Some(&small));
         let cached =
             setup.time_compiled(&schedule, ExecBackend::Lowered, reps, false, Some(&small));
-        // Execution-tier split at full extents, steady state: the per-op
-        // tier (fused kernels disabled) against the fused SIMD tier, with a
-        // vector-width sweep — widths now generate different fused kernels.
-        // Targets resolve once at compile time, and `time_compiled` compiles
-        // inside the pinned region, so the process-wide override pins each
-        // measurement's tier — an inherited HELIUM_FORCE_* environment
-        // variable cannot silently make both columns measure the same tier.
-        set_target_override(Some(Target::detect().with_tier(Tier::Scalar)));
-        let scalar = setup.time_compiled(&schedule, ExecBackend::Lowered, reps, false, None);
-        set_target_override(Some(Target::detect()));
-        let (mut best_width, mut simd) = (0usize, std::time::Duration::MAX);
-        for width in [8usize, 16, 32] {
-            let s = schedule.clone().with_vector_width(width);
-            let t = setup.time_compiled(&s, ExecBackend::Lowered, reps, false, None);
-            if t < simd {
-                simd = t;
-                best_width = width;
-            }
-        }
-        set_target_override(None);
+        // Execution-tier split at full extents, steady state, on one thread
+        // like the lane families': the per-op tier against the fused i32
+        // lanes, each side's target pinned at compile time.
+        let (scalar, simd, best_width, simd_speedup) = lane_family_split(
+            filter.name(),
+            setup.pipeline(),
+            &setup.inputs(),
+            &setup.extents,
+            "i32",
+            reps,
+        );
         let speedup = interpret.as_secs_f64() / lowered.as_secs_f64().max(1e-12);
         let cache_speedup = uncached.as_secs_f64() / cached.as_secs_f64().max(1e-12);
-        let simd_speedup = scalar.as_secs_f64() / simd.as_secs_f64().max(1e-12);
         if i > 0 {
             entries.push_str(",\n");
         }
@@ -543,8 +396,7 @@ fn write_report(reps: usize, width: usize, height: usize) {
         );
         println!(
             "lowering: {:<10} interpret={interpret:?} lowered={lowered:?} speedup={speedup:.2}x \
-             uncached={uncached:?} cached={cached:?} cache_speedup={cache_speedup:.2}x \
-             scalar={scalar:?} simd={simd:?} simd_speedup={simd_speedup:.2}x best_width={best_width}",
+             uncached={uncached:?} cached={cached:?} cache_speedup={cache_speedup:.2}x",
             filter.name()
         );
     }
@@ -557,24 +409,28 @@ fn write_report(reps: usize, width: usize, height: usize) {
     let (s_scalar, s_simd, s_width, f32_speedup) = lane_family_split(
         "minigmg_smooth_f32",
         &smooth,
-        "grid",
-        &grid,
+        &RealizeInputs::new().with_image("grid", &grid),
         &[nx, ny, nz],
         "f32",
         reps,
     );
     let (hw, hh) = if smoke { (96, 64) } else { (192, 128) };
     let (hist, hist_in) = hist64_pipeline(hw, hh, 0xB16B);
-    let (h_scalar, h_simd, h_width, i64_speedup) =
-        lane_family_split("hist64", &hist, "in", &hist_in, &[hw, hh], "i64", reps);
+    let (h_scalar, h_simd, h_width, i64_speedup) = lane_family_split(
+        "hist64",
+        &hist,
+        &RealizeInputs::new().with_image("in", &hist_in),
+        &[hw, hh],
+        "i64",
+        reps,
+    );
     // Double precision rides the [f64; W/2] family — no rounding casts, f64
     // lanes are the reference representation.
     let (dsmooth, dgrid) = minigmg_smooth_f64(nx, ny, nz, 0x6116);
     let (d_scalar, d_simd, d_width, f64_speedup) = lane_family_split(
         "minigmg_smooth_f64",
         &dsmooth,
-        "grid",
-        &dgrid,
+        &RealizeInputs::new().with_image("grid", &dgrid),
         &[nx, ny, nz],
         "f64",
         reps,
@@ -597,34 +453,6 @@ fn write_report(reps: usize, width: usize, height: usize) {
     );
     let reduction_speedup = hist_speedup.min(norm_speedup);
 
-    // The locality tier: sliding-window compute_at reuse and multi-output
-    // fused nests, each oracle-gated and non-vacuity-checked before timing.
-    let (ww, wh) = if smoke { (256, 160) } else { (768, 512) };
-    let (window_p, window_in) = two_stage_blur_pipeline(ww, wh, 0x51DE);
-    let (w_plain, w_sliding, window_speedup) =
-        window_split("blur_window", &window_p, &window_in, &[ww, wh], reps.max(3));
-    // Request-rate-sized realizes: per-nest worker spawning is the overhead
-    // fusion removes, so the split runs where that overhead is visible and
-    // takes many interleaved rounds to keep the µs-scale measurement stable.
-    let (cw, ch, stages) = if smoke { (96, 64, 8) } else { (128, 96, 8) };
-    let (chain_p, chain_in) = pointwise_chain_pipeline(cw, ch, stages, 0xC4A1);
-    let (m_unfused, m_fused, multi_output_speedup) = multi_output_split(
-        "pointwise_chain",
-        &chain_p,
-        &chain_in,
-        &[cw, ch],
-        reps.max(12),
-    );
-    let locality = format!(
-        "    {{\"pipeline\": \"two_stage_blur\", \"extents\": [{ww}, {wh}], \
-         \"plain_ns\": {}, \"sliding_ns\": {}, \"window_speedup\": {window_speedup:.3}}},\n    \
-         {{\"pipeline\": \"pointwise_chain\", \"extents\": [{cw}, {ch}], \"stages\": {stages}, \
-         \"unfused_ns\": {}, \"fused_ns\": {}, \"multi_output_speedup\": {multi_output_speedup:.3}}}",
-        w_plain.as_nanos(),
-        w_sliding.as_nanos(),
-        m_unfused.as_nanos(),
-        m_fused.as_nanos(),
-    );
     let reductions = format!(
         "    {{\"pipeline\": \"hist64_rdom\", \"extents\": [{rw}, {rh}], \"bins\": 256, \
          \"interpret_ns\": {}, \"compiled_ns\": {}, \"reduction_speedup\": {hist_speedup:.3}}},\n    \
@@ -650,7 +478,7 @@ fn write_report(reps: usize, width: usize, height: usize) {
         d_simd.as_nanos(),
     );
     let json = format!(
-        "{{\n  \"benchmark\": \"fig7_interpret_vs_lowered\",\n  \"schedule\": \"stencil_default\",\n  \"image\": [{width}, {height}],\n  \"reps\": {reps},\n  \"results\": [\n{entries}\n  ],\n  \"lane_families\": [\n{lane_families}\n  ],\n  \"reductions\": [\n{reductions}\n  ],\n  \"locality\": [\n{locality}\n  ],\n  \"tile_overhead\": {{{}}},\n  \"f32_simd_speedup\": {f32_speedup:.3},\n  \"i64_simd_speedup\": {i64_speedup:.3},\n  \"f64_simd_speedup\": {f64_speedup:.3},\n  \"reduction_speedup\": {reduction_speedup:.3},\n  \"window_speedup\": {window_speedup:.3},\n  \"multi_output_speedup\": {multi_output_speedup:.3}\n}}\n",
+        "{{\n  \"benchmark\": \"fig7_interpret_vs_lowered\",\n  \"schedule\": \"stencil_default\",\n  \"image\": [{width}, {height}],\n  \"reps\": {reps},\n  \"results\": [\n{entries}\n  ],\n  \"lane_families\": [\n{lane_families}\n  ],\n  \"reductions\": [\n{reductions}\n  ],\n  \"tile_overhead\": {{{}}},\n  \"f32_simd_speedup\": {f32_speedup:.3},\n  \"i64_simd_speedup\": {i64_speedup:.3},\n  \"f64_simd_speedup\": {f64_speedup:.3},\n  \"reduction_speedup\": {reduction_speedup:.3}\n}}\n",
         tile_overheads.join(", ")
     );
     // Anchor at the workspace root regardless of the bench's working dir.

@@ -472,114 +472,6 @@ pub fn hist64_pipeline(w: usize, h: usize, seed: u64) -> (Pipeline, Buffer) {
     (pipeline, input)
 }
 
-/// A two-stage locality pipeline for the sliding-window tier: `blur_x` is a
-/// horizontal 5-tap sum and the output folds `blur_x` at rows `y` through
-/// `y + 3`, so attaching `blur_x` at the output's row loop makes each
-/// iteration's producer region overlap the previous one's by three rows —
-/// the shape `with_store_sliding` turns into a rolling 4-row window that
-/// computes one fresh row per warm iteration instead of four. Returns the
-/// pipeline plus a deterministic `UInt8` input of extents `(w+4) × (h+3)`;
-/// realize the output over `[w, h]`.
-pub fn two_stage_blur_pipeline(w: usize, h: usize, seed: u64) -> (Pipeline, Buffer) {
-    use helium_halide::{BinOp, Expr, Func, ImageParam};
-    let u16c = |e: Expr| Expr::cast(ScalarType::UInt16, e);
-    let tap = |dx: i64| {
-        u16c(Expr::Image(
-            "in".into(),
-            vec![Expr::add(Expr::var("x_0"), Expr::int(dx)), Expr::var("x_1")],
-        ))
-    };
-    let hsum = u16c(Expr::add(
-        u16c(Expr::add(
-            u16c(Expr::add(u16c(Expr::add(tap(0), tap(1))), tap(2))),
-            tap(3),
-        )),
-        tap(4),
-    ));
-    let blur_x = Func::pure("blur_x", &["x_0", "x_1"], ScalarType::UInt16, hsum);
-    let vtap = |dy: i64| {
-        Expr::FuncRef(
-            "blur_x".into(),
-            vec![Expr::var("x_0"), Expr::add(Expr::var("x_1"), Expr::int(dy))],
-        )
-    };
-    let vsum = u16c(Expr::add(
-        u16c(Expr::add(u16c(Expr::add(vtap(0), vtap(1))), vtap(2))),
-        vtap(3),
-    ));
-    let out = Func::pure(
-        "out",
-        &["x_0", "x_1"],
-        ScalarType::UInt8,
-        Expr::cast(
-            ScalarType::UInt8,
-            Expr::bin(BinOp::Shr, vsum, Expr::uint(5)),
-        ),
-    );
-    let pipeline =
-        Pipeline::new(out, vec![ImageParam::new("in", ScalarType::UInt8, 2)]).with_func(blur_x);
-
-    let mut input = Buffer::new(ScalarType::UInt8, &[w + 4, h + 3]);
-    let mut s = seed | 1;
-    for c in input.coords().collect::<Vec<_>>() {
-        s = s
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        input.set(&c, Value::Int(((s >> 33) % 256) as i64));
-    }
-    (pipeline, input)
-}
-
-/// A pointwise `compose_after` chain of `stages` independently built
-/// pipelines, each reading its predecessor's output through a consumed
-/// image parameter — the shape multi-output fusion collapses into one
-/// shared loop nest (with `compute_root` on every upstream stage plus
-/// `with_fuse_outputs`, the chain stops re-walking the image per stage).
-/// Returns the pipeline plus a deterministic `UInt8` input of extents
-/// `w × h`; realize the output over `[w, h]`.
-pub fn pointwise_chain_pipeline(
-    w: usize,
-    h: usize,
-    stages: usize,
-    seed: u64,
-) -> (Pipeline, Buffer) {
-    use helium_halide::{BinOp, Expr, Func, ImageParam};
-    assert!(stages >= 2, "a chain needs at least two stages");
-    let stage = |name: &str, image: &str, mask: i64| {
-        Pipeline::new(
-            Func::pure(
-                name,
-                &["x_0", "x_1"],
-                ScalarType::UInt8,
-                Expr::cast(
-                    ScalarType::UInt8,
-                    Expr::bin(
-                        BinOp::Xor,
-                        Expr::Image(image.into(), vec![Expr::var("x_0"), Expr::var("x_1")]),
-                        Expr::int(mask),
-                    ),
-                ),
-            ),
-            vec![ImageParam::new(image, ScalarType::UInt8, 2)],
-        )
-    };
-    let mut chain = stage("stage_1", "in", 0xA5);
-    for i in 2..=stages {
-        let next = stage(&format!("stage_{i}"), "link", (0x11 * i as i64) & 0xFF);
-        chain = next.compose_after(&chain, "link");
-    }
-
-    let mut input = Buffer::new(ScalarType::UInt8, &[w, h]);
-    let mut s = seed | 1;
-    for c in input.coords().collect::<Vec<_>>() {
-        s = s
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        input.set(&c, Value::Int(((s >> 33) % 256) as i64));
-    }
-    (chain, input)
-}
-
 /// A 64-bit histogram with a genuine update definition: `hist(x) = 0;
 /// hist[in(r.x, r.y)] = u64(hist[in(r.x, r.y)] + 1)` over the full input —
 /// the paper's equalize shape with `UInt64` bins. The data-dependent LHS

@@ -32,9 +32,7 @@ use crate::eval::{eval_expr, validate_bindings, EvalSources};
 use crate::exec::{self, ExecPlan, FusedStoreCounts, StoreProfile};
 use crate::expr::Expr;
 use crate::func::{Func, Pipeline, UpdateDef};
-use crate::lower::{
-    inline_except, lower_fused_group, lower_update, plan_compute_at, ComputeAtOutcome,
-};
+use crate::lower::{inline_except, lower_update, plan_compute_at, ComputeAtOutcome};
 use crate::realize::{ExecBackend, RealizeError, RealizeInputs};
 use crate::schedule::Schedule;
 use crate::stmt::Stmt;
@@ -129,12 +127,6 @@ pub struct PipelineProfile {
     pub stages: Vec<StageProfile>,
     /// How the program executes its update definitions.
     pub updates: UpdateCounts,
-    /// Fused multi-output loop nests in the program (consecutive stages the
-    /// `fuse_outputs` directive collapsed into one shared nest).
-    pub multi_output_nests: usize,
-    /// Total stages carried by those fused nests (0 when nothing fused; at
-    /// least 2 per nest otherwise).
-    pub fused_outputs: usize,
     /// Window extents (rows) of every sliding-window `compute_at`
     /// allocation; a window of extent `E` re-uses `E - 1` rows per warm
     /// attach iteration.
@@ -327,29 +319,11 @@ impl CompiledPipeline {
         Ok(self.program(inputs, output_extents)?.update_counts())
     }
 
-    /// Number of fused multi-output nests in the prepared program for
-    /// `output_extents` × `inputs`: consecutive materialized stages the
-    /// `fuse_outputs` directive collapsed into one shared loop nest. Builds
-    /// and caches the program if this key has not run yet. `>= 1` proves a
-    /// `compose_after` chain stopped re-walking the image per stage.
-    ///
-    /// # Errors
-    /// Returns an error if inputs or parameters are missing or the extents
-    /// do not match the output dimensionality.
-    pub fn multi_output_nests(
-        &self,
-        inputs: &RealizeInputs<'_>,
-        output_extents: &[usize],
-    ) -> Result<usize, RealizeError> {
-        Ok(self.program(inputs, output_extents)?.multi_output_nests())
-    }
-
     /// Number of sliding-window `compute_at` allocations in the prepared
     /// program for `output_extents` × `inputs` — the rolling producer
-    /// windows the locality tier reuses across attach iterations (the
-    /// run-time reuse itself is counted by
-    /// [`exec::window_rows_reused`]). Builds and caches the program if this
-    /// key has not run yet.
+    /// windows reused across attach iterations (the run-time reuse itself is
+    /// counted by [`exec::window_rows_reused`]). Builds and caches the
+    /// program if this key has not run yet.
     ///
     /// # Errors
     /// Returns an error if inputs or parameters are missing or the extents
@@ -540,17 +514,14 @@ fn validate_structure(pipeline: &Pipeline) -> Result<(), RealizeError> {
 
 /// A fully compiled realization plan for one (pipeline, schedule, backend,
 /// extents, binding signature) key: the materialized stages in dependency
-/// order (the last unit produces the output), each carrying its pre-built
-/// execution artifact. Under [`Schedule::fuse_outputs`] consecutive
-/// compatible stages collapse into one [`Unit::Fused`] multi-output nest.
-/// Running a prepared program does no planning, sizing, lowering or
-/// lane-program compilation.
+/// order (the last stage produces the output), each carrying its pre-built
+/// execution artifact. Running a prepared program does no planning, sizing,
+/// lowering or lane-program compilation.
 #[derive(Debug)]
 pub struct PreparedProgram {
-    /// Execution units in dependency order; the last unit always produces
-    /// the pipeline output (as a single stage, or as the last member of a
-    /// fused nest).
-    units: Vec<Unit>,
+    /// Materialized stages in dependency order; the last one always produces
+    /// the pipeline output.
+    stages: Vec<Stage>,
     /// The parameter environment (scalar params + injected image extents)
     /// captured at build time. Valid for every run served by this program:
     /// the cache key's binding signature pins all param values and image
@@ -578,35 +549,6 @@ struct Stage {
     /// [`run_update`], the reduction interpreter that doubles as the
     /// differential oracle.
     updates_compiled: bool,
-}
-
-/// One executable step of a prepared program.
-#[derive(Debug)]
-enum Unit {
-    /// An ordinary materialized stage: one func, one buffer, one plan.
-    Single(Stage),
-    /// Several consecutive materialized stages compiled into ONE shared loop
-    /// nest ([`lower_fused_group`]): a single walk of the shared outer loop
-    /// produces every member's buffer.
-    Fused(FusedStage),
-}
-
-/// A multi-output fused nest: the members (in nest order) and the one plan
-/// producing all of them. Admissibility guarantees every member is pure, so
-/// fused stages never carry update definitions.
-#[derive(Debug)]
-struct FusedStage {
-    members: Vec<FusedMember>,
-    plan: Box<ExecPlan>,
-}
-
-/// Buffer geometry of one member of a fused nest; output buffers bind to
-/// members in order at run time.
-#[derive(Debug)]
-struct FusedMember {
-    name: String,
-    ty: ScalarType,
-    extents: Vec<usize>,
 }
 
 /// The compiled artifact of a pure definition.
@@ -697,7 +639,7 @@ impl PreparedProgram {
         sizing_keep.extend(at_funcs.iter().cloned());
 
         // Materialized producers in dependency order with their sized
-        // extents; the unit-building loop below turns them into stages.
+        // extents; the loop below turns them into stages.
         let mut producer_seq: Vec<(String, Vec<usize>)> = Vec::new();
         if !materialize.is_empty() {
             // Compute the bounds each kept func is accessed over — from the
@@ -796,122 +738,37 @@ impl PreparedProgram {
             }
         }
 
-        // The full unit sequence: producers in dependency order, the output
-        // last. Under `fuse_outputs` consecutive compatible entries collapse
-        // into one multi-output nest walking the shared outer loop once.
-        let mut seq = producer_seq;
-        seq.push((pipeline.output.clone(), output_extents.to_vec()));
-        // The output can join a fused group only when nothing attaches inside
-        // its own nest — `compute_at` plans are lowered by the single-stage
-        // path.
-        let output_can_fuse = outcome.plans.is_empty();
-        let fusion_on = backend == ExecBackend::Lowered
-            && schedule.fuse_outputs
-            && schedule.tile.is_none()
-            && seq.len() >= 2;
-        let image_decls: Vec<(String, ScalarType)> = inputs
-            .images
-            .iter()
-            .map(|(n, b)| (n.clone(), b.scalar_type()))
-            .collect();
-
-        let mut units: Vec<Unit> = Vec::new();
+        // Producers in dependency order, then the output.
+        let mut stages = Vec::with_capacity(producer_seq.len() + 1);
         let mut roots_so_far: BTreeSet<String> = BTreeSet::new();
-        let mut i = 0;
-        while i < seq.len() {
-            let mut fused: Option<(usize, FusedStage)> = None;
-            if fusion_on {
-                // Take the longest admissible group starting at `i`,
-                // shrinking from the end; inadmissible prefixes fall through
-                // to the single-stage path one entry at a time.
-                let mut j = seq.len();
-                while j >= i + 2 {
-                    if j == seq.len() && !output_can_fuse {
-                        j -= 1;
-                        continue;
-                    }
-                    let members = &seq[i..j];
-                    if let Some(stmt) =
-                        lower_fused_group(pipeline, schedule, members, &materialize, &params)?
-                    {
-                        let outputs: Vec<(String, ScalarType)> = members
-                            .iter()
-                            .map(|(n, _)| (n.clone(), pipeline.funcs[n].ty))
-                            .collect();
-                        let root_decls: Vec<(String, ScalarType)> = roots_so_far
-                            .iter()
-                            .map(|n| (n.clone(), pipeline.funcs[n].ty))
-                            .collect();
-                        // A prepare failure (e.g. a member reading a root the
-                        // dependency order placed later) falls back to smaller
-                        // groups and ultimately to the single-stage path,
-                        // which reports any genuine error with the standard
-                        // error kinds.
-                        if let Ok(plan) =
-                            exec::prepare_multi(stmt, &outputs, &image_decls, &root_decls, &params)
-                        {
-                            let members = members
-                                .iter()
-                                .map(|(n, e)| FusedMember {
-                                    name: n.clone(),
-                                    ty: pipeline.funcs[n].ty,
-                                    extents: e.clone(),
-                                })
-                                .collect();
-                            fused = Some((
-                                j,
-                                FusedStage {
-                                    members,
-                                    plan: Box::new(plan),
-                                },
-                            ));
-                            break;
-                        }
-                    }
-                    j -= 1;
-                }
-            }
-            if let Some((j, f)) = fused {
-                for m in &f.members {
-                    roots_so_far.insert(m.name.clone());
-                }
-                units.push(Unit::Fused(f));
-                i = j;
-            } else {
-                let (name, extents) = &seq[i];
-                let stage = if i + 1 == seq.len() {
-                    Stage::build(
-                        pipeline,
-                        schedule,
-                        backend,
-                        extents,
-                        inputs,
-                        &params,
-                        &materialize,
-                        &outcome,
-                        &roots_so_far,
-                    )?
-                } else {
-                    let mut sub_pipeline = pipeline.clone();
-                    sub_pipeline.output = name.clone();
-                    Stage::build(
-                        &sub_pipeline,
-                        schedule,
-                        backend,
-                        extents,
-                        inputs,
-                        &params,
-                        &base,
-                        &ComputeAtOutcome::default(),
-                        &roots_so_far,
-                    )?
-                };
-                roots_so_far.insert(name.clone());
-                units.push(Unit::Single(stage));
-                i += 1;
-            }
+        for (name, extents) in &producer_seq {
+            let mut sub_pipeline = pipeline.clone();
+            sub_pipeline.output = name.clone();
+            stages.push(Stage::build(
+                &sub_pipeline,
+                schedule,
+                backend,
+                extents,
+                inputs,
+                &params,
+                &base,
+                &ComputeAtOutcome::default(),
+                &roots_so_far,
+            )?);
+            roots_so_far.insert(name.clone());
         }
-        Ok(PreparedProgram { units, params })
+        stages.push(Stage::build(
+            pipeline,
+            schedule,
+            backend,
+            output_extents,
+            inputs,
+            &params,
+            &materialize,
+            &outcome,
+            &roots_so_far,
+        )?);
+        Ok(PreparedProgram { stages, params })
     }
 
     /// How many update definitions across all stages execute through the
@@ -919,43 +776,32 @@ impl PreparedProgram {
     /// the reduction interpreter.
     pub(crate) fn update_counts(&self) -> UpdateCounts {
         let mut counts = UpdateCounts::default();
-        for unit in &self.units {
-            // Fused members are pure by admissibility: no updates to count.
-            if let Unit::Single(stage) = unit {
-                if stage.updates_compiled {
-                    counts.compiled += stage.updates.len();
-                } else {
-                    counts.interpreted += stage.updates.len();
-                }
+        for stage in &self.stages {
+            if stage.updates_compiled {
+                counts.compiled += stage.updates.len();
+            } else {
+                counts.interpreted += stage.updates.len();
             }
         }
         counts
     }
 
-    /// Number of fused multi-output nests in the program — consecutive
-    /// materialized stages the `fuse_outputs` directive collapsed into one
-    /// shared loop nest.
-    pub(crate) fn multi_output_nests(&self) -> usize {
-        self.units
+    /// The lowered plans of the program's stages (interpreted stages have
+    /// none).
+    fn plans(&self) -> impl Iterator<Item = &ExecPlan> {
+        self.stages
             .iter()
-            .filter(|u| matches!(u, Unit::Fused(_)))
-            .count()
+            .filter_map(|stage| match &stage.pure_exec {
+                Some(PureExec::Lowered(plan)) => Some(&**plan),
+                _ => None,
+            })
     }
 
     /// Number of sliding-window (`SlideWindow`) allocations across every
-    /// lowered plan in the program — the rolling `compute_at` buffers the
-    /// locality tier reuses between attach iterations.
+    /// lowered plan in the program — the rolling `compute_at` buffers reused
+    /// between attach iterations.
     pub(crate) fn sliding_windows(&self) -> usize {
-        self.units
-            .iter()
-            .map(|u| match u {
-                Unit::Single(stage) => match &stage.pure_exec {
-                    Some(PureExec::Lowered(plan)) => plan.sliding_window_count(),
-                    _ => 0,
-                },
-                Unit::Fused(f) => f.plan.sliding_window_count(),
-            })
-            .sum()
+        self.plans().map(ExecPlan::sliding_window_count).sum()
     }
 
     /// Per-lane-family fused-kernel counts summed over every lowered stage
@@ -963,21 +809,11 @@ impl PreparedProgram {
     /// contribute nothing — they have no lane programs.
     pub(crate) fn fused_store_counts(&self) -> FusedStoreCounts {
         let mut counts = FusedStoreCounts::default();
-        let mut add = |c: FusedStoreCounts| {
+        for c in self.plans().map(ExecPlan::fused_store_counts) {
             counts.lanes_i32 += c.lanes_i32;
             counts.lanes_i64 += c.lanes_i64;
             counts.lanes_f32 += c.lanes_f32;
             counts.lanes_f64 += c.lanes_f64;
-        };
-        for unit in &self.units {
-            match unit {
-                Unit::Single(stage) => {
-                    if let Some(PureExec::Lowered(plan)) = &stage.pure_exec {
-                        add(plan.fused_store_counts());
-                    }
-                }
-                Unit::Fused(f) => add(f.plan.fused_store_counts()),
-            }
         }
         counts
     }
@@ -986,58 +822,34 @@ impl PreparedProgram {
     /// [`StageProfile`] per materialized stage (output last), built from the
     /// already-compiled plans — profiling does no additional compilation.
     pub(crate) fn profile(&self, target: Target) -> PipelineProfile {
-        let stage_profile = |stage: &Stage| -> StageProfile {
-            let (lowered, stores) = match &stage.pure_exec {
-                Some(PureExec::Lowered(plan)) => (true, plan.store_profiles(target)),
-                Some(PureExec::Interpreted { .. }) | None => (false, Vec::new()),
-            };
-            StageProfile {
-                name: stage.name.clone(),
-                extents: stage.extents.clone(),
-                lowered,
-                stores,
-                interpreted_updates: if stage.updates_compiled {
-                    0
-                } else {
-                    stage.updates.len()
-                },
-            }
-        };
-        let mut stages = Vec::new();
-        let mut fused_outputs = 0;
-        let mut sliding_window_extents = Vec::new();
-        for unit in &self.units {
-            match unit {
-                Unit::Single(stage) => {
-                    if let Some(PureExec::Lowered(plan)) = &stage.pure_exec {
-                        sliding_window_extents.extend(plan.sliding_window_extents());
-                    }
-                    stages.push(stage_profile(stage));
+        let stages = self
+            .stages
+            .iter()
+            .map(|stage| {
+                let (lowered, stores) = match &stage.pure_exec {
+                    Some(PureExec::Lowered(plan)) => (true, plan.store_profiles(target)),
+                    Some(PureExec::Interpreted { .. }) | None => (false, Vec::new()),
+                };
+                StageProfile {
+                    name: stage.name.clone(),
+                    extents: stage.extents.clone(),
+                    lowered,
+                    stores,
+                    interpreted_updates: if stage.updates_compiled {
+                        0
+                    } else {
+                        stage.updates.len()
+                    },
                 }
-                Unit::Fused(f) => {
-                    fused_outputs += f.members.len();
-                    sliding_window_extents.extend(f.plan.sliding_window_extents());
-                    // Store ids are sequential in nest (member) order, so
-                    // profile k belongs to member k.
-                    let stores = f.plan.store_profiles(target);
-                    for (k, m) in f.members.iter().enumerate() {
-                        stages.push(StageProfile {
-                            name: m.name.clone(),
-                            extents: m.extents.clone(),
-                            lowered: true,
-                            stores: stores.get(k).cloned().into_iter().collect(),
-                            interpreted_updates: 0,
-                        });
-                    }
-                }
-            }
-        }
+            })
+            .collect();
         PipelineProfile {
             stages,
             updates: self.update_counts(),
-            multi_output_nests: self.multi_output_nests(),
-            fused_outputs,
-            sliding_window_extents,
+            sliding_window_extents: self
+                .plans()
+                .flat_map(ExecPlan::sliding_window_extents)
+                .collect(),
         }
     }
 
@@ -1048,48 +860,16 @@ impl PreparedProgram {
         inputs: &RealizeInputs<'_>,
         target: Target,
     ) -> Result<Buffer, RealizeError> {
+        let (output, producers) = self
+            .stages
+            .split_last()
+            .expect("a prepared program always ends with the output stage");
         let mut roots: BTreeMap<String, Buffer> = BTreeMap::new();
-        let mut result = None;
-        for (ui, unit) in self.units.iter().enumerate() {
-            let last_unit = ui + 1 == self.units.len();
-            match unit {
-                Unit::Single(stage) => {
-                    let buf = stage.run(inputs, &self.params, &roots, target)?;
-                    if last_unit {
-                        result = Some(buf);
-                    } else {
-                        roots.insert(stage.name.clone(), buf);
-                    }
-                }
-                Unit::Fused(f) => {
-                    let mut bufs: Vec<Buffer> = f
-                        .members
-                        .iter()
-                        .map(|m| Buffer::new(m.ty, &m.extents))
-                        .collect();
-                    {
-                        let mut refs: Vec<&mut Buffer> = bufs.iter_mut().collect();
-                        exec::run_multi_with_target(
-                            &f.plan,
-                            &mut refs,
-                            &inputs.images,
-                            &roots,
-                            &self.params,
-                            target,
-                        )?;
-                    }
-                    let n = bufs.len();
-                    for (k, (m, buf)) in f.members.iter().zip(bufs).enumerate() {
-                        if last_unit && k + 1 == n {
-                            result = Some(buf);
-                        } else {
-                            roots.insert(m.name.clone(), buf);
-                        }
-                    }
-                }
-            }
+        for stage in producers {
+            let buf = stage.run(inputs, &self.params, &roots, target)?;
+            roots.insert(stage.name.clone(), buf);
         }
-        Ok(result.expect("a prepared program always ends with the output unit"))
+        output.run(inputs, &self.params, &roots, target)
     }
 }
 

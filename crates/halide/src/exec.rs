@@ -96,22 +96,16 @@
 //! never stored). Either way small tiles stay on tier 1 —
 //! [`fused_tail_chunks_executed`] counts these tail chunks.
 //!
-//! **The locality tier.** Two lowering constructs cut redundant memory
-//! traffic without touching per-element values:
-//!
-//! * [`Stmt::SlideWindow`] manages a `compute_at` allocation as a rolling
-//!   window: at each attach iteration it compares the region minimum against
-//!   the previous iteration's (tracked per-thread in [`Scratch`], so parallel
-//!   chunks just start cold), shifts the surviving rows down in place with
-//!   one `memmove`, and binds the warm-row count to a pseudo-variable the
-//!   producer nest's sliding loop starts at — only newly exposed rows are
-//!   recomputed. Exactness: region inference proved the window's content is a
-//!   pure function of the sliding minimum, so a shifted row is bit-identical
-//!   to a recomputed one. [`window_rows_reused`] counts the rows saved.
-//! * Multi-output fused nests ([`prepare_multi`] / [`run_multi_with_target`])
-//!   carry several `Produce` blocks under one shared outer loop, writing
-//!   several output buffers per walk; each member store still selects its
-//!   own execution tier. [`multi_output_nests_executed`] counts the runs.
+//! **Sliding windows.** [`Stmt::SlideWindow`] manages a `compute_at`
+//! allocation as a rolling window: at each attach iteration it compares the
+//! region minimum against the previous iteration's (tracked per-thread in
+//! [`Scratch`], so parallel chunks just start cold), shifts the surviving
+//! rows down in place with one `memmove`, and binds the warm-row count to a
+//! pseudo-variable the producer nest's sliding loop starts at — only newly
+//! exposed rows are recomputed. Exactness: region inference proved the
+//! window's content is a pure function of the sliding minimum, so a shifted
+//! row is bit-identical to a recomputed one. [`window_rows_reused`] counts
+//! the rows saved.
 //!
 //! **Bit-exactness.** Every tier replicates [`Value`] semantics exactly:
 //! integer arithmetic wraps, division by zero yields zero, right shifts are
@@ -237,13 +231,8 @@ static PARALLEL_REDUCE_MERGES: AtomicU64 = AtomicU64::new(0);
 
 /// Rows of sliding-window `compute_at` allocations reused (shifted in place
 /// instead of recomputed) by [`Stmt::SlideWindow`] executions, for
-/// observability and tests — the proof that the locality tier fires.
+/// observability and tests — the proof that a sliding window fires.
 static WINDOW_ROWS_REUSED: AtomicU64 = AtomicU64::new(0);
-
-/// Multi-output fused loop nests executed (plans run through
-/// [`run_multi_with_target`] with more than one output buffer), for
-/// observability and tests.
-static MULTI_OUTPUT_NESTS: AtomicU64 = AtomicU64::new(0);
 
 /// One worker's share of the per-row counters above, kept in its [`Scratch`]
 /// off the shared cache lines and added to the process-wide totals once,
@@ -289,13 +278,6 @@ pub fn window_rows_reused() -> u64 {
     WINDOW_ROWS_REUSED.load(Ordering::Relaxed)
 }
 
-/// Number of multi-output fused nest executions (runs with more than one
-/// output buffer) since process start (monotonic; for tests and
-/// observability).
-pub fn multi_output_nests_executed() -> u64 {
-    MULTI_OUTPUT_NESTS.load(Ordering::Relaxed)
-}
-
 /// A scoped snapshot of the global execution counters, for tests that assert
 /// exact deltas.
 ///
@@ -320,8 +302,6 @@ pub struct CounterSnapshot {
     pub parallel_reduce_merges: u64,
     /// [`window_rows_reused`] at snapshot time.
     pub window_rows_reused: u64,
-    /// [`multi_output_nests_executed`] at snapshot time.
-    pub multi_output_nests: u64,
     /// Always 0: every fused chunk runs the portable lanes, so no ISA path
     /// is left to count. Kept only because the `perfbench` harness still
     /// reads it.
@@ -337,7 +317,6 @@ impl CounterSnapshot {
             reduce_chunks: reduce_chunks_executed(),
             parallel_reduce_merges: parallel_reduce_merges_executed(),
             window_rows_reused: window_rows_reused(),
-            multi_output_nests: multi_output_nests_executed(),
             arch_rows: 0,
         }
     }
@@ -355,9 +334,6 @@ impl CounterSnapshot {
             window_rows_reused: now
                 .window_rows_reused
                 .saturating_sub(self.window_rows_reused),
-            multi_output_nests: now
-                .multi_output_nests
-                .saturating_sub(self.multi_output_nests),
             arch_rows: 0,
         }
     }
@@ -4698,10 +4674,8 @@ pub struct ExecPlan {
     prepared: Prepared,
     /// Extents of the plan's [`Stmt::SlideWindow`] nodes, in visit order.
     windows: Vec<usize>,
-    /// Element type of each output buffer, in slot order (slot `i` is output
-    /// `i`). Single-output plans have exactly one entry; multi-output fused
-    /// nests ([`prepare_multi`]) have one per produced stage.
-    output_tys: Vec<ScalarType>,
+    /// Element type of the output buffer (slot 0).
+    output_ty: ScalarType,
     image_names: Vec<String>,
     root_names: Vec<String>,
 }
@@ -4737,7 +4711,7 @@ impl ExecPlan {
     }
 
     /// Number of [`Stmt::SlideWindow`] nodes in the plan's loop nest — the
-    /// sliding-window `compute_at` allocations the locality tier manages.
+    /// sliding-window `compute_at` allocations.
     pub fn sliding_window_count(&self) -> usize {
         self.windows.len()
     }
@@ -4838,30 +4812,6 @@ pub fn prepare(
     roots: &[(String, ScalarType)],
     params: &BTreeMap<String, Value>,
 ) -> Result<ExecPlan, RealizeError> {
-    prepare_multi(
-        stmt,
-        &[(output_name.to_string(), output_ty)],
-        images,
-        roots,
-        params,
-    )
-}
-
-/// Compile a lowered statement producing several output buffers (a
-/// multi-output fused nest) into an [`ExecPlan`]. The outputs occupy slots
-/// `0..outputs.len()` writable, in order, followed by the images and roots —
-/// [`run_multi_with_target`] binds output buffers in the same order. With a
-/// single output this is exactly [`prepare`].
-///
-/// # Errors
-/// Returns an error if a referenced buffer or parameter is missing.
-pub fn prepare_multi(
-    stmt: Stmt,
-    outputs: &[(String, ScalarType)],
-    images: &[(String, ScalarType)],
-    roots: &[(String, ScalarType)],
-    params: &BTreeMap<String, Value>,
-) -> Result<ExecPlan, RealizeError> {
     let mut ctx = PrepareCtx {
         params,
         decls: Vec::new(),
@@ -4875,9 +4825,7 @@ pub fn prepare_multi(
         max_stack: 1,
         max_arity: 1,
     };
-    for (name, ty) in outputs {
-        ctx.add_slot(name, *ty, true);
-    }
+    ctx.add_slot(output_name, output_ty, true);
     for (name, ty) in images {
         ctx.add_slot(name, *ty, false);
     }
@@ -4895,7 +4843,7 @@ pub fn prepare_multi(
             max_stack: ctx.max_stack,
             max_arity: ctx.max_arity,
         },
-        output_tys: outputs.iter().map(|(_, ty)| *ty).collect(),
+        output_ty,
         image_names: images.iter().map(|(n, _)| n.clone()).collect(),
         root_names: roots.iter().map(|(n, _)| n.clone()).collect(),
     })
@@ -4932,28 +4880,10 @@ pub fn run_with_target(
     params: &BTreeMap<String, Value>,
     target: Target,
 ) -> Result<(), RealizeError> {
-    run_multi_with_target(plan, &mut [output], images, roots, params, target)
-}
-
-/// Execute a prepared multi-output plan: binds `outputs` writable to slots
-/// `0..outputs.len()` in the order [`prepare_multi`] declared them, then runs
-/// like [`run_with_target`]. Increments the [`multi_output_nests_executed`]
-/// counter when more than one output is produced.
-///
-/// # Errors
-/// Returns an error if a declared image or root buffer is not provided.
-pub fn run_multi_with_target(
-    plan: &ExecPlan,
-    outputs: &mut [&mut Buffer],
-    images: &BTreeMap<String, &Buffer>,
-    roots: &BTreeMap<String, Buffer>,
-    params: &BTreeMap<String, Value>,
-    target: Target,
-) -> Result<(), RealizeError> {
     debug_assert_eq!(
-        outputs.len(),
-        plan.output_tys.len(),
-        "output buffer count must match the prepared plan"
+        output.scalar_type(),
+        plan.output_ty,
+        "output buffer type must match the prepared plan"
     );
     let bind_of = |b: &Buffer| SlotBind {
         ptr: b.bytes().as_ptr() as *mut u8,
@@ -4962,22 +4892,12 @@ pub fn run_multi_with_target(
         strides: b.strides().to_vec(),
     };
     let mut binds: Vec<Option<SlotBind>> = Vec::with_capacity(plan.prepared.decls.len());
-    for (output, ty) in outputs.iter_mut().zip(&plan.output_tys) {
-        debug_assert_eq!(
-            output.scalar_type(),
-            *ty,
-            "output buffer type must match the prepared plan"
-        );
-        binds.push(Some(SlotBind {
-            ptr: output.bytes_mut().as_mut_ptr(),
-            byte_len: output.bytes().len(),
-            extents: output.extents().to_vec(),
-            strides: output.strides().to_vec(),
-        }));
-    }
-    if outputs.len() > 1 {
-        MULTI_OUTPUT_NESTS.fetch_add(1, Ordering::Relaxed);
-    }
+    binds.push(Some(SlotBind {
+        ptr: output.bytes_mut().as_mut_ptr(),
+        byte_len: output.bytes().len(),
+        extents: output.extents().to_vec(),
+        strides: output.strides().to_vec(),
+    }));
     for name in &plan.image_names {
         let buf = images
             .get(name)
@@ -5076,8 +4996,8 @@ mod tests {
     /// (the per-op tier is the established oracle).
     fn assert_modes_agree(plan: &ExecPlan, extents: &[usize], img: &Buffer) {
         let images: BTreeMap<String, &Buffer> = [("in".to_string(), img)].into_iter().collect();
-        let mut scalar = Buffer::new(plan.output_tys[0], extents);
-        let mut simd = Buffer::new(plan.output_tys[0], extents);
+        let mut scalar = Buffer::new(plan.output_ty, extents);
+        let mut simd = Buffer::new(plan.output_ty, extents);
         let params = BTreeMap::new();
         run_with_target(
             plan,

@@ -26,22 +26,14 @@
 //! 4. **Simplification** — all synthesized index/bound expressions are
 //!    constant-folded through [`crate::simplify`].
 //!
-//! **The locality tier** sits on top of those steps:
-//!
-//! * *Sliding-window `compute_at`* — when a producer's inferred region
-//!   translates by exactly the attach loop (coefficient 1 on the last
-//!   dimension, extent > 1, all other dimensions stationary) and the schedule
-//!   opted in via [`Schedule::store_sliding`], the scoped allocation becomes
-//!   a rolling window: a [`Stmt::SlideWindow`] node shifts the surviving rows
-//!   in place at each attach iteration and the produce nest recomputes only
-//!   the newly exposed ones (its sliding-dimension loop starts at the
-//!   runtime-bound warm-row count). Regions that do not slide silently keep
-//!   the recompute-everything placement, which is value-identical.
-//! * *Multi-output fusion* — [`lower_fused_group`] lowers an ordered group of
-//!   materialized stages into one shared outermost loop carrying a `Produce`
-//!   block per stage, so `compose_after` chains and multi-plane filters walk
-//!   the image once instead of once per stage (see its docs for the
-//!   admissibility rules that keep it bit-identical).
+//! **Sliding windows.** When a `compute_at` producer's inferred region
+//! translates by exactly the attach loop (coefficient 1 on the last
+//! dimension, extent > 1, all other dimensions stationary), the scoped
+//! allocation becomes a rolling window: a [`Stmt::SlideWindow`] node shifts
+//! the surviving rows in place at each attach iteration and the produce nest
+//! recomputes only the newly exposed ones (its sliding-dimension loop starts
+//! at the runtime-bound warm-row count). Regions that do not slide keep the
+//! recompute-everything placement, which is value-identical.
 //!
 //! **Update (reduction) definitions** lower too, via [`lower_update`]: each
 //! update becomes a nest of serial reduction-domain loops plus loops over the
@@ -153,9 +145,8 @@ pub struct ComputeAtPlan {
     pub dims: Vec<RegionDim>,
     /// Keep the allocation as a sliding window across attach iterations:
     /// only rows of the last dimension newly exposed by the region
-    /// translation are recomputed, the rest shift in place. Set only when
-    /// the schedule opted the producer in via `store_sliding` *and* the
-    /// region provably slides (last dimension translated by exactly the
+    /// translation are recomputed, the rest shift in place. Set exactly when
+    /// the region provably slides (last dimension translated by exactly the
     /// attach loop with coefficient 1, all other dimensions stationary).
     pub sliding: bool,
 }
@@ -574,8 +565,7 @@ pub fn plan_compute_at(
         ) {
             Some(dims) => {
                 let attach_loop = levels[attach_idx].name.clone();
-                let sliding =
-                    schedule.store_sliding.contains(&func) && region_slides(&dims, &attach_loop);
+                let sliding = region_slides(&dims, &attach_loop);
                 outcome.plans.push(ComputeAtPlan {
                     func,
                     attach_loop,
@@ -822,172 +812,6 @@ pub fn lower_pure(
         func: output.name.clone(),
         body: Box::new(body),
     })
-}
-
-// ---------------------------------------------------------------------------
-// Multi-output fusion
-// ---------------------------------------------------------------------------
-
-/// Shared outermost loop variable of a multi-output fused nest.
-pub const FUSED_LOOP_VAR: &str = "fused.outer";
-
-/// Lower an ordered group of materialized stages into ONE shared loop nest
-/// carrying a `Produce` block per stage, so a `compose_after` chain walks the
-/// image once instead of once per stage.
-///
-/// Each member keeps its own full output buffer (fusion shares the *loop*,
-/// not storage) and its own inner loops — the innermost still vectorizes — so
-/// the per-store execution tiers engage unchanged. Only the outermost (last)
-/// dimension is shared; it is tagged parallel when the schedule asks for it.
-///
-/// Returns `Ok(None)` when the group is not admissible, which the caller must
-/// treat as "lower every stage separately" (value-identical). Admissibility:
-///
-/// * every member is pure (no updates), at least 2-D, untiled, with the same
-///   outermost extent;
-/// * every read of an earlier in-group member indexes that member's last
-///   dimension as exactly `own_last_var + k` with `k <= 0` (`k == 0` when the
-///   shared loop is parallel, since rows behind the current one may belong to
-///   another worker's unfinished chunk) — so no member ever reads a row the
-///   shared iteration has not produced yet;
-/// * no member reads a *later* in-group member.
-///
-/// Under those rules every cross-member read sees exactly the bytes the
-/// unfused schedule would have materialized, so fusion is bit-identical.
-pub fn lower_fused_group(
-    pipeline: &Pipeline,
-    schedule: &Schedule,
-    members: &[(String, Vec<usize>)],
-    keep: &BTreeSet<String>,
-    params: &BTreeMap<String, Value>,
-) -> Result<Option<Stmt>, RealizeError> {
-    if members.len() < 2 || !schedule.fuse_outputs || schedule.tile.is_some() {
-        return Ok(None);
-    }
-    let outer_extent = match members[0].1.last() {
-        Some(&e) => e,
-        None => return Ok(None),
-    };
-    // Admissibility screen + per-member inlined values.
-    let mut values = Vec::with_capacity(members.len());
-    for (idx, (name, extents)) in members.iter().enumerate() {
-        let func = match pipeline.funcs.get(name) {
-            Some(f) => f,
-            None => return Ok(None),
-        };
-        let def = match (&func.pure_def, func.updates.is_empty()) {
-            (Some(d), true) => d,
-            _ => return Ok(None),
-        };
-        if func.dims() < 2 || extents.len() != func.dims() || extents.last() != Some(&outer_extent)
-        {
-            return Ok(None);
-        }
-        let value = inline_except(pipeline, def, keep)?;
-        let own_last = func.vars.last().expect("dims >= 2").clone();
-        let mut ok = true;
-        value.visit(&mut |e| {
-            if let Expr::FuncRef(g, args) = e {
-                let Some(gidx) = members.iter().position(|(m, _)| m == g) else {
-                    return; // materialized before the group runs
-                };
-                if gidx >= idx {
-                    ok = false; // reads a not-yet-produced group member
-                    return;
-                }
-                let gdims = members[gidx].1.len();
-                if args.len() != gdims {
-                    ok = false;
-                    return;
-                }
-                match affine_decompose(&args[gdims - 1], params) {
-                    Some((coeffs, konst)) => {
-                        let mut coeffs = coeffs;
-                        let own = coeffs.remove(&own_last).unwrap_or(0);
-                        let others_zero = coeffs.values().all(|&v| v == 0);
-                        let lag_ok = if schedule.parallel {
-                            konst == 0
-                        } else {
-                            konst <= 0
-                        };
-                        if own != 1 || !others_zero || !lag_ok {
-                            ok = false;
-                        }
-                    }
-                    None => ok = false,
-                }
-            }
-        });
-        if !ok {
-            return Ok(None);
-        }
-        values.push(value);
-    }
-
-    // Emit: one shared outer loop carrying each member's Produce in order.
-    let mut produces = Vec::with_capacity(members.len());
-    for (store_id, ((name, extents), value)) in members.iter().zip(values).enumerate() {
-        let func = &pipeline.funcs[name];
-        let dims = func.dims();
-        let local = |d: usize| format!("{name}.f{d}");
-        let substituted = value.substitute(&|var| {
-            func.vars.iter().position(|v| v == var).map(|d| {
-                if d == dims - 1 {
-                    Expr::var(FUSED_LOOP_VAR)
-                } else {
-                    Expr::var(&local(d))
-                }
-            })
-        });
-        let mut body = Stmt::Store {
-            id: store_id,
-            buffer: name.clone(),
-            indices: (0..dims)
-                .map(|d| {
-                    if d == dims - 1 {
-                        Expr::var(FUSED_LOOP_VAR)
-                    } else {
-                        Expr::var(&local(d))
-                    }
-                })
-                .collect(),
-            value: simplify(&substituted),
-        };
-        for (d, &extent) in extents.iter().enumerate().take(dims - 1) {
-            let kind = if d == 0 && schedule.vector_width > 1 {
-                LoopKind::Vectorized {
-                    width: schedule.vector_width,
-                }
-            } else {
-                LoopKind::Serial
-            };
-            body = Stmt::For {
-                var: local(d),
-                min: Expr::int(0),
-                extent: Expr::int(extent as i64),
-                kind,
-                body: Box::new(body),
-            };
-        }
-        produces.push(Stmt::Produce {
-            func: name.clone(),
-            body: Box::new(body),
-        });
-    }
-    let kind = if schedule.parallel {
-        LoopKind::Parallel {
-            threads: schedule.threads,
-        }
-    } else {
-        LoopKind::Serial
-    };
-    Ok(Some(Stmt::For {
-        var: FUSED_LOOP_VAR.to_string(),
-        min: Expr::int(0),
-        extent: Expr::int(outer_extent as i64),
-        kind,
-        body: Box::new(Stmt::Block(produces)),
-    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -1357,6 +1181,10 @@ mod tests {
         // dim1 covers [y, y+1]: extent 2, min = 0 + 1*x_1.
         assert_eq!(plan.dims[1].extent, 2);
         assert_eq!(plan.dims[1].coeffs, vec![("x_1".to_string(), 1)]);
+        assert!(
+            plan.sliding,
+            "a region translated by the attach loop slides"
+        );
 
         let stmt = lower_pure(&p, &schedule, &[8, 6], &BTreeSet::new(), &outcome).unwrap();
         assert_eq!(stmt.allocated_buffers(), vec!["bright".to_string()]);

@@ -4,8 +4,10 @@
 //! (tiling, vectorization, parallelization, inlining). Our miniature runtime
 //! models the same decisions: a [`Schedule`] controls how the realizer walks
 //! the output domain, whether rows are distributed across threads, how many
-//! pixels are evaluated per dispatch ("vectorization") and which producer
-//! funcs are materialized (`compute_root`) versus inlined.
+//! pixels are evaluated per dispatch ("vectorization") and where each producer
+//! func is computed: inlined, materialized once (`compute_root`) or per
+//! iteration of an output loop (`compute_at`, which reuses rows as a sliding
+//! window wherever the producer's region slides).
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -40,24 +42,14 @@ pub struct Schedule {
     /// accesses, reductions, not referenced by the output) degrade to
     /// `compute_root`, which is value-identical. The interpreter backend
     /// always treats `compute_at` as `compute_root`.
+    ///
+    /// When the attach loop translates the producer's region by one row per
+    /// iteration (coefficient 1 on the attach loop, extent > 1, every other
+    /// dimension stationary), the lowered backend keeps the allocation as a
+    /// rolling window across attach iterations and recomputes only the newly
+    /// exposed rows; other regions are recomputed whole. Both are
+    /// value-identical.
     pub compute_at: BTreeMap<String, String>,
-    /// `compute_at` producers opted into sliding-window reuse: when the
-    /// attach loop translates the producer's region by one row per iteration
-    /// (coefficient 1 on the attach loop, extent > 1), the lowered backend
-    /// keeps the scoped allocation as a rolling window across attach
-    /// iterations and recomputes only the newly exposed rows. Producers whose
-    /// inferred region does not slide (other coefficients, strided
-    /// translation, extent 1) silently keep the recompute-everything
-    /// placement, which is value-identical.
-    pub store_sliding: BTreeSet<String>,
-    /// Let one loop nest produce several outputs: consecutive materialized
-    /// stages with compatible loop structure (identical outer extent,
-    /// pure, untiled, cross-stage reads that never look ahead in the shared
-    /// loop) compile into a single shared nest carrying one `Produce` block
-    /// per stage, so `compose_after` chains stop re-walking the image per
-    /// stage. Stages that do not qualify keep their own nests — the grouping
-    /// is always value-identical.
-    pub fuse_outputs: bool,
 }
 
 impl Default for Schedule {
@@ -69,8 +61,6 @@ impl Default for Schedule {
             vector_width: 1,
             compute_root: BTreeSet::new(),
             compute_at: BTreeMap::new(),
-            store_sliding: BTreeSet::new(),
-            fuse_outputs: false,
         }
     }
 }
@@ -130,22 +120,6 @@ impl Schedule {
         self
     }
 
-    /// Keep `func`'s `compute_at` allocation as a sliding window across
-    /// attach-loop iterations, recomputing only newly exposed rows. No-op
-    /// unless `func` is also scheduled `compute_at` with a region that
-    /// translates by the attach loop.
-    pub fn with_store_sliding(mut self, func: &str) -> Schedule {
-        self.store_sliding.insert(func.to_string());
-        self
-    }
-
-    /// Fuse consecutive compatible materialized stages into one shared loop
-    /// nest producing several outputs.
-    pub fn with_fuse_outputs(mut self, fuse: bool) -> Schedule {
-        self.fuse_outputs = fuse;
-        self
-    }
-
     /// Effective number of worker threads.
     pub fn effective_threads(&self) -> usize {
         if !self.parallel {
@@ -165,15 +139,13 @@ impl fmt::Display for Schedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "parallel={} threads={} tile={:?} vector={} roots={:?} at={:?} sliding={:?} fuse={}",
+            "parallel={} threads={} tile={:?} vector={} roots={:?} at={:?}",
             self.parallel,
             self.threads,
             self.tile,
             self.vector_width,
             self.compute_root,
-            self.compute_at,
-            self.store_sliding,
-            self.fuse_outputs
+            self.compute_at
         )
     }
 }
@@ -207,16 +179,13 @@ mod tests {
     #[test]
     fn locality_knobs_are_fingerprint_visible() {
         let s = Schedule::naive()
-            .with_compute_at("blur_x", "x_1")
-            .with_store_sliding("blur_x")
-            .with_fuse_outputs(true);
-        assert!(s.store_sliding.contains("blur_x"));
-        assert!(s.fuse_outputs);
-        // The fingerprint hashes the Display output, so the locality knobs
-        // must appear there or cached programs would alias across them.
+            .with_compute_root("blur_y")
+            .with_compute_at("blur_x", "x_1");
+        // The fingerprint hashes the Display output, so the placements must
+        // appear there or cached programs would alias across them.
         let text = s.to_string();
-        assert!(text.contains("sliding={\"blur_x\"}"), "{text}");
-        assert!(text.contains("fuse=true"), "{text}");
+        assert!(text.contains("roots={\"blur_y\"}"), "{text}");
+        assert!(text.contains("at={\"blur_x\": \"x_1\"}"), "{text}");
     }
 
     #[test]

@@ -326,11 +326,11 @@ fn unescape(name: &str) -> Result<String, String> {
 }
 
 /// Encode a schedule as one token:
-/// `parallel=<b>;threads=<n>;tile=<w>x<h>|-;vector=<n>;roots=<a,b>;at=<f@v,...>;sliding=<a,b>;fuse=<b>`.
+/// `parallel=<b>;threads=<n>;tile=<w>x<h>|-;vector=<n>;roots=<a,b>;at=<f@v,...>`.
 ///
-/// The locality keys (`sliding`, `fuse`) were appended in a later revision;
-/// the decoder treats missing keys as their `Schedule::naive()` defaults, so
-/// files written before the keys existed still load.
+/// Files from one earlier revision also carry `sliding=<a,b>;fuse=<b>`, the
+/// keys of two retired schedule knobs; the decoder drops them (see
+/// [`decode_schedule`]).
 fn encode_schedule(s: &Schedule) -> String {
     let tile = match s.tile {
         Some((w, h)) => format!("{w}x{h}"),
@@ -348,18 +348,14 @@ fn encode_schedule(s: &Schedule) -> String {
         .map(|(f, v)| format!("{}@{}", escape(f), escape(v)))
         .collect::<Vec<_>>()
         .join(",");
-    let sliding = s
-        .store_sliding
-        .iter()
-        .map(|n| escape(n))
-        .collect::<Vec<_>>()
-        .join(",");
     format!(
-        "parallel={};threads={};tile={};vector={};roots={};at={};sliding={};fuse={}",
-        s.parallel, s.threads, tile, s.vector_width, roots, at, sliding, s.fuse_outputs
+        "parallel={};threads={};tile={};vector={};roots={};at={}",
+        s.parallel, s.threads, tile, s.vector_width, roots, at
     )
 }
 
+/// Decode [`encode_schedule`]'s token. Missing keys keep their
+/// `Schedule::naive()` defaults.
 fn decode_schedule(text: &str) -> Result<Schedule, String> {
     let mut s = Schedule::naive();
     for part in text.split(';') {
@@ -402,14 +398,10 @@ fn decode_schedule(text: &str) -> Result<Schedule, String> {
                     s.compute_at.insert(unescape(f)?, unescape(v)?);
                 }
             }
-            "sliding" => {
-                for name in value.split(',').filter(|n| !n.is_empty()) {
-                    s.store_sliding.insert(unescape(name)?);
-                }
-            }
-            "fuse" => {
-                s.fuse_outputs = value.parse().map_err(|_| "bad fuse".to_string())?;
-            }
+            // Keys of the retired `store_sliding` and `fuse_outputs` knobs
+            // in older files. Neither changed a computed value, so they are
+            // dropped and the entry still hits.
+            "sliding" | "fuse" => {}
             _ => return Err(format!("unknown schedule field `{key}`")),
         }
     }
@@ -430,9 +422,7 @@ mod tests {
             CachedSchedule {
                 schedule: Schedule::stencil_default()
                     .with_compute_root("blur x")
-                    .with_compute_at("lut;table", "x_1")
-                    .with_store_sliding("lut;table")
-                    .with_fuse_outputs(true),
+                    .with_compute_at("lut;table", "x_1"),
                 best_ns: 123_456,
                 model_score: 987.5,
                 timed_trials: 5,
@@ -465,20 +455,34 @@ mod tests {
 
     #[test]
     fn legacy_schedule_encoding_without_locality_keys_decodes() {
-        // Files written before the `sliding`/`fuse` keys existed must keep
-        // loading, with the locality knobs at their naive defaults.
-        let legacy = "parallel=true;threads=4;tile=64x64;vector=16;roots=a;at=b@x_1";
-        let s = decode_schedule(legacy).unwrap();
-        assert!(s.store_sliding.is_empty());
-        assert!(!s.fuse_outputs);
+        let bare = "parallel=true;threads=4;tile=64x64;vector=16;roots=a;at=b@x_1";
+        let s = decode_schedule(bare).unwrap();
         assert_eq!(s.vector_width, 16);
         assert_eq!(s.tile, Some((64, 64)));
-        // And the current encoding round-trips the knobs exactly.
-        let knobs = Schedule::naive()
-            .with_store_sliding("blur x")
-            .with_fuse_outputs(true);
-        let decoded = decode_schedule(&encode_schedule(&knobs)).unwrap();
-        assert_eq!(decoded, knobs);
+        assert_eq!(
+            encode_schedule(&s),
+            bare,
+            "the current encoding is the bare one"
+        );
+        // Files from the revision with the retired `sliding`/`fuse` knobs
+        // decode to the same schedule, hit the same entry, and are written
+        // back without the keys.
+        let with_knobs = format!("{bare};sliding=blur_x;fuse=true");
+        assert_eq!(decode_schedule(&with_knobs).unwrap(), s);
+        let (key, mut entry) = sample_entry();
+        entry.schedule = s;
+        let text = format!(
+            "{HEADER}\n{:016x} lowered 640x480 123456 9.875e2 5 {with_knobs}\n",
+            key.pipeline
+        );
+        let cache = ScheduleCache::from_text(&text).unwrap();
+        assert_eq!(cache.get(&key), Some(&entry));
+        let written = cache.to_text();
+        assert!(written.contains(bare), "got: {written}");
+        assert!(!written.contains("sliding"), "got: {written}");
+        assert!(!written.contains("fuse"), "got: {written}");
+        // Any other key is still corrupt.
+        assert!(decode_schedule(&format!("{bare};unroll=4")).is_err());
     }
 
     #[test]

@@ -58,9 +58,6 @@ pub struct ScheduleFeatures {
     /// allocations: a window of extent `E` re-uses `(E - 1) / E` of its rows
     /// per attach iteration. `0.0` when no window compiled.
     pub window_reuse_fraction: f64,
-    /// Stages carried by fused multi-output loop nests (0 when nothing
-    /// fused; at least 2 per nest otherwise).
-    pub fused_output_count: usize,
 }
 
 impl ScheduleFeatures {
@@ -103,7 +100,6 @@ impl ScheduleFeatures {
             interpreted_updates: profile.updates.interpreted,
             interpreted_stages: profile.stages.iter().filter(|s| !s.lowered).count(),
             window_reuse_fraction: window_reuse_fraction(profile),
-            fused_output_count: profile.fused_outputs,
         }
     }
 
@@ -128,7 +124,6 @@ impl ScheduleFeatures {
             ("interpreted_updates", self.interpreted_updates as f64),
             ("interpreted_stages", self.interpreted_stages as f64),
             ("window_reuse_fraction", self.window_reuse_fraction),
-            ("fused_output_count", self.fused_output_count as f64),
         ]
     }
 }
@@ -241,15 +236,6 @@ pub fn score(schedule: &Schedule, profile: &PipelineProfile) -> f64 {
     let reuse = window_reuse_fraction(profile);
     if reuse > 0.0 {
         cost *= 1.0 - 0.35 * reuse;
-    }
-    // Multi-output fusion: each stage folded into a shared nest beyond the
-    // first drops one full re-walk of the loop bookkeeping per realize.
-    // Exactly neutral when nothing fused.
-    let extra_fused = profile
-        .fused_outputs
-        .saturating_sub(profile.multi_output_nests) as f64;
-    if extra_fused > 0.0 {
-        cost /= 1.0 + 0.04 * extra_fused;
     }
     cost
 }
@@ -385,97 +371,46 @@ mod tests {
         (p, input)
     }
 
-    /// Two pointwise stages, fusable into one multi-output nest.
-    fn chain_pipeline() -> (Pipeline, Buffer) {
-        let x = Expr::var("x_0");
-        let y = Expr::var("x_1");
-        let s1 = Func::pure(
-            "s1",
-            &["x_0", "x_1"],
-            ScalarType::UInt8,
-            Expr::cast(
-                ScalarType::UInt8,
-                Expr::bin(
-                    BinOp::Xor,
-                    Expr::Image("in".into(), vec![x.clone(), y.clone()]),
-                    Expr::int(255),
-                ),
-            ),
-        );
-        let out = Func::pure(
-            "out",
-            &["x_0", "x_1"],
-            ScalarType::UInt8,
-            Expr::cast(
-                ScalarType::UInt8,
-                Expr::bin(
-                    BinOp::Xor,
-                    Expr::FuncRef("s1".into(), vec![x, y]),
-                    Expr::int(7),
-                ),
-            ),
-        );
-        let p = Pipeline::new(out, vec![ImageParam::new("in", ScalarType::UInt8, 2)]).with_func(s1);
-        let mut input = Buffer::new(ScalarType::UInt8, &[64, 48]);
-        for c in input.coords().collect::<Vec<_>>() {
-            input.set(&c, Value::Int((c[0] + c[1] * 5) % 256));
-        }
-        (p, input)
-    }
-
     #[test]
     fn sliding_window_feature_surfaces_and_discounts() {
         let (p, input) = vertical_pipeline();
+        let rooted = Schedule::naive()
+            .with_vector_width(8)
+            .with_compute_root("blur_x");
         let at = Schedule::naive()
             .with_vector_width(8)
             .with_compute_at("blur_x", "x_1");
-        let slid = at.clone().with_store_sliding("blur_x");
+        let tiled_at = at.clone().with_tile(Some((16, 16)));
+        let profile_rooted = profile_of(&p, &rooted, &input);
         let profile_at = profile_of(&p, &at, &input);
-        let profile_slid = profile_of(&p, &slid, &input);
         let f_at = ScheduleFeatures::extract(&at, &profile_at);
-        let f_slid = ScheduleFeatures::extract(&slid, &profile_slid);
         assert_eq!(
-            f_at.window_reuse_fraction, 0.0,
-            "no window without the knob"
-        );
-        assert_eq!(
-            f_slid.window_reuse_fraction, 0.5,
+            f_at.window_reuse_fraction, 0.5,
             "a 2-row window re-uses half its rows per warm iteration"
         );
-        assert!(
-            score(&slid, &profile_slid) < score(&at, &profile_at),
-            "the model must prefer the sliding variant of the same placement"
+        assert_eq!(
+            ScheduleFeatures::extract(&rooted, &profile_rooted).window_reuse_fraction,
+            0.0,
+            "no window without compute_at"
         );
-        let columns = f_slid.columns();
+        assert_eq!(
+            ScheduleFeatures::extract(&tiled_at, &profile_of(&p, &tiled_at, &input))
+                .window_reuse_fraction,
+            0.0,
+            "a tiled attach region moves with the tile column, so it does not slide"
+        );
+        // The discount applies exactly when a window compiled: the same
+        // profile with its windows stripped scores higher.
+        let mut unslid = profile_at.clone();
+        unslid.sliding_window_extents.clear();
+        assert!(
+            score(&at, &profile_at) < score(&at, &unslid),
+            "the model must discount a compiled sliding window"
+        );
+        let columns = f_at.columns();
         assert!(columns
             .iter()
             .any(|(n, v)| *n == "window_reuse_fraction" && *v == 0.5));
-    }
-
-    #[test]
-    fn fused_output_feature_surfaces_and_discounts() {
-        let (p, input) = chain_pipeline();
-        let rooted = Schedule::naive()
-            .with_vector_width(8)
-            .with_compute_root("s1");
-        let fused = rooted.clone().with_fuse_outputs(true);
-        let profile_rooted = profile_of(&p, &rooted, &input);
-        let profile_fused = profile_of(&p, &fused, &input);
-        let f_rooted = ScheduleFeatures::extract(&rooted, &profile_rooted);
-        let f_fused = ScheduleFeatures::extract(&fused, &profile_fused);
-        assert_eq!(f_rooted.fused_output_count, 0);
-        assert_eq!(
-            f_fused.fused_output_count, 2,
-            "both stages fold into one multi-output nest"
-        );
-        assert!(
-            score(&fused, &profile_fused) < score(&rooted, &profile_rooted),
-            "the model must prefer the fused variant of the same placement"
-        );
-        let columns = f_fused.columns();
-        assert!(columns
-            .iter()
-            .any(|(n, v)| *n == "fused_output_count" && *v == 2.0));
     }
 
     #[test]

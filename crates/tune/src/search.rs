@@ -80,12 +80,10 @@ pub struct TuneReport {
 /// crossed with tilings, parallelism and per-producer placements (inline /
 /// `compute_root` / `compute_at` the outermost output loop), deduplicated by
 /// schedule fingerprint and seeded with the naive and stencil-default
-/// schedules. Candidates with `compute_at` placements additionally spawn a
-/// sliding-window variant (`with_store_sliding` on every attached producer),
-/// and untiled candidates with `compute_root` placements spawn a
-/// `with_fuse_outputs` variant, so the locality tier is part of the searched
-/// space. Spaces larger than `limit` are thinned by stride sampling so every
-/// region of the space stays represented.
+/// schedules. A `compute_at` placement slides its producer's window wherever
+/// the region allows, so no separate locality variant is enumerated. Spaces
+/// larger than `limit` are thinned by stride sampling so every region of the
+/// space stays represented.
 pub fn enumerate_candidates(pipeline: &Pipeline, limit: usize) -> Vec<Schedule> {
     let widths = [1usize, 8, 16, 32];
     let tiles = [None, Some((64usize, 64usize)), Some((128, 128))];
@@ -127,36 +125,12 @@ pub fn enumerate_candidates(pipeline: &Pipeline, limit: usize) -> Vec<Schedule> 
                         .with_parallel(parallel)
                         .with_tile(tile)
                         .with_vector_width(width);
-                    let mut attached: Vec<&str> = Vec::new();
-                    let mut rooted = false;
                     for (producer, code) in producers.iter().zip(placements) {
-                        match code {
-                            1 => {
-                                s = s.with_compute_root(producer);
-                                rooted = true;
-                            }
-                            2 => {
-                                if let Some(var) = &attach_var {
-                                    s = s.with_compute_at(producer, var);
-                                    attached.push(producer.as_str());
-                                }
-                            }
+                        match (code, &attach_var) {
+                            (1, _) => s = s.with_compute_root(producer),
+                            (2, Some(var)) => s = s.with_compute_at(producer, var),
                             _ => {}
                         }
-                    }
-                    // Locality-tier variants: roll each attached producer as
-                    // a sliding window, and (untiled only — fusion requires
-                    // it) collapse the compute_root chain into one shared
-                    // multi-output nest.
-                    if !attached.is_empty() {
-                        let mut slid = s.clone();
-                        for producer in &attached {
-                            slid = slid.with_store_sliding(producer);
-                        }
-                        all.push(slid);
-                    }
-                    if rooted && tile.is_none() {
-                        all.push(s.clone().with_fuse_outputs(true));
                     }
                     all.push(s);
                 }
@@ -418,20 +392,18 @@ mod tests {
     fn enumeration_covers_locality_knobs() {
         let (p, _) = blur_pipeline();
         let all = enumerate_candidates(&p, 256);
-        assert!(
-            all.iter()
-                .any(|s| s.store_sliding.contains("blur_x") && s.compute_at.contains_key("blur_x")),
-            "a sliding-window variant of every compute_at placement is enumerated"
-        );
-        assert!(
-            all.iter()
-                .any(|s| s.fuse_outputs && s.compute_root.contains("blur_x")),
-            "a fuse_outputs variant of every compute_root placement is enumerated"
-        );
-        assert!(
-            all.iter().all(|s| !(s.fuse_outputs && s.tile.is_some())),
-            "fusion variants are only spawned untiled (fusion requires it)"
-        );
+        for tile in [None, Some((64, 64))] {
+            assert!(
+                all.iter().any(|s| s.tile == tile
+                    && s.compute_at.get("blur_x").map(String::as_str) == Some("x_1")),
+                "compute_at at the outermost output loop is enumerated ({tile:?})"
+            );
+            assert!(
+                all.iter()
+                    .any(|s| s.tile == tile && s.compute_root.contains("blur_x")),
+                "compute_root is enumerated ({tile:?})"
+            );
+        }
     }
 
     #[test]
