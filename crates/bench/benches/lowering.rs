@@ -8,8 +8,7 @@
 //! and cached (warm `CompiledPipeline::run`) times and the amortization
 //! factor between them; and for the execution tiers a `scalar_ns` /
 //! `simd_ns` pair — steady-state runs on one thread with fused SIMD kernels
-//! disabled and enabled — plus the winning vector width of an 8/16/32 sweep
-//! (`best_width`), so tier regressions are visible per PR.
+//! disabled and enabled — so tier regressions are visible per PR.
 //!
 //! The report also carries the fused lane families' columns: miniGMG smooth
 //! as a `Float32` pipeline timed per-op vs the `[f32; W]` fused tier
@@ -22,12 +21,12 @@
 //! (`reduction_speedup`, gated ≥ 1.5× in CI), after asserting the updates
 //! really execute through the compiled engine and match the oracle.
 //!
-//! Every two-sided split above (and the execution tiers' width sweep) times
-//! its sides in interleaved rounds, alternating which side goes first, and
-//! reports medians, so drift in the host's speed lands on every side alike.
-//! The report also carries an ungated `tile_overhead.<filter>` column:
-//! `stencil_default` on one thread over untiled vector 32, for the lifted
-//! invert, blur and sharpen at 1920×1080.
+//! Every two-sided split above times its sides in interleaved rounds,
+//! alternating which side goes first, and reports medians, so drift in the
+//! host's speed lands on every side alike. The report also carries an
+//! ungated `tile_overhead.<filter>` column: `stencil_default` on one thread
+//! over the same schedule untiled, for the lifted invert, blur and sharpen
+//! at 1920×1080.
 //!
 //! Setting `HELIUM_BENCH_SMOKE=1` skips the criterion group and writes the
 //! report from a reduced configuration — CI uses this to exercise the cached
@@ -208,9 +207,8 @@ fn reduction_split(
 }
 
 /// Per-op tier vs fused lane family for one pipeline: verify the fused
-/// output bit-identical to the interpreter oracle, then time the per-op tier
-/// and a width sweep of the fused tier. Returns
-/// `(scalar, simd, best_width, speedup)`.
+/// output bit-identical to the interpreter oracle, then time the two tiers
+/// on the same schedule. Returns `(scalar, simd, speedup)`.
 fn lane_family_split(
     name: &str,
     pipeline: &Pipeline,
@@ -218,7 +216,7 @@ fn lane_family_split(
     extents: &[usize],
     expect_family: &str,
     reps: usize,
-) -> (Duration, Duration, usize, f64) {
+) -> (Duration, Duration, f64) {
     // One thread: the split compares tiers, and spawning the parallel
     // workers (about 130 µs per realize on a 2-vCPU host) costs more than
     // the whole fused realize of a smoke-sized kernel (about 40 µs for the
@@ -253,43 +251,30 @@ fn lane_family_split(
         &schedule,
         Target::detect().with_tier(Tier::Scalar),
     );
-    let widths = [8usize, 16, 32];
-    let mut sides = vec![scalar_compiled];
-    for width in widths {
-        // Each swept width is its own compiled program (its own cache key),
-        // so every one is pinned to the fused tier and oracle-gated before
-        // its timing counts (on the same compiled pipeline).
-        let s = schedule.clone().with_vector_width(width);
-        let swept = compile_pinned(pipeline, &s, Target::detect().with_tier(Tier::Simd));
-        let out = swept.run(inputs, extents).expect("swept run");
-        assert_eq!(out, oracle, "{name}: width {width} diverged from oracle");
-        sides.push(swept);
-    }
-    let sides: Vec<_> = sides.iter().collect();
-    let t = time_compiled_runs(&sides, inputs, extents, rounds(reps));
-    let scalar = t[0];
-    let (best_width, simd) = widths
-        .into_iter()
-        .zip(t[1..].iter().copied())
-        .min_by_key(|(_, t)| *t)
-        .expect("a swept width");
+    let t = time_compiled_runs(
+        &[&scalar_compiled, &compiled],
+        inputs,
+        extents,
+        rounds(reps),
+    );
+    let (scalar, simd) = (t[0], t[1]);
     let speedup = scalar.as_secs_f64() / simd.as_secs_f64().max(1e-12);
     println!(
         "lowering: {name:<18} scalar={scalar:?} simd={simd:?} \
-         {expect_family}_simd_speedup={speedup:.2}x best_width={best_width}"
+         {expect_family}_simd_speedup={speedup:.2}x"
     );
-    (scalar, simd, best_width, speedup)
+    (scalar, simd, speedup)
 }
 
 /// Image the tiling overhead is measured on (the `run` workload's size).
 const TILE_IMAGE: (usize, usize) = (1920, 1080);
 
 /// Tiling overhead of a lifted kernel at [`TILE_IMAGE`] on one thread:
-/// `stencil_default` (64×64 tiles, vector 8) over untiled vector 32, as a
-/// ratio of interleaved medians, after checking both give the same bytes.
-/// The engine picks its chunk from the row, so the ratio shows what tiling
-/// itself costs (loop control, row set-up, the memory access pattern), not
-/// a chunk-width difference.
+/// `stencil_default` (64×64 tiles, vectorized) over the untiled vectorized
+/// schedule, as a ratio of interleaved medians, after checking both give the
+/// same bytes. The engine picks its chunk from the row, so the ratio shows
+/// what tiling itself costs (loop control, row set-up, the memory access
+/// pattern), not a chunk-width difference.
 fn tile_overhead(lifted: &LiftedStencil, reps: usize) -> f64 {
     let (w, h) = TILE_IMAGE;
     let kernel = lifted.primary();
@@ -317,7 +302,7 @@ fn tile_overhead(lifted: &LiftedStencil, reps: usize) -> f64 {
         kernel.pipeline.compile(&s, &options).expect("compile")
     };
     let tiled = compile(Schedule::stencil_default().with_parallel(false));
-    let untiled = compile(Schedule::naive().with_vector_width(32));
+    let untiled = compile(Schedule::naive().with_vectorize(true));
     assert_eq!(
         tiled.run(&inputs, &[w, h]).expect("tiled run"),
         untiled.run(&inputs, &[w, h]).expect("untiled run"),
@@ -362,7 +347,7 @@ fn write_report(reps: usize, width: usize, height: usize) {
         // Execution-tier split at full extents, steady state, on one thread
         // like the lane families': the per-op tier against the fused i32
         // lanes, each side's target pinned at compile time.
-        let (scalar, simd, best_width, simd_speedup) = lane_family_split(
+        let (scalar, simd, simd_speedup) = lane_family_split(
             filter.name(),
             setup.pipeline(),
             &setup.inputs(),
@@ -379,7 +364,7 @@ fn write_report(reps: usize, width: usize, height: usize) {
             entries,
             "    {{\"filter\": \"{}\", \"interpret_ns\": {}, \"lowered_ns\": {}, \"speedup\": {:.3}, \
              \"cache_extents\": [{}, {}], \"uncached_ns\": {}, \"cached_ns\": {}, \"cache_speedup\": {:.3}, \
-             \"scalar_ns\": {}, \"simd_ns\": {}, \"simd_speedup\": {:.3}, \"best_width\": {}}}",
+             \"scalar_ns\": {}, \"simd_ns\": {}, \"simd_speedup\": {:.3}}}",
             filter.name(),
             interpret.as_nanos(),
             lowered.as_nanos(),
@@ -391,8 +376,7 @@ fn write_report(reps: usize, width: usize, height: usize) {
             cache_speedup,
             scalar.as_nanos(),
             simd.as_nanos(),
-            simd_speedup,
-            best_width
+            simd_speedup
         );
         println!(
             "lowering: {:<10} interpret={interpret:?} lowered={lowered:?} speedup={speedup:.2}x \
@@ -406,7 +390,7 @@ fn write_report(reps: usize, width: usize, height: usize) {
     let smoke = smoke_mode();
     let (nx, ny, nz) = if smoke { (32, 32, 6) } else { (64, 64, 12) };
     let (smooth, grid) = minigmg_smooth_f32(nx, ny, nz, 0x6116);
-    let (s_scalar, s_simd, s_width, f32_speedup) = lane_family_split(
+    let (s_scalar, s_simd, f32_speedup) = lane_family_split(
         "minigmg_smooth_f32",
         &smooth,
         &RealizeInputs::new().with_image("grid", &grid),
@@ -416,7 +400,7 @@ fn write_report(reps: usize, width: usize, height: usize) {
     );
     let (hw, hh) = if smoke { (96, 64) } else { (192, 128) };
     let (hist, hist_in) = hist64_pipeline(hw, hh, 0xB16B);
-    let (h_scalar, h_simd, h_width, i64_speedup) = lane_family_split(
+    let (h_scalar, h_simd, i64_speedup) = lane_family_split(
         "hist64",
         &hist,
         &RealizeInputs::new().with_image("in", &hist_in),
@@ -427,7 +411,7 @@ fn write_report(reps: usize, width: usize, height: usize) {
     // Double precision rides the [f64; W/2] family — no rounding casts, f64
     // lanes are the reference representation.
     let (dsmooth, dgrid) = minigmg_smooth_f64(nx, ny, nz, 0x6116);
-    let (d_scalar, d_simd, d_width, f64_speedup) = lane_family_split(
+    let (d_scalar, d_simd, f64_speedup) = lane_family_split(
         "minigmg_smooth_f64",
         &dsmooth,
         &RealizeInputs::new().with_image("grid", &dgrid),
@@ -465,11 +449,11 @@ fn write_report(reps: usize, width: usize, height: usize) {
     );
     let lane_families = format!(
         "    {{\"pipeline\": \"minigmg_smooth_f32\", \"family\": \"f32\", \"extents\": [{nx}, {ny}, {nz}], \
-         \"scalar_ns\": {}, \"simd_ns\": {}, \"f32_simd_speedup\": {f32_speedup:.3}, \"best_width\": {s_width}}},\n    \
+         \"scalar_ns\": {}, \"simd_ns\": {}, \"f32_simd_speedup\": {f32_speedup:.3}}},\n    \
          {{\"pipeline\": \"hist64\", \"family\": \"i64\", \"extents\": [{hw}, {hh}], \
-         \"scalar_ns\": {}, \"simd_ns\": {}, \"i64_simd_speedup\": {i64_speedup:.3}, \"best_width\": {h_width}}},\n    \
+         \"scalar_ns\": {}, \"simd_ns\": {}, \"i64_simd_speedup\": {i64_speedup:.3}}},\n    \
          {{\"pipeline\": \"minigmg_smooth_f64\", \"family\": \"f64\", \"extents\": [{nx}, {ny}, {nz}], \
-         \"scalar_ns\": {}, \"simd_ns\": {}, \"f64_simd_speedup\": {f64_speedup:.3}, \"best_width\": {d_width}}}",
+         \"scalar_ns\": {}, \"simd_ns\": {}, \"f64_simd_speedup\": {f64_speedup:.3}}}",
         s_scalar.as_nanos(),
         s_simd.as_nanos(),
         h_scalar.as_nanos(),

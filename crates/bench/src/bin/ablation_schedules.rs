@@ -37,7 +37,7 @@ fn main() {
             reps,
         );
         let parallel = time_lifted(&app, &lifted, Schedule::naive().with_parallel(true), reps);
-        let vector = time_lifted(&app, &lifted, Schedule::naive().with_vector_width(8), reps);
+        let vector = time_lifted(&app, &lifted, Schedule::naive().with_vectorize(true), reps);
         let default = time_lifted(&app, &lifted, Schedule::stencil_default(), reps);
 
         // Tune the primary kernel (same inputs the timing helper uses).

@@ -509,14 +509,14 @@ pub fn hist64_rdom_pipeline(w: usize, h: usize, seed: u64) -> (Pipeline, Buffer)
     (pipeline, input)
 }
 
-/// A miniGMG-style residual-norm reduction: `norm(0) = 0; norm(0) = norm(0)
-/// + resid(r)²` over the interior of a ghosted 3-D `Int32` grid, where
-/// `resid(r) = 6·g(c) − Σ neighbours` is the 7-point residual computed
-/// inline in the update value. The LHS is loop-invariant and the added term
-/// is integer, so the lowered nest rides the fused `[i64; W/2]` lane family
-/// with the in-lane tree-reduce epilogue. Returns the pipeline plus a
-/// deterministic ghosted grid of extents `(nx+2) × (ny+2) × (nz+2)`; realize
-/// the output over `[1]`.
+/// A miniGMG-style residual-norm reduction:
+/// `norm(0) = 0; norm(0) = norm(0) + resid(r)²` over the interior of a
+/// ghosted 3-D `Int32` grid, where `resid(r) = 6·g(c) − Σ neighbours` is the
+/// 7-point residual computed inline in the update value. The LHS is
+/// loop-invariant and the added term is integer, so the lowered nest rides
+/// the fused `[i64; W/2]` lane family with the in-lane tree-reduce epilogue.
+/// Returns the pipeline plus a deterministic ghosted grid of extents
+/// `(nx+2) × (ny+2) × (nz+2)`; realize the output over `[1]`.
 pub fn minigmg_residual_norm(nx: usize, ny: usize, nz: usize, seed: u64) -> (Pipeline, Buffer) {
     use helium_halide::{BinOp, Expr, Func, ImageParam, RDom, UpdateDef};
     let i64c = |e: Expr| Expr::cast(ScalarType::UInt64, e);

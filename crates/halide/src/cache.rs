@@ -554,7 +554,7 @@ mod tests {
     fn schedule_fingerprints_separate_knobs() {
         let a = fingerprint_schedule(&Schedule::naive());
         let b = fingerprint_schedule(&Schedule::stencil_default());
-        let c = fingerprint_schedule(&Schedule::naive().with_vector_width(4));
+        let c = fingerprint_schedule(&Schedule::naive().with_vectorize(true));
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, fingerprint_schedule(&Schedule::naive()));

@@ -9,7 +9,7 @@
 //!   dependency-ordering of materialized stages, lowering to loop-nest IR,
 //!   simplification and lane-program construction. The result is a
 //!   [`PreparedProgram`] held in the compiled pipeline's keyed
-//!   [`ProgramCache`].
+//!   [`ProgramCache`](crate::cache::ProgramCache).
 //! * **Run** (every call): bind buffers, execute the prepared stages, return
 //!   the output buffer. No planning or lowering happens on a warm cache —
 //!   verified by the cache's hit/miss counters.
@@ -46,8 +46,9 @@ use std::sync::{Arc, Mutex};
 pub struct CompileOptions {
     /// The execution backend compiled programs target.
     pub backend: ExecBackend,
-    /// Capacity of the compiled pipeline's internal [`ProgramCache`]
-    /// (one entry per output-extents × binding-signature combination).
+    /// Capacity of the compiled pipeline's internal
+    /// [`ProgramCache`](crate::cache::ProgramCache) (one entry per
+    /// output-extents × binding-signature combination).
     pub cache_capacity: usize,
     /// The backend-selection [`Target`] this pipeline executes under —
     /// execution tier pin plus the ISA features its fused kernels may use.
@@ -1777,8 +1778,8 @@ mod tests {
             b
         };
         let inputs = RealizeInputs::new().with_image("in", &input);
-        for width in [1usize, 8, 32] {
-            let schedule = Schedule::stencil_default().with_vector_width(width);
+        for vectorize in [false, true] {
+            let schedule = Schedule::stencil_default().with_vectorize(vectorize);
             let compiled = p.compile(&schedule, &CompileOptions::default()).unwrap();
             let out = compiled.run(&inputs, &[47]).unwrap();
             assert_eq!(
@@ -1792,7 +1793,7 @@ mod tests {
                 .with_backend(ExecBackend::Interpret)
                 .realize(&p, &[47], &inputs)
                 .unwrap();
-            assert_eq!(out, oracle, "width {width} diverged");
+            assert_eq!(out, oracle, "vectorize={vectorize} diverged");
         }
     }
 

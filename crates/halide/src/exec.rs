@@ -37,14 +37,15 @@
 //!    chunk length comes from the row, not the schedule: each row's interior
 //!    runs the widest chunk that fits it (`LaneFamily::chunk_lanes`, up to
 //!    [`MAX_CHUNK`] lanes), so a 64-lane tile row costs one dispatch of the
-//!    op stream whatever the vector width. The chunk stack lives in the
-//!    worker's [`Scratch`] and the result goes straight into the output.
+//!    op stream. The chunk stack lives in the worker's `Scratch` and the
+//!    result goes straight into the output.
 //!    Narrow types stay narrow end-to-end: a `UInt8` blur runs as u8 loads →
 //!    i32 arithmetic → u8 stores, never widening to `i64`/`f64`.
 //! 2. **Per-op typed lane dispatch.** Every store compiles to typed stack
 //!    programs (`TOp`) whose int lanes are `i64` and float lanes `f64`,
 //!    with clamped, gather-style loads — the general path, and the one the
-//!    fused tier's boundary peels run on.
+//!    fused tier's boundary peels run on. A dispatch evaluates [`MAX_LANES`]
+//!    lanes under a vectorized loop and one lane otherwise.
 //! 3. **Per-element fallback.** Stores whose types cannot be inferred
 //!    statically (a `select` mixing int and float branches) evaluate through
 //!    the shared [`crate::eval`] evaluator — the same code the interpreter
@@ -66,11 +67,11 @@
 //! * **Fused tree-reduce** — a loop-invariant integer accumulator
 //!   (`F[c] = casts(F[c] + g(r))` with `g` not reading `F`) compiles `g`
 //!   onto the `[i32; W]`/`[i64; W/2]` lane families and folds whole chunks
-//!   with a wrapping in-lane tree-reduce ([`ReduceKernel`] documents the
+//!   with a wrapping in-lane tree-reduce (`ReduceKernel` documents the
 //!   congruence-mod-`2^k` argument that makes reassociation exact; float
 //!   accumulators never take this path because float addition is not
 //!   associative). `Auto` mode always uses a compiled reduce kernel —
-//!   rdom loops are serial, so there is no scheduled width to gate on —
+//!   rdom loops are serial, so there is no vectorized loop to gate on —
 //!   and `ForceScalar` pins the per-op read-modify-write path.
 //!
 //! Everything else stays on the sequential per-element path, which preserves
@@ -99,10 +100,10 @@
 //! **Sliding windows.** [`Stmt::SlideWindow`] manages a `compute_at`
 //! allocation as a rolling window: at each attach iteration it compares the
 //! region minimum against the previous iteration's (tracked per-thread in
-//! [`Scratch`], so parallel chunks just start cold), shifts the surviving
-//! rows down in place with one `memmove`, and binds the warm-row count to a
-//! pseudo-variable the producer nest's sliding loop starts at — only newly
-//! exposed rows are recomputed. Exactness: region inference proved the
+//! the worker's `Scratch`, so parallel chunks just start cold), shifts the
+//! surviving rows down in place with one `memmove`, and binds the warm-row
+//! count to a pseudo-variable the producer nest's sliding loop starts at —
+//! only newly exposed rows are recomputed. Exactness: region inference proved the
 //! window's content is a pure function of the sliding minimum, so a shifted
 //! row is bit-identical to a recomputed one. [`window_rows_reused`] counts
 //! the rows saved.
@@ -154,7 +155,7 @@
 //! to a `Bound` program (affine terms over those slots, `min`/`max` tail
 //! clamps), so no loop entry looks up a name. The rows of a fused store step
 //! their tap and output indices by the row variable's coefficients instead
-//! of re-evaluating them, and each worker counts its rows in its [`Scratch`],
+//! of re-evaluating them, and each worker counts its rows in its `Scratch`,
 //! adding them to the process-wide counters once when it finishes.
 //!
 //! **Safety.** Worker threads share buffers through raw pointers; a `&mut`
@@ -187,12 +188,10 @@ use std::collections::BTreeMap;
 use std::ops::{AddAssign, DivAssign, MulAssign, SubAssign};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of lanes evaluated per dispatch of the per-op typed tier, and the
-/// sub-batch size wider vectorized widths are split into: a schedule asking
-/// for `vectorize(32)` dispatches 32 lanes per store visit, executed as two
-/// full 16-lane batches (results are identical either way; see
-/// `Runner::exec_store`). Fused SIMD kernels choose their own chunk width
-/// (up to [`MAX_CHUNK`]) from each row.
+/// Number of lanes evaluated per dispatch of the per-op typed tier under a
+/// [`LoopKind::Vectorized`] loop (other loops dispatch one lane at a time),
+/// and the width of the scratch register files. Fused SIMD kernels choose
+/// their own chunk width (up to [`MAX_CHUNK`]) from each row.
 pub const MAX_LANES: usize = 16;
 
 /// Widest fused-kernel chunk (lanes of `i32`/`f32` per kernel invocation;
@@ -908,7 +907,7 @@ impl LaneFamily {
     /// widest chunk that fits the row — {8, 16, 32, 64} lanes of `i32` and
     /// `f32`, half as many of the 64-bit `i64` and `f64`, so one chunk
     /// covers the same bytes — or the narrowest one (run masked) when none
-    /// fits. The schedule's vector width plays no part.
+    /// fits. The schedule plays no part.
     pub fn chunk_lanes(self, row: usize) -> usize {
         let widest = match self {
             LaneFamily::I32 | LaneFamily::F32 => MAX_CHUNK,
@@ -2742,10 +2741,6 @@ impl Runner<'_> {
                             *depth, min, extent, *threads, body, binds, vars, scratch,
                         )
                     }
-                    // The full scheduled width: each store visit dispatches
-                    // this many lanes, and `exec_store` batches them
-                    // `MAX_LANES` at a time — `vectorize(32)` really runs 32
-                    // lanes per dispatch.
                     _ => self.run_serial_loop(
                         *depth,
                         min,
@@ -2861,7 +2856,7 @@ impl Runner<'_> {
                 depth: lane_depth,
                 min: lane_min,
                 extent: lane_extent,
-                kind: kind @ (LoopKind::Serial | LoopKind::Vectorized { .. }),
+                kind: kind @ (LoopKind::Serial | LoopKind::Vectorized),
                 body: lane_body,
             } => {
                 if let Node::Store(id) = **lane_body {
@@ -2891,7 +2886,8 @@ impl Runner<'_> {
     }
 
     /// The fused kernel a store's lane loop runs, when the tier selects the
-    /// fused tier for a loop batching `batch` lanes.
+    /// fused tier for a loop batching `batch` lanes: `Auto` fuses exactly the
+    /// vectorized loops.
     fn fused(&self, id: usize, batch: usize) -> Option<&FusedKernel> {
         let use_fused = match self.tier {
             Tier::Scalar => false,
@@ -2941,7 +2937,7 @@ impl Runner<'_> {
         if let Some(reduce) = store.reduce.as_ref().filter(|_| self.tier != Tier::Scalar) {
             return self.run_reduce_loop(reduce, id, depth, min, extent, binds, vars, scratch);
         }
-        // Per-op tier: run in lane batches of the scheduled width. Guarded
+        // Per-op tier: run in lane batches of the loop's width. Guarded
         // stores only ever see batch > 1 when the lowering pass vectorized
         // their lane loop (privatized accumulation: per-lane writes are
         // provably disjoint).
@@ -3242,7 +3238,7 @@ impl Runner<'_> {
         match node {
             Node::Block(nodes) => nodes.iter().all(|n| self.collect_merge_stores(n, ids)),
             Node::Loop { kind, body, .. } => {
-                matches!(kind, LoopKind::Serial | LoopKind::Vectorized { .. })
+                matches!(kind, LoopKind::Serial | LoopKind::Vectorized)
                     && self.collect_merge_stores(body, ids)
             }
             Node::Store(id) => {
@@ -3594,40 +3590,25 @@ impl Runner<'_> {
         vars[lane_depth] = base;
     }
 
-    /// Dispatch `n` lanes of a store starting at the current lane variable.
-    /// Widths beyond [`MAX_LANES`] are batched `MAX_LANES` at a time (the
-    /// scratch register files are `MAX_LANES` wide), advancing the lane
-    /// variable per batch — results are identical to any other batching.
+    /// Dispatch `n` ≤ [`MAX_LANES`] lanes of a store (the width of the
+    /// scratch register files) starting at the current lane variable.
     fn exec_store(
         &self,
         id: usize,
         n: usize,
         binds: &BindTable,
-        vars: &mut [i64],
+        vars: &[i64],
         scratch: &mut Scratch,
     ) -> Result<(), RealizeError> {
+        assert!(n <= MAX_LANES, "{n} lanes exceed the register files");
         let store = self.prepared.stores[id].as_ref().expect("store compiled");
-        let lane_depth = store.lane_depth;
-        let base = vars[lane_depth];
-        let mut done = 0usize;
-        let result = (|| {
-            while done < n {
-                let m = MAX_LANES.min(n - done);
-                vars[lane_depth] = base + done as i64;
-                match &store.exec {
-                    StoreExec::Typed(t) => {
-                        self.exec_typed(t, store.clamp, lane_depth, m, binds, vars, scratch);
-                    }
-                    StoreExec::Fallback(f) => {
-                        self.exec_fallback(f, lane_depth, m, binds, vars)?;
-                    }
-                }
-                done += m;
+        match &store.exec {
+            StoreExec::Typed(t) => {
+                self.exec_typed(t, store.clamp, store.lane_depth, n, binds, vars, scratch);
+                Ok(())
             }
-            Ok(())
-        })();
-        vars[lane_depth] = base;
-        result
+            StoreExec::Fallback(f) => self.exec_fallback(f, store.lane_depth, n, binds, vars),
+        }
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -4300,11 +4281,13 @@ fn chunk_row<L, const W: usize>(
     }
 }
 
-/// Lanes per store visit of a loop of `kind`: the vectorized width, else 1.
+/// Lanes per store visit of a loop of `kind`: [`MAX_LANES`] when it is
+/// vectorized, else 1.
 fn batch_width(kind: &LoopKind) -> usize {
-    match kind {
-        LoopKind::Vectorized { width } => (*width).max(1),
-        _ => 1,
+    if *kind == LoopKind::Vectorized {
+        MAX_LANES
+    } else {
+        1
     }
 }
 
@@ -4943,8 +4926,8 @@ mod tests {
         ))
     }
 
-    /// `for y: for[vectorized(width)] x: out[x, y] = value`
-    fn nest(w: i64, h: i64, width: usize, value: Expr) -> Stmt {
+    /// `for y: for[vectorized] x: out[x, y] = value`
+    fn nest(w: i64, h: i64, value: Expr) -> Stmt {
         Stmt::Produce {
             func: "out".into(),
             body: Box::new(Stmt::For {
@@ -4956,7 +4939,7 @@ mod tests {
                     var: "x".into(),
                     min: Expr::int(0),
                     extent: Expr::int(w),
-                    kind: LoopKind::Vectorized { width },
+                    kind: LoopKind::Vectorized,
                     body: Box::new(Stmt::Store {
                         id: 0,
                         buffer: "out".into(),
@@ -5040,7 +5023,7 @@ mod tests {
             u32c(Expr::bin(BinOp::Shr, sum, Expr::uint(2))),
         );
         for (w, h) in [(13i64, 7i64), (31, 5), (8, 8)] {
-            let plan = plan_for(nest(w, h, 8, value.clone()), ScalarType::UInt8);
+            let plan = plan_for(nest(w, h, value.clone()), ScalarType::UInt8);
             assert_eq!(plan.fused_store_count(), 1, "sharpen shape must fuse");
             for seed in [1u64, 99] {
                 assert_modes_agree(&plan, &[w as usize, h as usize], &input(17, 11, seed));
@@ -5062,7 +5045,7 @@ mod tests {
                 Expr::uint(2),
             ),
         );
-        let plan = plan_for(nest(16, 8, 8, value), ScalarType::UInt8);
+        let plan = plan_for(nest(16, 8, value), ScalarType::UInt8);
         let fused = plan.prepared.stores[0]
             .as_ref()
             .and_then(|s| s.fused.as_ref())
@@ -5090,16 +5073,14 @@ mod tests {
                 Expr::uint(1),
             ),
         );
-        for width in [8usize, 16, 32] {
-            for (w, h) in [(7i64, 5i64), (13, 11), (37, 3), (4, 4)] {
-                let plan = plan_for(nest(w, h, width, value.clone()), ScalarType::UInt8);
-                assert_eq!(plan.fused_store_count(), 1);
-                assert_modes_agree(
-                    &plan,
-                    &[w as usize, h as usize],
-                    &input(w as usize, h as usize, 7),
-                );
-            }
+        for (w, h) in [(7i64, 5i64), (13, 11), (37, 3), (4, 4)] {
+            let plan = plan_for(nest(w, h, value.clone()), ScalarType::UInt8);
+            assert_eq!(plan.fused_store_count(), 1);
+            assert_modes_agree(
+                &plan,
+                &[w as usize, h as usize],
+                &input(w as usize, h as usize, 7),
+            );
         }
     }
 
@@ -5114,52 +5095,9 @@ mod tests {
                 u32c(Expr::Image("in".into(), vec![Expr::int(0), Expr::var("y")])),
             ),
         );
-        let plan = plan_for(nest(19, 5, 16, value), ScalarType::UInt8);
+        let plan = plan_for(nest(19, 5, value), ScalarType::UInt8);
         assert_eq!(plan.fused_store_count(), 1);
         assert_modes_agree(&plan, &[19, 5], &input(19, 5, 3));
-    }
-
-    /// Scheduled widths beyond MAX_LANES batch rather than truncate: a
-    /// vectorize(32) loop produces the same buffer as vectorize(1), on the
-    /// per-op tier (forced scalar) as well as the fused tier.
-    #[test]
-    fn wide_vector_widths_batch_rather_than_truncate() {
-        let value = Expr::cast(
-            ScalarType::UInt8,
-            Expr::add(Expr::mul(Expr::var("x"), Expr::int(7)), tap(1, 0)),
-        );
-        let baseline_plan = plan_for(nest(45, 3, 1, value.clone()), ScalarType::UInt8);
-        let wide_plan = plan_for(nest(45, 3, 32, value), ScalarType::UInt8);
-        let img = input(45, 3, 11);
-        let images: BTreeMap<String, &Buffer> = [("in".to_string(), &img)].into_iter().collect();
-        let params = BTreeMap::new();
-        let mut baseline = Buffer::new(ScalarType::UInt8, &[45, 3]);
-        run_with_target(
-            &baseline_plan,
-            &mut baseline,
-            &images,
-            &BTreeMap::new(),
-            &params,
-            Target::detect().with_tier(Tier::Scalar),
-        )
-        .expect("baseline");
-        for mode in [
-            Target::detect().with_tier(Tier::Scalar),
-            Target::detect(),
-            Target::detect().with_tier(Tier::Simd),
-        ] {
-            let mut out = Buffer::new(ScalarType::UInt8, &[45, 3]);
-            run_with_target(
-                &wide_plan,
-                &mut out,
-                &images,
-                &BTreeMap::new(),
-                &params,
-                mode,
-            )
-            .expect("wide");
-            assert_eq!(out, baseline, "vectorize(32) diverged under {mode:?}");
-        }
     }
 
     /// Shapes the 32-bit lane invariant cannot cover stay on the per-op tier:
@@ -5167,14 +5105,14 @@ mod tests {
     #[test]
     fn unfusable_shapes_keep_per_op_tier() {
         // Float output type.
-        let plan = plan_for(nest(8, 4, 8, tap(0, 0)), ScalarType::Float32);
+        let plan = plan_for(nest(8, 4, tap(0, 0)), ScalarType::Float32);
         assert_eq!(plan.fused_store_count(), 0);
         // Float arithmetic in the value.
         let fvalue = Expr::cast(
             ScalarType::UInt8,
             Expr::mul(tap(0, 0), Expr::ConstFloat(0.5, ScalarType::Float32)),
         );
-        let plan = plan_for(nest(8, 4, 8, fvalue), ScalarType::UInt8);
+        let plan = plan_for(nest(8, 4, fvalue), ScalarType::UInt8);
         assert_eq!(plan.fused_store_count(), 0);
         // Strided (non-contiguous, non-broadcast) lane access.
         let strided = Expr::cast(
@@ -5184,7 +5122,7 @@ mod tests {
                 vec![Expr::mul(Expr::var("x"), Expr::int(2)), Expr::var("y")],
             ),
         );
-        let plan = plan_for(nest(8, 4, 8, strided), ScalarType::UInt8);
+        let plan = plan_for(nest(8, 4, strided), ScalarType::UInt8);
         assert_eq!(plan.fused_store_count(), 0);
         // And the per-op tier still executes them correctly (smoke).
         assert_modes_agree(&plan, &[8, 4], &input(16, 4, 5));
@@ -5193,7 +5131,7 @@ mod tests {
     /// The fused-rows counter observes tier-1 execution.
     #[test]
     fn fused_rows_counter_advances_under_force_simd() {
-        let plan = plan_for(nest(64, 16, 16, tap(0, 0)), ScalarType::UInt8);
+        let plan = plan_for(nest(64, 16, tap(0, 0)), ScalarType::UInt8);
         assert_eq!(plan.fused_store_count(), 1);
         let img = input(64, 16, 23);
         let images: BTreeMap<String, &Buffer> = [("in".to_string(), &img)].into_iter().collect();
@@ -5230,7 +5168,7 @@ mod tests {
                 Expr::int(200),
             ),
         );
-        let plan = plan_for(nest(23, 9, 8, clamped), ScalarType::UInt8);
+        let plan = plan_for(nest(23, 9, clamped), ScalarType::UInt8);
         assert_eq!(plan.fused_store_count(), 1, "clamp shape must fuse");
         assert_modes_agree(&plan, &[23, 9], &input(23, 9, 13));
 
@@ -5242,7 +5180,7 @@ mod tests {
                 tap(1, 1),
             ),
         );
-        let plan = plan_for(nest(23, 9, 8, select), ScalarType::UInt8);
+        let plan = plan_for(nest(23, 9, select), ScalarType::UInt8);
         assert_eq!(plan.fused_store_count(), 1, "select shape must fuse");
         assert_modes_agree(&plan, &[23, 9], &input(23, 9, 17));
     }
@@ -5254,7 +5192,7 @@ mod tests {
             ScalarType::UInt16,
             Expr::add(Expr::mul(tap(0, 0), Expr::int(257)), Expr::int(1)),
         );
-        let plan = plan_for(nest(29, 6, 16, value), ScalarType::UInt16);
+        let plan = plan_for(nest(29, 6, value), ScalarType::UInt16);
         assert_eq!(plan.fused_store_count(), 1);
         assert_modes_agree(&plan, &[29, 6], &input(29, 6, 29));
     }
@@ -5333,21 +5271,19 @@ mod tests {
                 Expr::ConstFloat(0.5, ScalarType::Float32),
             )),
         ));
-        for width in [8usize, 16, 32] {
-            for (w, h) in [(13i64, 7i64), (31, 5), (8, 8), (5, 3)] {
-                let plan = plan_with_input(
-                    nest(w, h, width, value.clone()),
-                    ScalarType::Float32,
-                    ScalarType::Float32,
+        for (w, h) in [(13i64, 7i64), (31, 5), (8, 8), (5, 3)] {
+            let plan = plan_with_input(
+                nest(w, h, value.clone()),
+                ScalarType::Float32,
+                ScalarType::Float32,
+            );
+            assert_eq!(plan.fused_store_counts().lanes_f32, 1, "must fuse on f32");
+            for seed in [1u64, 77] {
+                assert_modes_agree(
+                    &plan,
+                    &[w as usize, h as usize],
+                    &finput(w as usize + 2, h as usize + 2, seed),
                 );
-                assert_eq!(plan.fused_store_counts().lanes_f32, 1, "must fuse on f32");
-                for seed in [1u64, 77] {
-                    assert_modes_agree(
-                        &plan,
-                        &[w as usize, h as usize],
-                        &finput(w as usize + 2, h as usize + 2, seed),
-                    );
-                }
             }
         }
     }
@@ -5374,11 +5310,7 @@ mod tests {
                 ),
             ),
         );
-        let plan = plan_with_input(
-            nest(23, 9, 8, value),
-            ScalarType::Float32,
-            ScalarType::Float32,
-        );
+        let plan = plan_with_input(nest(23, 9, value), ScalarType::Float32, ScalarType::Float32);
         assert_eq!(plan.fused_store_counts().lanes_f32, 1);
         assert_modes_agree(&plan, &[23, 9], &finput(25, 11, 9));
     }
@@ -5397,7 +5329,7 @@ mod tests {
             Expr::ConstFloat(0.5, ScalarType::Float32),
         ));
         let plan = plan_with_input(
-            nest(8, 4, 8, unrounded.clone()),
+            nest(8, 4, unrounded.clone()),
             ScalarType::Float32,
             ScalarType::Float32,
         );
@@ -5408,7 +5340,7 @@ mod tests {
             Expr::ConstFloat(0.1, ScalarType::Float64),
         ));
         let plan = plan_with_input(
-            nest(8, 4, 8, f64_const),
+            nest(8, 4, f64_const),
             ScalarType::Float32,
             ScalarType::Float32,
         );
@@ -5422,7 +5354,6 @@ mod tests {
             nest(
                 8,
                 4,
-                8,
                 f32c(Expr::mul(
                     ftap(0, 0),
                     Expr::ConstFloat(0.5, ScalarType::Float32),
@@ -5434,7 +5365,7 @@ mod tests {
         assert_eq!(plan.fused_store_count(), 0, "f64 output must not fuse");
         // And the per-op tier still executes them correctly (smoke).
         let plan = plan_with_input(
-            nest(8, 4, 8, unrounded),
+            nest(8, 4, unrounded),
             ScalarType::Float32,
             ScalarType::Float32,
         );
@@ -5456,11 +5387,9 @@ mod tests {
                 ),
             ),
         );
-        for width in [8usize, 16, 32] {
-            let plan = plan_for(nest(21, 6, width, value.clone()), ScalarType::UInt64);
-            assert_eq!(plan.fused_store_counts().lanes_i64, 1, "must fuse on i64");
-            assert_modes_agree(&plan, &[21, 6], &input(23, 8, 3));
-        }
+        let plan = plan_for(nest(21, 6, value), ScalarType::UInt64);
+        assert_eq!(plan.fused_store_counts().lanes_i64, 1, "must fuse on i64");
+        assert_modes_agree(&plan, &[21, 6], &input(23, 8, 3));
     }
 
     /// A ≤32-bit output whose interval proofs fail falls back from the i32
@@ -5477,7 +5406,7 @@ mod tests {
                 Expr::int(1 << 41),
             ),
         );
-        let plan = plan_for(nest(19, 5, 8, value), ScalarType::UInt32);
+        let plan = plan_for(nest(19, 5, value), ScalarType::UInt32);
         let counts = plan.fused_store_counts();
         assert_eq!(
             (counts.lanes_i32, counts.lanes_i64),
@@ -5532,21 +5461,19 @@ mod tests {
             Expr::mul(Expr::add(ftap(-1, 0), ftap(1, 0)), dconst(1.0 / 12.0)),
             Expr::mul(ftap(0, 0), dconst(0.5)),
         );
-        for width in [8usize, 16, 32] {
-            for (w, h) in [(13i64, 7i64), (31, 5), (8, 8), (5, 3)] {
-                let plan = plan_with_input(
-                    nest(w, h, width, value.clone()),
-                    ScalarType::Float64,
-                    ScalarType::Float64,
+        for (w, h) in [(13i64, 7i64), (31, 5), (8, 8), (5, 3)] {
+            let plan = plan_with_input(
+                nest(w, h, value.clone()),
+                ScalarType::Float64,
+                ScalarType::Float64,
+            );
+            assert_eq!(plan.fused_store_counts().lanes_f64, 1, "must fuse on f64");
+            for seed in [1u64, 77] {
+                assert_modes_agree(
+                    &plan,
+                    &[w as usize, h as usize],
+                    &dinput(w as usize + 2, h as usize + 2, seed),
                 );
-                assert_eq!(plan.fused_store_counts().lanes_f64, 1, "must fuse on f64");
-                for seed in [1u64, 77] {
-                    assert_modes_agree(
-                        &plan,
-                        &[w as usize, h as usize],
-                        &dinput(w as usize + 2, h as usize + 2, seed),
-                    );
-                }
             }
         }
     }
@@ -5565,11 +5492,7 @@ mod tests {
                 Expr::bin(BinOp::Max, ftap(0, 0), dconst(-2.5)),
             ),
         );
-        let plan = plan_with_input(
-            nest(23, 9, 8, value),
-            ScalarType::Float64,
-            ScalarType::Float64,
-        );
+        let plan = plan_with_input(nest(23, 9, value), ScalarType::Float64, ScalarType::Float64);
         assert_eq!(plan.fused_store_counts().lanes_f64, 1);
         assert_modes_agree(&plan, &[23, 9], &dinput(25, 11, 9));
     }
@@ -5587,22 +5510,14 @@ mod tests {
             Expr::mul(ftap(0, 0), dconst(0.25)),
             Expr::mul(Expr::var("x"), dconst(1.5)),
         );
-        let plan = plan_with_input(
-            nest(19, 5, 8, mixed),
-            ScalarType::Float64,
-            ScalarType::UInt8,
-        );
+        let plan = plan_with_input(nest(19, 5, mixed), ScalarType::Float64, ScalarType::UInt8);
         assert_eq!(plan.fused_store_counts().lanes_f64, 1, "mixed must fuse");
         assert_modes_agree(&plan, &[19, 5], &input(21, 7, 5));
 
         // All-integer arithmetic under a Float64 output: must not fuse on
         // f64 lanes (reference wraps on i64 before the final promotion).
         let all_int = Expr::add(ftap(0, 0), ftap(1, 1));
-        let plan = plan_with_input(
-            nest(8, 4, 8, all_int),
-            ScalarType::Float64,
-            ScalarType::UInt8,
-        );
+        let plan = plan_with_input(nest(8, 4, all_int), ScalarType::Float64, ScalarType::UInt8);
         assert_eq!(
             plan.fused_store_counts().lanes_f64,
             0,
@@ -5611,11 +5526,7 @@ mod tests {
 
         // UInt64 taps exceed ±2^53: reject.
         let u64_tap = Expr::mul(ftap(0, 0), dconst(0.5));
-        let plan = plan_with_input(
-            nest(8, 4, 8, u64_tap),
-            ScalarType::Float64,
-            ScalarType::UInt64,
-        );
+        let plan = plan_with_input(nest(8, 4, u64_tap), ScalarType::Float64, ScalarType::UInt64);
         assert_eq!(
             plan.fused_store_counts().lanes_f64,
             0,
@@ -5771,55 +5682,52 @@ mod tests {
             );
             let mut emitted = std::collections::BTreeSet::new();
             for value in [&accumulator, &general] {
-                for width in [8usize, 16, 32] {
-                    for (w, h) in [(37usize, 5usize), (5, 3)] {
-                        let plan =
-                            plan_with_input(nest(w as i64, h as i64, width, value.clone()), ty, ty);
-                        let fused = plan.prepared.stores[0]
-                            .as_ref()
-                            .and_then(|s| s.fused.as_ref())
-                            .expect("the program must fuse");
-                        emitted.extend(match &fused.prog {
-                            LaneProgram::F32(ops) => fused_float_ops(ops),
-                            LaneProgram::F64(ops) => fused_float_ops(ops),
-                            other => panic!("float kernel on {other:?}"),
-                        });
-                        for seed in [3u64, 41] {
-                            let img = special_input(ty, w + 2, h + 2, seed);
-                            let images: BTreeMap<String, &Buffer> =
-                                [("in".to_string(), &img)].into_iter().collect();
-                            let run = |tier: Tier| {
-                                let mut out = Buffer::new(ty, &[w, h]);
-                                run_with_target(
-                                    &plan,
-                                    &mut out,
-                                    &images,
-                                    &BTreeMap::new(),
-                                    &BTreeMap::new(),
-                                    Target::detect().with_tier(tier),
-                                )
-                                .expect("run");
-                                out
-                            };
-                            let rows = fused_rows_executed() + fused_tail_chunks_executed();
-                            let fused_out = run(Tier::Simd);
-                            assert!(
-                                fused_rows_executed() + fused_tail_chunks_executed() > rows,
-                                "{ty:?} {w}x{h} v{width}: the fused chunks must run"
-                            );
-                            let per_op = run(Tier::Scalar);
-                            let reference = interpret(value, ty, w, h, &img);
-                            assert_eq!(
-                                fused_out.bytes(),
-                                per_op.bytes(),
-                                "{ty:?} {w}x{h} v{width}: fused vs per-op tier"
-                            );
-                            assert_eq!(
-                                fused_out.bytes(),
-                                reference.bytes(),
-                                "{ty:?} {w}x{h} v{width}: fused vs interpreter"
-                            );
-                        }
+                for (w, h) in [(37usize, 5usize), (5, 3)] {
+                    let plan = plan_with_input(nest(w as i64, h as i64, value.clone()), ty, ty);
+                    let fused = plan.prepared.stores[0]
+                        .as_ref()
+                        .and_then(|s| s.fused.as_ref())
+                        .expect("the program must fuse");
+                    emitted.extend(match &fused.prog {
+                        LaneProgram::F32(ops) => fused_float_ops(ops),
+                        LaneProgram::F64(ops) => fused_float_ops(ops),
+                        other => panic!("float kernel on {other:?}"),
+                    });
+                    for seed in [3u64, 41] {
+                        let img = special_input(ty, w + 2, h + 2, seed);
+                        let images: BTreeMap<String, &Buffer> =
+                            [("in".to_string(), &img)].into_iter().collect();
+                        let run = |tier: Tier| {
+                            let mut out = Buffer::new(ty, &[w, h]);
+                            run_with_target(
+                                &plan,
+                                &mut out,
+                                &images,
+                                &BTreeMap::new(),
+                                &BTreeMap::new(),
+                                Target::detect().with_tier(tier),
+                            )
+                            .expect("run");
+                            out
+                        };
+                        let rows = fused_rows_executed() + fused_tail_chunks_executed();
+                        let fused_out = run(Tier::Simd);
+                        assert!(
+                            fused_rows_executed() + fused_tail_chunks_executed() > rows,
+                            "{ty:?} {w}x{h}: the fused chunks must run"
+                        );
+                        let per_op = run(Tier::Scalar);
+                        let reference = interpret(value, ty, w, h, &img);
+                        assert_eq!(
+                            fused_out.bytes(),
+                            per_op.bytes(),
+                            "{ty:?} {w}x{h}: fused vs per-op tier"
+                        );
+                        assert_eq!(
+                            fused_out.bytes(),
+                            reference.bytes(),
+                            "{ty:?} {w}x{h}: fused vs interpreter"
+                        );
                     }
                 }
             }
@@ -5856,9 +5764,9 @@ mod tests {
     /// Scalar tier reports none.
     #[test]
     fn store_profiles_report_kernels_only_on_fused_tiers() {
-        let int_plan = plan_for(nest(16, 4, 8, tap(0, 0)), ScalarType::UInt8);
+        let int_plan = plan_for(nest(16, 4, tap(0, 0)), ScalarType::UInt8);
         let f64_plan = plan_with_input(
-            nest(16, 4, 8, Expr::add(ftap(0, 0), ftap(1, 0))),
+            nest(16, 4, Expr::add(ftap(0, 0), ftap(1, 0))),
             ScalarType::Float64,
             ScalarType::Float64,
         );
@@ -5911,7 +5819,7 @@ mod tests {
         // Chunks come from the row (8 lanes below 16, then 16); input is
         // wide enough that the interior spans the whole row for every extent.
         for w in [3i64, 5, 7, 8, 9, 15, 16, 17] {
-            let plan = plan_for(nest(w, 4, 8, value.clone()), ScalarType::UInt8);
+            let plan = plan_for(nest(w, 4, value.clone()), ScalarType::UInt8);
             assert_eq!(plan.fused_store_count(), 1);
             let rows_before = fused_rows_executed();
             let tails_before = fused_tail_chunks_executed();
@@ -5944,7 +5852,7 @@ mod tests {
                 tap(0, 0),
             ),
         );
-        let plan = plan_for(nest(16, 4, 8, value), ScalarType::UInt8);
+        let plan = plan_for(nest(16, 4, value), ScalarType::UInt8);
         assert_eq!(
             plan.fused_store_count(),
             0,

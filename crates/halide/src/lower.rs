@@ -24,7 +24,7 @@
 //!    not affine (or absurdly large) *degrade to `compute_root`*, which is
 //!    value-identical.
 //! 4. **Simplification** — all synthesized index/bound expressions are
-//!    constant-folded through [`crate::simplify`].
+//!    constant-folded through [`crate::simplify()`].
 //!
 //! **Sliding windows.** When a `compute_at` producer's inferred region
 //! translates by exactly the attach loop (coefficient 1 on the last
@@ -281,12 +281,10 @@ fn build_levels(func: &Func, extents: &[usize], schedule: &Schedule) -> Vec<Loop
             };
         }
     }
-    if schedule.vector_width > 1 {
+    if schedule.vectorize {
         if let Some(last) = levels.last_mut() {
             if !matches!(last.kind, LoopKind::Parallel { .. }) {
-                last.kind = LoopKind::Vectorized {
-                    width: schedule.vector_width,
-                };
+                last.kind = LoopKind::Vectorized;
             }
         }
     }
@@ -669,10 +667,8 @@ fn build_producer_nest(
     let mut body = store;
     let slide_dim = plan.sliding.then(|| func.dims() - 1);
     for d in 0..func.dims() {
-        let kind = if d == 0 && schedule.vector_width > 1 && slide_dim != Some(d) {
-            LoopKind::Vectorized {
-                width: schedule.vector_width,
-            }
+        let kind = if d == 0 && schedule.vectorize && slide_dim != Some(d) {
+            LoopKind::Vectorized
         } else {
             LoopKind::Serial
         };
@@ -1016,10 +1012,8 @@ pub fn lower_update(
             // Pure dims inside (dim 0 innermost, the lane loop vectorized),
             // rdom dims outside (dim 0 innermost among them).
             for (d, var) in &free {
-                let kind = if var == lane_var && schedule.vector_width > 1 {
-                    LoopKind::Vectorized {
-                        width: schedule.vector_width,
-                    }
+                let kind = if var == lane_var && schedule.vectorize {
+                    LoopKind::Vectorized
                 } else {
                     LoopKind::Serial
                 };
@@ -1118,7 +1112,7 @@ mod tests {
     #[test]
     fn lowered_nest_shape_untiled() {
         let p = two_stage();
-        let schedule = Schedule::naive().with_parallel(true).with_vector_width(4);
+        let schedule = Schedule::naive().with_parallel(true).with_vectorize(true);
         let stmt = lower_pure(
             &p,
             &schedule,
@@ -1132,7 +1126,7 @@ mod tests {
         let text = stmt.to_string();
         assert!(text.contains("produce out:"), "{text}");
         assert!(text.contains("for[parallel] x_1"), "{text}");
-        assert!(text.contains("for[vectorized(4)] x_0"), "{text}");
+        assert!(text.contains("for[vectorized] x_0"), "{text}");
         // bright is fully inlined: the store reads the input directly.
         assert!(text.contains("input_1("), "{text}");
         assert!(!text.contains("bright"), "{text}");
@@ -1358,7 +1352,7 @@ mod tests {
             &f,
             &jacobi,
             &[32],
-            &Schedule::naive().with_vector_width(8),
+            &Schedule::naive().with_vectorize(true),
             &params,
             &mut next_id,
         )
@@ -1371,12 +1365,12 @@ mod tests {
         assert!(text.contains("for r_0.y in [0, 0 + 5):"), "{text}");
         assert!(text.contains("for r_0.x in [0, 0 + 12):"), "{text}");
         assert!(
-            text.contains("for[vectorized(8)] x_0 in [0, 0 + 32):"),
+            text.contains("for[vectorized] x_0 in [0, 0 + 32):"),
             "{text}"
         );
         assert!(text.contains("reduce f[x_0]"), "{text}");
         let rdom_pos = text.find("for r_0.y").expect("rdom loop");
-        let lane_pos = text.find("for[vectorized(8)] x_0").expect("lane loop");
+        let lane_pos = text.find("for[vectorized] x_0").expect("lane loop");
         assert!(
             rdom_pos < lane_pos,
             "privatized nests hoist rdom loops:\n{text}"
@@ -1399,7 +1393,7 @@ mod tests {
             &f,
             &scan,
             &[32],
-            &Schedule::naive().with_vector_width(8),
+            &Schedule::naive().with_vectorize(true),
             &params,
             &mut next_id,
         )

@@ -3,18 +3,18 @@
 //! The paper re-optimizes lifted kernels by autotuning Halide schedules
 //! (tiling, vectorization, parallelization, inlining). Our miniature runtime
 //! models the same decisions: a [`Schedule`] controls how the realizer walks
-//! the output domain, whether rows are distributed across threads, how many
-//! pixels are evaluated per dispatch ("vectorization") and where each producer
-//! func is computed: inlined, materialized once (`compute_root`) or per
-//! iteration of an output loop (`compute_at`, which reuses rows as a sliding
-//! window wherever the producer's region slides).
+//! the output domain, whether rows are distributed across threads, whether
+//! the innermost loop is vectorized and where each producer func is computed:
+//! inlined, materialized once (`compute_root`) or per iteration of an output
+//! loop (`compute_at`, which reuses rows as a sliding window wherever the
+//! producer's region slides).
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// An execution schedule for a pipeline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Schedule {
     /// Distribute the outermost dimension across worker threads.
     pub parallel: bool,
@@ -22,13 +22,11 @@ pub struct Schedule {
     pub threads: usize,
     /// Tile sizes for the two innermost dimensions, if tiling is enabled.
     pub tile: Option<(usize, usize)>,
-    /// Number of output elements evaluated per inner dispatch of the per-op
-    /// tier; widths beyond [`crate::exec::MAX_LANES`] are batched, never
-    /// silently truncated. A width above 1 also marks the innermost loop
-    /// vectorized, which lets the default tier run a store's fused SIMD
-    /// kernel. The fused chunk itself comes from each row, not from this
-    /// width (see [`crate::exec`]).
-    pub vector_width: usize,
+    /// Mark the innermost loop vectorized. The default tier then runs a
+    /// store's fused SIMD kernel where one compiled, and the per-op tier
+    /// evaluates [`crate::exec::MAX_LANES`] elements per dispatch instead of
+    /// one. The fused chunk itself comes from each row (see [`crate::exec`]).
+    pub vectorize: bool,
     /// Funcs materialized into intermediate buffers instead of being inlined.
     pub compute_root: BTreeSet<String>,
     /// Funcs computed inside a loop of the output func, keyed by producer
@@ -52,19 +50,6 @@ pub struct Schedule {
     pub compute_at: BTreeMap<String, String>,
 }
 
-impl Default for Schedule {
-    fn default() -> Self {
-        Schedule {
-            parallel: false,
-            threads: 0,
-            tile: None,
-            vector_width: 1,
-            compute_root: BTreeSet::new(),
-            compute_at: BTreeMap::new(),
-        }
-    }
-}
-
 impl Schedule {
     /// The naive schedule: sequential, untiled, scalar, fully inlined.
     pub fn naive() -> Schedule {
@@ -72,13 +57,13 @@ impl Schedule {
     }
 
     /// A reasonable default for lifted stencils: parallel over the outer
-    /// dimension with a modest vector width, everything inlined (fused).
+    /// dimension, tiled and vectorized, everything inlined (fused).
     pub fn stencil_default() -> Schedule {
         Schedule {
             parallel: true,
             threads: 0,
             tile: Some((64, 64)),
-            vector_width: 8,
+            vectorize: true,
             ..Schedule::default()
         }
     }
@@ -101,9 +86,9 @@ impl Schedule {
         self
     }
 
-    /// Set the vector width.
-    pub fn with_vector_width(mut self, width: usize) -> Schedule {
-        self.vector_width = width.max(1);
+    /// Vectorize the innermost loop, or not.
+    pub fn with_vectorize(mut self, vectorize: bool) -> Schedule {
+        self.vectorize = vectorize;
         self
     }
 
@@ -139,11 +124,11 @@ impl fmt::Display for Schedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "parallel={} threads={} tile={:?} vector={} roots={:?} at={:?}",
+            "parallel={} threads={} tile={:?} vectorize={} roots={:?} at={:?}",
             self.parallel,
             self.threads,
             self.tile,
-            self.vector_width,
+            self.vectorize,
             self.compute_root,
             self.compute_at
         )
@@ -160,12 +145,13 @@ mod tests {
             .with_parallel(true)
             .with_threads(4)
             .with_tile(Some((32, 16)))
-            .with_vector_width(0)
+            .with_vectorize(true)
             .with_compute_root("blur_x");
         assert!(s.parallel);
         assert_eq!(s.threads, 4);
         assert_eq!(s.tile, Some((32, 16)));
-        assert_eq!(s.vector_width, 1, "vector width is clamped to at least 1");
+        assert!(s.vectorize);
+        assert!(!Schedule::naive().vectorize, "the naive schedule is scalar");
         assert!(s.compute_root.contains("blur_x"));
         assert_eq!(s.effective_threads(), 4);
     }
@@ -193,6 +179,6 @@ mod tests {
         let s = Schedule::stencil_default();
         let text = s.to_string();
         assert!(text.contains("parallel=true"));
-        assert!(text.contains("vector=8"));
+        assert!(text.contains("vectorize=true"));
     }
 }

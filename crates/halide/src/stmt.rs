@@ -11,14 +11,14 @@
 //!   [`LoopKind::Parallel`] (iterations distributed across worker threads),
 //!   [`LoopKind::ParallelReduce`] (a reduction domain whose accumulator
 //!   stores run privatize-then-merge across workers) or
-//!   [`LoopKind::Vectorized`] (iterations evaluated in lanes by the compiled
-//!   executor);
+//!   [`LoopKind::Vectorized`] (iterations evaluated in lane batches by the
+//!   compiled executor);
 //! * [`Stmt::Store`] — one element store, with index and value expressions
 //!   over the enclosing loop variables.
 //!
 //! Loop bounds are [`Expr`]s so tile tails (`min(tile, W - xo*tile)`) and
 //! `compute_at` region offsets stay symbolic until execution; the lowering
-//! pass constant-folds them where possible via [`crate::simplify`].
+//! pass constant-folds them where possible via [`crate::simplify()`].
 //!
 //! The IR pretty-prints in a Halide-like syntax (see the [`fmt::Display`]
 //! impl), which the tests assert against:
@@ -26,7 +26,7 @@
 //! ```text
 //! produce output_1:
 //!   for[parallel] x_1 in [0, 32):
-//!     for[vectorized(8)] x_0 in [0, 48):
+//!     for[vectorized] x_0 in [0, 48):
 //!       output_1[x_0, x_1] = cast<uint8_t>(...)
 //! ```
 
@@ -57,11 +57,9 @@ pub enum LoopKind {
         /// Worker thread cap (0 = all available cores).
         threads: usize,
     },
-    /// Iterations evaluated `width` lanes at a time by the compiled executor.
-    Vectorized {
-        /// Number of lanes per batch.
-        width: usize,
-    },
+    /// Iterations evaluated in lanes by the compiled executor: fused chunks
+    /// sized by the row, or per-op batches of [`crate::exec::MAX_LANES`].
+    Vectorized,
 }
 
 /// The affine decomposition of one index expression over the enclosing loop
@@ -448,7 +446,7 @@ impl Stmt {
                     LoopKind::Serial => String::new(),
                     LoopKind::Parallel { .. } => "[parallel]".to_string(),
                     LoopKind::ParallelReduce { .. } => "[parallel_reduce]".to_string(),
-                    LoopKind::Vectorized { width } => format!("[vectorized({width})]"),
+                    LoopKind::Vectorized => "[vectorized]".to_string(),
                 };
                 writeln!(f, "{pad}for{kind_str} {var} in [{min}, {min} + {extent}):")?;
                 body.fmt_indented(f, indent + 1)
@@ -497,7 +495,7 @@ mod tests {
                     var: "x".into(),
                     min: Expr::int(0),
                     extent: Expr::int(8),
-                    kind: LoopKind::Vectorized { width: 4 },
+                    kind: LoopKind::Vectorized,
                     body: Box::new(Stmt::Store {
                         id: 0,
                         buffer: "out".into(),
@@ -629,10 +627,7 @@ mod tests {
         let text = sample_nest().to_string();
         assert!(text.contains("produce out:"), "{text}");
         assert!(text.contains("for[parallel] y in [0, 0 + 4):"), "{text}");
-        assert!(
-            text.contains("for[vectorized(4)] x in [0, 0 + 8):"),
-            "{text}"
-        );
+        assert!(text.contains("for[vectorized] x in [0, 0 + 8):"), "{text}");
         assert!(text.contains("out[x, y] = (x + y)"), "{text}");
     }
 }

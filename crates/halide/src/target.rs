@@ -35,8 +35,11 @@ use std::sync::OnceLock;
 /// differential testing and benchmarking of the tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Tier {
-    /// Fused kernels run under vectorized loops; everything else uses the
-    /// per-op tier.
+    /// Fused kernels run exactly under [`LoopKind::Vectorized`] lane loops
+    /// (the schedule's `vectorize` flag); everything else uses the per-op
+    /// tier.
+    ///
+    /// [`LoopKind::Vectorized`]: crate::stmt::LoopKind::Vectorized
     #[default]
     Auto,
     /// Never use fused kernels (the per-op lane tier handles every store).

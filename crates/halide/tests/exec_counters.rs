@@ -30,7 +30,7 @@ fn two_workers_fused_rows_sum_exactly() {
     let schedule = Schedule::naive()
         .with_parallel(true)
         .with_threads(2)
-        .with_vector_width(8);
+        .with_vectorize(true);
     let options = CompileOptions {
         target: Some(Target::detect().with_tier(Tier::Simd)),
         ..CompileOptions::default()

@@ -336,7 +336,7 @@ proptest! {
         seed in any::<u64>(),
         tile_w in 2usize..16,
         tile_h in 2usize..16,
-        vector in prop::sample::select(vec![2usize, 4, 8]),
+        vectorize in any::<bool>(),
     ) {
         let p = blur_pipeline();
         let input = pseudo_random_image(w + 2, h + 2, seed);
@@ -346,12 +346,12 @@ proptest! {
         let schedules = vec![
             Schedule::naive().with_tile(Some((tile_w, tile_h))),
             Schedule::naive().with_parallel(true).with_threads(3),
-            Schedule::naive().with_vector_width(vector),
+            Schedule::naive().with_vectorize(vectorize),
             Schedule::stencil_default(),
             Schedule::stencil_default()
                 .with_tile(Some((tile_w, tile_h)))
                 .with_parallel(true)
-                .with_vector_width(vector),
+                .with_vectorize(vectorize),
         ];
         for s in schedules {
             let label = s.to_string();
@@ -608,19 +608,19 @@ fn schedule_strategy() -> impl Strategy<Value = Schedule> {
             Some((8, 8)),
             Some((16, 4)),
         ]),
-        prop::sample::select(vec![1usize, 2, 4, 8, 16]),
+        any::<bool>(),
         0u8..3,
         prop::sample::select(vec!["x_0", "x_1"]),
         0u8..3,
         prop::sample::select(vec!["x_0", "x_1"]),
     )
         .prop_map(
-            |(parallel, threads, tile, vector, place_a, var_a, place_b, var_b)| {
+            |(parallel, threads, tile, vectorize, place_a, var_a, place_b, var_b)| {
                 let mut s = Schedule::naive()
                     .with_parallel(parallel)
                     .with_threads(threads)
                     .with_tile(tile)
-                    .with_vector_width(vector);
+                    .with_vectorize(vectorize);
                 match place_a {
                     1 => s = s.with_compute_root("stage_a"),
                     2 => s = s.with_compute_at("stage_a", var_a),
@@ -766,7 +766,7 @@ proptest! {
         let p = Pipeline::new(hist, vec![img]);
         let input = pseudo_random_image(w, h, seed);
         let inputs = RealizeInputs::new().with_image("input_1", &input);
-        let schedule = Schedule::naive().with_parallel(parallel).with_vector_width(8);
+        let schedule = Schedule::naive().with_parallel(parallel).with_vectorize(true);
         let a = Realizer::new(schedule.clone())
             .with_backend(ExecBackend::Interpret)
             .realize(&p, &[256], &inputs)

@@ -205,19 +205,19 @@ proptest! {
         let p = Pipeline::new(hist, vec![img]);
         let input = image(w, h, seed);
         let inputs = RealizeInputs::new().with_image("in", &input);
-        let schedule = Schedule::naive().with_parallel(parallel).with_vector_width(8);
+        let schedule = Schedule::naive().with_parallel(parallel).with_vectorize(true);
         assert_update_tiers_match_oracle(&p, &schedule, &[bins], &inputs)?;
     }
 
     /// RDoms overlapping pure dims: the self-referencing accumulator
     /// `f(x, y) = f(x, y) + in(x + r.x, y)` takes the privatized strategy
     /// (vectorized pure lanes under hoisted rdom loops) and must match the
-    /// oracle's pure-outer/rdom-inner order bit-for-bit, every type, every
-    /// width.
+    /// oracle's pure-outer/rdom-inner order bit-for-bit, every type,
+    /// vectorized or not.
     #[test]
     fn privatized_pure_dim_accumulators_match_oracle(
         ty in prop::sample::select(TYPES.to_vec()),
-        width in prop::sample::select(vec![1usize, 8, 32]),
+        vectorize in any::<bool>(),
         wi in 0usize..EXTENTS.len(),
         hi in 0usize..3,
         r_extent in 1i64..6,
@@ -257,7 +257,7 @@ proptest! {
         let inputs = RealizeInputs::new().with_image("in", &input);
         let schedule = Schedule::naive()
             .with_parallel(parallel)
-            .with_vector_width(width);
+            .with_vectorize(vectorize);
         assert_update_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 

@@ -313,8 +313,8 @@ proptest! {
 
     /// The acceptance property of the fused SIMD tier: random border-clamping
     /// stencils over every input/output element type, on prime extents, are
-    /// bit-identical to the interpreter in both forced modes and across the
-    /// vector widths that select different fused chunk sizes.
+    /// bit-identical to the interpreter in both forced modes, vectorized or
+    /// not.
     #[test]
     fn fused_and_scalar_tiers_match_interpreter(
         in_ty in prop::sample::select(TYPES.to_vec()),
@@ -322,7 +322,7 @@ proptest! {
         value in value_strategy(),
         wi in 0usize..EXTENTS.len(),
         hi in 0usize..EXTENTS.len(),
-        width in prop::sample::select(vec![1usize, 4, 8, 16, 32]),
+        vectorize in any::<bool>(),
         parallel in any::<bool>(),
         seed in any::<u64>(),
     ) {
@@ -338,7 +338,7 @@ proptest! {
         let inputs = RealizeInputs::new().with_image("in", &input);
         let schedule = Schedule::naive()
             .with_parallel(parallel)
-            .with_vector_width(width);
+            .with_vectorize(vectorize);
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 
@@ -364,7 +364,7 @@ proptest! {
         let inputs = RealizeInputs::new().with_image("in", &input);
         let schedule = Schedule::naive()
             .with_tile(Some(tile))
-            .with_vector_width(8);
+            .with_vectorize(true);
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 
@@ -372,7 +372,7 @@ proptest! {
     /// rounding-disciplined float stencils over Float32 (and integer-widened)
     /// inputs seeded with NaN/±Inf/subnormal/rounding-sensitive values are
     /// bit-identical to the interpreter in both forced modes, on prime
-    /// extents, across widths and under parallelism.
+    /// extents, vectorized or not and under parallelism.
     #[test]
     fn f32_family_matches_interpreter(
         in_ty in prop::sample::select(vec![
@@ -383,7 +383,7 @@ proptest! {
         value in f32_value_strategy(),
         wi in 0usize..EXTENTS.len(),
         hi in 0usize..EXTENTS.len(),
-        width in prop::sample::select(vec![1usize, 8, 16, 32]),
+        vectorize in any::<bool>(),
         parallel in any::<bool>(),
         seed in any::<u64>(),
     ) {
@@ -399,7 +399,7 @@ proptest! {
         let inputs = RealizeInputs::new().with_image("in", &input);
         let schedule = Schedule::naive()
             .with_parallel(parallel)
-            .with_vector_width(width);
+            .with_vectorize(vectorize);
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 
@@ -420,7 +420,7 @@ proptest! {
         let inputs = RealizeInputs::new().with_image("in", &input);
         let schedule = Schedule::naive()
             .with_tile(Some(tile))
-            .with_vector_width(8);
+            .with_vectorize(true);
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 
@@ -446,7 +446,7 @@ proptest! {
         let inputs = RealizeInputs::new().with_image("in", &input);
         let schedule = Schedule::naive()
             .with_tile(Some(tile))
-            .with_vector_width(8);
+            .with_vectorize(true);
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 
@@ -466,7 +466,7 @@ proptest! {
         let inputs = RealizeInputs::new().with_image("in", &input);
         let schedule = Schedule::naive()
             .with_tile(Some(tile))
-            .with_vector_width(8);
+            .with_vectorize(true);
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 
@@ -507,7 +507,7 @@ proptest! {
         let p = Pipeline::new(out, vec![ImageParam::new("in", in_ty, 3)]);
         let input = grid(in_ty, &[extents[0] + 2, extents[1] + 2, extents[2] + 2], seed);
         let inputs = RealizeInputs::new().with_image("in", &input);
-        let schedule = Schedule::naive().with_tile(tile).with_vector_width(8);
+        let schedule = Schedule::naive().with_tile(tile).with_vectorize(true);
         assert_tiers_match_oracle(&p, &schedule, &extents, &inputs)?;
     }
 
@@ -542,14 +542,14 @@ proptest! {
         let p = Pipeline::new(out, vec![ImageParam::new("in", in_ty, 1)]);
         let input = grid(in_ty, &[(stride * (h as i64 + 1)) as usize], seed);
         let inputs = RealizeInputs::new().with_image("in", &input);
-        let schedule = Schedule::naive().with_tile(tile).with_vector_width(8);
+        let schedule = Schedule::naive().with_tile(tile).with_vectorize(true);
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 
     /// The `[i64; W/2]` lane family's acceptance property: the integer
     /// strategy (wrap-around taps, shifted sums, clamps, selects) with
     /// 64-bit outputs — where the i32 wrap proofs are vacuous — stays
-    /// bit-identical to the interpreter across widths and extents.
+    /// bit-identical to the interpreter across extents, vectorized or not.
     #[test]
     fn i64_family_matches_interpreter(
         in_ty in prop::sample::select(vec![
@@ -561,7 +561,7 @@ proptest! {
         value in value_strategy(),
         wi in 0usize..EXTENTS.len(),
         hi in 0usize..EXTENTS.len(),
-        width in prop::sample::select(vec![1usize, 8, 16, 32]),
+        vectorize in any::<bool>(),
         parallel in any::<bool>(),
         seed in any::<u64>(),
     ) {
@@ -577,15 +577,15 @@ proptest! {
         let inputs = RealizeInputs::new().with_image("in", &input);
         let schedule = Schedule::naive()
             .with_parallel(parallel)
-            .with_vector_width(width);
+            .with_vectorize(vectorize);
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 
     /// The `[f64; W/2]` lane family's acceptance property: random unrounded
     /// double-precision stencils over Float64 (and integer-widened) inputs
     /// seeded with NaN/±Inf/signed-zero values are bit-identical to the
-    /// interpreter across the whole target matrix, on prime extents, across
-    /// widths and under parallelism.
+    /// interpreter across the whole target matrix, on prime extents,
+    /// vectorized or not and under parallelism.
     #[test]
     fn f64_family_matches_interpreter(
         in_ty in prop::sample::select(vec![
@@ -596,7 +596,7 @@ proptest! {
         value in f64_value_strategy(),
         wi in 0usize..EXTENTS.len(),
         hi in 0usize..EXTENTS.len(),
-        width in prop::sample::select(vec![1usize, 8, 16, 32]),
+        vectorize in any::<bool>(),
         parallel in any::<bool>(),
         seed in any::<u64>(),
     ) {
@@ -607,7 +607,7 @@ proptest! {
         let inputs = RealizeInputs::new().with_image("in", &input);
         let schedule = Schedule::naive()
             .with_parallel(parallel)
-            .with_vector_width(width);
+            .with_vectorize(vectorize);
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 }

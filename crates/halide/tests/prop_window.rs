@@ -5,7 +5,7 @@
 //! the newly exposed rows. That is a pure schedule transformation, so the
 //! acceptance property is bit-identity: `compute_at` must produce exactly
 //! the bytes of `compute_root` and of the interpreter oracle, across prime
-//! extents, border-clamping taps, vector widths, tiling and parallelism,
+//! extents, border-clamping taps, vectorization, tiling and parallelism,
 //! under both pinned execution tiers ([`Tier::Scalar`] / [`Tier::Simd`] via
 //! the [`Target`] carried on [`CompileOptions`]; CI additionally runs the
 //! whole suite under `HELIUM_FORCE_SCALAR=1` and `HELIUM_FORCE_SIMD=1` legs).
@@ -156,7 +156,7 @@ proptest! {
         dy0 in -2i64..2,
         wi in 0usize..EXTENTS.len(),
         hi in 0usize..EXTENTS.len(),
-        width in prop::sample::select(vec![1usize, 8]),
+        vectorize in any::<bool>(),
         parallel in any::<bool>(),
         tiled in any::<bool>(),
         seed in any::<u64>(),
@@ -168,7 +168,7 @@ proptest! {
         let inputs = RealizeInputs::new().with_image("in", &input);
         let base = Schedule::naive()
             .with_parallel(parallel)
-            .with_vector_width(width)
+            .with_vectorize(vectorize)
             .with_tile(tiled.then_some((8, 8)));
         let at = base.clone().with_compute_at("blur_x", "x_1");
         let root = base.with_compute_root("blur_x");
@@ -198,7 +198,7 @@ fn fig7_blur_sliding_window_reuses_rows() {
     let input = image(w + 4, h + 4, 0xCAFE);
     let inputs = RealizeInputs::new().with_image("in", &input);
     let at = Schedule::naive()
-        .with_vector_width(8)
+        .with_vectorize(true)
         .with_compute_at("blur_x", "x_1");
     let expect = oracle(&p, &at, &[w, h], &inputs);
     for mode in [
@@ -245,7 +245,7 @@ fn parallel_sliding_window_stays_exact_and_reuses_within_chunks() {
     let at = Schedule::naive()
         .with_parallel(true)
         .with_threads(4)
-        .with_vector_width(8)
+        .with_vectorize(true)
         .with_compute_at("blur_x", "x_1");
     let expect = oracle(&p, &at, &[w, h], &inputs);
     let counters = CounterSnapshot::take();
@@ -280,7 +280,7 @@ fn tiled_compute_at_compiles_no_window() {
     let inputs = RealizeInputs::new().with_image("in", &input);
     let at = Schedule::naive()
         .with_tile(Some((64, 64)))
-        .with_vector_width(8)
+        .with_vectorize(true)
         .with_compute_at("blur_x", "x_1");
     let expect = oracle(&p, &at, &[w, h], &inputs);
     for mode in [

@@ -326,11 +326,12 @@ fn unescape(name: &str) -> Result<String, String> {
 }
 
 /// Encode a schedule as one token:
-/// `parallel=<b>;threads=<n>;tile=<w>x<h>|-;vector=<n>;roots=<a,b>;at=<f@v,...>`.
+/// `parallel=<b>;threads=<n>;tile=<w>x<h>|-;vectorize=<b>;roots=<a,b>;at=<f@v,...>`.
 ///
-/// Files from one earlier revision also carry `sliding=<a,b>;fuse=<b>`, the
-/// keys of two retired schedule knobs; the decoder drops them (see
-/// [`decode_schedule`]).
+/// Files from earlier revisions carry `vector=<n>` (a vector width) in place
+/// of `vectorize=<b>`, and some also `sliding=<a,b>;fuse=<b>`, the keys of
+/// two retired schedule knobs; the decoder reads the first and drops the
+/// others (see [`decode_schedule`]).
 fn encode_schedule(s: &Schedule) -> String {
     let tile = match s.tile {
         Some((w, h)) => format!("{w}x{h}"),
@@ -349,8 +350,8 @@ fn encode_schedule(s: &Schedule) -> String {
         .collect::<Vec<_>>()
         .join(",");
     format!(
-        "parallel={};threads={};tile={};vector={};roots={};at={}",
-        s.parallel, s.threads, tile, s.vector_width, roots, at
+        "parallel={};threads={};tile={};vectorize={};roots={};at={}",
+        s.parallel, s.threads, tile, s.vectorize, roots, at
     )
 }
 
@@ -382,8 +383,13 @@ fn decode_schedule(text: &str) -> Result<Schedule, String> {
                     ))
                 };
             }
+            "vectorize" => {
+                s.vectorize = value.parse().map_err(|_| "bad vectorize".to_string())?;
+            }
+            // The vector width of older files: any width above 1 vectorized.
             "vector" => {
-                s.vector_width = value.parse().map_err(|_| "bad vector".to_string())?;
+                let width: usize = value.parse().map_err(|_| "bad vector".to_string())?;
+                s.vectorize = width > 1;
             }
             "roots" => {
                 for name in value.split(',').filter(|n| !n.is_empty()) {
@@ -455,32 +461,40 @@ mod tests {
 
     #[test]
     fn legacy_schedule_encoding_without_locality_keys_decodes() {
-        let bare = "parallel=true;threads=4;tile=64x64;vector=16;roots=a;at=b@x_1";
+        let bare = "parallel=true;threads=4;tile=64x64;vectorize=true;roots=a;at=b@x_1";
         let s = decode_schedule(bare).unwrap();
-        assert_eq!(s.vector_width, 16);
+        assert!(s.vectorize);
         assert_eq!(s.tile, Some((64, 64)));
         assert_eq!(
             encode_schedule(&s),
             bare,
             "the current encoding is the bare one"
         );
-        // Files from the revision with the retired `sliding`/`fuse` knobs
+        // Files from the revisions with a vector width (`vector=N`, where
+        // N > 1 vectorized) and with the retired `sliding`/`fuse` knobs
         // decode to the same schedule, hit the same entry, and are written
-        // back without the keys.
-        let with_knobs = format!("{bare};sliding=blur_x;fuse=true");
-        assert_eq!(decode_schedule(&with_knobs).unwrap(), s);
-        let (key, mut entry) = sample_entry();
-        entry.schedule = s;
-        let text = format!(
-            "{HEADER}\n{:016x} lowered 640x480 123456 9.875e2 5 {with_knobs}\n",
-            key.pipeline
-        );
-        let cache = ScheduleCache::from_text(&text).unwrap();
-        assert_eq!(cache.get(&key), Some(&entry));
-        let written = cache.to_text();
-        assert!(written.contains(bare), "got: {written}");
-        assert!(!written.contains("sliding"), "got: {written}");
-        assert!(!written.contains("fuse"), "got: {written}");
+        // back with `vectorize=` and without the knobs.
+        for (width, vectorize) in [(16, true), (1, false)] {
+            let legacy = bare.replace("vectorize=true", &format!("vector={width}"));
+            let with_knobs = format!("{legacy};sliding=blur_x;fuse=true");
+            let expect = s.clone().with_vectorize(vectorize);
+            assert_eq!(decode_schedule(&legacy).unwrap(), expect);
+            assert_eq!(decode_schedule(&with_knobs).unwrap(), expect);
+            let (key, mut entry) = sample_entry();
+            entry.schedule = expect;
+            let text = format!(
+                "{HEADER}\n{:016x} lowered 640x480 123456 9.875e2 5 {with_knobs}\n",
+                key.pipeline
+            );
+            let cache = ScheduleCache::from_text(&text).unwrap();
+            assert_eq!(cache.get(&key), Some(&entry));
+            let written = cache.to_text();
+            let current = bare.replace("vectorize=true", &format!("vectorize={vectorize}"));
+            assert!(written.contains(&current), "got: {written}");
+            assert!(!written.contains("vector="), "got: {written}");
+            assert!(!written.contains("sliding"), "got: {written}");
+            assert!(!written.contains("fuse"), "got: {written}");
+        }
         // Any other key is still corrupt.
         assert!(decode_schedule(&format!("{bare};unroll=4")).is_err());
     }

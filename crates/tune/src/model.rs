@@ -1,5 +1,5 @@
 //! The analytical cost model: score a candidate [`Schedule`] from a dry-run
-//! [`PipelineProfile`](helium_halide::PipelineProfile), without timing it.
+//! [`PipelineProfile`], without timing it.
 //!
 //! The model predicts *relative* per-realize cost in abstract element-steps —
 //! its job is to rank candidates so the timing budget concentrates on the
@@ -12,6 +12,7 @@
 //! the working set each materialized producer adds, and whether reductions
 //! admit the lane tree-reduce or privatize-then-merge paths.
 
+use helium_halide::exec::MAX_LANES;
 use helium_halide::{LaneFamily, PipelineProfile, Schedule, StageProfile, StoreProfile};
 
 /// The model's feature vector for one candidate schedule, exposed on every
@@ -19,8 +20,8 @@ use helium_halide::{LaneFamily, PipelineProfile, Schedule, StageProfile, StorePr
 /// assert *why* a schedule won, not just that it did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleFeatures {
-    /// The schedule's vector width knob.
-    pub vector_width: usize,
+    /// Whether the schedule vectorizes the innermost loop.
+    pub vectorize: bool,
     /// Whether the outer loop is distributed across worker threads.
     pub parallel: bool,
     /// Threads the schedule would actually use on this machine.
@@ -76,7 +77,7 @@ impl ScheduleFeatures {
             })
             .fold((0.0f64, 0usize), |(sum, n), f| (sum + f, n + 1));
         ScheduleFeatures {
-            vector_width: schedule.vector_width,
+            vectorize: schedule.vectorize,
             parallel: schedule.parallel,
             effective_threads: schedule.effective_threads(),
             tile: schedule.tile,
@@ -106,7 +107,7 @@ impl ScheduleFeatures {
     /// The feature vector as named columns, for report rows and assertions.
     pub fn columns(&self) -> Vec<(&'static str, f64)> {
         vec![
-            ("vector_width", self.vector_width as f64),
+            ("vectorize", if self.vectorize { 1.0 } else { 0.0 }),
             ("parallel", if self.parallel { 1.0 } else { 0.0 }),
             ("effective_threads", self.effective_threads as f64),
             ("tile_cells", self.tile.map_or(0.0, |(w, h)| (w * h) as f64)),
@@ -152,20 +153,22 @@ fn interior_fraction(extent0: usize, halo: i64) -> f64 {
 
 /// Lanes a fused store executes per dispatch over rows of `row` lanes: the
 /// chunk the engine picks from the row ([`LaneFamily::chunk_lanes`]), which
-/// the schedule's vector width does not enter.
+/// the schedule does not enter.
 fn fused_lanes(family: LaneFamily, row: usize) -> f64 {
     family.chunk_lanes(row) as f64
 }
 
 /// Abstract per-element cost of the per-op typed tier: a dispatch overhead
-/// amortized over the scheduled width plus per-op work. Calibrated against
-/// the fused tier's unit on the lifted invert at 96×64 (release build, 2-vCPU
-/// host, medians of 301 serial runs): the per-op tier took 95, 24, 20 and
-/// 20 ns per element at widths 1, 8, 16 and 32, where the 1-tap fused store
-/// took 4.2 ns at width 16 (0.078 units). Per-op work is thus about 5× a
-/// fused element, the scale [`THREAD_SPAWN_COST`] is weighed against.
-fn per_op_cost(width: usize) -> f64 {
-    0.28 + 1.5 / width.max(1) as f64
+/// amortized over the batch plus per-op work. A dispatch batches
+/// [`MAX_LANES`] lanes under a vectorized loop and one otherwise. Calibrated
+/// against the fused tier's unit on the lifted invert at 96×64 (release
+/// build, 2-vCPU host, medians of 301 serial runs): the per-op tier took 95
+/// and 20 ns per element at batches of 1 and 16 lanes, where the 1-tap fused
+/// store took 4.2 ns (0.078 units). Per-op work is thus about 5× a fused
+/// element, the scale [`THREAD_SPAWN_COST`] is weighed against.
+fn per_op_cost(schedule: &Schedule) -> f64 {
+    let batch = if schedule.vectorize { MAX_LANES } else { 1 };
+    0.28 + 1.5 / batch as f64
 }
 
 /// Predicted cost of one store over one cell of its stage.
@@ -177,18 +180,18 @@ fn store_cost(p: &StoreProfile, schedule: &Schedule, extent0: usize) -> f64 {
     }
     // The engine runs a fused kernel under a vectorized lane loop only; an
     // unvectorized one stays on the per-op tier.
-    if let Some(family) = p.fused.filter(|_| schedule.vector_width > 1) {
+    if let Some(family) = p.fused.filter(|_| schedule.vectorize) {
         let interior = interior_fraction(extent0, p.max_tap_offset);
         // A fused row spans the tile width, or the whole first dimension.
         let row = schedule.tile.map_or(extent0, |(tw, _)| tw.min(extent0));
         let fused = (1.0 + 0.25 * p.taps as f64) / fused_lanes(family, row);
-        return interior * fused + (1.0 - interior) * per_op_cost(schedule.vector_width);
+        return interior * fused + (1.0 - interior) * per_op_cost(schedule);
     }
     if p.guarded {
         // Per-op read-modify-write with clamped destinations.
-        return per_op_cost(schedule.vector_width) + 1.5;
+        return per_op_cost(schedule) + 1.5;
     }
-    per_op_cost(schedule.vector_width)
+    per_op_cost(schedule)
 }
 
 /// Per-element cost of a stage with no lowered plan (the per-element
@@ -218,7 +221,7 @@ pub fn score(schedule: &Schedule, profile: &PipelineProfile) -> f64 {
     }
     // Tiling: small loop-bookkeeping overhead, paid back by locality only
     // when the untiled row working set is large. Kept mild — tier selection
-    // and lane width dominate ranking; tiles break timing ties.
+    // and vectorization dominate ranking; tiles break timing ties.
     if let Some((tw, th)) = schedule.tile {
         let row_bytes = profile.output().extents.first().copied().unwrap_or(1) as f64 * 8.0;
         let locality = if row_bytes > 256.0 * 1024.0 {
@@ -299,19 +302,19 @@ mod tests {
     fn fused_wide_schedules_score_below_naive_scalar() {
         let (p, input) = invert_pipeline();
         let naive = Schedule::naive();
-        let wide = Schedule::naive().with_vector_width(32);
+        let wide = Schedule::naive().with_vectorize(true);
         let naive_score = score(&naive, &profile_of(&p, &naive, &input));
         let wide_score = score(&wide, &profile_of(&p, &wide, &input));
         assert!(
             wide_score < naive_score,
-            "fused 32-lane schedule must be ranked above scalar: {wide_score} vs {naive_score}"
+            "fused vectorized schedule must be ranked above scalar: {wide_score} vs {naive_score}"
         );
     }
 
     #[test]
     fn features_expose_tier_selection() {
         let (p, input) = invert_pipeline();
-        let wide = Schedule::naive().with_vector_width(16);
+        let wide = Schedule::naive().with_vectorize(true);
         let inputs = RealizeInputs::new().with_image("in", &input);
         let features = |tier: Tier| {
             let options = CompileOptions {
@@ -375,10 +378,10 @@ mod tests {
     fn sliding_window_feature_surfaces_and_discounts() {
         let (p, input) = vertical_pipeline();
         let rooted = Schedule::naive()
-            .with_vector_width(8)
+            .with_vectorize(true)
             .with_compute_root("blur_x");
         let at = Schedule::naive()
-            .with_vector_width(8)
+            .with_vectorize(true)
             .with_compute_at("blur_x", "x_1");
         let tiled_at = at.clone().with_tile(Some((16, 16)));
         let profile_rooted = profile_of(&p, &rooted, &input);

@@ -76,16 +76,18 @@ pub struct TuneReport {
     pub from_cache: bool,
 }
 
-/// Enumerate the deterministic candidate space for `pipeline`: vector widths
-/// crossed with tilings, parallelism and per-producer placements (inline /
-/// `compute_root` / `compute_at` the outermost output loop), deduplicated by
-/// schedule fingerprint and seeded with the naive and stencil-default
-/// schedules. A `compute_at` placement slides its producer's window wherever
-/// the region allows, so no separate locality variant is enumerated. Spaces
-/// larger than `limit` are thinned by stride sampling so every region of the
-/// space stays represented.
+/// Enumerate the deterministic candidate space for `pipeline`: vectorized or
+/// not, crossed with tilings, parallelism and per-producer placements
+/// (inline / `compute_root` / `compute_at` the outermost output loop),
+/// deduplicated by schedule fingerprint and seeded with the naive and
+/// stencil-default schedules. A `compute_at` placement slides its producer's
+/// window wherever the region allows, so no separate locality variant is
+/// enumerated, and it is enumerated untiled only: under a tile the region
+/// moves with the tile column, no window forms, and it ran 3.5–5× slower
+/// than a tiled `compute_root` on the Fig. 8 pipelines at 1920×1080 (2-vCPU
+/// Xeon). Spaces larger than `limit` are thinned by stride sampling so every
+/// region of the space stays represented.
 pub fn enumerate_candidates(pipeline: &Pipeline, limit: usize) -> Vec<Schedule> {
-    let widths = [1usize, 8, 16, 32];
     let tiles = [None, Some((64usize, 64usize)), Some((128, 128))];
     let parallels = [false, true];
     let producers: Vec<String> = pipeline
@@ -118,13 +120,18 @@ pub fn enumerate_candidates(pipeline: &Pipeline, limit: usize) -> Vec<Schedule> 
 
     let mut all = vec![Schedule::naive(), Schedule::stencil_default()];
     for placements in &placement_sets {
+        let tiles = if placements.contains(&2) {
+            &tiles[..1]
+        } else {
+            &tiles[..]
+        };
         for &parallel in &parallels {
-            for &tile in &tiles {
-                for &width in &widths {
+            for &tile in tiles {
+                for vectorize in [false, true] {
                     let mut s = Schedule::naive()
                         .with_parallel(parallel)
                         .with_tile(tile)
-                        .with_vector_width(width);
+                        .with_vectorize(vectorize);
                     for (producer, code) in producers.iter().zip(placements) {
                         match (code, &attach_var) {
                             (1, _) => s = s.with_compute_root(producer),
@@ -383,8 +390,8 @@ mod tests {
         let thinned = enumerate_candidates(&p, 16);
         assert!(thinned.len() <= 16);
         assert!(
-            thinned.iter().any(|s| s.vector_width >= 8),
-            "stride thinning must keep wide-lane candidates"
+            thinned.iter().any(|s| s.vectorize),
+            "stride thinning must keep vectorized candidates"
         );
     }
 
@@ -392,16 +399,47 @@ mod tests {
     fn enumeration_covers_locality_knobs() {
         let (p, _) = blur_pipeline();
         let all = enumerate_candidates(&p, 256);
+        assert!(
+            all.iter().any(|s| s.tile.is_none()
+                && s.compute_at.get("blur_x").map(String::as_str) == Some("x_1")),
+            "untiled compute_at at the outermost output loop is enumerated"
+        );
         for tile in [None, Some((64, 64))] {
-            assert!(
-                all.iter().any(|s| s.tile == tile
-                    && s.compute_at.get("blur_x").map(String::as_str) == Some("x_1")),
-                "compute_at at the outermost output loop is enumerated ({tile:?})"
-            );
             assert!(
                 all.iter()
                     .any(|s| s.tile == tile && s.compute_root.contains("blur_x")),
                 "compute_root is enumerated ({tile:?})"
+            );
+        }
+    }
+
+    /// A pointwise chain `in → p0 → … → out` with `producers` intermediate
+    /// funcs.
+    fn chain(producers: usize) -> Pipeline {
+        let at = || vec![Expr::var("x_0"), Expr::var("x_1")];
+        let mut value = Expr::Image("in".into(), at());
+        let mut funcs = Vec::new();
+        for i in 0..producers {
+            let name = format!("p{i}");
+            funcs.push(Func::pure(&name, &["x_0", "x_1"], ScalarType::UInt8, value));
+            value = Expr::FuncRef(name, at());
+        }
+        let out = Func::pure("out", &["x_0", "x_1"], ScalarType::UInt8, value);
+        let p = Pipeline::new(out, vec![ImageParam::new("in", ScalarType::UInt8, 2)]);
+        funcs.into_iter().fold(p, Pipeline::with_func)
+    }
+
+    #[test]
+    fn enumeration_counts_and_untiled_compute_at() {
+        // 2 parallel × 3 tiles × 2 vectorize per placement set that
+        // attaches nothing, 2 × 1 × 2 per set that attaches a producer.
+        for (producers, count) in [(0, 12), (1, 28), (2, 68)] {
+            let all = enumerate_candidates(&chain(producers), usize::MAX);
+            assert_eq!(all.len(), count, "{producers} producers");
+            assert!(
+                all.iter()
+                    .all(|s| s.tile.is_none() || s.compute_at.is_empty()),
+                "no candidate tiles a compute_at ({producers} producers)"
             );
         }
     }
@@ -422,7 +460,7 @@ mod tests {
             .position(|t| t.schedule == Schedule::naive())
             .expect("naive is always a candidate");
         assert!(
-            trials[0].features.vector_width > 1,
+            trials[0].features.vectorize,
             "the top-ranked schedule should be vectorized"
         );
         assert!(naive_rank > 0, "naive scalar cannot be the top pick");
