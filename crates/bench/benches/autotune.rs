@@ -2,11 +2,12 @@
 //!
 //! Measures what the cost model buys: how many *timed trials* each strategy
 //! needs before it finds a schedule within 5% of the best known one. Every
-//! distinct candidate schedule is timed once into a shared table (steady-state
-//! best-of-reps warm runs, each first asserted bit-identical to the
-//! interpreter oracle), so both strategies consume identical measurements and
-//! differ only in *order*: guided walks the model's ranking, random walks
-//! seed-shuffled permutations (averaged over several seeds).
+//! distinct candidate schedule is timed once into a shared table (the median
+//! of an odd number of warm runs, taken in rounds across the candidates, each
+//! candidate first asserted bit-identical to the interpreter oracle), so both
+//! strategies consume identical measurements and differ only in *order*:
+//! guided walks the model's ranking, random walks seed-shuffled
+//! permutations (averaged over several seeds).
 //!
 //! Writes `BENCH_autotune.json` in the workspace root with two gated
 //! columns:
@@ -28,46 +29,52 @@
 
 use criterion::{criterion_group, Criterion};
 use helium_apps::photoflow::PhotoFilter;
-use helium_bench::{lift_photoflow, LiftedRealizeSetup};
+use helium_bench::{lift_photoflow, time_interleaved, LiftedRealizeSetup};
 use helium_halide::cache::fingerprint_schedule;
-use helium_halide::{CompileOptions, ExecBackend, Pipeline, RealizeInputs, Realizer, Schedule};
+use helium_halide::{
+    CompileOptions, CompiledPipeline, ExecBackend, Pipeline, RealizeInputs, Realizer, Schedule,
+};
 use helium_tune::{
     enumerate_candidates, guided_search_cached, rank_candidates, ScheduleCache, SearchConfig, Trial,
 };
 use rand::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn smoke_mode() -> bool {
     std::env::var("HELIUM_BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Steady-state best-of-`reps` timing of one candidate, gated on
-/// correctness: the warm-up run must be bit-identical to `oracle`.
-fn time_candidate(
+/// Steady-state timing of every candidate: the median of `reps` (odd) warm
+/// runs, taken in rounds across the candidates so drift in the host's speed
+/// lands on every candidate alike (see [`time_interleaved`]). Gated on
+/// correctness: each candidate's warm-up run must be bit-identical to
+/// `oracle`.
+fn time_candidates(
     pipeline: &Pipeline,
-    schedule: &Schedule,
+    schedules: &[&Schedule],
     extents: &[usize],
     inputs: &RealizeInputs<'_>,
     oracle: &helium_halide::Buffer,
     reps: usize,
-) -> Duration {
-    let compiled = pipeline
-        .compile(schedule, &CompileOptions::default())
-        .expect("compile candidate");
-    let warm = compiled.run(inputs, extents).expect("warm-up run");
-    assert_eq!(
-        &warm, oracle,
-        "candidate schedule [{schedule}] diverged from the interpreter oracle"
-    );
-    let mut best = Duration::MAX;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let _ = compiled.run(inputs, extents).expect("run");
-        best = best.min(start.elapsed());
-    }
-    best
+) -> Vec<Duration> {
+    let compiled: Vec<_> = schedules
+        .iter()
+        .map(|schedule| {
+            let compiled = pipeline
+                .compile(schedule, &CompileOptions::default())
+                .expect("compile candidate");
+            let warm = compiled.run(inputs, extents).expect("warm-up run");
+            assert_eq!(
+                &warm, oracle,
+                "candidate schedule [{schedule}] diverged from the interpreter oracle"
+            );
+            compiled
+        })
+        .collect();
+    let sides: Vec<&CompiledPipeline> = compiled.iter().collect();
+    time_interleaved(&sides, inputs, extents, reps)
 }
 
 /// Trials until the first schedule within `tol` of the best lands, walking
@@ -124,15 +131,10 @@ fn tune_split(filter: PhotoFilter, w: usize, h: usize, reps: usize, seeds: u64) 
         .with_backend(ExecBackend::Interpret)
         .realize(pipeline, &extents, &inputs)
         .expect("interpreter oracle");
-    let times: BTreeMap<u64, Duration> = ranked
-        .iter()
-        .map(|t| {
-            (
-                t.fingerprint,
-                time_candidate(pipeline, &t.schedule, &extents, &inputs, &oracle, reps),
-            )
-        })
-        .collect();
+    let schedules: Vec<&Schedule> = ranked.iter().map(|t| &t.schedule).collect();
+    let medians = time_candidates(pipeline, &schedules, &extents, &inputs, &oracle, reps);
+    let times: BTreeMap<u64, Duration> =
+        ranked.iter().map(|t| t.fingerprint).zip(medians).collect();
 
     let best = *times.values().min().expect("non-empty table");
     let threshold = Duration::from_nanos((best.as_nanos() as f64 * 1.05) as u64);
@@ -295,9 +297,9 @@ criterion_group!(benches, bench_autotune);
 fn main() {
     if smoke_mode() {
         println!("autotune: HELIUM_BENCH_SMOKE set, running reduced report only");
-        write_report(2, 3);
+        write_report(21, 3);
     } else {
         benches();
-        write_report(4, 5);
+        write_report(21, 5);
     }
 }

@@ -36,7 +36,7 @@ use criterion::{criterion_group, Criterion};
 use helium_apps::photoflow::PhotoFilter;
 use helium_bench::{
     hist64_pipeline, hist64_rdom_pipeline, lift_photoflow, minigmg_residual_norm,
-    minigmg_smooth_f32, minigmg_smooth_f64, time_lifted_on, LiftedRealizeSetup,
+    minigmg_smooth_f32, minigmg_smooth_f64, time_interleaved, time_lifted_on, LiftedRealizeSetup,
 };
 use helium_core::LiftedStencil;
 use helium_halide::{
@@ -44,7 +44,7 @@ use helium_halide::{
     Target, Tier,
 };
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const FILTERS: [PhotoFilter; 3] = [PhotoFilter::Invert, PhotoFilter::Blur, PhotoFilter::Sharpen];
 
@@ -104,40 +104,6 @@ fn compile_pinned(
         .expect("compile")
 }
 
-/// Steady-state timing of the sides of a split: `rounds` rounds of one warm
-/// run per side, alternating the order from round to round so drift in the
-/// host's speed lands on every side alike. Returns each side's median.
-fn time_compiled_runs(
-    sides: &[&helium_halide::CompiledPipeline],
-    inputs: &RealizeInputs<'_>,
-    extents: &[usize],
-    rounds: usize,
-) -> Vec<Duration> {
-    for side in sides {
-        let _ = side.run(inputs, extents).expect("warm-up run");
-    }
-    let mut times = vec![Vec::new(); sides.len()];
-    for round in 0..rounds.max(1) {
-        for k in 0..sides.len() {
-            let i = if round % 2 == 0 {
-                k
-            } else {
-                sides.len() - 1 - k
-            };
-            let start = Instant::now();
-            let _ = sides[i].run(inputs, extents).expect("run");
-            times[i].push(start.elapsed());
-        }
-    }
-    times
-        .into_iter()
-        .map(|mut t| {
-            t.sort();
-            t[t.len() / 2]
-        })
-        .collect()
-}
-
 /// Interleaved rounds for `reps`: an odd count, so each median is a run.
 fn rounds(reps: usize) -> usize {
     2 * reps.max(2) + 1
@@ -191,7 +157,7 @@ fn reduction_split(
         .expect("interpreter run");
     assert_eq!(out, oracle, "{name}: compiled updates diverged from oracle");
 
-    let t = time_compiled_runs(
+    let t = time_interleaved(
         &[&interp_compiled, &compiled],
         &inputs,
         extents,
@@ -251,7 +217,7 @@ fn lane_family_split(
         &schedule,
         Target::detect().with_tier(Tier::Scalar),
     );
-    let t = time_compiled_runs(
+    let t = time_interleaved(
         &[&scalar_compiled, &compiled],
         inputs,
         extents,
@@ -310,7 +276,7 @@ fn tile_overhead(lifted: &LiftedStencil, reps: usize) -> f64 {
     );
     // Many rounds: a tiled run's memory traffic varies more from run to
     // run than an untiled one's, and each round costs only milliseconds.
-    let t = time_compiled_runs(&[&tiled, &untiled], &inputs, &[w, h], rounds(4 * reps));
+    let t = time_interleaved(&[&tiled, &untiled], &inputs, &[w, h], rounds(4 * reps));
     t[0].as_secs_f64() / t[1].as_secs_f64().max(1e-12)
 }
 
@@ -477,11 +443,13 @@ criterion_group!(benches, bench_lowering);
 
 fn main() {
     if smoke_mode() {
-        // CI smoke: small image, few reps, no criterion group — still lifts
-        // all three filters and exercises both the cold and the cached
-        // realize paths end to end.
+        // CI smoke: small image, no criterion group — still lifts all three
+        // filters and exercises both the cold and the cached realize paths
+        // end to end. A smoke realize takes microseconds, so the splits run
+        // 17 interleaved rounds to keep their medians steady from one
+        // regeneration to the next.
         println!("lowering: HELIUM_BENCH_SMOKE set, running reduced report only");
-        write_report(2, 48, 32);
+        write_report(8, 48, 32);
     } else {
         benches();
         write_report(7, 96, 64);

@@ -6,7 +6,9 @@
 use helium_apps::photoflow::{PhotoFilter, PhotoFlow};
 use helium_apps::PlanarImage;
 use helium_core::{KnownData, LiftRequest, LiftedStencil, Lifter};
-use helium_halide::{Buffer, Pipeline, RealizeInputs, Realizer, ScalarType, Schedule, Value};
+use helium_halide::{
+    Buffer, CompiledPipeline, Pipeline, RealizeInputs, Realizer, ScalarType, Schedule, Value,
+};
 use std::time::{Duration, Instant};
 
 /// Default benchmark image width.
@@ -104,6 +106,44 @@ pub fn time_lifted_on(
         best = best.min(start.elapsed());
     }
     best
+}
+
+/// Steady-state timing of the sides of a split: `rounds` rounds of one warm
+/// run per side, alternating the order from round to round so drift in the
+/// host's speed lands on every side alike. Returns each side's median (a
+/// run, when `rounds` is odd).
+///
+/// # Panics
+/// Panics if a run fails.
+pub fn time_interleaved(
+    sides: &[&CompiledPipeline],
+    inputs: &RealizeInputs<'_>,
+    extents: &[usize],
+    rounds: usize,
+) -> Vec<Duration> {
+    for side in sides {
+        let _ = side.run(inputs, extents).expect("warm-up run");
+    }
+    let mut times = vec![Vec::new(); sides.len()];
+    for round in 0..rounds.max(1) {
+        for k in 0..sides.len() {
+            let i = if round % 2 == 0 {
+                k
+            } else {
+                sides.len() - 1 - k
+            };
+            let start = Instant::now();
+            let _ = sides[i].run(inputs, extents).expect("run");
+            times[i].push(start.elapsed());
+        }
+    }
+    times
+        .into_iter()
+        .map(|mut t| {
+            t.sort();
+            t[t.len() / 2]
+        })
+        .collect()
 }
 
 /// The realize ingredients of a lifted kernel's primary output, materialized

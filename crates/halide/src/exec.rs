@@ -128,14 +128,21 @@
 //! Backend selection is a [`Target`]: an execution [`Tier`] (pin the fused
 //! tier on or off, or let the runner choose), resolved once at compile time
 //! ([`crate::compile::CompileOptions::target`], defaulting to
-//! [`Target::current`] — env pins live in [`Target::from_env`]). There is no
-//! ISA dimension: every fused chunk runs the portable constant-trip lane
-//! loops — one generic tap decoder, chunk store and float evaluator over the
-//! lane type (`LaneConst`), plus the integer evaluator — which the compiler
-//! vectorizes for whatever ISA it targets. Hand-written AVX2 evaluators were
-//! measured against them family by family and deleted; the last, for f32/f64
-//! kernels, lost once the float lanes gained the fused ops below (README's
-//! "ISA selection" has the numbers).
+//! [`Target::current`] — env pins live in [`Target::from_env`]). The ISA is
+//! no knob: every fused chunk runs the portable constant-trip lane loops —
+//! one generic tap decoder, chunk store and float evaluator over the lane
+//! type (`LaneConst`), plus the integer evaluator — and the compiler builds
+//! each row of them twice. `fused_rows` is one always-inlined body per lane
+//! family and chunk width (the chunk loop, the evaluator and the store, with
+//! no closure between them); `fused_rows_base` builds it for the baseline
+//! (SSE2 on x86-64) and `fused_rows_avx2` under
+//! `#[target_feature(enable = "avx2")]`. [`prepare`] records
+//! [`Target::effective_isa`] in the plan, and each batch of fused rows calls
+//! the matching build, so the AVX2 one runs only where the CPU reports AVX2
+//! and no caller can ask for it. Both builds write the same bytes. A family
+//! keeps the second build only where it pays (`LaneConst::AVX2`): the
+//! `i32`, `i64` and `f32` rows have it, the `f64` rows and the tree-reduce
+//! run the baseline build alone (README's "ISA selection" has the numbers).
 //!
 //! **Fused float ops.** The float lanes have their own peephole
 //! (`float_peephole`, beside the integer one): a tap or constant that is the
@@ -173,6 +180,9 @@
 //! pass never marks rdom or update-pure loops parallel), every read
 //! completes before the corresponding write within a dispatch, and a
 //! vectorized (privatized) lane batch touches pairwise-disjoint cells.
+//! The other `unsafe` call runs `fused_rows_avx2`, whose AVX2 instructions
+//! need a CPU that has them: a plan selects that build only from
+//! [`Target::effective_isa`], that is from runtime detection.
 
 use crate::bounds::{combine, expr_interval, Interval};
 use crate::buffer::Buffer;
@@ -182,7 +192,7 @@ use crate::realize::RealizeError;
 use crate::stmt::{
     access_contiguous_in, access_invariant_in, value_reads_buffer, AffineIndex, LoopKind, Stmt,
 };
-use crate::target::{Target, Tier};
+use crate::target::{Isa, Target, Tier};
 use crate::types::{ScalarType, Value};
 use std::collections::BTreeMap;
 use std::ops::{AddAssign, DivAssign, MulAssign, SubAssign};
@@ -233,15 +243,20 @@ static PARALLEL_REDUCE_MERGES: AtomicU64 = AtomicU64::new(0);
 /// observability and tests — the proof that a sliding window fires.
 static WINDOW_ROWS_REUSED: AtomicU64 = AtomicU64::new(0);
 
+/// Fused rows (counted in [`FUSED_ROWS`] too) that ran the AVX2 build of
+/// their row loop, for observability and tests.
+static ARCH_ROWS: AtomicU64 = AtomicU64::new(0);
+
 /// One worker's share of the per-row counters above, kept in its [`Scratch`]
 /// off the shared cache lines and added to the process-wide totals once,
 /// when the scratch drops at the end of the worker's run.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct Counts {
     fused_rows: u64,
     fused_tails: u64,
     reduce_chunks: u64,
     window_rows: u64,
+    arch_rows: u64,
 }
 
 /// Number of innermost-loop rows executed through the fused-kernel interior
@@ -301,9 +316,9 @@ pub struct CounterSnapshot {
     pub parallel_reduce_merges: u64,
     /// [`window_rows_reused`] at snapshot time.
     pub window_rows_reused: u64,
-    /// Always 0: every fused chunk runs the portable lanes, so no ISA path
-    /// is left to count. Kept only because the `perfbench` harness still
-    /// reads it.
+    /// Fused rows (counted in `fused_rows` too) that ran the AVX2 build of
+    /// their row loop at snapshot time: on a host with AVX2 every fused row
+    /// of the `i32`, `i64` and `f32` lane families, elsewhere none.
     pub arch_rows: u64,
 }
 
@@ -316,7 +331,7 @@ impl CounterSnapshot {
             reduce_chunks: reduce_chunks_executed(),
             parallel_reduce_merges: parallel_reduce_merges_executed(),
             window_rows_reused: window_rows_reused(),
-            arch_rows: 0,
+            arch_rows: ARCH_ROWS.load(Ordering::Relaxed),
         }
     }
 
@@ -333,7 +348,7 @@ impl CounterSnapshot {
             window_rows_reused: now
                 .window_rows_reused
                 .saturating_sub(self.window_rows_reused),
-            arch_rows: 0,
+            arch_rows: now.arch_rows.saturating_sub(self.arch_rows),
         }
     }
 }
@@ -381,7 +396,7 @@ impl SlotBind {
     /// # Panics
     /// If the write would reach past the buffer's end (store indices are in
     /// range by loop construction, so this is a bug, never data).
-    #[inline]
+    #[inline(always)]
     fn write_with(&self, byte_off: usize, len: usize, fill: impl FnOnce(&mut [u8])) {
         assert!(
             byte_off <= self.byte_len && len <= self.byte_len - byte_off,
@@ -1754,6 +1769,11 @@ trait LaneConst: Copy + Default + PartialEq + PartialOrd {
     /// rather than an image of it that holds only under proof (`i32`'s low
     /// 32 bits, `f32` at rounding points).
     const EXACT: bool;
+    /// Whether the family's fused rows run an AVX2 build on hosts that have
+    /// AVX2: on the ledger's kernels it paid 1.4–1.9× on `i32` lanes,
+    /// 1.14–1.26× on `i64` and 1.11–1.16× on `f32`, but 0.98–1.07× on
+    /// `f64`, whose rows run the baseline build everywhere.
+    const AVX2: bool;
     /// The family's kernel op: [`VOp`] on integer lanes, [`FOp`] on float
     /// lanes.
     type Op;
@@ -1803,6 +1823,16 @@ trait LaneConst: Copy + Default + PartialEq + PartialOrd {
     fn sqrt(self) -> Self;
     /// This family's chunk-stack storage in a worker's [`LaneStacks`].
     fn stack(stacks: &mut LaneStacks) -> &mut Vec<Self>;
+    /// Evaluate one chunk of a fused kernel at lane-variable value `x`
+    /// (`n` lanes in range) into `st[0]`: [`eval_chunk_i32`],
+    /// [`eval_chunk_i64`] or [`eval_chunk_float`].
+    fn eval_chunk<const W: usize>(
+        ops: &[Self::Op],
+        ch: &Chunk,
+        x: i64,
+        n: usize,
+        st: &mut [[Self; W]],
+    );
 }
 
 // The conversions are always inlined so that unoptimized builds keep the
@@ -1818,10 +1848,12 @@ macro_rules! lane_const {
         float_peephole(&mut $out.ops);
         Some(())
     }};
-    ($($t:ident: $family:ident $op:ident, exact $exact:literal, ints $ints:expr,
-       wneg $wneg:expr, bits $to_bits:expr, sqrt $sqrt:expr;)*) => {$(
+    ($($t:ident: $family:ident $op:ident, exact $exact:literal, avx2 $avx2:literal,
+       ints $ints:expr, wneg $wneg:expr, bits $to_bits:expr, sqrt $sqrt:expr,
+       eval $eval:ident;)*) => {$(
         impl LaneConst for $t {
             const EXACT: bool = $exact;
+            const AVX2: bool = $avx2;
             type Op = $op<$t>;
             fn fuse(b: &FusedBuilder<'_>, value: &Expr, out: &mut VEmit<$op<$t>>) -> Option<()> {
                 lane_const!(@fuse $op, b, value, out)
@@ -1863,19 +1895,33 @@ macro_rules! lane_const {
             fn stack(stacks: &mut LaneStacks) -> &mut Vec<Self> {
                 &mut stacks.$t
             }
+            #[inline(always)]
+            fn eval_chunk<const W: usize>(
+                ops: &[$op<$t>],
+                ch: &Chunk,
+                x: i64,
+                n: usize,
+                st: &mut [[$t; W]],
+            ) {
+                $eval(ops, ch, x, n, st)
+            }
         }
     )*};
 }
 
 lane_const! {
-    i32: I32 VOp, exact false, ints Interval::i32_range(),
-        wneg i32::wrapping_neg, bits |v: i32| v as u64, sqrt |_| unreachable!("no integer sqrt");
-    i64: I64 VOp, exact true, ints Interval::everything(),
-        wneg i64::wrapping_neg, bits |v: i64| v as u64, sqrt |_| unreachable!("no integer sqrt");
-    f32: F32 FOp, exact false, ints Interval::f32_exact_int_range(),
-        wneg |v: f32| -v, bits |v: f32| u64::from(v.to_bits()), sqrt f32::sqrt;
-    f64: F64 FOp, exact true, ints Interval::f64_exact_int_range(),
-        wneg |v: f64| -v, bits f64::to_bits, sqrt f64::sqrt;
+    i32: I32 VOp, exact false, avx2 true, ints Interval::i32_range(),
+        wneg i32::wrapping_neg, bits |v: i32| v as u64, sqrt |_| unreachable!("no integer sqrt"),
+        eval eval_chunk_i32;
+    i64: I64 VOp, exact true, avx2 true, ints Interval::everything(),
+        wneg i64::wrapping_neg, bits |v: i64| v as u64, sqrt |_| unreachable!("no integer sqrt"),
+        eval eval_chunk_i64;
+    f32: F32 FOp, exact false, avx2 true, ints Interval::f32_exact_int_range(),
+        wneg |v: f32| -v, bits |v: f32| u64::from(v.to_bits()), sqrt f32::sqrt,
+        eval eval_chunk_float;
+    f64: F64 FOp, exact true, avx2 false, ints Interval::f64_exact_int_range(),
+        wneg |v: f64| -v, bits f64::to_bits, sqrt f64::sqrt,
+        eval eval_chunk_float;
 }
 
 /// Collapse the dominant stencil pattern — load, scale, accumulate — into
@@ -2016,6 +2062,9 @@ struct Prepared {
     max_depth: usize,
     max_stack: usize,
     max_arity: usize,
+    /// Which build of the fused row loops runs: [`Target::effective_isa`]
+    /// at prepare time, so the AVX2 build runs only where the CPU has it.
+    isa: Isa,
 }
 
 /// A loop bound compiled at prepare time: an affine form over the loop
@@ -2546,6 +2595,7 @@ impl Drop for Scratch {
             (&FUSED_TAILS, c.fused_tails),
             (&REDUCE_CHUNKS, c.reduce_chunks),
             (&WINDOW_ROWS_REUSED, c.window_rows),
+            (&ARCH_ROWS, c.arch_rows),
         ] {
             if n > 0 {
                 total.fetch_add(n, Ordering::Relaxed);
@@ -3090,7 +3140,7 @@ impl Runner<'_> {
             terms.fold(0i64, |b, (&v, &s)| b.wrapping_add(v.wrapping_mul(s as i64)))
         };
         let split = vals.len() - fused.out_dims.len();
-        let mut out_base = strided(&vals[split..], &out.strides);
+        let out_base = strided(&vals[split..], &out.strides);
         let mut bases = std::mem::take(&mut scratch.tap_bases);
         let (mut base_steps, mut out_step) = (Vec::new(), 0);
         if rows > 1 {
@@ -3102,56 +3152,50 @@ impl Runner<'_> {
                 k += tap.dims.len();
             }
         }
-        let lanes = &mut scratch.lanes;
+        let batch = RowBatch {
+            fused,
+            lo,
+            hi,
+            depth,
+            first,
+            rows,
+            lane_depth,
+            out,
+            out_base,
+            out_step,
+            bases: &mut bases,
+            base_steps: &base_steps,
+            vars,
+            binds,
+        };
+        let (isa, lanes, counts) = (self.prepared.isa, &mut scratch.lanes, &mut scratch.counts);
         macro_rules! rows {
-            ($eval:expr, $ops:expr) => {{
-                let stack = lanes.stack();
-                let mut tails = 0;
-                for r in 0..rows {
-                    vars[depth] = first + r;
-                    let ch = Chunk {
-                        taps: &fused.taps,
-                        bases: &bases,
-                        lane_depth,
-                        vars,
-                        binds,
-                    };
-                    tails += u64::from(chunk_row(lo, hi, stack, |x, n, st| {
-                        $eval($ops, &ch, x, n, st);
-                        store_chunk(out, fused.out_ty, out_base + x, &st[0][..n]);
-                    }));
-                    for (b, s) in bases.iter_mut().zip(&base_steps) {
-                        *b = b.wrapping_add(*s);
-                    }
-                    out_base = out_base.wrapping_add(out_step);
-                }
-                tails
-            }};
+            ($lane:ty, $w:literal, $ops:expr) => {
+                row_batch::<$lane, $w>(isa, $ops, batch, lanes.stack(), counts)
+            };
         }
-        let tails = match (
+        match (
             &fused.prog,
             fused.prog.family().chunk_lanes((hi + 1 - lo) as usize),
         ) {
-            (LaneProgram::I32(ops), 64) => rows!(eval_chunk_i32::<64>, ops),
-            (LaneProgram::I32(ops), 32) => rows!(eval_chunk_i32::<32>, ops),
-            (LaneProgram::I32(ops), 16) => rows!(eval_chunk_i32::<16>, ops),
-            (LaneProgram::I32(ops), _) => rows!(eval_chunk_i32::<8>, ops),
-            (LaneProgram::I64(ops), 32) => rows!(eval_chunk_i64::<32>, ops),
-            (LaneProgram::I64(ops), 16) => rows!(eval_chunk_i64::<16>, ops),
-            (LaneProgram::I64(ops), 8) => rows!(eval_chunk_i64::<8>, ops),
-            (LaneProgram::I64(ops), _) => rows!(eval_chunk_i64::<4>, ops),
-            (LaneProgram::F32(ops), 64) => rows!(eval_chunk_float::<f32, 64>, ops),
-            (LaneProgram::F32(ops), 32) => rows!(eval_chunk_float::<f32, 32>, ops),
-            (LaneProgram::F32(ops), 16) => rows!(eval_chunk_float::<f32, 16>, ops),
-            (LaneProgram::F32(ops), _) => rows!(eval_chunk_float::<f32, 8>, ops),
-            (LaneProgram::F64(ops), 32) => rows!(eval_chunk_float::<f64, 32>, ops),
-            (LaneProgram::F64(ops), 16) => rows!(eval_chunk_float::<f64, 16>, ops),
-            (LaneProgram::F64(ops), 8) => rows!(eval_chunk_float::<f64, 8>, ops),
-            (LaneProgram::F64(ops), _) => rows!(eval_chunk_float::<f64, 4>, ops),
-        };
+            (LaneProgram::I32(ops), 64) => rows!(i32, 64, ops),
+            (LaneProgram::I32(ops), 32) => rows!(i32, 32, ops),
+            (LaneProgram::I32(ops), 16) => rows!(i32, 16, ops),
+            (LaneProgram::I32(ops), _) => rows!(i32, 8, ops),
+            (LaneProgram::I64(ops), 32) => rows!(i64, 32, ops),
+            (LaneProgram::I64(ops), 16) => rows!(i64, 16, ops),
+            (LaneProgram::I64(ops), 8) => rows!(i64, 8, ops),
+            (LaneProgram::I64(ops), _) => rows!(i64, 4, ops),
+            (LaneProgram::F32(ops), 64) => rows!(f32, 64, ops),
+            (LaneProgram::F32(ops), 32) => rows!(f32, 32, ops),
+            (LaneProgram::F32(ops), 16) => rows!(f32, 16, ops),
+            (LaneProgram::F32(ops), _) => rows!(f32, 8, ops),
+            (LaneProgram::F64(ops), 32) => rows!(f64, 32, ops),
+            (LaneProgram::F64(ops), 16) => rows!(f64, 16, ops),
+            (LaneProgram::F64(ops), 8) => rows!(f64, 8, ops),
+            (LaneProgram::F64(ops), _) => rows!(f64, 4, ops),
+        }
         scratch.tap_bases = bases;
-        scratch.counts.fused_rows += rows as u64;
-        scratch.counts.fused_tails += tails;
         Ok(())
     }
 
@@ -4220,7 +4264,7 @@ fn read_elem<L: LaneConst>(ty: ScalarType, data: &[u8], i: usize) -> L {
 /// buffer: each lane keeps the low bytes of its [`LaneConst::to_bits`],
 /// which truncates integer lanes to the output type (wrapping, like the
 /// per-op tier) and writes float lanes bit-exactly.
-#[inline]
+#[inline(always)]
 fn store_chunk<L: LaneConst>(out: &SlotBind, ty: ScalarType, at: i64, vals: &[L]) {
     let eb = ty.bytes();
     out.write_with(at as usize * eb, vals.len() * eb, |dst| match eb {
@@ -4247,38 +4291,153 @@ fn store_chunk<L: LaneConst>(out: &SlotBind, ty: ScalarType, at: i64, vals: &[L]
     });
 }
 
-/// Cover a fused row's interior `[lo, hi]` with `chunk(x, n, stack)` calls
-/// of `W` lanes from `x` (`n` of them in range): full chunks, then a tail.
-/// After at least one full chunk the tail *overlaps* the previous chunk,
-/// ending at the interior's edge and re-storing lanes it already wrote —
-/// sound because the kernel is deterministic and reads nothing the store
-/// writes (self-aliasing stores never fuse: the `value_reads_buffer` and
-/// tap-slot checks at build time), so the re-stored lanes are bit-identical.
-/// An interior shorter than `W` instead runs one *masked* chunk that loads
-/// and stores only its `n` in-range lanes. Returns whether a tail ran.
-#[inline(always)]
-fn chunk_row<L, const W: usize>(
+/// One batch of a fused store's rows, as [`Runner::run_fused_loop`] hands
+/// it to a build of the row loop.
+struct RowBatch<'a> {
+    fused: &'a FusedKernel,
+    /// The interior `[lo, hi]` every row of the batch shares.
     lo: i64,
     hi: i64,
+    /// The row variable's depth, its first row, and the row count.
+    depth: usize,
+    first: i64,
+    rows: i64,
+    lane_depth: usize,
+    out: &'a SlotBind,
+    /// The first row's output base offset, and its step from row to row.
+    out_base: i64,
+    out_step: i64,
+    /// The taps' first-row base offsets, and their steps from row to row.
+    bases: &'a mut [i64],
+    base_steps: &'a [i64],
+    vars: &'a mut [i64],
+    binds: &'a BindTable,
+}
+
+/// Run a batch of fused rows on `[L; W]` chunks through the build of the
+/// row loop that `isa` selects (see [`fused_rows`]) — the AVX2 one only for
+/// families that have it ([`LaneConst::AVX2`]) — and count the batch's
+/// rows, tails and AVX2 rows in `counts`.
+#[inline(always)]
+fn row_batch<L: LaneConst, const W: usize>(
+    isa: Isa,
+    ops: &[L::Op],
+    batch: RowBatch<'_>,
     stack: &mut [[L; W]],
-    mut chunk: impl FnMut(i64, usize, &mut [[L; W]]),
-) -> bool {
-    let w = W as i64;
-    let mut x = lo;
-    while x + w <= hi + 1 {
-        chunk(x, W, stack);
-        x += w;
-    }
-    if x > hi {
-        false
-    } else {
-        if x > lo {
-            chunk(hi + 1 - w, W, stack);
-        } else {
-            chunk(x, (hi + 1 - x) as usize, stack);
+    counts: &mut Counts,
+) {
+    let rows = batch.rows as u64;
+    counts.fused_rows += rows;
+    counts.fused_tails += match isa {
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 if L::AVX2 => {
+            counts.arch_rows += rows;
+            // SAFETY: a plan's ISA is `Avx2` only where
+            // `Target::effective_isa` detected AVX2 on this CPU, when
+            // `prepare` built the plan; nothing else sets it.
+            unsafe { fused_rows_avx2::<L, W>(ops, batch, stack) }
         }
-        true
+        _ => fused_rows_base::<L, W>(ops, batch, stack),
+    };
+}
+
+/// The baseline build of [`fused_rows`]: one function per lane family and
+/// chunk width (inlining all sixteen into one caller makes a function too
+/// large to optimize in reasonable time).
+#[inline(never)]
+fn fused_rows_base<L: LaneConst, const W: usize>(
+    ops: &[L::Op],
+    batch: RowBatch<'_>,
+    stack: &mut [[L; W]],
+) -> u64 {
+    fused_rows::<L, W>(ops, batch, stack)
+}
+
+/// The AVX2 build of [`fused_rows`]: the same source compiled with 256-bit
+/// vectors and AVX2's integer lane ops, one function per lane family and
+/// chunk width.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn fused_rows_avx2<L: LaneConst, const W: usize>(
+    ops: &[L::Op],
+    batch: RowBatch<'_>,
+    stack: &mut [[L; W]],
+) -> u64 {
+    fused_rows::<L, W>(ops, batch, stack)
+}
+
+/// The rows of a fused batch: cover each row's interior `[lo, hi]` with
+/// chunks of `W` lanes — full chunks, then a tail — evaluating each into
+/// `stack[0]` and storing it straight into the output. After at least one
+/// full chunk the tail *overlaps* the previous chunk, ending at the
+/// interior's edge and re-storing lanes it already wrote — sound because
+/// the kernel is deterministic and reads nothing the store writes
+/// (self-aliasing stores never fuse: the `value_reads_buffer` and tap-slot
+/// checks at build time), so the re-stored lanes are bit-identical. An
+/// interior shorter than `W` instead runs one *masked* chunk that loads and
+/// stores only its `n` in-range lanes. Returns the number of tails run.
+///
+/// Always inlined, and the evaluator and store it calls are too (no
+/// closure stands between them: a closure compiles as a function of its
+/// own, at the baseline ISA), so each build — [`fused_rows_base`] and
+/// [`fused_rows_avx2`] — compiles the whole row for its ISA.
+#[inline(always)]
+fn fused_rows<L: LaneConst, const W: usize>(
+    ops: &[L::Op],
+    batch: RowBatch<'_>,
+    stack: &mut [[L; W]],
+) -> u64 {
+    let RowBatch {
+        fused,
+        lo,
+        hi,
+        depth,
+        first,
+        rows,
+        lane_depth,
+        out,
+        mut out_base,
+        out_step,
+        bases,
+        base_steps,
+        vars,
+        binds,
+    } = batch;
+    let (w, mut tails) = (W as i64, 0);
+    for r in 0..rows {
+        vars[depth] = first + r;
+        let ch = Chunk {
+            taps: &fused.taps,
+            bases,
+            lane_depth,
+            vars,
+            binds,
+        };
+        let mut x = lo;
+        while x + w <= hi + 1 {
+            L::eval_chunk(ops, &ch, x, W, stack);
+            store_chunk(out, fused.out_ty, out_base + x, &stack[0]);
+            x += w;
+        }
+        if x <= hi {
+            let (x, n) = if x > lo {
+                (hi + 1 - w, W)
+            } else {
+                (x, (hi + 1 - x) as usize)
+            };
+            L::eval_chunk(ops, &ch, x, n, stack);
+            store_chunk(out, fused.out_ty, out_base + x, &stack[0][..n]);
+            tails += 1;
+        }
+        for (b, s) in bases.iter_mut().zip(base_steps) {
+            *b = b.wrapping_add(*s);
+        }
+        out_base = out_base.wrapping_add(out_step);
     }
+    tails
 }
 
 /// Lanes per store visit of a loop of `kind`: [`MAX_LANES`] when it is
@@ -4342,12 +4501,12 @@ fn reduce_row(
     };
     let (lanes, counts) = (&mut scratch.lanes, &mut scratch.counts);
     macro_rules! sum {
-        ($eval:expr, $tree:ident, $ops:expr, $w:literal) => {{
-            let stack = lanes.stack::<_, $w>();
+        ($lane:ty, $tree:ident, $ops:expr, $w:literal) => {{
+            let stack = lanes.stack::<$lane, $w>();
             let (mut acc, mut x) = (0i64, lo);
             while x <= hi {
                 let n = (hi + 1 - x).min($w) as usize;
-                $eval($ops, &ch, x, n, stack);
+                eval_chunk_outlined::<$lane, $w>($ops, &ch, x, n, stack);
                 acc = acc.wrapping_add($tree(&mut stack[0], n) as i64);
                 counts.reduce_chunks += 1;
                 x += n as i64;
@@ -4359,18 +4518,33 @@ fn reduce_row(
         &rk.prog,
         rk.prog.family().chunk_lanes((hi + 1 - lo) as usize),
     ) {
-        (LaneProgram::I32(ops), 64) => sum!(eval_chunk_i32, tree_sum_i32, ops, 64),
-        (LaneProgram::I32(ops), 32) => sum!(eval_chunk_i32, tree_sum_i32, ops, 32),
-        (LaneProgram::I32(ops), 16) => sum!(eval_chunk_i32, tree_sum_i32, ops, 16),
-        (LaneProgram::I32(ops), _) => sum!(eval_chunk_i32, tree_sum_i32, ops, 8),
-        (LaneProgram::I64(ops), 32) => sum!(eval_chunk_i64, tree_sum_i64, ops, 32),
-        (LaneProgram::I64(ops), 16) => sum!(eval_chunk_i64, tree_sum_i64, ops, 16),
-        (LaneProgram::I64(ops), 8) => sum!(eval_chunk_i64, tree_sum_i64, ops, 8),
-        (LaneProgram::I64(ops), _) => sum!(eval_chunk_i64, tree_sum_i64, ops, 4),
+        (LaneProgram::I32(ops), 64) => sum!(i32, tree_sum_i32, ops, 64),
+        (LaneProgram::I32(ops), 32) => sum!(i32, tree_sum_i32, ops, 32),
+        (LaneProgram::I32(ops), 16) => sum!(i32, tree_sum_i32, ops, 16),
+        (LaneProgram::I32(ops), _) => sum!(i32, tree_sum_i32, ops, 8),
+        (LaneProgram::I64(ops), 32) => sum!(i64, tree_sum_i64, ops, 32),
+        (LaneProgram::I64(ops), 16) => sum!(i64, tree_sum_i64, ops, 16),
+        (LaneProgram::I64(ops), 8) => sum!(i64, tree_sum_i64, ops, 8),
+        (LaneProgram::I64(ops), _) => sum!(i64, tree_sum_i64, ops, 4),
         (LaneProgram::F32(_) | LaneProgram::F64(_), _) => {
             unreachable!("reduce kernels are integer-only")
         }
     }
+}
+
+/// One chunk of the tree-reduce's evaluation ([`LaneConst::eval_chunk`]),
+/// kept out of line: the reduction has only the baseline build of its row
+/// loop, and inlining the evaluator into all eight of its arms made it
+/// about 4% slower.
+#[inline(never)]
+fn eval_chunk_outlined<L: LaneConst, const W: usize>(
+    ops: &[L::Op],
+    ch: &Chunk,
+    x: i64,
+    n: usize,
+    st: &mut [[L; W]],
+) {
+    L::eval_chunk(ops, ch, x, n, st)
 }
 
 /// `a[l] = f(a[l], b[l])` on every lane.
@@ -4389,6 +4563,7 @@ fn zip_lanes<T: Copy, const W: usize>(a: &mut [T; W], b: &[T; W], f: impl Fn(T, 
 /// the reduction epilogue zeroes them before summing).
 macro_rules! int_chunk_eval {
     ($name:ident, $lane:ty, $ulane:ty) => {
+        #[inline(always)]
         fn $name<const W: usize>(
             ops: &[VOp<$lane>],
             ch: &Chunk,
@@ -4524,6 +4699,7 @@ impl<L: LaneConst + AddAssign + SubAssign + MulAssign + DivAssign> FloatLane for
 /// no-op widening on f64 lanes). Taps stream through [`stream_tap`] into
 /// the op that consumes them. Lanes beyond `n` are unspecified, as for the
 /// integer families.
+#[inline(always)]
 fn eval_chunk_float<L: FloatLane, const W: usize>(
     ops: &[FOp<L>],
     ch: &Chunk,
@@ -4825,6 +5001,7 @@ pub fn prepare(
             max_depth: ctx.max_depth,
             max_stack: ctx.max_stack,
             max_arity: ctx.max_arity,
+            isa: Target::detect().effective_isa(),
         },
         output_ty,
         image_names: images.iter().map(|(n, _)| n.clone()).collect(),
@@ -4863,6 +5040,19 @@ pub fn run_with_target(
     params: &BTreeMap<String, Value>,
     target: Target,
 ) -> Result<(), RealizeError> {
+    run_counted(plan, output, images, roots, params, target).map(drop)
+}
+
+/// [`run_with_target`], returning the counts of the calling thread's worker:
+/// all of the run's counts when its nest has no parallel loop.
+fn run_counted(
+    plan: &ExecPlan,
+    output: &mut Buffer,
+    images: &BTreeMap<String, &Buffer>,
+    roots: &BTreeMap<String, Buffer>,
+    params: &BTreeMap<String, Value>,
+    target: Target,
+) -> Result<Counts, RealizeError> {
     debug_assert_eq!(
         output.scalar_type(),
         plan.output_ty,
@@ -4904,7 +5094,8 @@ pub fn run_with_target(
     let mut binds = BindTable(binds);
     let mut vars = vec![0i64; plan.prepared.max_depth.max(1)];
     let mut scratch = Scratch::new(&plan.prepared);
-    runner.run(&plan.root, &mut binds, &mut vars, &mut scratch, false)
+    runner.run(&plan.root, &mut binds, &mut vars, &mut scratch, false)?;
+    Ok(scratch.counts.clone())
 }
 
 #[cfg(test)]
@@ -5754,6 +5945,167 @@ mod tests {
                     emitted.contains(op),
                     "{ty:?}: {op} never emitted, got {emitted:?}"
                 );
+            }
+        }
+    }
+
+    /// Both builds of the fused row loop write the same bytes as each other
+    /// and as the interpreter, for every lane family at every chunk width:
+    /// a row of exactly one chunk, a row that ends in an overlapping tail
+    /// and, at the narrowest width (the only one a row shorter than a chunk
+    /// picks), a masked tail. The baseline build is forced by flipping the
+    /// plan's ISA to `Portable`; each run's counts show which build ran
+    /// (the f64 family has only the baseline one).
+    #[test]
+    fn baseline_and_host_row_builds_agree_byte_for_byte() {
+        let neg = |e: Expr| u32c(Expr::mul(Expr::int(4294967295), e));
+        let sharpen = u32c(Expr::add(
+            u32c(Expr::add(
+                u32c(Expr::add(
+                    Expr::int(2),
+                    u32c(Expr::mul(Expr::int(8), tap(1, 1))),
+                )),
+                neg(tap(0, 1)),
+            )),
+            neg(tap(2, 1)),
+        ));
+        let i32_value = Expr::cast(
+            ScalarType::UInt8,
+            Expr::select(
+                Expr::cmp(CmpOp::Lt, tap(0, 0), Expr::int(128)),
+                u32c(Expr::bin(BinOp::Shr, sharpen, Expr::uint(2))),
+                Expr::bin(BinOp::Min, tap(1, 0), tap(2, 2)),
+            ),
+        );
+        let i64_value = Expr::cast(
+            ScalarType::UInt64,
+            Expr::add(
+                Expr::mul(tap(0, 0), Expr::int(0x1_0000_0001)),
+                Expr::bin(
+                    BinOp::Shl,
+                    Expr::cast(ScalarType::UInt64, tap(2, 1)),
+                    Expr::int(33),
+                ),
+            ),
+        );
+        let f32_value = f32c(Expr::add(
+            f32c(Expr::mul(
+                f32c(Expr::add(ftap(0, 1), ftap(2, 1))),
+                Expr::ConstFloat((1.0f32 / 12.0) as f64, ScalarType::Float32),
+            )),
+            Expr::bin(
+                BinOp::Max,
+                ftap(1, 1),
+                Expr::ConstFloat(-2.5, ScalarType::Float32),
+            ),
+        ));
+        let f64_value = Expr::select(
+            Expr::cmp(CmpOp::Lt, ftap(1, 0), dconst(0.0)),
+            Expr::Call(ExternCall::Sqrt, vec![ftap(1, 1)]),
+            Expr::add(
+                Expr::mul(Expr::add(ftap(0, 1), ftap(2, 1)), dconst(1.0 / 12.0)),
+                Expr::mul(ftap(1, 2), dconst(0.5)),
+            ),
+        );
+        let families = [
+            (
+                LaneFamily::I32,
+                i32_value,
+                ScalarType::UInt8,
+                ScalarType::UInt8,
+                i32::AVX2,
+            ),
+            (
+                LaneFamily::I64,
+                i64_value,
+                ScalarType::UInt64,
+                ScalarType::UInt8,
+                i64::AVX2,
+            ),
+            (
+                LaneFamily::F32,
+                f32_value,
+                ScalarType::Float32,
+                ScalarType::Float32,
+                f32::AVX2,
+            ),
+            (
+                LaneFamily::F64,
+                f64_value,
+                ScalarType::Float64,
+                ScalarType::Float64,
+                f64::AVX2,
+            ),
+        ];
+        let host = Target::detect().effective_isa();
+        let h = 3usize;
+        for (family, value, out_ty, in_ty, avx2) in families {
+            let narrowest = family.chunk_lanes(1);
+            for width in [1, 2, 4, 8].map(|k| k * narrowest) {
+                // One chunk, an overlapping tail, and at the narrowest width
+                // a masked one.
+                let mut rows = vec![(width, 0), (width + width / 2 + 1, h as u64)];
+                if width == narrowest {
+                    rows.push((width / 2 + 1, h as u64));
+                }
+                for (w, tails) in rows {
+                    assert_eq!(family.chunk_lanes(w), width);
+                    let mut plan =
+                        plan_with_input(nest(w as i64, h as i64, value.clone()), out_ty, in_ty);
+                    assert_eq!(plan.prepared.isa, host, "prepare records the host's build");
+                    let fused = plan.prepared.stores[0]
+                        .as_ref()
+                        .and_then(|s| s.fused.as_ref());
+                    assert_eq!(fused.map(|f| f.prog.family()), Some(family));
+                    // Taps reach two columns right and two rows down, so the
+                    // interior is the whole row.
+                    let img = match in_ty {
+                        ScalarType::UInt8 => input(w + 2, h + 2, 29),
+                        float => special_input(float, w + 2, h + 2, 29),
+                    };
+                    let images: BTreeMap<String, &Buffer> =
+                        [("in".to_string(), &img)].into_iter().collect();
+                    let mut run = |isa: Isa| {
+                        plan.prepared.isa = isa;
+                        let mut out = Buffer::new(out_ty, &[w, h]);
+                        let simd = Target::detect().with_tier(Tier::Simd);
+                        let counts = run_counted(
+                            &plan,
+                            &mut out,
+                            &images,
+                            &BTreeMap::new(),
+                            &BTreeMap::new(),
+                            simd,
+                        )
+                        .expect("run");
+                        (out, counts)
+                    };
+                    let (native, native_counts) = run(host);
+                    let (baseline, baseline_counts) = run(Isa::Portable);
+                    let case = format!("{family:?} {w}x{h}");
+                    assert_eq!(
+                        native.bytes(),
+                        baseline.bytes(),
+                        "{case}: host vs baseline build"
+                    );
+                    assert_eq!(
+                        native.bytes(),
+                        interpret(&value, out_ty, w, h, &img).bytes(),
+                        "{case}: fused vs interpreter"
+                    );
+                    let arch_rows = if host == Isa::Avx2 && avx2 {
+                        h as u64
+                    } else {
+                        0
+                    };
+                    for (counts, arch_rows) in [(native_counts, arch_rows), (baseline_counts, 0)] {
+                        assert_eq!(
+                            (counts.fused_rows, counts.fused_tails, counts.arch_rows),
+                            (h as u64, tails, arch_rows),
+                            "{case}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -4,10 +4,11 @@
 //! A [`Target`] is resolved **once at compile time** — [`Pipeline::compile`]
 //! stores the resolved value on the [`CompiledPipeline`] — and every dispatch
 //! site (tier selection, fused builders, reduce kernels) reads that one
-//! value. There is no ISA dimension: the fused lane kernels are portable
-//! constant-trip loops that the compiler vectorizes for the ISA it targets,
-//! so every host runs the same kernels. [`Target::effective_isa`] only
-//! describes the host, for reports.
+//! value. The ISA is not part of it and no caller chooses one: the fused
+//! lane kernels are portable constant-trip loops, whose rows the compiler
+//! builds twice — for the baseline and, for the lane families where it
+//! pays, for AVX2 — and each prepared plan runs the build
+//! [`Target::effective_isa`] detects on the host.
 //!
 //! [`Pipeline::compile`]: crate::func::Pipeline::compile
 //! [`CompiledPipeline`]: crate::compile::CompiledPipeline
@@ -49,15 +50,15 @@ pub enum Tier {
     Simd,
 }
 
-/// The widest vector instruction set the host reports, as a description
-/// for reports ([`Target::effective_isa`]). It selects nothing: every host
-/// runs the same portable lane kernels.
+/// The build of the fused row loops a host runs ([`Target::effective_isa`]):
+/// the same portable source, compiled for the baseline or for AVX2 (the
+/// `f64` lane family has only the baseline build).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Isa {
-    /// No wider vector set than the compile target's baseline.
+    /// The build for the compile target's baseline (SSE2 on x86-64).
     #[default]
     Portable,
-    /// The host reports AVX2.
+    /// The build with AVX2 enabled, run where the CPU reports AVX2.
     Avx2,
 }
 
@@ -99,8 +100,9 @@ impl Target {
         self.tier
     }
 
-    /// The widest vector instruction set the running CPU reports. A
-    /// description of the host for reports; no kernel dispatches on it.
+    /// The build of the fused row loops the running CPU supports: `Avx2`
+    /// when it reports AVX2, else `Portable`. Preparing a plan records it,
+    /// and the plan's fused rows run that build; no caller can choose it.
     pub fn effective_isa(self) -> Isa {
         #[cfg(target_arch = "x86_64")]
         {
@@ -179,7 +181,7 @@ mod tests {
 
     #[test]
     fn effective_isa_describes_the_host() {
-        // The tier does not change what the host reports.
+        // The detected CPU alone selects the build; the tier plays no part.
         let isa = Target::detect().effective_isa();
         for tier in [Tier::Auto, Tier::Scalar, Tier::Simd] {
             assert_eq!(Target::detect().with_tier(tier).effective_isa(), isa);
