@@ -191,7 +191,7 @@ fn lane_family_split(
     let schedule = Schedule::stencil_default().with_parallel(false);
     // Correctness gate before timing: the fused tier must be active on the
     // expected lane family and bit-identical to the interpreter.
-    let compiled = compile_pinned(pipeline, &schedule, Target::detect().with_tier(Tier::Simd));
+    let compiled = compile_pinned(pipeline, &schedule, Target::detect());
     let fused = compiled.run(inputs, extents).expect("fused run");
     let counts = compiled
         .fused_store_counts(inputs, extents)
@@ -236,11 +236,11 @@ fn lane_family_split(
 const TILE_IMAGE: (usize, usize) = (1920, 1080);
 
 /// Tiling overhead of a lifted kernel at [`TILE_IMAGE`] on one thread:
-/// `stencil_default` (64×64 tiles, vectorized) over the untiled vectorized
-/// schedule, as a ratio of interleaved medians, after checking both give the
-/// same bytes. The engine picks its chunk from the row, so the ratio shows
-/// what tiling itself costs (loop control, row set-up, the memory access
-/// pattern), not a chunk-width difference.
+/// `stencil_default` (64×64 tiles) over the untiled naive schedule, as a
+/// ratio of interleaved medians, after checking both give the same bytes.
+/// The engine picks its chunk from the row, so the ratio shows what tiling
+/// itself costs (loop control, row set-up, the memory access pattern), not
+/// a chunk-width difference.
 fn tile_overhead(lifted: &LiftedStencil, reps: usize) -> f64 {
     let (w, h) = TILE_IMAGE;
     let kernel = lifted.primary();
@@ -268,7 +268,7 @@ fn tile_overhead(lifted: &LiftedStencil, reps: usize) -> f64 {
         kernel.pipeline.compile(&s, &options).expect("compile")
     };
     let tiled = compile(Schedule::stencil_default().with_parallel(false));
-    let untiled = compile(Schedule::naive().with_vectorize(true));
+    let untiled = compile(Schedule::naive());
     assert_eq!(
         tiled.run(&inputs, &[w, h]).expect("tiled run"),
         untiled.run(&inputs, &[w, h]).expect("untiled run"),

@@ -698,7 +698,7 @@ pub fn run_legacy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use helium_halide::{CompileOptions, ExecBackend, Target, Tier};
+    use helium_halide::{CompileOptions, ExecBackend, Target};
 
     #[test]
     fn helpers_produce_consistent_timings() {
@@ -725,7 +725,7 @@ mod tests {
                 &schedule,
                 &CompileOptions {
                     backend: ExecBackend::Lowered,
-                    target: Some(Target::detect().with_tier(Tier::Simd)),
+                    target: Some(Target::detect()),
                     ..CompileOptions::default()
                 },
             )
@@ -760,7 +760,7 @@ mod tests {
                 &schedule,
                 &CompileOptions {
                     backend: ExecBackend::Lowered,
-                    target: Some(Target::detect().with_tier(Tier::Simd)),
+                    target: Some(Target::detect()),
                     ..CompileOptions::default()
                 },
             )
@@ -820,7 +820,7 @@ mod tests {
             .compile(
                 &schedule,
                 &CompileOptions {
-                    target: Some(Target::detect().with_tier(Tier::Simd)),
+                    target: Some(Target::detect()),
                     ..CompileOptions::default()
                 },
             )
@@ -855,7 +855,7 @@ mod tests {
                 &schedule,
                 &CompileOptions {
                     backend: ExecBackend::Lowered,
-                    target: Some(Target::detect().with_tier(Tier::Simd)),
+                    target: Some(Target::detect()),
                     ..CompileOptions::default()
                 },
             )

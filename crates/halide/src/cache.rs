@@ -554,9 +554,10 @@ mod tests {
     fn schedule_fingerprints_separate_knobs() {
         let a = fingerprint_schedule(&Schedule::naive());
         let b = fingerprint_schedule(&Schedule::stencil_default());
-        let c = fingerprint_schedule(&Schedule::naive().with_vectorize(true));
+        let c = fingerprint_schedule(&Schedule::naive().with_tile(Some((64, 64))));
         assert_ne!(a, b);
         assert_ne!(a, c);
+        assert_ne!(b, c);
         assert_eq!(a, fingerprint_schedule(&Schedule::naive()));
     }
 

@@ -50,14 +50,12 @@ pub struct CompileOptions {
     /// [`ProgramCache`](crate::cache::ProgramCache) (one entry per
     /// output-extents × binding-signature combination).
     pub cache_capacity: usize,
-    /// The backend-selection [`Target`] this pipeline executes under —
-    /// execution tier pin plus the ISA features its fused kernels may use.
-    /// `None` resolves [`Target::current`] (process-wide override, else the
-    /// environment pins via [`Target::from_env`]) **once at compile time**;
-    /// the resolved value is stored on the [`CompiledPipeline`] and every
-    /// dispatch site reads it. Every target produces bit-identical buffers —
-    /// differential tests use this to pin tiers and ISAs per pipeline
-    /// without touching global state.
+    /// The backend-selection [`Target`] this pipeline executes under: its
+    /// execution tier pin. `None` resolves [`Target::current`] (the
+    /// environment pin) **once at compile time**; the resolved value is
+    /// stored on the [`CompiledPipeline`] and every dispatch site reads it.
+    /// Every target produces bit-identical buffers — differential tests use
+    /// this to pin tiers per pipeline without touching global state.
     pub target: Option<Target>,
 }
 
@@ -323,8 +321,8 @@ impl CompiledPipeline {
     /// Number of sliding-window `compute_at` allocations in the prepared
     /// program for `output_extents` × `inputs` — the rolling producer
     /// windows reused across attach iterations (the run-time reuse itself is
-    /// counted by [`exec::window_rows_reused`]). Builds and caches the
-    /// program if this key has not run yet.
+    /// counted by [`exec::CounterSnapshot::window_rows_reused`]). Builds and
+    /// caches the program if this key has not run yet.
     ///
     /// # Errors
     /// Returns an error if inputs or parameters are missing or the extents
@@ -1416,6 +1414,7 @@ mod tests {
     use super::*;
     use crate::func::{Func, ImageParam};
     use crate::realize::Realizer;
+    use crate::target::Tier;
 
     /// bright(x,y) = in(x,y) + 17 (u16); out(x,y) = u8(bright(x,y) + bright(x+2,y+1))
     fn two_stage() -> Pipeline {
@@ -1700,13 +1699,13 @@ mod tests {
         }
         let inputs = RealizeInputs::new().with_image("in", &input);
         let counters = exec::CounterSnapshot::take();
-        // Pin the fused tier so an inherited HELIUM_FORCE_SCALAR cannot
+        // Pin the default tier so an inherited HELIUM_FORCE_SCALAR cannot
         // silently skip the kernel this test asserts on.
         let compiled = p
             .compile(
                 &Schedule::stencil_default(),
                 &CompileOptions {
-                    target: Some(Target::detect().with_tier(crate::target::Tier::Simd)),
+                    target: Some(Target::detect()),
                     ..CompileOptions::default()
                 },
             )
@@ -1778,9 +1777,13 @@ mod tests {
             b
         };
         let inputs = RealizeInputs::new().with_image("in", &input);
-        for vectorize in [false, true] {
-            let schedule = Schedule::stencil_default().with_vectorize(vectorize);
-            let compiled = p.compile(&schedule, &CompileOptions::default()).unwrap();
+        let schedule = Schedule::stencil_default();
+        for tier in [Tier::Auto, Tier::Scalar] {
+            let options = CompileOptions {
+                target: Some(Target::detect().with_tier(tier)),
+                ..CompileOptions::default()
+            };
+            let compiled = p.compile(&schedule, &options).unwrap();
             let out = compiled.run(&inputs, &[47]).unwrap();
             assert_eq!(
                 compiled.update_counts(&inputs, &[47]).unwrap(),
@@ -1789,11 +1792,11 @@ mod tests {
                     interpreted: 0
                 }
             );
-            let oracle = Realizer::new(schedule)
+            let oracle = Realizer::new(schedule.clone())
                 .with_backend(ExecBackend::Interpret)
                 .realize(&p, &[47], &inputs)
                 .unwrap();
-            assert_eq!(out, oracle, "vectorize={vectorize} diverged");
+            assert_eq!(out, oracle, "{tier:?} diverged");
         }
     }
 

@@ -3,11 +3,13 @@
 //! Execution has three tiers, fastest first; every store is compiled to the
 //! best tier its shape admits and the others remain as fallbacks:
 //!
-//! 1. **Fused SIMD lane kernels.** At [`prepare`] time each store under a
-//!    vectorized innermost loop is additionally compiled — when its loads
-//!    are affine in the loop variables and contiguous (or invariant) along
-//!    the lane dimension — into a single fused kernel over one of four
-//!    *lane families*, each with its own bit-exactness invariant:
+//! 1. **Fused SIMD lane kernels.** At [`prepare`] time each store is
+//!    additionally compiled — when its loads are affine in the loop
+//!    variables and contiguous (or invariant) along the lane dimension —
+//!    into a single fused kernel over one of four *lane families*, each
+//!    with its own bit-exactness invariant. A store runs its kernel
+//!    wherever it has one, whatever its loop kind, unless the target pins
+//!    [`Tier::Scalar`]: the same rule [`ExecPlan::store_profiles`] reports.
 //!
 //!    | family      | lanes per chunk  | outputs            | exactness invariant |
 //!    |-------------|------------------|--------------------|---------------------|
@@ -45,7 +47,8 @@
 //!    programs (`TOp`) whose int lanes are `i64` and float lanes `f64`,
 //!    with clamped, gather-style loads — the general path, and the one the
 //!    fused tier's boundary peels run on. A dispatch evaluates [`MAX_LANES`]
-//!    lanes under a vectorized loop and one lane otherwise.
+//!    lanes under a [`LoopKind::Vectorized`] loop (the lowering's statement
+//!    that the lanes are independent) and one lane otherwise.
 //! 3. **Per-element fallback.** Stores whose types cannot be inferred
 //!    statically (a `select` mixing int and float branches) evaluate through
 //!    the shared [`crate::eval`] evaluator — the same code the interpreter
@@ -70,9 +73,9 @@
 //!   with a wrapping in-lane tree-reduce (`ReduceKernel` documents the
 //!   congruence-mod-`2^k` argument that makes reassociation exact; float
 //!   accumulators never take this path because float addition is not
-//!   associative). `Auto` mode always uses a compiled reduce kernel —
-//!   rdom loops are serial, so there is no vectorized loop to gate on —
-//!   and `ForceScalar` pins the per-op read-modify-write path.
+//!   associative). Like a fused kernel, a compiled reduce kernel runs
+//!   unless the target pins [`Tier::Scalar`], which keeps the per-op
+//!   read-modify-write path.
 //!
 //! Everything else stays on the sequential per-element path, which preserves
 //! the reduction interpreter's iteration order exactly (that interpreter,
@@ -95,7 +98,7 @@
 //! instead runs a single *masked* chunk that loads and stores only the
 //! provably in-range lane prefix (the other lanes hold stale values and are
 //! never stored). Either way small tiles stay on tier 1 —
-//! [`fused_tail_chunks_executed`] counts these tail chunks.
+//! [`CounterSnapshot::fused_tails`] counts these tail chunks.
 //!
 //! **Sliding windows.** [`Stmt::SlideWindow`] manages a `compute_at`
 //! allocation as a rolling window: at each attach iteration it compares the
@@ -105,8 +108,8 @@
 //! count to a pseudo-variable the producer nest's sliding loop starts at —
 //! only newly exposed rows are recomputed. Exactness: region inference proved the
 //! window's content is a pure function of the sliding minimum, so a shifted
-//! row is bit-identical to a recomputed one. [`window_rows_reused`] counts
-//! the rows saved.
+//! row is bit-identical to a recomputed one.
+//! [`CounterSnapshot::window_rows_reused`] counts the rows saved.
 //!
 //! **Bit-exactness.** Every tier replicates [`Value`] semantics exactly:
 //! integer arithmetic wraps, division by zero yields zero, right shifts are
@@ -125,14 +128,14 @@
 //! against the interpreter across all tiers, element types (including NaN,
 //! ±Inf and subnormal float inputs) and extents.
 //!
-//! Backend selection is a [`Target`]: an execution [`Tier`] (pin the fused
-//! tier on or off, or let the runner choose), resolved once at compile time
-//! ([`crate::compile::CompileOptions::target`], defaulting to
-//! [`Target::current`] — env pins live in [`Target::from_env`]). The ISA is
-//! no knob: every fused chunk runs the portable constant-trip lane loops —
-//! one generic tap decoder, chunk store and float evaluator over the lane
-//! type (`LaneConst`), plus the integer evaluator — and the compiler builds
-//! each row of them twice. `fused_rows` is one always-inlined body per lane
+//! Backend selection is a [`Target`]: an execution [`Tier`] (`Auto` runs
+//! every compiled kernel, `Scalar` pins the per-op tier), resolved once at
+//! compile time ([`crate::compile::CompileOptions::target`], defaulting to
+//! [`Target::current`], which reads the env pin). The ISA is no knob: every
+//! fused chunk runs the portable constant-trip lane loops — one generic tap
+//! decoder, chunk store and float evaluator over the lane type
+//! (`LaneConst`), plus the integer evaluator — and the compiler builds each
+//! row of them twice. `fused_rows` is one always-inlined body per lane
 //! family and chunk width (the chunk loop, the evaluator and the store, with
 //! no closure between them); `fused_rows_base` builds it for the baseline
 //! (SSE2 on x86-64) and `fused_rows_avx2` under
@@ -259,41 +262,8 @@ struct Counts {
     arch_rows: u64,
 }
 
-/// Number of innermost-loop rows executed through the fused-kernel interior
-/// path since process start (monotonic; for tests and observability).
-pub fn fused_rows_executed() -> u64 {
-    FUSED_ROWS.load(Ordering::Relaxed)
-}
-
-/// Number of sub-width interior tails executed as fused chunks (masked or
-/// overlapping) rather than peeled onto the per-op tier since process start
-/// (monotonic; for tests and observability).
-pub fn fused_tail_chunks_executed() -> u64 {
-    FUSED_TAILS.load(Ordering::Relaxed)
-}
-
-/// Number of chunks accumulated by fused reduction kernels (the lane
-/// tree-reduce path of lowered update definitions) since process start
-/// (monotonic; for tests and observability).
-pub fn reduce_chunks_executed() -> u64 {
-    REDUCE_CHUNKS.load(Ordering::Relaxed)
-}
-
-/// Number of private accumulator buffers merged into outputs by the parallel
-/// reduction accumulation path since process start (monotonic; for tests and
-/// observability).
-pub fn parallel_reduce_merges_executed() -> u64 {
-    PARALLEL_REDUCE_MERGES.load(Ordering::Relaxed)
-}
-
-/// Number of sliding-window rows reused (shifted in place instead of
-/// recomputed) since process start (monotonic; for tests and observability).
-pub fn window_rows_reused() -> u64 {
-    WINDOW_ROWS_REUSED.load(Ordering::Relaxed)
-}
-
-/// A scoped snapshot of the global execution counters, for tests that assert
-/// exact deltas.
+/// A scoped snapshot of the global execution counters, the one reader of
+/// them, for tests and observability.
 ///
 /// The counters are process-wide and monotonic, so a read-then-reset pattern
 /// races against concurrently executing pipelines (another thread's
@@ -306,31 +276,35 @@ pub fn window_rows_reused() -> u64 {
 /// pipelines), but unrelated parallel tests no longer flake each other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CounterSnapshot {
-    /// [`fused_rows_executed`] at snapshot time.
+    /// Innermost-loop rows executed through the fused-kernel interior path.
     pub fused_rows: u64,
-    /// [`fused_tail_chunks_executed`] at snapshot time.
+    /// Sub-width interior tails executed as fused chunks (masked or
+    /// overlapping) rather than peeled onto the per-op tier.
     pub fused_tails: u64,
-    /// [`reduce_chunks_executed`] at snapshot time.
+    /// Chunks accumulated by fused reduction kernels (the lane tree-reduce
+    /// path of lowered update definitions).
     pub reduce_chunks: u64,
-    /// [`parallel_reduce_merges_executed`] at snapshot time.
+    /// Private accumulator buffers merged into outputs by the parallel
+    /// reduction accumulation path.
     pub parallel_reduce_merges: u64,
-    /// [`window_rows_reused`] at snapshot time.
+    /// Sliding-window rows reused (shifted in place instead of recomputed).
     pub window_rows_reused: u64,
     /// Fused rows (counted in `fused_rows` too) that ran the AVX2 build of
-    /// their row loop at snapshot time: on a host with AVX2 every fused row
-    /// of the `i32`, `i64` and `f32` lane families, elsewhere none.
+    /// their row loop: on a host with AVX2 every fused row of the `i32`,
+    /// `i64` and `f32` lane families, elsewhere none.
     pub arch_rows: u64,
 }
 
 impl CounterSnapshot {
-    /// Capture the current values of every execution counter.
+    /// Capture the current values of every execution counter (monotonic
+    /// since process start).
     pub fn take() -> CounterSnapshot {
         CounterSnapshot {
-            fused_rows: fused_rows_executed(),
-            fused_tails: fused_tail_chunks_executed(),
-            reduce_chunks: reduce_chunks_executed(),
-            parallel_reduce_merges: parallel_reduce_merges_executed(),
-            window_rows_reused: window_rows_reused(),
+            fused_rows: FUSED_ROWS.load(Ordering::Relaxed),
+            fused_tails: FUSED_TAILS.load(Ordering::Relaxed),
+            reduce_chunks: REDUCE_CHUNKS.load(Ordering::Relaxed),
+            parallel_reduce_merges: PARALLEL_REDUCE_MERGES.load(Ordering::Relaxed),
+            window_rows_reused: WINDOW_ROWS_REUSED.load(Ordering::Relaxed),
             arch_rows: ARCH_ROWS.load(Ordering::Relaxed),
         }
     }
@@ -2906,11 +2880,11 @@ impl Runner<'_> {
                 depth: lane_depth,
                 min: lane_min,
                 extent: lane_extent,
-                kind: kind @ (LoopKind::Serial | LoopKind::Vectorized),
+                kind: LoopKind::Serial | LoopKind::Vectorized,
                 body: lane_body,
             } => {
                 if let Node::Store(id) = **lane_body {
-                    if let Some(fused) = self.fused(id, batch_width(kind)) {
+                    if let Some(fused) = self.fused(id) {
                         return self.run_fused_rows(
                             fused,
                             id,
@@ -2935,17 +2909,11 @@ impl Runner<'_> {
         Ok(())
     }
 
-    /// The fused kernel a store's lane loop runs, when the tier selects the
-    /// fused tier for a loop batching `batch` lanes: `Auto` fuses exactly the
-    /// vectorized loops.
-    fn fused(&self, id: usize, batch: usize) -> Option<&FusedKernel> {
-        let use_fused = match self.tier {
-            Tier::Scalar => false,
-            Tier::Auto => batch > 1,
-            Tier::Simd => true,
-        };
+    /// The fused kernel a store runs: the one it compiled, whatever its loop
+    /// kind, unless the tier pins the per-op tier.
+    fn fused(&self, id: usize) -> Option<&FusedKernel> {
         let store = self.prepared.stores[id].as_ref().expect("store compiled");
-        store.fused.as_ref().filter(|_| use_fused)
+        store.fused.as_ref().filter(|_| self.tier != Tier::Scalar)
     }
 
     /// The innermost loop over a single store: tier selection.
@@ -2963,7 +2931,7 @@ impl Runner<'_> {
     ) -> Result<(), RealizeError> {
         let store = self.prepared.stores[id].as_ref().expect("store compiled");
         debug_assert_eq!(store.lane_depth, depth, "lane depth mismatch");
-        if let Some(fused) = self.fused(id, batch) {
+        if let Some(fused) = self.fused(id) {
             // One row, with no row loop around it: its own lane variable
             // stands in for the row variable.
             let mut vals = std::mem::take(&mut scratch.row_vals);
@@ -2981,9 +2949,8 @@ impl Runner<'_> {
             scratch.row_vals = vals;
             return result;
         }
-        // Fused accumulation kernels have no scheduled lane loop to gate on
-        // (rdom loops are serial by construction), so Auto uses them
-        // whenever one compiled; only the Scalar tier pins the per-op tier.
+        // The same rule for fused accumulation kernels: only the Scalar tier
+        // pins the per-op tier.
         if let Some(reduce) = store.reduce.as_ref().filter(|_| self.tier != Tier::Scalar) {
             return self.run_reduce_loop(reduce, id, depth, min, extent, binds, vars, scratch);
         }
@@ -5119,6 +5086,11 @@ mod tests {
 
     /// `for y: for[vectorized] x: out[x, y] = value`
     fn nest(w: i64, h: i64, value: Expr) -> Stmt {
+        nest_with(LoopKind::Vectorized, w, h, value)
+    }
+
+    /// `for y: for[lane] x: out[x, y] = value`
+    fn nest_with(lane: LoopKind, w: i64, h: i64, value: Expr) -> Stmt {
         Stmt::Produce {
             func: "out".into(),
             body: Box::new(Stmt::For {
@@ -5130,7 +5102,7 @@ mod tests {
                     var: "x".into(),
                     min: Expr::int(0),
                     extent: Expr::int(w),
-                    kind: LoopKind::Vectorized,
+                    kind: lane,
                     body: Box::new(Stmt::Store {
                         id: 0,
                         buffer: "out".into(),
@@ -5166,12 +5138,12 @@ mod tests {
         .expect("prepare")
     }
 
-    /// Run the plan under both forced modes and assert bit-identical outputs
-    /// (the per-op tier is the established oracle).
+    /// Run the plan under both tiers and assert bit-identical outputs (the
+    /// per-op tier is the established oracle).
     fn assert_modes_agree(plan: &ExecPlan, extents: &[usize], img: &Buffer) {
         let images: BTreeMap<String, &Buffer> = [("in".to_string(), img)].into_iter().collect();
         let mut scalar = Buffer::new(plan.output_ty, extents);
-        let mut simd = Buffer::new(plan.output_ty, extents);
+        let mut fused = Buffer::new(plan.output_ty, extents);
         let params = BTreeMap::new();
         run_with_target(
             plan,
@@ -5184,14 +5156,14 @@ mod tests {
         .expect("scalar run");
         run_with_target(
             plan,
-            &mut simd,
+            &mut fused,
             &images,
             &BTreeMap::new(),
             &params,
-            Target::detect().with_tier(Tier::Simd),
+            Target::detect(),
         )
-        .expect("simd run");
-        assert_eq!(scalar, simd, "tiers diverged");
+        .expect("default-tier run");
+        assert_eq!(scalar, fused, "tiers diverged");
     }
 
     /// The lifted sharpen shape: negative taps encoded as `4294967295 * x`
@@ -5319,29 +5291,39 @@ mod tests {
         assert_modes_agree(&plan, &[8, 4], &input(16, 4, 5));
     }
 
-    /// The fused-rows counter observes tier-1 execution.
+    /// The default tier runs a store's fused kernel whatever the kind of its
+    /// lane loop, and the per-op tier agrees with it byte for byte. Serial
+    /// and vectorized lane loops run on the calling thread, whose counts are
+    /// exact; a parallel one splits its lanes over workers.
     #[test]
-    fn fused_rows_counter_advances_under_force_simd() {
-        let plan = plan_for(nest(64, 16, tap(0, 0)), ScalarType::UInt8);
-        assert_eq!(plan.fused_store_count(), 1);
+    fn default_tier_fuses_whatever_the_loop_kind() {
         let img = input(64, 16, 23);
         let images: BTreeMap<String, &Buffer> = [("in".to_string(), &img)].into_iter().collect();
-        let params = BTreeMap::new();
-        let mut out = Buffer::new(ScalarType::UInt8, &[64, 16]);
-        let before = fused_rows_executed();
-        run_with_target(
-            &plan,
-            &mut out,
-            &images,
-            &BTreeMap::new(),
-            &params,
-            Target::detect().with_tier(Tier::Simd),
-        )
-        .expect("run");
-        assert!(
-            fused_rows_executed() > before,
-            "fused interior must have executed"
-        );
+        for lane in [
+            LoopKind::Serial,
+            LoopKind::Vectorized,
+            LoopKind::Parallel { threads: 2 },
+        ] {
+            let plan = plan_for(nest_with(lane, 64, 16, tap(0, 0)), ScalarType::UInt8);
+            assert_eq!(plan.fused_store_count(), 1);
+            let mut out = Buffer::new(ScalarType::UInt8, &[64, 16]);
+            let snapshot = CounterSnapshot::take();
+            let counts = run_counted(
+                &plan,
+                &mut out,
+                &images,
+                &BTreeMap::new(),
+                &BTreeMap::new(),
+                Target::detect(),
+            )
+            .expect("run");
+            if lane == LoopKind::Vectorized || lane == LoopKind::Serial {
+                assert_eq!(counts.fused_rows, 16, "{lane:?}: one fused row per y");
+            } else {
+                assert!(snapshot.delta().fused_rows > 0, "{lane:?}: rows fused");
+            }
+            assert_modes_agree(&plan, &[64, 16], &img);
+        }
     }
 
     /// Min/max and select shapes fuse when intervals prove them exact.
@@ -5901,10 +5883,11 @@ mod tests {
                             .expect("run");
                             out
                         };
-                        let rows = fused_rows_executed() + fused_tail_chunks_executed();
-                        let fused_out = run(Tier::Simd);
+                        let snapshot = CounterSnapshot::take();
+                        let fused_out = run(Tier::Auto);
+                        let ran = snapshot.delta();
                         assert!(
-                            fused_rows_executed() + fused_tail_chunks_executed() > rows,
+                            ran.fused_rows + ran.fused_tails > 0,
                             "{ty:?} {w}x{h}: the fused chunks must run"
                         );
                         let per_op = run(Tier::Scalar);
@@ -6068,14 +6051,13 @@ mod tests {
                     let mut run = |isa: Isa| {
                         plan.prepared.isa = isa;
                         let mut out = Buffer::new(out_ty, &[w, h]);
-                        let simd = Target::detect().with_tier(Tier::Simd);
                         let counts = run_counted(
                             &plan,
                             &mut out,
                             &images,
                             &BTreeMap::new(),
                             &BTreeMap::new(),
-                            simd,
+                            Target::detect(),
                         )
                         .expect("run");
                         (out, counts)
@@ -6112,8 +6094,8 @@ mod tests {
 
     /// [`ExecPlan::store_profiles`] reports a store's fused kernel — its
     /// lane family and taps — exactly when the target's tier runs fused
-    /// kernels: an Auto or Simd tier reports the i32 and f64 kernels, a
-    /// Scalar tier reports none.
+    /// kernels: an Auto tier reports the i32 and f64 kernels, a Scalar tier
+    /// reports none.
     #[test]
     fn store_profiles_report_kernels_only_on_fused_tiers() {
         let int_plan = plan_for(nest(16, 4, tap(0, 0)), ScalarType::UInt8);
@@ -6126,11 +6108,9 @@ mod tests {
             (&int_plan, LaneFamily::I32, 1),
             (&f64_plan, LaneFamily::F64, 2),
         ] {
-            for tier in [Tier::Auto, Tier::Simd] {
-                let profiles = plan.store_profiles(Target::detect().with_tier(tier));
-                assert_eq!(profiles.len(), 1);
-                assert_eq!((profiles[0].fused, profiles[0].taps), (Some(family), taps));
-            }
+            let profiles = plan.store_profiles(Target::detect());
+            assert_eq!(profiles.len(), 1);
+            assert_eq!((profiles[0].fused, profiles[0].taps), (Some(family), taps));
             // A Scalar tier runs no kernel, so its profiles report none.
             for p in plan.store_profiles(Target::detect().with_tier(Tier::Scalar)) {
                 assert_eq!((p.fused, p.taps), (None, 0));
@@ -6173,16 +6153,16 @@ mod tests {
         for w in [3i64, 5, 7, 8, 9, 15, 16, 17] {
             let plan = plan_for(nest(w, 4, value.clone()), ScalarType::UInt8);
             assert_eq!(plan.fused_store_count(), 1);
-            let rows_before = fused_rows_executed();
-            let tails_before = fused_tail_chunks_executed();
+            let snapshot = CounterSnapshot::take();
             assert_modes_agree(&plan, &[w as usize, 4], &input(24, 6, 13));
+            let ran = snapshot.delta();
             assert!(
-                fused_rows_executed() > rows_before,
+                ran.fused_rows > 0,
                 "extent {w}: fused interior must have executed"
             );
             if w % 8 != 0 {
                 assert!(
-                    fused_tail_chunks_executed() > tails_before,
+                    ran.fused_tails > 0,
                     "extent {w}: the sub-width tail must run as a fused chunk"
                 );
             }
@@ -6262,11 +6242,7 @@ mod tests {
             let expect: u64 = (0..extent as usize)
                 .map(|i| img.get(&[i as i64, 0]).as_i64() as u64)
                 .fold(0, u64::wrapping_add);
-            for mode in [
-                Target::detect().with_tier(Tier::Scalar),
-                Target::detect(),
-                Target::detect().with_tier(Tier::Simd),
-            ] {
+            for mode in [Target::detect().with_tier(Tier::Scalar), Target::detect()] {
                 let mut out = Buffer::new(ScalarType::UInt64, &[1]);
                 run_with_target(
                     &plan,

@@ -13,8 +13,8 @@
 //!   ([`func::Pipeline::compose_after`]);
 //! * [`buffer`] — dense n-dimensional buffers used as inputs and outputs;
 //! * [`bounds`] — interval-based bounds inference for sizing producers;
-//! * [`schedule`] — the schedule knobs (tiling, parallelism, vectorization,
-//!   `compute_root`, `compute_at`) the autotuner searches over;
+//! * [`schedule`] — the schedule knobs (tiling, parallelism, `compute_root`,
+//!   `compute_at`) the autotuner searches over;
 //! * [`stmt`], [`lower`], [`exec`] — the compilation pipeline: schedules are
 //!   *lowered* into an explicit loop-nest IR ([`stmt::Stmt`]) with
 //!   bounds-inference-sized intermediate allocations, then executed by a
@@ -129,17 +129,14 @@ pub use cache::{CacheKey, CacheStats, ProgramCache, ShardedCache};
 pub use codegen::{generate_halide_source, CodegenOptions};
 pub use compile::{CompileOptions, CompiledPipeline, PipelineProfile, StageProfile, UpdateCounts};
 pub use eval::{eval_expr, EvalSources};
-pub use exec::{
-    fused_rows_executed, fused_tail_chunks_executed, parallel_reduce_merges_executed,
-    reduce_chunks_executed, CounterSnapshot, FusedStoreCounts, LaneFamily, StoreProfile,
-};
+pub use exec::{CounterSnapshot, FusedStoreCounts, LaneFamily, StoreProfile};
 pub use expr::{BinOp, CmpOp, Expr, ExternCall};
 pub use func::{Func, ImageParam, Pipeline, RDom, UpdateDef};
 pub use realize::{ExecBackend, RealizeError, RealizeInputs, Realizer};
 pub use schedule::Schedule;
 pub use simplify::{simplify, simplify_func, simplify_pipeline};
 pub use stmt::{LoopKind, Stmt};
-pub use target::{set_target_override, Isa, Target, Tier};
+pub use target::{Isa, Target, Tier};
 pub use types::{ScalarType, Value};
 
 /// Convenient glob-import of the commonly used types.

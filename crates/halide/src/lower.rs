@@ -1,10 +1,9 @@
 //! Lowering: turning a [`Pipeline`] + [`Schedule`] into loop-nest IR.
 //!
 //! This is the compilation step the interpreter never had: schedule decisions
-//! (tiling, parallelism, vectorization, `compute_root`, `compute_at`) are
-//! materialized as restructured [`Stmt`] loops *before* execution, so the
-//! executor runs straight-line loop nests instead of re-deciding strategy per
-//! element.
+//! (tiling, parallelism, `compute_root`, `compute_at`) are materialized as
+//! restructured [`Stmt`] loops *before* execution, so the executor runs
+//! straight-line loop nests instead of re-deciding strategy per element.
 //!
 //! The lowering of the output func proceeds in four steps:
 //!
@@ -13,8 +12,10 @@
 //! 2. **Loop synthesis** — one loop per output dimension, outermost last
 //!    dimension first; tiling splits the two innermost dimensions into
 //!    outer/inner pairs with `min(tile, extent - outer*tile)` tails; the
-//!    outermost loop is tagged parallel and the innermost vectorized per the
-//!    schedule.
+//!    outermost loop is tagged parallel when the schedule asks for it, and
+//!    the innermost (the lane loop) is always tagged vectorized unless it is
+//!    that parallel loop. Vectorized states that the lanes are independent;
+//!    whether a store runs its fused kernel is the executor's call alone.
 //! 3. **`compute_at` regions** — for each attached producer, bounds inference
 //!    probes the consumer's accesses to derive a per-iteration region that is
 //!    affine in the enclosing loop variables (`min = base + Σ cᵢ·loopᵢ`,
@@ -64,7 +65,7 @@ use crate::expr::{BinOp, Expr};
 use crate::func::{Func, Pipeline, UpdateDef};
 use crate::realize::RealizeError;
 use crate::schedule::Schedule;
-use crate::simplify::simplify;
+use crate::simplify::{simplify, simplify_typed};
 use crate::stmt::{LoopKind, Stmt};
 use crate::types::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -281,11 +282,9 @@ fn build_levels(func: &Func, extents: &[usize], schedule: &Schedule) -> Vec<Loop
             };
         }
     }
-    if schedule.vectorize {
-        if let Some(last) = levels.last_mut() {
-            if !matches!(last.kind, LoopKind::Parallel { .. }) {
-                last.kind = LoopKind::Vectorized;
-            }
+    if let Some(last) = levels.last_mut() {
+        if !matches!(last.kind, LoopKind::Parallel { .. }) {
+            last.kind = LoopKind::Vectorized;
         }
     }
     levels
@@ -634,7 +633,6 @@ fn build_producer_nest(
     pipeline: &Pipeline,
     plan: &ComputeAtPlan,
     roots: &BTreeSet<String>,
-    schedule: &Schedule,
     next_store_id: &mut usize,
 ) -> Result<Stmt, RealizeError> {
     let func = &pipeline.funcs[&plan.func];
@@ -662,12 +660,12 @@ fn build_producer_nest(
         indices: (0..func.dims())
             .map(|d| Expr::var(&local_name(d)))
             .collect(),
-        value: simplify(&substituted),
+        value: simplify_typed(&substituted, &pipeline.images),
     };
     let mut body = store;
     let slide_dim = plan.sliding.then(|| func.dims() - 1);
     for d in 0..func.dims() {
-        let kind = if d == 0 && schedule.vectorize && slide_dim != Some(d) {
+        let kind = if d == 0 && slide_dim != Some(d) {
             LoopKind::Vectorized
         } else {
             LoopKind::Serial
@@ -742,7 +740,7 @@ pub fn lower_pure(
     for plan in &outcome.plans {
         value = rebase_producer_refs(&value, plan);
     }
-    let value = simplify(&value);
+    let value = simplify_typed(&value, &pipeline.images);
     let indices: Vec<Expr> = output
         .vars
         .iter()
@@ -772,8 +770,7 @@ pub fn lower_pure(
         // below (which include the consumer store).
         for plan in outcome.plans.iter().rev() {
             if plan.attach_loop == level.name {
-                let produce =
-                    build_producer_nest(pipeline, plan, roots, schedule, &mut next_store_id)?;
+                let produce = build_producer_nest(pipeline, plan, roots, &mut next_store_id)?;
                 let func = &pipeline.funcs[&plan.func];
                 let produce = if plan.sliding {
                     let last = plan.dims.len() - 1;
@@ -1012,7 +1009,7 @@ pub fn lower_update(
             // Pure dims inside (dim 0 innermost, the lane loop vectorized),
             // rdom dims outside (dim 0 innermost among them).
             for (d, var) in &free {
-                let kind = if var == lane_var && schedule.vectorize {
+                let kind = if var == lane_var {
                     LoopKind::Vectorized
                 } else {
                     LoopKind::Serial
@@ -1112,7 +1109,7 @@ mod tests {
     #[test]
     fn lowered_nest_shape_untiled() {
         let p = two_stage();
-        let schedule = Schedule::naive().with_parallel(true).with_vectorize(true);
+        let schedule = Schedule::naive().with_parallel(true);
         let stmt = lower_pure(
             &p,
             &schedule,
@@ -1352,7 +1349,7 @@ mod tests {
             &f,
             &jacobi,
             &[32],
-            &Schedule::naive().with_vectorize(true),
+            &Schedule::naive(),
             &params,
             &mut next_id,
         )
@@ -1389,15 +1386,8 @@ mod tests {
             rdom: RDom::with_constant_bounds("r_0", &[(0, 7)]),
         };
         let mut next_id = 0usize;
-        let stmt = lower_update(
-            &f,
-            &scan,
-            &[32],
-            &Schedule::naive().with_vectorize(true),
-            &params,
-            &mut next_id,
-        )
-        .expect("lowerable");
+        let stmt = lower_update(&f, &scan, &[32], &Schedule::naive(), &params, &mut next_id)
+            .expect("lowerable");
         let text = stmt.to_string();
         assert!(text.contains("for r_0.x in [0, 0 + 7):"), "{text}");
         assert!(!text.contains("vectorized"), "scans stay serial:\n{text}");

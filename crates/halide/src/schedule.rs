@@ -3,11 +3,13 @@
 //! The paper re-optimizes lifted kernels by autotuning Halide schedules
 //! (tiling, vectorization, parallelization, inlining). Our miniature runtime
 //! models the same decisions: a [`Schedule`] controls how the realizer walks
-//! the output domain, whether rows are distributed across threads, whether
-//! the innermost loop is vectorized and where each producer func is computed:
-//! inlined, materialized once (`compute_root`) or per iteration of an output
-//! loop (`compute_at`, which reuses rows as a sliding window wherever the
-//! producer's region slides).
+//! the output domain, whether rows are distributed across threads and where
+//! each producer func is computed: inlined, materialized once
+//! (`compute_root`) or per iteration of an output loop (`compute_at`, which
+//! reuses rows as a sliding window wherever the producer's region slides).
+//! Vectorization is no knob: the lowering marks every lane loop vectorized,
+//! and a store runs its fused SIMD kernel wherever one compiled (see
+//! [`crate::exec`]).
 
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -22,11 +24,6 @@ pub struct Schedule {
     pub threads: usize,
     /// Tile sizes for the two innermost dimensions, if tiling is enabled.
     pub tile: Option<(usize, usize)>,
-    /// Mark the innermost loop vectorized. The default tier then runs a
-    /// store's fused SIMD kernel where one compiled, and the per-op tier
-    /// evaluates [`crate::exec::MAX_LANES`] elements per dispatch instead of
-    /// one. The fused chunk itself comes from each row (see [`crate::exec`]).
-    pub vectorize: bool,
     /// Funcs materialized into intermediate buffers instead of being inlined.
     pub compute_root: BTreeSet<String>,
     /// Funcs computed inside a loop of the output func, keyed by producer
@@ -51,19 +48,18 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// The naive schedule: sequential, untiled, scalar, fully inlined.
+    /// The naive schedule: sequential, untiled, fully inlined.
     pub fn naive() -> Schedule {
         Schedule::default()
     }
 
     /// A reasonable default for lifted stencils: parallel over the outer
-    /// dimension, tiled and vectorized, everything inlined (fused).
+    /// dimension, tiled, everything inlined (fused).
     pub fn stencil_default() -> Schedule {
         Schedule {
             parallel: true,
             threads: 0,
             tile: Some((64, 64)),
-            vectorize: true,
             ..Schedule::default()
         }
     }
@@ -83,12 +79,6 @@ impl Schedule {
     /// Set the tile sizes.
     pub fn with_tile(mut self, tile: Option<(usize, usize)>) -> Schedule {
         self.tile = tile;
-        self
-    }
-
-    /// Vectorize the innermost loop, or not.
-    pub fn with_vectorize(mut self, vectorize: bool) -> Schedule {
-        self.vectorize = vectorize;
         self
     }
 
@@ -124,13 +114,8 @@ impl fmt::Display for Schedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "parallel={} threads={} tile={:?} vectorize={} roots={:?} at={:?}",
-            self.parallel,
-            self.threads,
-            self.tile,
-            self.vectorize,
-            self.compute_root,
-            self.compute_at
+            "parallel={} threads={} tile={:?} roots={:?} at={:?}",
+            self.parallel, self.threads, self.tile, self.compute_root, self.compute_at
         )
     }
 }
@@ -145,13 +130,10 @@ mod tests {
             .with_parallel(true)
             .with_threads(4)
             .with_tile(Some((32, 16)))
-            .with_vectorize(true)
             .with_compute_root("blur_x");
         assert!(s.parallel);
         assert_eq!(s.threads, 4);
         assert_eq!(s.tile, Some((32, 16)));
-        assert!(s.vectorize);
-        assert!(!Schedule::naive().vectorize, "the naive schedule is scalar");
         assert!(s.compute_root.contains("blur_x"));
         assert_eq!(s.effective_threads(), 4);
     }
@@ -179,6 +161,6 @@ mod tests {
         let s = Schedule::stencil_default();
         let text = s.to_string();
         assert!(text.contains("parallel=true"));
-        assert!(text.contains("vectorize=true"));
+        assert!(text.contains("tile=Some((64, 64))"));
     }
 }

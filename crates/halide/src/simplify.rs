@@ -13,24 +13,32 @@
 //! checked by property tests in `tests/prop_simplify.rs`).
 
 use crate::expr::{eval_binop, eval_cmp, BinOp, Expr};
-use crate::func::{Func, Pipeline, UpdateDef};
+use crate::func::{Func, ImageParam, Pipeline, UpdateDef};
 use crate::types::{ScalarType, Value};
+use std::collections::BTreeMap;
 
 /// Simplify an expression, returning a value-equivalent expression with no
-/// more nodes than the input.
+/// more nodes than the input. The element types of image loads are unknown
+/// here; [`simplify_pipeline`] knows them, and so collapses more cast chains.
 pub fn simplify(e: &Expr) -> Expr {
+    simplify_typed(e, &BTreeMap::new())
+}
+
+/// [`simplify`], knowing the element type of every image in `images`.
+pub(crate) fn simplify_typed(e: &Expr, images: &BTreeMap<String, ImageParam>) -> Expr {
+    let go = |e: &Expr| simplify_typed(e, images);
     match e {
-        Expr::Cast(ty, inner) => simplify_cast(*ty, simplify(inner)),
-        Expr::Binary(op, a, b) => simplify_binary(*op, simplify(a), simplify(b)),
+        Expr::Cast(ty, inner) => simplify_cast(*ty, go(inner), images),
+        Expr::Binary(op, a, b) => simplify_binary(*op, go(a), go(b)),
         Expr::Cmp(op, a, b) => {
-            let (a, b) = (simplify(a), simplify(b));
+            let (a, b) = (go(a), go(b));
             match (constant_of(&a), constant_of(&b)) {
                 (Some(x), Some(y)) => from_value(eval_cmp(*op, x, y), ScalarType::Int32),
                 _ => Expr::Cmp(*op, Box::new(a), Box::new(b)),
             }
         }
         Expr::Select(c, t, f) => {
-            let (c, t, f) = (simplify(c), simplify(t), simplify(f));
+            let (c, t, f) = (go(c), go(t), go(f));
             match constant_of(&c) {
                 Some(v) if v.is_true() => t,
                 Some(_) => f,
@@ -38,34 +46,38 @@ pub fn simplify(e: &Expr) -> Expr {
                 None => Expr::Select(Box::new(c), Box::new(t), Box::new(f)),
             }
         }
-        Expr::Call(call, args) => Expr::Call(*call, args.iter().map(simplify).collect()),
-        Expr::Image(name, args) => Expr::Image(name.clone(), args.iter().map(simplify).collect()),
-        Expr::FuncRef(name, args) => {
-            Expr::FuncRef(name.clone(), args.iter().map(simplify).collect())
-        }
+        Expr::Call(call, args) => Expr::Call(*call, args.iter().map(go).collect()),
+        Expr::Image(name, args) => Expr::Image(name.clone(), args.iter().map(go).collect()),
+        Expr::FuncRef(name, args) => Expr::FuncRef(name.clone(), args.iter().map(go).collect()),
         other => other.clone(),
     }
 }
 
-/// Simplify every definition of every func in a pipeline.
+/// Simplify every definition of every func in a pipeline, knowing its
+/// images' element types.
 pub fn simplify_pipeline(pipeline: &Pipeline) -> Pipeline {
     let mut out = pipeline.clone();
     for func in out.funcs.values_mut() {
-        *func = simplify_func(func);
+        *func = simplify_func_typed(func, &pipeline.images);
     }
     out
 }
 
 /// Simplify the pure and update definitions of a func.
 pub fn simplify_func(func: &Func) -> Func {
+    simplify_func_typed(func, &BTreeMap::new())
+}
+
+fn simplify_func_typed(func: &Func, images: &BTreeMap<String, ImageParam>) -> Func {
+    let go = |e: &Expr| simplify_typed(e, images);
     let mut out = func.clone();
-    out.pure_def = out.pure_def.as_ref().map(simplify);
+    out.pure_def = out.pure_def.as_ref().map(go);
     out.updates = out
         .updates
         .iter()
         .map(|u| UpdateDef {
-            lhs: u.lhs.iter().map(simplify).collect(),
-            value: simplify(&u.value),
+            lhs: u.lhs.iter().map(go).collect(),
+            value: go(&u.value),
             rdom: u.rdom.clone(),
         })
         .collect();
@@ -95,7 +107,7 @@ fn is_int_one(e: &Expr) -> bool {
     matches!(e, Expr::ConstInt(1, _))
 }
 
-fn simplify_cast(ty: ScalarType, inner: Expr) -> Expr {
+fn simplify_cast(ty: ScalarType, inner: Expr, images: &BTreeMap<String, ImageParam>) -> Expr {
     // Fold casts of constants immediately.
     if let Some(v) = constant_of(&inner) {
         return from_value(v.cast(ty), ty);
@@ -108,7 +120,7 @@ fn simplify_cast(ty: ScalarType, inner: Expr) -> Expr {
         let widening_chain = !inner_ty.is_float()
             && !ty.is_float()
             && inner_ty.bytes() <= ty.bytes()
-            && inner_cast_is_exact(deepest, *inner_ty);
+            && inner_cast_is_exact(deepest, *inner_ty, images);
         if *inner_ty == ty || widening_chain {
             return Expr::Cast(ty, deepest.clone());
         }
@@ -116,25 +128,28 @@ fn simplify_cast(ty: ScalarType, inner: Expr) -> Expr {
     Expr::Cast(ty, Box::new(inner))
 }
 
-/// Returns `true` when casting `e` to `ty` cannot lose information because the
-/// value of `e` is already known to fit (an image load of a narrower unsigned
-/// type, or a nested cast to a type no wider than `ty`).
-fn inner_cast_is_exact(e: &Expr, ty: ScalarType) -> bool {
+/// Returns `true` when casting `e` to `ty` cannot change its value because
+/// every value `e` can take is one of `ty`'s: an image load whose element
+/// type is known to fit, a cast to such a type, or such a constant.
+fn inner_cast_is_exact(e: &Expr, ty: ScalarType, images: &BTreeMap<String, ImageParam>) -> bool {
     match e {
-        Expr::Image(..) => !ty.is_float(),
-        Expr::Cast(t, _) => !t.is_float() && t.bytes() <= ty.bytes(),
-        Expr::ConstInt(v, _) => *v >= 0 && (*v as u64) <= mask_of(ty),
+        Expr::Image(name, _) => images.get(name).is_some_and(|p| int_fits(p.ty, ty)),
+        Expr::Cast(t, _) => int_fits(*t, ty),
+        Expr::ConstInt(v, _) => Value::Int(*v).cast(ty) == Value::Int(*v),
         _ => false,
     }
 }
 
-fn mask_of(ty: ScalarType) -> u64 {
-    match ty.bytes() {
-        1 => u8::MAX as u64,
-        2 => u16::MAX as u64,
-        4 => u32::MAX as u64,
-        _ => u64::MAX,
-    }
+/// Whether every value of the integer type `from` is a value of `to`. A cast
+/// to `UInt64` keeps every integer value's bits, so everything fits it.
+fn int_fits(from: ScalarType, to: ScalarType) -> bool {
+    use ScalarType::*;
+    !from.is_float()
+        && match (from, to) {
+            (_, UInt64) => true,
+            (UInt8, UInt16 | UInt32 | Int32) | (UInt16, UInt32 | Int32) => true,
+            _ => from == to,
+        }
 }
 
 fn simplify_binary(op: BinOp, a: Expr, b: Expr) -> Expr {
@@ -245,11 +260,22 @@ mod tests {
         assert_eq!(simplify(&sel), img(1));
     }
 
+    /// `input_1` with element type `ty`, as a pipeline's image map.
+    fn images(ty: ScalarType) -> BTreeMap<String, ImageParam> {
+        [("input_1".to_string(), ImageParam::new("input_1", ty, 1))].into()
+    }
+
     #[test]
     fn widening_cast_chains_collapse() {
         // cast<u32>(cast<u16>(input(x))) == cast<u32>(input(x)) for u8 loads.
         let e = Expr::cast(ScalarType::UInt32, Expr::cast(ScalarType::UInt16, img(0)));
-        assert_eq!(simplify(&e), Expr::cast(ScalarType::UInt32, img(0)));
+        let u8_images = images(ScalarType::UInt8);
+        assert_eq!(
+            simplify_typed(&e, &u8_images),
+            Expr::cast(ScalarType::UInt32, img(0))
+        );
+        // Without the load's type the inner cast may truncate, so it stays.
+        assert_eq!(simplify(&e), e);
         // Duplicate casts collapse.
         let e = Expr::cast(ScalarType::UInt8, Expr::cast(ScalarType::UInt8, img(0)));
         assert_eq!(simplify(&e), Expr::cast(ScalarType::UInt8, img(0)));
@@ -264,6 +290,35 @@ mod tests {
                 ScalarType::UInt32,
                 Expr::cast(ScalarType::UInt8, Expr::var("x_0"))
             )
+        );
+    }
+
+    /// A cast chain keeps every cast that can change a value: a `u64` load
+    /// narrowed to `u32` and widened back loses its high bits, and an `i32`
+    /// value widened to `u32` then `u64` is not sign-extended.
+    #[test]
+    fn truncating_cast_chains_are_kept() {
+        let narrowed = Expr::cast(ScalarType::UInt64, Expr::cast(ScalarType::UInt32, img(0)));
+        assert_eq!(
+            simplify_typed(&narrowed, &images(ScalarType::UInt64)),
+            narrowed
+        );
+        let int = Expr::cast(ScalarType::Int32, Expr::var("x_0"));
+        let chain = Expr::cast(
+            ScalarType::UInt64,
+            Expr::cast(ScalarType::UInt32, int.clone()),
+        );
+        assert_eq!(simplify(&chain), chain);
+        // A `u16` load fits `i32`, and every integer fits `u64`.
+        let e = Expr::cast(ScalarType::UInt64, Expr::cast(ScalarType::Int32, img(0)));
+        assert_eq!(
+            simplify_typed(&e, &images(ScalarType::UInt16)),
+            Expr::cast(ScalarType::UInt64, img(0))
+        );
+        assert_eq!(
+            simplify_typed(&e, &images(ScalarType::UInt32)),
+            e,
+            "a u32 load may not fit i32"
         );
     }
 

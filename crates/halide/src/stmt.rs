@@ -11,8 +11,8 @@
 //!   [`LoopKind::Parallel`] (iterations distributed across worker threads),
 //!   [`LoopKind::ParallelReduce`] (a reduction domain whose accumulator
 //!   stores run privatize-then-merge across workers) or
-//!   [`LoopKind::Vectorized`] (iterations evaluated in lane batches by the
-//!   compiled executor);
+//!   [`LoopKind::Vectorized`] (independent iterations, which the compiled
+//!   executor's per-op tier evaluates in lane batches);
 //! * [`Stmt::Store`] — one element store, with index and value expressions
 //!   over the enclosing loop variables.
 //!
@@ -57,8 +57,11 @@ pub enum LoopKind {
         /// Worker thread cap (0 = all available cores).
         threads: usize,
     },
-    /// Iterations evaluated in lanes by the compiled executor: fused chunks
-    /// sized by the row, or per-op batches of [`crate::exec::MAX_LANES`].
+    /// Independent iterations: the lowering's statement that no lane reads
+    /// what another writes, so the compiled executor's per-op tier
+    /// evaluates them in batches of [`crate::exec::MAX_LANES`]. (A store's
+    /// fused kernel runs whatever its loop kind; its chunk comes from the
+    /// row.)
     Vectorized,
 }
 

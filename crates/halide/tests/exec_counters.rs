@@ -10,11 +10,11 @@ use std::sync::Mutex;
 
 static COUNTERS: Mutex<()> = Mutex::new(());
 
-/// Compile `p` with the fused tier pinned, so its rows run fused whatever
-/// the environment's tier pin.
+/// Compile `p` for the default target, so its rows run fused whatever the
+/// environment's tier pin.
 fn compile_fused(p: &Pipeline, schedule: &Schedule) -> CompiledPipeline {
     let options = CompileOptions {
-        target: Some(Target::detect().with_tier(Tier::Simd)),
+        target: Some(Target::detect()),
         ..CompileOptions::default()
     };
     p.compile(schedule, &options).expect("compile")
@@ -45,10 +45,7 @@ fn two_workers_fused_rows_sum_exactly() {
     let input = image(w, h);
     let inputs = RealizeInputs::new().with_image("in", &input);
     // Rows split across two workers.
-    let schedule = Schedule::naive()
-        .with_parallel(true)
-        .with_threads(2)
-        .with_vectorize(true);
+    let schedule = Schedule::naive().with_parallel(true).with_threads(2);
     let compiled = compile_fused(&p, &schedule);
     let expected = compiled.run(&inputs, &[w, h]).expect("cold run");
     let before = CounterSnapshot::take();
@@ -86,10 +83,7 @@ fn arch_rows_count_the_fused_rows_of_the_avx2_build() {
     let p = Pipeline::new(out, vec![ImageParam::new("in", ScalarType::UInt8, 2)]);
     let input = image(w + 2, h);
     let inputs = RealizeInputs::new().with_image("in", &input);
-    let schedule = Schedule::naive()
-        .with_parallel(true)
-        .with_threads(2)
-        .with_vectorize(true);
+    let schedule = Schedule::naive().with_parallel(true).with_threads(2);
     let compiled = compile_fused(&p, &schedule);
     let profile = compiled.dry_run(&inputs, &[w, h]).expect("dry run");
     let out_stage = profile.stages.last().expect("output stage");

@@ -327,8 +327,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Re-scheduling never changes the computed values: naive, tiled,
-    /// parallel, vectorized and combined schedules all produce the same
-    /// output buffer for the same pipeline and inputs.
+    /// parallel and combined schedules all produce the same output buffer
+    /// for the same pipeline and inputs.
     #[test]
     fn schedules_do_not_change_results(
         w in 6usize..40,
@@ -336,7 +336,6 @@ proptest! {
         seed in any::<u64>(),
         tile_w in 2usize..16,
         tile_h in 2usize..16,
-        vectorize in any::<bool>(),
     ) {
         let p = blur_pipeline();
         let input = pseudo_random_image(w + 2, h + 2, seed);
@@ -346,12 +345,10 @@ proptest! {
         let schedules = vec![
             Schedule::naive().with_tile(Some((tile_w, tile_h))),
             Schedule::naive().with_parallel(true).with_threads(3),
-            Schedule::naive().with_vectorize(vectorize),
             Schedule::stencil_default(),
             Schedule::stencil_default()
                 .with_tile(Some((tile_w, tile_h)))
-                .with_parallel(true)
-                .with_vectorize(vectorize),
+                .with_parallel(true),
         ];
         for s in schedules {
             let label = s.to_string();
@@ -608,19 +605,17 @@ fn schedule_strategy() -> impl Strategy<Value = Schedule> {
             Some((8, 8)),
             Some((16, 4)),
         ]),
-        any::<bool>(),
         0u8..3,
         prop::sample::select(vec!["x_0", "x_1"]),
         0u8..3,
         prop::sample::select(vec!["x_0", "x_1"]),
     )
         .prop_map(
-            |(parallel, threads, tile, vectorize, place_a, var_a, place_b, var_b)| {
+            |(parallel, threads, tile, place_a, var_a, place_b, var_b)| {
                 let mut s = Schedule::naive()
                     .with_parallel(parallel)
                     .with_threads(threads)
-                    .with_tile(tile)
-                    .with_vectorize(vectorize);
+                    .with_tile(tile);
                 match place_a {
                     1 => s = s.with_compute_root("stage_a"),
                     2 => s = s.with_compute_at("stage_a", var_a),
@@ -766,7 +761,7 @@ proptest! {
         let p = Pipeline::new(hist, vec![img]);
         let input = pseudo_random_image(w, h, seed);
         let inputs = RealizeInputs::new().with_image("input_1", &input);
-        let schedule = Schedule::naive().with_parallel(parallel).with_vectorize(true);
+        let schedule = Schedule::naive().with_parallel(parallel);
         let a = Realizer::new(schedule.clone())
             .with_backend(ExecBackend::Interpret)
             .realize(&p, &[256], &inputs)

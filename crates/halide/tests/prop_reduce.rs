@@ -18,9 +18,8 @@
 //!   (the sequential strategy);
 //! * on data-dependent histogram LHS indices, whose destinations clamp
 //!   exactly like `Buffer::set`;
-//! * under both forced execution tiers via [`CompileOptions::simd`] (CI runs
-//!   the whole file under `HELIUM_FORCE_SCALAR=1` and `HELIUM_FORCE_SIMD=1`
-//!   as the `reductions` matrix leg).
+//! * under both execution tiers, pinned per compile via
+//!   [`CompileOptions::target`].
 
 use helium_halide::prelude::*;
 use proptest::prelude::*;
@@ -65,21 +64,14 @@ fn assert_update_tiers_match_oracle(
         .with_backend(ExecBackend::Interpret)
         .realize(p, extents, inputs)
         .expect("interpreter realize");
-    // Explicit pins cover both tiers in any environment; the unpinned
-    // (`None`) compile follows the process-wide target, so the CI legs
-    // running this suite under HELIUM_FORCE_SCALAR=1 / HELIUM_FORCE_SIMD=1
-    // each exercise a genuinely different default path.
-    for mode in [
-        None,
-        Some(Target::detect().with_tier(Tier::Scalar)),
-        Some(Target::detect().with_tier(Tier::Simd)),
-    ] {
+    // Explicit pins cover both tiers in any environment.
+    for mode in [Target::detect().with_tier(Tier::Scalar), Target::detect()] {
         let compiled = p
             .compile(
                 schedule,
                 &CompileOptions {
                     backend: ExecBackend::Lowered,
-                    target: mode,
+                    target: Some(mode),
                     ..CompileOptions::default()
                 },
             )
@@ -141,7 +133,7 @@ proptest! {
 
     /// Loop-invariant accumulators (`norm[0] = norm[0] + g(r)`) across every
     /// accumulator type and prime rdom bounds: the integer ones ride the
-    /// fused tree-reduce under ForceSimd, floats stay per-op — all must be
+    /// fused tree-reduce on the default tier, floats stay per-op — all must be
     /// bit-identical to `run_update`.
     #[test]
     fn invariant_accumulators_match_oracle(
@@ -205,7 +197,7 @@ proptest! {
         let p = Pipeline::new(hist, vec![img]);
         let input = image(w, h, seed);
         let inputs = RealizeInputs::new().with_image("in", &input);
-        let schedule = Schedule::naive().with_parallel(parallel).with_vectorize(true);
+        let schedule = Schedule::naive().with_parallel(parallel);
         assert_update_tiers_match_oracle(&p, &schedule, &[bins], &inputs)?;
     }
 
@@ -213,11 +205,10 @@ proptest! {
     /// `f(x, y) = f(x, y) + in(x + r.x, y)` takes the privatized strategy
     /// (vectorized pure lanes under hoisted rdom loops) and must match the
     /// oracle's pure-outer/rdom-inner order bit-for-bit, every type,
-    /// vectorized or not.
+    /// serial or parallel.
     #[test]
     fn privatized_pure_dim_accumulators_match_oracle(
         ty in prop::sample::select(TYPES.to_vec()),
-        vectorize in any::<bool>(),
         wi in 0usize..EXTENTS.len(),
         hi in 0usize..3,
         r_extent in 1i64..6,
@@ -255,9 +246,7 @@ proptest! {
         let p = Pipeline::new(f, vec![img]);
         let input = image(w + 8, h + 2, seed);
         let inputs = RealizeInputs::new().with_image("in", &input);
-        let schedule = Schedule::naive()
-            .with_parallel(parallel)
-            .with_vectorize(vectorize);
+        let schedule = Schedule::naive().with_parallel(parallel);
         assert_update_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 
@@ -376,7 +365,7 @@ fn reduction_suite_is_not_vacuous() {
         .compile(
             &Schedule::stencil_default(),
             &CompileOptions {
-                target: Some(Target::detect().with_tier(Tier::Simd)),
+                target: Some(Target::detect()),
                 ..CompileOptions::default()
             },
         )

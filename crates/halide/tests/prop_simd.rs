@@ -11,7 +11,9 @@
 //! * across every [`ScalarType`] as both input and output element type
 //!   (`UInt64` outputs ride the `[i64; W/2]` family, `Float32` outputs the
 //!   `[f32; W]` family, `Float64` outputs the `[f64; W/2]` family);
-//! * across tiers: the pinned-scalar tier and the fused lane kernels;
+//! * across tiers: the pinned-scalar tier and the default tier, which runs
+//!   each store's fused lane kernel wherever one compiled;
+//! * on 1-D stencils, whose only loop is the lane loop (parallel or not);
 //! * on odd/prime extents, so interior chunks always leave sub-width tails
 //!   (executed as masked or overlapping fused chunks) and border peels;
 //! * under tiles and on row lengths that reach every chunk width the engine
@@ -27,11 +29,9 @@
 //!   expressions — f64 lanes are the reference representation, so exactness
 //!   comes free.
 //!
-//! The `HELIUM_FORCE_SCALAR=1` / `HELIUM_FORCE_SIMD=1`
-//! environment variables apply the same pinning process-wide (read once by
-//! [`Target::from_env`]); CI runs the whole test suite under each as
-//! separate matrix legs, plus float- and 64-bit-filtered legs that
-//! concentrate on the newer lane families.
+//! The `HELIUM_FORCE_SCALAR=1` environment variable applies the scalar pin
+//! process-wide (read once by [`Target::current`]); CI runs the whole test
+//! suite under it as a separate leg.
 
 use helium_halide::prelude::*;
 use proptest::prelude::*;
@@ -221,11 +221,11 @@ fn f32_value_strategy() -> impl Strategy<Value = Expr> {
 }
 
 /// The pinned-target matrix every differential case runs under: the scalar
-/// tier and the fused lane kernels.
+/// tier and the default tier, which runs the fused lane kernels.
 fn target_matrix() -> [(&'static str, Target); 2] {
     [
         ("scalar", Target::detect().with_tier(Tier::Scalar)),
-        ("simd", Target::detect().with_tier(Tier::Simd)),
+        ("auto", Target::detect()),
     ]
 }
 
@@ -313,8 +313,7 @@ proptest! {
 
     /// The acceptance property of the fused SIMD tier: random border-clamping
     /// stencils over every input/output element type, on prime extents, are
-    /// bit-identical to the interpreter in both forced modes, vectorized or
-    /// not.
+    /// bit-identical to the interpreter on both tiers, serial or parallel.
     #[test]
     fn fused_and_scalar_tiers_match_interpreter(
         in_ty in prop::sample::select(TYPES.to_vec()),
@@ -322,7 +321,6 @@ proptest! {
         value in value_strategy(),
         wi in 0usize..EXTENTS.len(),
         hi in 0usize..EXTENTS.len(),
-        vectorize in any::<bool>(),
         parallel in any::<bool>(),
         seed in any::<u64>(),
     ) {
@@ -336,10 +334,29 @@ proptest! {
         let p = Pipeline::new(out, vec![ImageParam::new("in", in_ty, 2)]);
         let input = image(in_ty, w + 2, h + 2, seed);
         let inputs = RealizeInputs::new().with_image("in", &input);
-        let schedule = Schedule::naive()
-            .with_parallel(parallel)
-            .with_vectorize(vectorize);
+        let schedule = Schedule::naive().with_parallel(parallel);
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
+    }
+
+    /// 1-D stencils (the same shapes, with every row tap pinned to one image
+    /// row): the output's only loop is its lane loop, parallel or serial, and
+    /// the default tier runs the fused kernel under either, the parallel
+    /// workers each on their own span of lanes.
+    #[test]
+    fn one_dimensional_stencils_match_interpreter(
+        out_ty in prop::sample::select(TYPES.to_vec()),
+        value in value_strategy(),
+        w in prop::sample::select(vec![5usize, 31, 67, 131, 1031]),
+        parallel in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let row = value.substitute(&|v| (v == "x_1").then(|| Expr::int(3)));
+        let out = Func::pure("out", &["x_0"], out_ty, Expr::cast(out_ty, row));
+        let p = Pipeline::new(out, vec![ImageParam::new("in", ScalarType::UInt8, 2)]);
+        let input = image(ScalarType::UInt8, w + 6, 7, seed);
+        let inputs = RealizeInputs::new().with_image("in", &input);
+        let schedule = Schedule::naive().with_parallel(parallel);
+        assert_tiers_match_oracle(&p, &schedule, &[w], &inputs)?;
     }
 
     /// Tiling adds symbolic tail extents to the vectorized loop; the interior
@@ -362,17 +379,15 @@ proptest! {
         let p = Pipeline::new(out, vec![ImageParam::new("in", ScalarType::UInt8, 2)]);
         let input = image(ScalarType::UInt8, w + 3, h + 3, seed);
         let inputs = RealizeInputs::new().with_image("in", &input);
-        let schedule = Schedule::naive()
-            .with_tile(Some(tile))
-            .with_vectorize(true);
+        let schedule = Schedule::naive().with_tile(Some(tile));
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 
     /// The `[f32; W]` lane family's acceptance property: random
     /// rounding-disciplined float stencils over Float32 (and integer-widened)
     /// inputs seeded with NaN/±Inf/subnormal/rounding-sensitive values are
-    /// bit-identical to the interpreter in both forced modes, on prime
-    /// extents, vectorized or not and under parallelism.
+    /// bit-identical to the interpreter on both tiers, on prime extents,
+    /// serial or parallel.
     #[test]
     fn f32_family_matches_interpreter(
         in_ty in prop::sample::select(vec![
@@ -383,7 +398,6 @@ proptest! {
         value in f32_value_strategy(),
         wi in 0usize..EXTENTS.len(),
         hi in 0usize..EXTENTS.len(),
-        vectorize in any::<bool>(),
         parallel in any::<bool>(),
         seed in any::<u64>(),
     ) {
@@ -397,9 +411,7 @@ proptest! {
         let p = Pipeline::new(out, vec![ImageParam::new("in", in_ty, 2)]);
         let input = image(in_ty, w + 2, h + 2, seed);
         let inputs = RealizeInputs::new().with_image("in", &input);
-        let schedule = Schedule::naive()
-            .with_parallel(parallel)
-            .with_vectorize(vectorize);
+        let schedule = Schedule::naive().with_parallel(parallel);
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 
@@ -418,9 +430,7 @@ proptest! {
         let p = Pipeline::new(out, vec![ImageParam::new("in", ScalarType::Float32, 2)]);
         let input = image(ScalarType::Float32, w + 3, h + 3, seed);
         let inputs = RealizeInputs::new().with_image("in", &input);
-        let schedule = Schedule::naive()
-            .with_tile(Some(tile))
-            .with_vectorize(true);
+        let schedule = Schedule::naive().with_tile(Some(tile));
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 
@@ -444,9 +454,7 @@ proptest! {
         let p = Pipeline::new(out, vec![ImageParam::new("in", ScalarType::UInt32, 2)]);
         let input = image(ScalarType::UInt32, w + 3, h + 3, seed);
         let inputs = RealizeInputs::new().with_image("in", &input);
-        let schedule = Schedule::naive()
-            .with_tile(Some(tile))
-            .with_vectorize(true);
+        let schedule = Schedule::naive().with_tile(Some(tile));
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 
@@ -464,9 +472,7 @@ proptest! {
         let p = Pipeline::new(out, vec![ImageParam::new("in", ScalarType::Float64, 2)]);
         let input = image(ScalarType::Float64, w + 3, h + 3, seed);
         let inputs = RealizeInputs::new().with_image("in", &input);
-        let schedule = Schedule::naive()
-            .with_tile(Some(tile))
-            .with_vectorize(true);
+        let schedule = Schedule::naive().with_tile(Some(tile));
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 
@@ -507,7 +513,7 @@ proptest! {
         let p = Pipeline::new(out, vec![ImageParam::new("in", in_ty, 3)]);
         let input = grid(in_ty, &[extents[0] + 2, extents[1] + 2, extents[2] + 2], seed);
         let inputs = RealizeInputs::new().with_image("in", &input);
-        let schedule = Schedule::naive().with_tile(tile).with_vectorize(true);
+        let schedule = Schedule::naive().with_tile(tile);
         assert_tiers_match_oracle(&p, &schedule, &extents, &inputs)?;
     }
 
@@ -542,14 +548,14 @@ proptest! {
         let p = Pipeline::new(out, vec![ImageParam::new("in", in_ty, 1)]);
         let input = grid(in_ty, &[(stride * (h as i64 + 1)) as usize], seed);
         let inputs = RealizeInputs::new().with_image("in", &input);
-        let schedule = Schedule::naive().with_tile(tile).with_vectorize(true);
+        let schedule = Schedule::naive().with_tile(tile);
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 
     /// The `[i64; W/2]` lane family's acceptance property: the integer
     /// strategy (wrap-around taps, shifted sums, clamps, selects) with
     /// 64-bit outputs — where the i32 wrap proofs are vacuous — stays
-    /// bit-identical to the interpreter across extents, vectorized or not.
+    /// bit-identical to the interpreter across extents, serial or parallel.
     #[test]
     fn i64_family_matches_interpreter(
         in_ty in prop::sample::select(vec![
@@ -561,7 +567,6 @@ proptest! {
         value in value_strategy(),
         wi in 0usize..EXTENTS.len(),
         hi in 0usize..EXTENTS.len(),
-        vectorize in any::<bool>(),
         parallel in any::<bool>(),
         seed in any::<u64>(),
     ) {
@@ -575,17 +580,15 @@ proptest! {
         let p = Pipeline::new(out, vec![ImageParam::new("in", in_ty, 2)]);
         let input = image(in_ty, w + 2, h + 2, seed);
         let inputs = RealizeInputs::new().with_image("in", &input);
-        let schedule = Schedule::naive()
-            .with_parallel(parallel)
-            .with_vectorize(vectorize);
+        let schedule = Schedule::naive().with_parallel(parallel);
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 
     /// The `[f64; W/2]` lane family's acceptance property: random unrounded
     /// double-precision stencils over Float64 (and integer-widened) inputs
     /// seeded with NaN/±Inf/signed-zero values are bit-identical to the
-    /// interpreter across the whole target matrix, on prime extents,
-    /// vectorized or not and under parallelism.
+    /// interpreter across the whole target matrix, on prime extents, serial
+    /// or parallel.
     #[test]
     fn f64_family_matches_interpreter(
         in_ty in prop::sample::select(vec![
@@ -596,7 +599,6 @@ proptest! {
         value in f64_value_strategy(),
         wi in 0usize..EXTENTS.len(),
         hi in 0usize..EXTENTS.len(),
-        vectorize in any::<bool>(),
         parallel in any::<bool>(),
         seed in any::<u64>(),
     ) {
@@ -605,9 +607,7 @@ proptest! {
         let p = Pipeline::new(out, vec![ImageParam::new("in", in_ty, 2)]);
         let input = image(in_ty, w + 2, h + 2, seed);
         let inputs = RealizeInputs::new().with_image("in", &input);
-        let schedule = Schedule::naive()
-            .with_parallel(parallel)
-            .with_vectorize(vectorize);
+        let schedule = Schedule::naive().with_parallel(parallel);
         assert_tiers_match_oracle(&p, &schedule, &[w, h], &inputs)?;
     }
 }
@@ -681,7 +681,7 @@ fn lifted_filter_idioms_run_fused_and_agree() {
                 &schedule,
                 &CompileOptions {
                     backend: ExecBackend::Lowered,
-                    target: Some(Target::detect().with_tier(Tier::Simd)),
+                    target: Some(Target::detect()),
                     ..CompileOptions::default()
                 },
             )
@@ -732,7 +732,7 @@ fn f32_smooth_idiom_runs_fused_and_agrees() {
             &schedule,
             &CompileOptions {
                 backend: ExecBackend::Lowered,
-                target: Some(Target::detect().with_tier(Tier::Simd)),
+                target: Some(Target::detect()),
                 ..CompileOptions::default()
             },
         )
@@ -778,7 +778,7 @@ fn i64_histogram_idiom_runs_fused_and_agrees() {
             &schedule,
             &CompileOptions {
                 backend: ExecBackend::Lowered,
-                target: Some(Target::detect().with_tier(Tier::Simd)),
+                target: Some(Target::detect()),
                 ..CompileOptions::default()
             },
         )

@@ -5,10 +5,10 @@
 //! the newly exposed rows. That is a pure schedule transformation, so the
 //! acceptance property is bit-identity: `compute_at` must produce exactly
 //! the bytes of `compute_root` and of the interpreter oracle, across prime
-//! extents, border-clamping taps, vectorization, tiling and parallelism,
-//! under both pinned execution tiers ([`Tier::Scalar`] / [`Tier::Simd`] via
-//! the [`Target`] carried on [`CompileOptions`]; CI additionally runs the
-//! whole suite under `HELIUM_FORCE_SCALAR=1` and `HELIUM_FORCE_SIMD=1` legs).
+//! extents, border-clamping taps, tiling and parallelism, under both
+//! execution tiers ([`Tier::Scalar`] / [`Tier::Auto`] via the [`Target`]
+//! carried on [`CompileOptions`]; CI additionally runs the whole suite under
+//! a `HELIUM_FORCE_SCALAR=1` leg).
 //!
 //! Equality alone can be vacuous — a placement that silently recomputes
 //! every row also matches — so the deterministic tests check that a window
@@ -148,15 +148,14 @@ proptest! {
     /// Acceptance property: for random vertical stencils (border-clamping
     /// `dy0 < 0` included) over prime extents, `compute_at` — sliding when
     /// untiled, recomputing each tile's region when tiled — is bit-identical
-    /// to `compute_root` and to the interpreter oracle, in both forced
-    /// modes, serial and parallel.
+    /// to `compute_root` and to the interpreter oracle, on both tiers,
+    /// serial and parallel.
     #[test]
     fn sliding_window_matches_recompute_and_oracle(
         vert_taps in 2i64..5,
         dy0 in -2i64..2,
         wi in 0usize..EXTENTS.len(),
         hi in 0usize..EXTENTS.len(),
-        vectorize in any::<bool>(),
         parallel in any::<bool>(),
         tiled in any::<bool>(),
         seed in any::<u64>(),
@@ -168,15 +167,11 @@ proptest! {
         let inputs = RealizeInputs::new().with_image("in", &input);
         let base = Schedule::naive()
             .with_parallel(parallel)
-            .with_vectorize(vectorize)
             .with_tile(tiled.then_some((8, 8)));
         let at = base.clone().with_compute_at("blur_x", "x_1");
         let root = base.with_compute_root("blur_x");
         let expect = oracle(&p, &at, &[w, h], &inputs);
-        for mode in [
-            Target::detect().with_tier(Tier::Scalar),
-            Target::detect().with_tier(Tier::Simd),
-        ] {
+        for mode in [Target::detect().with_tier(Tier::Scalar), Target::detect()] {
             let (_, rooted) = run_lowered(&p, &root, mode, &[w, h], &inputs);
             let (_, attached) = run_lowered(&p, &at, mode, &[w, h], &inputs);
             prop_assert_eq!(&rooted, &expect, "compute_root diverged ({:?})", mode);
@@ -187,9 +182,9 @@ proptest! {
 
 /// The fig7 shape: a two-stage blur with `compute_at` must compile exactly
 /// one rolling window, reuse rows at run time (the guard that makes the
-/// property above non-vacuous), and agree with the oracle in both pinned
-/// modes. Both stores — the producer filling its window and the consumer
-/// reading it — compile fused lane kernels.
+/// property above non-vacuous), and agree with the oracle on both tiers.
+/// Both stores — the producer filling its window and the consumer reading
+/// it — compile fused lane kernels.
 #[test]
 fn fig7_blur_sliding_window_reuses_rows() {
     let _guard = counters_lock();
@@ -197,14 +192,9 @@ fn fig7_blur_sliding_window_reuses_rows() {
     let (w, h) = (61, 47);
     let input = image(w + 4, h + 4, 0xCAFE);
     let inputs = RealizeInputs::new().with_image("in", &input);
-    let at = Schedule::naive()
-        .with_vectorize(true)
-        .with_compute_at("blur_x", "x_1");
+    let at = Schedule::naive().with_compute_at("blur_x", "x_1");
     let expect = oracle(&p, &at, &[w, h], &inputs);
-    for mode in [
-        Target::detect().with_tier(Tier::Scalar),
-        Target::detect().with_tier(Tier::Simd),
-    ] {
+    for mode in [Target::detect().with_tier(Tier::Scalar), Target::detect()] {
         let counters = CounterSnapshot::take();
         let (compiled, out) = run_lowered(&p, &at, mode, &[w, h], &inputs);
         assert_eq!(out, expect, "compute_at diverged from oracle ({mode:?})");
@@ -245,17 +235,10 @@ fn parallel_sliding_window_stays_exact_and_reuses_within_chunks() {
     let at = Schedule::naive()
         .with_parallel(true)
         .with_threads(4)
-        .with_vectorize(true)
         .with_compute_at("blur_x", "x_1");
     let expect = oracle(&p, &at, &[w, h], &inputs);
     let counters = CounterSnapshot::take();
-    let (compiled, out) = run_lowered(
-        &p,
-        &at,
-        Target::detect().with_tier(Tier::Simd),
-        &[w, h],
-        &inputs,
-    );
+    let (compiled, out) = run_lowered(&p, &at, Target::detect(), &[w, h], &inputs);
     assert_eq!(out, expect, "parallel sliding window diverged from oracle");
     assert_eq!(
         compiled.sliding_windows(&inputs, &[w, h]).expect("program"),
@@ -280,13 +263,9 @@ fn tiled_compute_at_compiles_no_window() {
     let inputs = RealizeInputs::new().with_image("in", &input);
     let at = Schedule::naive()
         .with_tile(Some((64, 64)))
-        .with_vectorize(true)
         .with_compute_at("blur_x", "x_1");
     let expect = oracle(&p, &at, &[w, h], &inputs);
-    for mode in [
-        Target::detect().with_tier(Tier::Scalar),
-        Target::detect().with_tier(Tier::Simd),
-    ] {
+    for mode in [Target::detect().with_tier(Tier::Scalar), Target::detect()] {
         let counters = CounterSnapshot::take();
         let (compiled, out) = run_lowered(&p, &at, mode, &[w, h], &inputs);
         assert_eq!(

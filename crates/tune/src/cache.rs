@@ -326,12 +326,11 @@ fn unescape(name: &str) -> Result<String, String> {
 }
 
 /// Encode a schedule as one token:
-/// `parallel=<b>;threads=<n>;tile=<w>x<h>|-;vectorize=<b>;roots=<a,b>;at=<f@v,...>`.
+/// `parallel=<b>;threads=<n>;tile=<w>x<h>|-;roots=<a,b>;at=<f@v,...>`.
 ///
-/// Files from earlier revisions carry `vector=<n>` (a vector width) in place
-/// of `vectorize=<b>`, and some also `sliding=<a,b>;fuse=<b>`, the keys of
-/// two retired schedule knobs; the decoder reads the first and drops the
-/// others (see [`decode_schedule`]).
+/// Files from earlier revisions also carry `vectorize=<b>` or `vector=<n>`,
+/// and some `sliding=<a,b>;fuse=<b>`, the keys of retired schedule knobs;
+/// the decoder drops them (see [`decode_schedule`]).
 fn encode_schedule(s: &Schedule) -> String {
     let tile = match s.tile {
         Some((w, h)) => format!("{w}x{h}"),
@@ -350,8 +349,8 @@ fn encode_schedule(s: &Schedule) -> String {
         .collect::<Vec<_>>()
         .join(",");
     format!(
-        "parallel={};threads={};tile={};vectorize={};roots={};at={}",
-        s.parallel, s.threads, tile, s.vectorize, roots, at
+        "parallel={};threads={};tile={};roots={};at={}",
+        s.parallel, s.threads, tile, roots, at
     )
 }
 
@@ -383,14 +382,6 @@ fn decode_schedule(text: &str) -> Result<Schedule, String> {
                     ))
                 };
             }
-            "vectorize" => {
-                s.vectorize = value.parse().map_err(|_| "bad vectorize".to_string())?;
-            }
-            // The vector width of older files: any width above 1 vectorized.
-            "vector" => {
-                let width: usize = value.parse().map_err(|_| "bad vector".to_string())?;
-                s.vectorize = width > 1;
-            }
             "roots" => {
                 for name in value.split(',').filter(|n| !n.is_empty()) {
                     s.compute_root.insert(unescape(name)?);
@@ -404,10 +395,11 @@ fn decode_schedule(text: &str) -> Result<Schedule, String> {
                     s.compute_at.insert(unescape(f)?, unescape(v)?);
                 }
             }
-            // Keys of the retired `store_sliding` and `fuse_outputs` knobs
-            // in older files. Neither changed a computed value, so they are
+            // Keys of retired knobs in older files: `vectorize` and its
+            // predecessor `vector` (a width), `store_sliding` and
+            // `fuse_outputs`. None changed a computed value, so they are
             // dropped and the entry still hits.
-            "sliding" | "fuse" => {}
+            "vectorize" | "vector" | "sliding" | "fuse" => {}
             _ => return Err(format!("unknown schedule field `{key}`")),
         }
     }
@@ -461,27 +453,25 @@ mod tests {
 
     #[test]
     fn legacy_schedule_encoding_without_locality_keys_decodes() {
-        let bare = "parallel=true;threads=4;tile=64x64;vectorize=true;roots=a;at=b@x_1";
+        let bare = "parallel=true;threads=4;tile=64x64;roots=a;at=b@x_1";
         let s = decode_schedule(bare).unwrap();
-        assert!(s.vectorize);
         assert_eq!(s.tile, Some((64, 64)));
         assert_eq!(
             encode_schedule(&s),
             bare,
             "the current encoding is the bare one"
         );
-        // Files from the revisions with a vector width (`vector=N`, where
-        // N > 1 vectorized) and with the retired `sliding`/`fuse` knobs
-        // decode to the same schedule, hit the same entry, and are written
-        // back with `vectorize=` and without the knobs.
-        for (width, vectorize) in [(16, true), (1, false)] {
-            let legacy = bare.replace("vectorize=true", &format!("vector={width}"));
+        // Files from the revisions with `vectorize=<b>`, with a vector width
+        // (`vector=N`) and with the retired `sliding`/`fuse` knobs decode to
+        // the same schedule, hit the same entry, and are written back
+        // without those keys.
+        for retired in ["vectorize=true", "vectorize=false", "vector=16", "vector=1"] {
+            let legacy = bare.replace("roots=", &format!("{retired};roots="));
             let with_knobs = format!("{legacy};sliding=blur_x;fuse=true");
-            let expect = s.clone().with_vectorize(vectorize);
-            assert_eq!(decode_schedule(&legacy).unwrap(), expect);
-            assert_eq!(decode_schedule(&with_knobs).unwrap(), expect);
+            assert_eq!(decode_schedule(&legacy).unwrap(), s);
+            assert_eq!(decode_schedule(&with_knobs).unwrap(), s);
             let (key, mut entry) = sample_entry();
-            entry.schedule = expect;
+            entry.schedule = s.clone();
             let text = format!(
                 "{HEADER}\n{:016x} lowered 640x480 123456 9.875e2 5 {with_knobs}\n",
                 key.pipeline
@@ -489,9 +479,8 @@ mod tests {
             let cache = ScheduleCache::from_text(&text).unwrap();
             assert_eq!(cache.get(&key), Some(&entry));
             let written = cache.to_text();
-            let current = bare.replace("vectorize=true", &format!("vectorize={vectorize}"));
-            assert!(written.contains(&current), "got: {written}");
-            assert!(!written.contains("vector="), "got: {written}");
+            assert!(written.contains(bare), "got: {written}");
+            assert!(!written.contains("vector"), "got: {written}");
             assert!(!written.contains("sliding"), "got: {written}");
             assert!(!written.contains("fuse"), "got: {written}");
         }

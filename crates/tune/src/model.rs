@@ -20,8 +20,6 @@ use helium_halide::{LaneFamily, PipelineProfile, Schedule, StageProfile, StorePr
 /// assert *why* a schedule won, not just that it did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduleFeatures {
-    /// Whether the schedule vectorizes the innermost loop.
-    pub vectorize: bool,
     /// Whether the outer loop is distributed across worker threads.
     pub parallel: bool,
     /// Threads the schedule would actually use on this machine.
@@ -77,7 +75,6 @@ impl ScheduleFeatures {
             })
             .fold((0.0f64, 0usize), |(sum, n), f| (sum + f, n + 1));
         ScheduleFeatures {
-            vectorize: schedule.vectorize,
             parallel: schedule.parallel,
             effective_threads: schedule.effective_threads(),
             tile: schedule.tile,
@@ -107,7 +104,6 @@ impl ScheduleFeatures {
     /// The feature vector as named columns, for report rows and assertions.
     pub fn columns(&self) -> Vec<(&'static str, f64)> {
         vec![
-            ("vectorize", if self.vectorize { 1.0 } else { 0.0 }),
             ("parallel", if self.parallel { 1.0 } else { 0.0 }),
             ("effective_threads", self.effective_threads as f64),
             ("tile_cells", self.tile.map_or(0.0, |(w, h)| (w * h) as f64)),
@@ -159,17 +155,14 @@ fn fused_lanes(family: LaneFamily, row: usize) -> f64 {
 }
 
 /// Abstract per-element cost of the per-op typed tier: a dispatch overhead
-/// amortized over the batch plus per-op work. A dispatch batches
-/// [`MAX_LANES`] lanes under a vectorized loop and one otherwise. Calibrated
-/// against the fused tier's unit on the lifted invert at 96×64 (release
-/// build, 2-vCPU host, medians of 301 serial runs): the per-op tier took 95
-/// and 20 ns per element at batches of 1 and 16 lanes, where the 1-tap fused
-/// store took 4.2 ns (0.078 units). Per-op work is thus about 5× a fused
-/// element, the scale [`THREAD_SPAWN_COST`] is weighed against.
-fn per_op_cost(schedule: &Schedule) -> f64 {
-    let batch = if schedule.vectorize { MAX_LANES } else { 1 };
-    0.28 + 1.5 / batch as f64
-}
+/// amortized over the batch of [`MAX_LANES`] lanes the lowering's vectorized
+/// lane loops give it, plus per-op work. Calibrated against the fused tier's
+/// unit on the lifted invert at 96×64 (release build, 2-vCPU host, medians
+/// of 301 serial runs): the per-op tier took 95 and 20 ns per element at
+/// batches of 1 and 16 lanes, where the 1-tap fused store took 4.2 ns (0.078
+/// units). Per-op work is thus about 5× a fused element, the scale
+/// [`THREAD_SPAWN_COST`] is weighed against.
+const PER_OP_COST: f64 = 0.28 + 1.5 / MAX_LANES as f64;
 
 /// Predicted cost of one store over one cell of its stage.
 fn store_cost(p: &StoreProfile, schedule: &Schedule, extent0: usize) -> f64 {
@@ -178,20 +171,19 @@ fn store_cost(p: &StoreProfile, schedule: &Schedule, extent0: usize) -> f64 {
         // enough for the widest chunk.
         return (1.0 + 0.25 * p.taps as f64) / fused_lanes(family, usize::MAX) + 0.05;
     }
-    // The engine runs a fused kernel under a vectorized lane loop only; an
-    // unvectorized one stays on the per-op tier.
-    if let Some(family) = p.fused.filter(|_| schedule.vectorize) {
+    // The dry run reports a fused kernel exactly where the engine runs one.
+    if let Some(family) = p.fused {
         let interior = interior_fraction(extent0, p.max_tap_offset);
         // A fused row spans the tile width, or the whole first dimension.
         let row = schedule.tile.map_or(extent0, |(tw, _)| tw.min(extent0));
         let fused = (1.0 + 0.25 * p.taps as f64) / fused_lanes(family, row);
-        return interior * fused + (1.0 - interior) * per_op_cost(schedule);
+        return interior * fused + (1.0 - interior) * PER_OP_COST;
     }
     if p.guarded {
         // Per-op read-modify-write with clamped destinations.
-        return per_op_cost(schedule) + 1.5;
+        return PER_OP_COST + 1.5;
     }
-    per_op_cost(schedule)
+    PER_OP_COST
 }
 
 /// Per-element cost of a stage with no lowered plan (the per-element
@@ -221,7 +213,7 @@ pub fn score(schedule: &Schedule, profile: &PipelineProfile) -> f64 {
     }
     // Tiling: small loop-bookkeeping overhead, paid back by locality only
     // when the untiled row working set is large. Kept mild — tier selection
-    // and vectorization dominate ranking; tiles break timing ties.
+    // dominates ranking; tiles break timing ties.
     if let Some((tw, th)) = schedule.tile {
         let row_bytes = profile.output().extents.first().copied().unwrap_or(1) as f64 * 8.0;
         let locality = if row_bytes > 256.0 * 1024.0 {
@@ -292,38 +284,46 @@ mod tests {
         (p, input)
     }
 
-    fn profile_of(p: &Pipeline, s: &Schedule, input: &Buffer) -> helium_halide::PipelineProfile {
+    /// `s`'s dry-run profile on `tier`.
+    fn profile_on(
+        p: &Pipeline,
+        s: &Schedule,
+        input: &Buffer,
+        tier: Tier,
+    ) -> helium_halide::PipelineProfile {
         let inputs = RealizeInputs::new().with_image("in", input);
-        let compiled: CompiledPipeline = p.compile(s, &CompileOptions::default()).unwrap();
+        let options = CompileOptions {
+            target: Some(Target::detect().with_tier(tier)),
+            ..CompileOptions::default()
+        };
+        let compiled: CompiledPipeline = p.compile(s, &options).unwrap();
         compiled.dry_run(&inputs, &[64, 48]).unwrap()
+    }
+
+    fn profile_of(p: &Pipeline, s: &Schedule, input: &Buffer) -> helium_halide::PipelineProfile {
+        profile_on(p, s, input, Tier::Auto)
     }
 
     #[test]
     fn fused_wide_schedules_score_below_naive_scalar() {
+        // One schedule, scored from its default-tier dry run (fused) and
+        // from its Scalar-tier one (per-op).
         let (p, input) = invert_pipeline();
         let naive = Schedule::naive();
-        let wide = Schedule::naive().with_vectorize(true);
-        let naive_score = score(&naive, &profile_of(&p, &naive, &input));
-        let wide_score = score(&wide, &profile_of(&p, &wide, &input));
+        let fused = score(&naive, &profile_on(&p, &naive, &input, Tier::Auto));
+        let scalar = score(&naive, &profile_on(&p, &naive, &input, Tier::Scalar));
         assert!(
-            wide_score < naive_score,
-            "fused vectorized schedule must be ranked above scalar: {wide_score} vs {naive_score}"
+            fused < scalar,
+            "the fused run must be ranked above the scalar one: {fused} vs {scalar}"
         );
     }
 
     #[test]
     fn features_expose_tier_selection() {
         let (p, input) = invert_pipeline();
-        let wide = Schedule::naive().with_vectorize(true);
-        let inputs = RealizeInputs::new().with_image("in", &input);
-        let features = |tier: Tier| {
-            let options = CompileOptions {
-                target: Some(Target::current().with_tier(tier)),
-                ..CompileOptions::default()
-            };
-            let compiled = p.compile(&wide, &options).unwrap();
-            ScheduleFeatures::extract(&wide, &compiled.dry_run(&inputs, &[64, 48]).unwrap())
-        };
+        let wide = Schedule::naive();
+        let features =
+            |tier: Tier| ScheduleFeatures::extract(&wide, &profile_on(&p, &wide, &input, tier));
         // A Scalar tier runs the store per-op, and its dry run says so.
         let f = features(Tier::Scalar);
         assert_eq!((f.fused_stores, f.unfused_stores), (0, 1));
@@ -377,12 +377,8 @@ mod tests {
     #[test]
     fn sliding_window_feature_surfaces_and_discounts() {
         let (p, input) = vertical_pipeline();
-        let rooted = Schedule::naive()
-            .with_vectorize(true)
-            .with_compute_root("blur_x");
-        let at = Schedule::naive()
-            .with_vectorize(true)
-            .with_compute_at("blur_x", "x_1");
+        let rooted = Schedule::naive().with_compute_root("blur_x");
+        let at = Schedule::naive().with_compute_at("blur_x", "x_1");
         let tiled_at = at.clone().with_tile(Some((16, 16)));
         let profile_rooted = profile_of(&p, &rooted, &input);
         let profile_at = profile_of(&p, &at, &input);

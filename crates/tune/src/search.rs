@@ -76,11 +76,12 @@ pub struct TuneReport {
     pub from_cache: bool,
 }
 
-/// Enumerate the deterministic candidate space for `pipeline`: vectorized or
-/// not, crossed with tilings, parallelism and per-producer placements
-/// (inline / `compute_root` / `compute_at` the outermost output loop),
-/// deduplicated by schedule fingerprint and seeded with the naive and
-/// stencil-default schedules. A `compute_at` placement slides its producer's
+/// Enumerate the deterministic candidate space for `pipeline`: tilings
+/// crossed with parallelism and per-producer placements (inline /
+/// `compute_root` / `compute_at` the outermost output loop), deduplicated by
+/// schedule fingerprint and seeded with the naive and stencil-default
+/// schedules. Vectorization is not enumerated: every store runs its fused
+/// kernel wherever one compiled. A `compute_at` placement slides its producer's
 /// window wherever the region allows, so no separate locality variant is
 /// enumerated, and it is enumerated untiled only: under a tile the region
 /// moves with the tile column, no window forms, and it ran 3.5–5× slower
@@ -127,20 +128,15 @@ pub fn enumerate_candidates(pipeline: &Pipeline, limit: usize) -> Vec<Schedule> 
         };
         for &parallel in &parallels {
             for &tile in tiles {
-                for vectorize in [false, true] {
-                    let mut s = Schedule::naive()
-                        .with_parallel(parallel)
-                        .with_tile(tile)
-                        .with_vectorize(vectorize);
-                    for (producer, code) in producers.iter().zip(placements) {
-                        match (code, &attach_var) {
-                            (1, _) => s = s.with_compute_root(producer),
-                            (2, Some(var)) => s = s.with_compute_at(producer, var),
-                            _ => {}
-                        }
+                let mut s = Schedule::naive().with_parallel(parallel).with_tile(tile);
+                for (producer, code) in producers.iter().zip(placements) {
+                    match (code, &attach_var) {
+                        (1, _) => s = s.with_compute_root(producer),
+                        (2, Some(var)) => s = s.with_compute_at(producer, var),
+                        _ => {}
                     }
-                    all.push(s);
                 }
+                all.push(s);
             }
         }
     }
@@ -331,7 +327,9 @@ pub fn guided_search_cached(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use helium_halide::{BinOp, Buffer, Expr, Func, ImageParam, Realizer, ScalarType, Value};
+    use helium_halide::{
+        BinOp, Buffer, Expr, Func, ImageParam, Realizer, ScalarType, Target, Tier, Value,
+    };
 
     fn blur_pipeline() -> (Pipeline, Buffer) {
         let x = Expr::var("x_0");
@@ -387,11 +385,12 @@ mod tests {
         assert!(all.len() > 10, "one producer spans a real space");
         let fps: BTreeSet<u64> = all.iter().map(fingerprint_schedule).collect();
         assert_eq!(fps.len(), all.len(), "candidates must be distinct");
-        let thinned = enumerate_candidates(&p, 16);
-        assert!(thinned.len() <= 16);
+        let thinned = enumerate_candidates(&p, 8);
+        assert!(thinned.len() <= 8);
         assert!(
-            thinned.iter().any(|s| s.vectorize),
-            "stride thinning must keep vectorized candidates"
+            thinned.iter().any(|s| s.compute_root.is_empty())
+                && thinned.iter().any(|s| !s.compute_root.is_empty()),
+            "stride thinning must keep inlined and materialized candidates"
         );
     }
 
@@ -431,9 +430,9 @@ mod tests {
 
     #[test]
     fn enumeration_counts_and_untiled_compute_at() {
-        // 2 parallel × 3 tiles × 2 vectorize per placement set that
-        // attaches nothing, 2 × 1 × 2 per set that attaches a producer.
-        for (producers, count) in [(0, 12), (1, 28), (2, 68)] {
+        // 2 parallel × 3 tiles per placement set that attaches nothing,
+        // 2 × 1 per set that attaches a producer.
+        for (producers, count) in [(0, 6), (1, 14), (2, 34)] {
             let all = enumerate_candidates(&chain(producers), usize::MAX);
             assert_eq!(all.len(), count, "{producers} producers");
             assert!(
@@ -454,16 +453,15 @@ mod tests {
         for pair in trials.windows(2) {
             assert!(pair[0].model_score <= pair[1].model_score);
         }
-        // The model must prefer a fused wide schedule over naive scalar.
-        let naive_rank = trials
-            .iter()
-            .position(|t| t.schedule == Schedule::naive())
-            .expect("naive is always a candidate");
+        // Every candidate's stores fuse unless the environment pins the
+        // per-op tier, so the model ranks them by what else they change.
+        let fuses = Target::current().tier() != Tier::Scalar;
         assert!(
-            trials[0].features.vectorize,
-            "the top-ranked schedule should be vectorized"
+            trials
+                .iter()
+                .all(|t| (t.features.fused_stores > 0) == fuses),
+            "the blur's stores fuse under every schedule iff the tier runs fused kernels"
         );
-        assert!(naive_rank > 0, "naive scalar cannot be the top pick");
     }
 
     #[test]

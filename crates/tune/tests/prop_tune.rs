@@ -2,7 +2,8 @@
 //! `dry_run`'s per-store [`StoreProfile`] reports a fused kernel exactly
 //! when the run executes one (the fused-row counter advances), and the cost
 //! model's `fused_stores` column is derived from exactly those profiles —
-//! across the Auto, Simd and Scalar tiers, on an i32 stencil and an f64 one.
+//! on the Auto and Scalar tiers, on an i32 stencil, an f64 one and a 1-D
+//! one whose only loop is parallel.
 
 use helium_halide::prelude::*;
 use helium_halide::{CompileOptions, StoreProfile};
@@ -55,16 +56,49 @@ fn f64_stencil_pipeline() -> Pipeline {
     Pipeline::new(out, vec![ImageParam::new("in", ScalarType::Float64, 2)])
 }
 
-/// Both fixtures with a matching input image.
-fn fixtures(w: usize, h: usize) -> [(Pipeline, Buffer); 2] {
+/// A 3-tap `u8` blur over a 1-D image: under `stencil_default` its one loop
+/// is both the parallel loop and the lane loop, so it is never vectorized.
+fn blur_1d_pipeline() -> Pipeline {
+    let tap = |dx: i64| {
+        Expr::cast(
+            ScalarType::UInt32,
+            Expr::Image(
+                "in".into(),
+                vec![Expr::add(Expr::var("x_0"), Expr::int(dx))],
+            ),
+        )
+    };
+    let sum = Expr::add(Expr::add(tap(0), Expr::mul(Expr::int(2), tap(1))), tap(2));
+    let value = Expr::cast(ScalarType::UInt8, Expr::bin(BinOp::Shr, sum, Expr::uint(2)));
+    let out = Func::pure("out", &["x_0"], ScalarType::UInt8, value);
+    Pipeline::new(out, vec![ImageParam::new("in", ScalarType::UInt8, 1)])
+}
+
+/// Every fixture with a matching input image and its output extents.
+fn fixtures(w: usize, h: usize) -> [(Pipeline, Buffer, Vec<usize>); 3] {
+    let image =
+        |ty, extents: &[usize]| input(ty, &extents.iter().map(|e| e + 2).collect::<Vec<_>>());
     [
-        (stencil_pipeline(), input(ScalarType::UInt8, w, h)),
-        (f64_stencil_pipeline(), input(ScalarType::Float64, w, h)),
+        (
+            stencil_pipeline(),
+            image(ScalarType::UInt8, &[w, h]),
+            vec![w, h],
+        ),
+        (
+            f64_stencil_pipeline(),
+            image(ScalarType::Float64, &[w, h]),
+            vec![w, h],
+        ),
+        (
+            blur_1d_pipeline(),
+            image(ScalarType::UInt8, &[w * h]),
+            vec![w * h],
+        ),
     ]
 }
 
-fn input(ty: ScalarType, w: usize, h: usize) -> Buffer {
-    let mut b = Buffer::new(ty, &[w, h]);
+fn input(ty: ScalarType, extents: &[usize]) -> Buffer {
+    let mut b = Buffer::new(ty, extents);
     let mut s = 0x5EED_u64;
     for c in b.coords().collect::<Vec<_>>() {
         s = s
@@ -86,14 +120,18 @@ fn fused_stores(profile: &helium_halide::PipelineProfile) -> Vec<&StoreProfile> 
 
 /// Whatever `dry_run` reports per store is what the run executes: fused
 /// kernels iff the fused-row counter advances, and the model counts them.
-/// This binary's only test, so no concurrent run moves the counter.
+/// The run's bytes equal the interpreter's. This binary's only test, so no
+/// concurrent run moves the counter.
 #[test]
 fn dry_run_fused_stores_match_executed_path() {
-    let (w, h) = (37, 19);
     let schedule = Schedule::stencil_default();
-    for (p, img) in fixtures(w + 2, h + 2) {
+    for (p, img, extents) in fixtures(37, 19) {
         let inputs = RealizeInputs::new().with_image("in", &img);
-        for tier in [Tier::Auto, Tier::Simd, Tier::Scalar] {
+        let oracle = Realizer::new(schedule.clone())
+            .with_backend(ExecBackend::Interpret)
+            .realize(&p, &extents, &inputs)
+            .expect("interpreter");
+        for tier in [Tier::Auto, Tier::Scalar] {
             let compiled = p
                 .compile(
                     &schedule,
@@ -103,7 +141,7 @@ fn dry_run_fused_stores_match_executed_path() {
                     },
                 )
                 .expect("compile");
-            let profile = compiled.dry_run(&inputs, &[w, h]).expect("dry run");
+            let profile = compiled.dry_run(&inputs, &extents).expect("dry run");
             let stores = fused_stores(&profile);
             assert_eq!(
                 stores.is_empty(),
@@ -113,13 +151,14 @@ fn dry_run_fused_stores_match_executed_path() {
             let features = ScheduleFeatures::extract(&schedule, &profile);
             assert_eq!(features.fused_stores, stores.len());
             let snapshot = CounterSnapshot::take();
-            let _ = compiled.run(&inputs, &[w, h]).expect("run");
+            let out = compiled.run(&inputs, &extents).expect("run");
             let advanced = snapshot.delta().fused_rows > 0;
+            assert_eq!(out, oracle, "{extents:?} under {tier:?}");
             assert_eq!(
                 advanced,
                 !stores.is_empty(),
-                "dry run promised {} fused stores but the fused-row counter advance was \
-                 {advanced} under {tier:?}",
+                "{extents:?}: dry run promised {} fused stores but the fused-row counter \
+                 advance was {advanced} under {tier:?}",
                 stores.len()
             );
         }

@@ -1,10 +1,10 @@
 //! Concurrency differential stress tests for the serving stack: many
 //! threads hammering a shared set of [`CompiledPipeline`]s — directly and
 //! through a [`Server`] — with mixed extents, bit-compared against the
-//! per-element interpreter oracle. The CI `serve` job runs this suite under
-//! both `HELIUM_FORCE_SCALAR=1` and `HELIUM_FORCE_SIMD=1`, so every
-//! execution tier (including the parallel-reduce deferred-accumulation
-//! path) is differentially covered under contention.
+//! per-element interpreter oracle. Tier-1 runs this suite on the default
+//! tier and CI's `force-scalar` leg under `HELIUM_FORCE_SCALAR=1`, so both
+//! execution tiers (the default one including the parallel-reduce
+//! deferred-accumulation path) are differentially covered under contention.
 //!
 //! The suite also reconciles the sharded program-cache counters: per-shard
 //! stats must sum to the aggregate, and every miss must be accounted for by
