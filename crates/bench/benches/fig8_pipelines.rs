@@ -7,8 +7,8 @@ use helium_bench::{buffer_from_layout, lift_photoflow};
 use helium_halide::{ExecBackend, RealizeInputs, Realizer, Schedule};
 
 fn bench_pipelines(c: &mut Criterion) {
-    let (blur_app, blur) = lift_photoflow(PhotoFilter::Blur, 96, 64);
-    let (_, invert) = lift_photoflow(PhotoFilter::Invert, 96, 64);
+    let (blur_app, blur) = lift_photoflow(PhotoFilter::Blur, 96, 64).expect("blur lifts");
+    let (_, invert) = lift_photoflow(PhotoFilter::Invert, 96, 64).expect("invert lifts");
     let blur_kernel = blur.primary();
     let invert_kernel = invert.primary();
     let input_name = blur_kernel.pipeline.images.keys().next().cloned().unwrap();

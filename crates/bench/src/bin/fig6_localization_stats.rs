@@ -28,9 +28,7 @@ fn main() {
         PhotoFilter::Equalize,
     ];
     for filter in filters {
-        let result =
-            std::panic::catch_unwind(|| lift_photoflow(filter, BENCH_WIDTH / 2, BENCH_HEIGHT / 2));
-        match result {
+        match lift_photoflow(filter, BENCH_WIDTH / 2, BENCH_HEIGHT / 2) {
             Ok((_, lifted)) => {
                 let s = &lifted.stats;
                 let tree_sizes: Vec<String> = s.tree_sizes.iter().map(|t| t.to_string()).collect();
@@ -46,9 +44,7 @@ fn main() {
                     tree_sizes.join("/")
                 );
             }
-            Err(_) => {
-                println!("{:<14} (not lifted)", filter.name());
-            }
+            Err(e) => println!("{:<14} not lifted: {e}", filter.name()),
         }
     }
 }

@@ -11,8 +11,10 @@ fn main() {
     // The paper's Photoshop pipeline is blur -> invert -> sharpen more; we
     // fuse the lifted blur and invert stages (sharpen-more composes the same
     // way) and report separate vs fused execution.
-    let (blur_app, blur) = lift_photoflow(PhotoFilter::Blur, BENCH_WIDTH, BENCH_HEIGHT);
-    let (_, invert) = lift_photoflow(PhotoFilter::Invert, BENCH_WIDTH, BENCH_HEIGHT);
+    let (blur_app, blur) =
+        lift_photoflow(PhotoFilter::Blur, BENCH_WIDTH, BENCH_HEIGHT).expect("blur lifts");
+    let (_, invert) =
+        lift_photoflow(PhotoFilter::Invert, BENCH_WIDTH, BENCH_HEIGHT).expect("invert lifts");
 
     let blur_kernel = blur.primary();
     let invert_kernel = invert.primary();

@@ -4,22 +4,13 @@
 //! The stencil is lifted end to end by `helium-core` using generic inference
 //! (no known input/output data, exactly as in the paper), then realized by the
 //! helium-halide runtime with a parallel schedule. The legacy baselines are
-//! the binary in the VM and the native scalar port.
+//! the binary in the VM and the native scalar port. The lifted times are warm
+//! (the median of cached runs of one compiled pipeline) unless marked cold (a
+//! fresh compile plus its first run), and the speedups divide by warm times.
 
 use helium_apps::Grid3D;
-use helium_bench::{lift_minigmg, ms, run_legacy, time_lifted_kernel};
+use helium_bench::{lift_minigmg, median_time, ms, run_legacy, time_lifted_kernel};
 use helium_halide::Schedule;
-use std::time::{Duration, Instant};
-
-fn time<F: FnMut()>(mut f: F, reps: usize) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed());
-    }
-    best
-}
 
 fn main() {
     let (nx, ny, nz) = (48, 48, 24);
@@ -37,18 +28,14 @@ fn main() {
     );
 
     let (cpu, vm) = run_legacy(app.program(), app.fresh_cpu(true));
-    let native = time(
-        || {
-            let _ = app.reference_output();
-        },
-        3,
-    );
+    let reps = 5;
+    let native = median_time(reps, || app.reference_output());
     // Realize over the true interior extents (the inferred innermost extent
     // includes the ghost gap of each scanline).
     let extents = Some(vec![grid.nx, grid.ny, grid.nz]);
     let parallel = Schedule::stencil_default().with_parallel(true);
-    let lifted_time = time_lifted_kernel(&cpu.mem, &lifted, parallel.clone(), extents.clone(), 3);
-    let scalar_time = time_lifted_kernel(&cpu.mem, &lifted, Schedule::naive(), extents, 3);
+    let lifted_time = time_lifted_kernel(&cpu.mem, &lifted, &parallel, extents.clone(), reps);
+    let naive_time = time_lifted_kernel(&cpu.mem, &lifted, &Schedule::naive(), extents, reps);
 
     // Correctness: compare a fresh realization against the native reference.
     let reference = app.reference_output();
@@ -80,16 +67,12 @@ fn main() {
 
     println!("legacy (VM)          : {} ms", ms(vm));
     println!("legacy (native)      : {} ms", ms(native));
-    println!("lifted, naive sched  : {} ms", ms(scalar_time));
-    println!("lifted, parallel     : {} ms", ms(lifted_time));
-    println!(
-        "speedup vs VM        : {:.2}x",
-        vm.as_secs_f64() / lifted_time.as_secs_f64().max(1e-9)
-    );
-    println!(
-        "speedup vs native    : {:.2}x",
-        native.as_secs_f64() / lifted_time.as_secs_f64().max(1e-9)
-    );
+    println!("lifted, naive sched  : {} ms", ms(naive_time.warm));
+    println!("lifted, parallel     : {} ms", ms(lifted_time.warm));
+    println!("lifted, parallel cold: {} ms", ms(lifted_time.cold));
+    let warm = lifted_time.warm.as_secs_f64().max(1e-9);
+    println!("speedup vs VM        : {:.2}x", vm.as_secs_f64() / warm);
+    println!("speedup vs native    : {:.2}x", native.as_secs_f64() / warm);
     println!("max |error|          : {max_err:e}");
     println!("\n(generated Halide source below)\n");
     println!("{}", lifted.halide_source());

@@ -1,24 +1,16 @@
 //! Standalone driver for the serving stack: throughput and tail latency of
 //! `helium-serve` over a mixed warm workload, plus the parallel-reduction
-//! split, printed human-readably. The gated machine-readable report is
-//! written by `cargo bench --bench serve` (see `benches/serve.rs`); this
-//! binary is the quick interactive equivalent.
+//! split, printed human-readably. Nothing gates these numbers: tier-1's
+//! `tests/prop_serve.rs` checks that served requests match the interpreter
+//! and that deadlines and shedding resolve every ticket, and helium-bench's
+//! `hist64_rdom_updates_run_compiled_and_match_oracle` checks that the
+//! histogram merges private accumulators.
 
-use helium_bench::{hist64_pipeline, hist64_rdom_pipeline};
+use helium_bench::{hist64_pipeline, hist64_rdom_pipeline, time_kernel};
 use helium_halide::{CompileOptions, RealizeInputs, Schedule};
 use helium_serve::{ServeConfig, ServeRequest, Server, Ticket};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-fn time<F: FnMut()>(mut f: F, reps: usize) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed());
-    }
-    best
-}
+use std::time::Instant;
 
 fn main() {
     let workers = std::thread::available_parallelism()
@@ -76,22 +68,24 @@ fn main() {
     );
     server.shutdown();
 
-    // Parallel-reduce split on the histogram accumulator nest.
+    // Parallel-reduce split on the histogram accumulator nest: warm medians.
     let (pipeline, input) = hist64_rdom_pipeline(256, 192, 0xB16B);
     let inputs = RealizeInputs::new().with_image("in", &input);
-    let serial = pipeline
-        .compile(&Schedule::stencil_default().with_parallel(false), &opts)
-        .expect("compile serial");
-    let parallel = pipeline
-        .compile(&Schedule::stencil_default(), &opts)
-        .expect("compile parallel");
+    let serial_schedule = Schedule::stencil_default().with_parallel(false);
+    let parallel_schedule = Schedule::stencil_default();
+    let run = |schedule: &Schedule| {
+        let compiled = pipeline.compile(schedule, &opts).expect("compile");
+        compiled.run(&inputs, &[256]).expect("run")
+    };
     assert_eq!(
-        serial.run(&inputs, &[256]).expect("serial"),
-        parallel.run(&inputs, &[256]).expect("parallel"),
+        run(&serial_schedule),
+        run(&parallel_schedule),
         "schedules must agree bit-for-bit"
     );
-    let ts = time(|| drop(serial.run(&inputs, &[256]).expect("run")), 24);
-    let tp = time(|| drop(parallel.run(&inputs, &[256]).expect("run")), 24);
+    let time =
+        |schedule: &Schedule| time_kernel(&pipeline, schedule, &opts, &inputs, &[256], 25).warm;
+    let ts = time(&serial_schedule);
+    let tp = time(&parallel_schedule);
     println!(
         "  parallel reduce: serial={ts:?} parallel={tp:?} speedup={:.2}x",
         ts.as_secs_f64() / tp.as_secs_f64().max(1e-12)

@@ -5,9 +5,9 @@
 
 use helium_apps::photoflow::{PhotoFilter, PhotoFlow};
 use helium_apps::PlanarImage;
-use helium_core::{KnownData, LiftRequest, LiftedStencil, Lifter};
+use helium_core::{KnownData, LiftError, LiftRequest, LiftedStencil, Lifter};
 use helium_halide::{
-    Buffer, CompiledPipeline, Pipeline, RealizeInputs, Realizer, ScalarType, Schedule, Value,
+    Buffer, CompileOptions, CompiledPipeline, Pipeline, RealizeInputs, ScalarType, Schedule, Value,
 };
 use std::time::{Duration, Instant};
 
@@ -40,15 +40,17 @@ pub fn photoflow_request(app: &PhotoFlow) -> LiftRequest {
 
 /// Lift a PhotoFlow filter, returning the app and the lifted stencil.
 ///
-/// # Panics
-/// Panics if lifting fails (benchmarks require a successful lift).
-pub fn lift_photoflow(filter: PhotoFilter, w: usize, h: usize) -> (PhotoFlow, LiftedStencil) {
+/// # Errors
+/// Returns the lifter's error for a filter it does not lift.
+pub fn lift_photoflow(
+    filter: PhotoFilter,
+    w: usize,
+    h: usize,
+) -> Result<(PhotoFlow, LiftedStencil), LiftError> {
     let app = photoflow_app(filter, w, h);
     let request = photoflow_request(&app);
-    let lifted = Lifter::new()
-        .lift(app.program(), &request, |with| app.fresh_cpu(with))
-        .unwrap_or_else(|e| panic!("lifting {} failed: {e}", filter.name()));
-    (app, lifted)
+    let lifted = Lifter::new().lift(app.program(), &request, |with| app.fresh_cpu(with))?;
+    Ok((app, lifted))
 }
 
 /// Materialize the contents of a lifted buffer from the app's memory image
@@ -76,36 +78,80 @@ pub fn buffer_from_layout(app: &PhotoFlow, lifted: &LiftedStencil, name: &str) -
     buf
 }
 
-/// Time the lifted kernel of the first output plane under a schedule on a
-/// specific execution backend.
+/// The median of a set of timings (the upper one of an even count).
+fn median(mut times: Vec<Duration>) -> Duration {
+    times.sort();
+    times[times.len() / 2]
+}
+
+/// Run `f` once and return its result with the time it took; dropping the
+/// result is not timed.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed())
+}
+
+/// The median wall time of `reps` calls of `f` (at least one).
+pub fn median_time<T>(reps: usize, mut f: impl FnMut() -> T) -> Duration {
+    median((0..reps.max(1)).map(|_| timed(&mut f).1).collect())
+}
+
+/// What [`time_kernel`] measured: a warm and a cold median, and the
+/// program-cache counters that show which path each timed run took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KernelTimes {
+    /// Median of the warm runs: one pipeline compiled once, each timed run a
+    /// cached [`CompiledPipeline::run`].
+    pub warm: Duration,
+    /// Median of the cold repetitions: a fresh compile plus its first run,
+    /// which plans, lowers and builds the lane programs.
+    pub cold: Duration,
+    /// Program-cache hits of the warm pipeline over its timed runs.
+    pub warm_hits: u64,
+    /// Programs compiled over all cold repetitions.
+    pub cold_compiles: u64,
+}
+
+/// Time `pipeline` under `schedule` warm and cold, `reps` repetitions each.
 ///
-/// Every repetition uses a fresh `Realizer` (cold program cache), so each
-/// timed call pays the full one-shot cost — planning, lowering and execution
-/// — preserving the historical meaning of the interpret/lowered bench
-/// columns. Cached (steady-state) throughput is measured separately by
-/// [`LiftedRealizeSetup::time_compiled`].
+/// One compiled pipeline runs once untimed, then serves every warm run from
+/// its program cache; each cold repetition compiles afresh and times the
+/// compile with its first run. Cold repetitions alternate with warm runs,
+/// so drift in the host's speed lands on both columns alike.
 ///
 /// # Panics
-/// Panics if realization fails.
-pub fn time_lifted_on(
-    app: &PhotoFlow,
-    lifted: &LiftedStencil,
-    schedule: Schedule,
-    backend: helium_halide::ExecBackend,
+/// Panics if compilation or a run fails.
+pub fn time_kernel(
+    pipeline: &Pipeline,
+    schedule: &Schedule,
+    options: &CompileOptions,
+    inputs: &RealizeInputs<'_>,
+    extents: &[usize],
     reps: usize,
-) -> Duration {
-    let setup = LiftedRealizeSetup::new(app, lifted);
-    let inputs = setup.inputs();
-    let mut best = Duration::MAX;
+) -> KernelTimes {
+    let compile = || pipeline.compile(schedule, options).expect("compile");
+    let run = |compiled: &CompiledPipeline| compiled.run(inputs, extents).expect("run");
+    let warm_pipeline = compile();
+    drop(run(&warm_pipeline));
+    let (mut warm, mut cold) = (Vec::new(), Vec::new());
+    let mut cold_compiles = 0;
     for _ in 0..reps.max(1) {
-        let realizer = Realizer::new(schedule.clone()).with_backend(backend);
-        let start = Instant::now();
-        let _ = realizer
-            .realize(&setup.pipeline, &setup.extents, &inputs)
-            .expect("realize");
-        best = best.min(start.elapsed());
+        let ((fresh, _), t) = timed(|| {
+            let fresh = compile();
+            let out = run(&fresh);
+            (fresh, out)
+        });
+        cold_compiles += fresh.compiles();
+        cold.push(t);
+        warm.push(timed(|| run(&warm_pipeline)).1);
     }
-    best
+    KernelTimes {
+        warm: median(warm),
+        cold: median(cold),
+        warm_hits: warm_pipeline.cache_stats().hits,
+        cold_compiles,
+    }
 }
 
 /// Steady-state timing of the sides of a split: `rounds` rounds of one warm
@@ -132,18 +178,10 @@ pub fn time_interleaved(
             } else {
                 sides.len() - 1 - k
             };
-            let start = Instant::now();
-            let _ = sides[i].run(inputs, extents).expect("run");
-            times[i].push(start.elapsed());
+            times[i].push(timed(|| sides[i].run(inputs, extents).expect("run")).1);
         }
     }
-    times
-        .into_iter()
-        .map(|mut t| {
-            t.sort();
-            t[t.len() / 2]
-        })
-        .collect()
+    times.into_iter().map(median).collect()
 }
 
 /// The realize ingredients of a lifted kernel's primary output, materialized
@@ -203,116 +241,26 @@ impl LiftedRealizeSetup {
         }
         inputs
     }
-
-    /// Compile the kernel's pipeline for `backend` under `schedule`.
-    ///
-    /// # Panics
-    /// Panics if compilation fails.
-    pub fn compile(
-        &self,
-        schedule: &Schedule,
-        backend: helium_halide::ExecBackend,
-    ) -> helium_halide::CompiledPipeline {
-        let options = helium_halide::CompileOptions {
-            backend,
-            ..helium_halide::CompileOptions::default()
-        };
-        self.pipeline.compile(schedule, &options).expect("compile")
-    }
-
-    /// Time the compile-once/run-many API over `extents` (defaults to the
-    /// kernel's inferred output extents).
-    ///
-    /// With `cold`, every timed repetition constructs a fresh
-    /// `CompiledPipeline` and runs it once — measuring the full uncached cost
-    /// (validation, `compute_at` planning, lowering, lane-program
-    /// construction, execution). Otherwise the pipeline is compiled and warmed
-    /// once up front and only the cached runs are timed — the steady-state
-    /// request-rate cost. Inputs are built once, outside every timed region.
-    ///
-    /// # Panics
-    /// Panics if compilation or realization fails.
-    pub fn time_compiled(
-        &self,
-        schedule: &Schedule,
-        backend: helium_halide::ExecBackend,
-        reps: usize,
-        cold: bool,
-        extents: Option<&[usize]>,
-    ) -> Duration {
-        let extents = extents.unwrap_or(&self.extents);
-        let inputs = self.inputs();
-        let mut best = Duration::MAX;
-        if cold {
-            for _ in 0..reps.max(1) {
-                let start = Instant::now();
-                let compiled = self.compile(schedule, backend);
-                let _ = compiled.run(&inputs, extents).expect("run");
-                best = best.min(start.elapsed());
-            }
-        } else {
-            let compiled = self.compile(schedule, backend);
-            let _ = compiled.run(&inputs, extents).expect("warm-up run");
-            for _ in 0..reps.max(1) {
-                let start = Instant::now();
-                let _ = compiled.run(&inputs, extents).expect("run");
-                best = best.min(start.elapsed());
-            }
-            assert!(
-                compiled.cache_stats().hits >= reps.max(1) as u64,
-                "timed runs must be cache hits"
-            );
-        }
-        best
-    }
-}
-
-/// Time the lifted kernel of the first output plane under a schedule.
-///
-/// # Panics
-/// Panics if realization fails.
-pub fn time_lifted(
-    app: &PhotoFlow,
-    lifted: &LiftedStencil,
-    schedule: Schedule,
-    reps: usize,
-) -> Duration {
-    time_lifted_on(
-        app,
-        lifted,
-        schedule,
-        helium_halide::ExecBackend::default(),
-        reps,
-    )
 }
 
 /// Time the legacy binary running in the VM (the literal analogue of the
-/// shipped, bit-rotted executable).
+/// shipped, bit-rotted executable), per plane: the median time of a run
+/// over all of the image's planes, divided by the plane count, to compare
+/// with a lifted kernel that computes one plane.
 pub fn time_legacy_vm(app: &PhotoFlow, reps: usize) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let _ = app.run_in_vm();
-        best = best.min(start.elapsed());
-    }
-    best
+    median_time(reps, || app.run_in_vm()) / app.image().planes.len() as u32
 }
 
 /// Time the native scalar port of the legacy algorithm (a conservative upper
-/// bound on the original binary's performance).
+/// bound on the original binary's performance), per plane like
+/// [`time_legacy_vm`].
 pub fn time_legacy_native(app: &PhotoFlow, reps: usize) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let _ = app.reference_output();
-        best = best.min(start.elapsed());
-    }
-    best
+    median_time(reps, || app.reference_output()) / app.image().planes.len() as u32
 }
 
 /// Format a duration in milliseconds for the report tables.
 pub fn ms(d: Duration) -> String {
-    format!("{:9.2}", d.as_secs_f64() * 1e3)
+    format!("{:9.3}", d.as_secs_f64() * 1e3)
 }
 
 // ---------------------------------------------------------------------------
@@ -322,13 +270,13 @@ pub fn ms(d: Duration) -> String {
 /// Build a BatchView instance on a deterministic benchmark image and lift its
 /// kernel.
 ///
-/// # Panics
-/// Panics if lifting fails (benchmarks require a successful lift).
+/// # Errors
+/// Returns the lifter's error for a filter it does not lift.
 pub fn lift_batchview(
     filter: helium_apps::BatchFilter,
     w: usize,
     h: usize,
-) -> (helium_apps::BatchView, LiftedStencil) {
+) -> Result<(helium_apps::BatchView, LiftedStencil), LiftError> {
     let app =
         helium_apps::BatchView::new(filter, helium_apps::InterleavedImage::random(w, h, 0x05EED));
     let request = LiftRequest {
@@ -344,10 +292,8 @@ pub fn lift_batchview(
             .collect(),
         approx_data_size: app.approx_data_size(),
     };
-    let lifted = Lifter::new()
-        .lift(app.program(), &request, |with| app.fresh_cpu(with))
-        .unwrap_or_else(|e| panic!("lifting {} failed: {e}", filter.name()));
-    (app, lifted)
+    let lifted = Lifter::new().lift(app.program(), &request, |with| app.fresh_cpu(with))?;
+    Ok((app, lifted))
 }
 
 /// Lift the miniGMG smooth stencil (generic inference, no known data).
@@ -627,18 +573,19 @@ pub fn buffer_from_memory(
     buf
 }
 
-/// Time the primary lifted kernel against the memory image left by a legacy
-/// run, realized over `extents` (or the inferred output extents).
+/// Time the primary lifted kernel warm and cold (see [`time_kernel`])
+/// against the memory image left by a legacy run, realized over `extents`
+/// (or the inferred output extents).
 ///
 /// # Panics
-/// Panics if realization fails.
+/// Panics if compilation or a run fails.
 pub fn time_lifted_kernel(
     mem: &helium_machine::Memory,
     lifted: &LiftedStencil,
-    schedule: Schedule,
+    schedule: &Schedule,
     extents: Option<Vec<usize>>,
     reps: usize,
-) -> Duration {
+) -> KernelTimes {
     let kernel = lifted.primary();
     let out_layout = lifted.buffer(&kernel.output).expect("output layout");
     let extents = extents.unwrap_or_else(|| {
@@ -666,18 +613,14 @@ pub fn time_lifted_kernel(
     for (name, value) in &kernel.parameter_values {
         inputs = inputs.with_param(name, *value);
     }
-    // Fresh realizer per repetition: each timed call pays the full one-shot
-    // cost (see `time_lifted_on`).
-    let mut best = Duration::MAX;
-    for _ in 0..reps.max(1) {
-        let realizer = Realizer::new(schedule.clone());
-        let start = Instant::now();
-        let _ = realizer
-            .realize(&kernel.pipeline, &extents, &inputs)
-            .expect("realize");
-        best = best.min(start.elapsed());
-    }
-    best
+    time_kernel(
+        &kernel.pipeline,
+        schedule,
+        &CompileOptions::default(),
+        &inputs,
+        &extents,
+        reps,
+    )
 }
 
 /// Run a legacy application binary in the VM to completion and return its
@@ -698,16 +641,80 @@ pub fn run_legacy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use helium_halide::{CompileOptions, ExecBackend, Target};
+    use helium_halide::{CounterSnapshot, ExecBackend, LaneFamily, Realizer, Target};
+    use std::sync::{Mutex, MutexGuard};
 
+    /// Tests that read the process-wide execution counters hold this lock,
+    /// so another test's run cannot satisfy their delta.
+    fn counter_lock() -> MutexGuard<'static, ()> {
+        static COUNTERS: Mutex<()> = Mutex::new(());
+        COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The timing helper's warm column times cached runs of one compiled
+    /// pipeline, and its cold column compiles afresh every repetition.
     #[test]
-    fn helpers_produce_consistent_timings() {
-        let (app, lifted) = lift_photoflow(PhotoFilter::Invert, 48, 32);
-        let legacy = time_legacy_native(&app, 1);
-        let lifted_time = time_lifted(&app, &lifted, Schedule::naive(), 1);
-        assert!(legacy.as_nanos() > 0);
-        assert!(lifted_time.as_nanos() > 0);
-        assert!(!ms(legacy).is_empty());
+    fn time_kernel_warm_runs_hit_the_cache_and_cold_runs_compile() {
+        let (w, h) = (37, 11);
+        let (pipeline, input) = hist64_pipeline(w, h, 0xB16B);
+        let inputs = RealizeInputs::new().with_image("in", &input);
+        let reps = 5;
+        let times = time_kernel(
+            &pipeline,
+            &Schedule::stencil_default(),
+            &CompileOptions::default(),
+            &inputs,
+            &[w, h],
+            reps,
+        );
+        assert_eq!(
+            times.warm_hits, reps as u64,
+            "every timed warm run must be a program-cache hit: {times:?}"
+        );
+        assert_eq!(
+            times.cold_compiles, reps as u64,
+            "every cold repetition must compile once: {times:?}"
+        );
+    }
+
+    /// The lifted Fig. 7 invert, blur and sharpen compile their output
+    /// stores onto the `[i32; W]` fused lane family, bit-identical to the
+    /// interpreter oracle.
+    #[test]
+    fn lifted_fig7_filters_fuse_i32_output_stores_and_match_oracle() {
+        for filter in [PhotoFilter::Invert, PhotoFilter::Blur, PhotoFilter::Sharpen] {
+            let (app, lifted) = lift_photoflow(filter, 48, 32).expect("the filter lifts");
+            let setup = LiftedRealizeSetup::new(&app, &lifted);
+            let inputs = setup.inputs();
+            let schedule = Schedule::stencil_default();
+            let compiled = setup
+                .pipeline()
+                .compile(
+                    &schedule,
+                    &CompileOptions {
+                        target: Some(Target::detect()),
+                        ..CompileOptions::default()
+                    },
+                )
+                .expect("compile");
+            let out = compiled.run(&inputs, &setup.extents).expect("run");
+            let profile = compiled.dry_run(&inputs, &setup.extents).expect("dry run");
+            assert!(
+                profile
+                    .output()
+                    .stores
+                    .iter()
+                    .any(|s| s.fused == Some(LaneFamily::I32)),
+                "{}: the output store must fuse on [i32; W] lanes, got {:?}",
+                filter.name(),
+                profile.output().stores
+            );
+            let oracle = Realizer::new(schedule)
+                .with_backend(ExecBackend::Interpret)
+                .realize(setup.pipeline(), &setup.extents, &inputs)
+                .expect("oracle");
+            assert_eq!(out, oracle, "{}: diverged from the oracle", filter.name());
+        }
     }
 
     /// The acceptance gate of the float lane family: miniGMG smooth
@@ -785,22 +792,42 @@ mod tests {
 
     /// The acceptance gate of lowered reductions: the RDom histogram's
     /// update definition executes through the compiled engine (no
-    /// `run_update` on the hot path), bit-identical to the interpreter.
+    /// `run_update` on the hot path), under `stencil_default` on the
+    /// privatize-then-merge parallel reduce, bit-identical to the
+    /// interpreter.
     #[test]
     fn hist64_rdom_updates_run_compiled_and_match_oracle() {
+        let _counters = counter_lock();
         let (pipeline, input) = hist64_rdom_pipeline(41, 13, 0xB16B);
         let inputs = RealizeInputs::new().with_image("in", &input);
         let schedule = Schedule::stencil_default();
         let compiled = pipeline
-            .compile(&schedule, &CompileOptions::default())
+            .compile(
+                &schedule,
+                &CompileOptions {
+                    target: Some(Target::detect()),
+                    ..CompileOptions::default()
+                },
+            )
             .expect("compile");
+        let counters = CounterSnapshot::take();
         let out = compiled.run(&inputs, &[256]).expect("run");
+        assert!(
+            counters.delta().parallel_reduce_merges > 0,
+            "the histogram must merge its private accumulators"
+        );
         let counts = compiled.update_counts(&inputs, &[256]).expect("counts");
         assert_eq!(
             counts.interpreted, 0,
             "hist64 updates must not run through run_update: {counts:?}"
         );
         assert_eq!(counts.compiled, 1);
+        let profile = compiled.dry_run(&inputs, &[256]).expect("dry run");
+        assert!(
+            profile.output().stores.iter().any(|s| s.parallel_reduce),
+            "the dry run must report the parallel reduce, got {:?}",
+            profile.output().stores
+        );
         let oracle = Realizer::new(schedule)
             .with_backend(ExecBackend::Interpret)
             .realize(&pipeline, &[256], &inputs)
@@ -815,7 +842,8 @@ mod tests {
         let (pipeline, grid) = minigmg_residual_norm(19, 11, 5, 0x6116);
         let inputs = RealizeInputs::new().with_image("grid", &grid);
         let schedule = Schedule::stencil_default();
-        let counters = helium_halide::CounterSnapshot::take();
+        let _counters = counter_lock();
+        let counters = CounterSnapshot::take();
         let compiled = pipeline
             .compile(
                 &schedule,

@@ -92,7 +92,7 @@ fn measure(
 /// measured time over *all* candidates.
 fn assert_top_quartile_contains_near_best(filter: PhotoFilter, tol: f64) {
     let _alone = alone();
-    let (app, lifted) = lift_photoflow(filter, 96, 64);
+    let (app, lifted) = lift_photoflow(filter, 96, 64).expect("the filter lifts");
     let setup = LiftedRealizeSetup::new(&app, &lifted);
     let inputs = setup.inputs();
     let pipeline = setup.pipeline();
@@ -143,7 +143,7 @@ fn model_top_quartile_contains_near_best_sharpen() {
 #[test]
 fn model_ranks_fused_wide_above_naive_scalar_on_blur() {
     let _alone = alone();
-    let (app, lifted) = lift_photoflow(PhotoFilter::Blur, 96, 64);
+    let (app, lifted) = lift_photoflow(PhotoFilter::Blur, 96, 64).expect("the filter lifts");
     let setup = LiftedRealizeSetup::new(&app, &lifted);
     let inputs = setup.inputs();
     let pipeline = setup.pipeline();
@@ -197,7 +197,7 @@ fn model_ranks_fused_wide_above_naive_scalar_on_blur() {
 #[test]
 fn schedule_cache_round_trip_warms_fresh_state_with_zero_search() {
     let _alone = alone();
-    let (app, lifted) = lift_photoflow(PhotoFilter::Invert, 96, 64);
+    let (app, lifted) = lift_photoflow(PhotoFilter::Invert, 96, 64).expect("the filter lifts");
     let setup = LiftedRealizeSetup::new(&app, &lifted);
     let inputs = setup.inputs();
     let pipeline = setup.pipeline();
